@@ -11,9 +11,7 @@ from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
                      group_order, iota, psi, zero_functional)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_laurent,
                       expand_series, format_poly, format_rational,
-                      format_series, poly_add, poly_mul, poly_neg, poly_scale,
-                      rat_add, rat_div, rat_mul, series_equal,
-                      substitute_reciprocal)
+                      format_series, series_equal, substitute_reciprocal)
 from .arcspace import (OrbitLabel, OrbitPoset, StackDivisor, canonical_divisor,
                        closure_leq, contact_order, divisor_to_pl,
                        gamma_truncated_direct, orbit_label, orbit_measure,

@@ -1,0 +1,204 @@
+"""Lowest terms for quotients of integer polynomials in one variable s,
+given as coefficient lists indexed by exponent.
+
+Every denominator the invariant formulas build is c * prod_d (1 - s^d), and
+every reduced form of one is c * prod_d (1 - s^d)^{e_d} with exponents of
+either sign; so every common factor is a product of cyclotomic polynomials
+Phi_k(s).  They are found by folding modulo s^k - 1 and removed by
+multiplying and dividing by binomials, each an O(length) pass.  Any other
+denominator (only arbitrary input such as 1 + 2s) is reduced by an integer
+primitive remainder sequence.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import operator
+
+
+def lowest_terms(a, b):
+    """a/b in lowest terms, for lists with nonzero constant terms."""
+    exps = _cyclotomic_exponents(b)
+    if exps is None:
+        g = _prs_gcd(a, b)
+        return (_quotient(a, g), _quotient(b, g)) if len(g) > 1 else (a, b)
+    need = {}                 # k -> multiplicity of Phi_k in b
+    for d, e in exps.items():
+        for k in _divisors(d):
+            need[k] = need.get(k, 0) + e
+    net = _cyclotomic_gcd(a, {k: m for k, m in need.items() if m > 0})
+    return _apply(a, net), _apply(b, net)
+
+
+# bound on sum |e_d| before a denominator counts as not cyclotomic: the
+# exponents of a non-cyclotomic polynomial grow geometrically with d
+_MAX_FACTORS = 4096
+
+
+def _cyclotomic_exponents(u):
+    """{d: e_d} with u = u[0] * prod_d (1 - s^d)^{e_d}, exponents of either
+    sign, as for a product of cyclotomic polynomials; None if u is not one.
+
+    Greedy on the power series of u truncated after s^top: the lowest
+    nonconstant term -e u[0] s^d fixes e_d.  The identity is exact once top
+    reaches the degree of both sides cleared of negative exponents."""
+    if u[::-1] != u and [-c for c in u[::-1]] != u:
+        return None           # cyclotomic polynomials are (anti)palindromic
+    top = len(u) - 1
+    while True:
+        p, exps, used = u + [0] * (top + 1 - len(u)), {}, 0
+        for d in range(1, top + 1):
+            if p[d]:
+                e, r = divmod(-p[d], p[0])
+                used += abs(e)
+                if r or used > _MAX_FACTORS:
+                    return None
+                exps[d] = e
+                for _ in range(e):
+                    p = _div_binomial(p + [0] * d, d)
+                for _ in range(-e):
+                    p = _mul_binomial(p, d)[:top + 1]
+        degree = max(sum(e * d for d, e in exps.items() if e > 0),
+                     len(u) - 1 - sum(e * d for d, e in exps.items() if e < 0))
+        if degree <= top:
+            return exps
+        top = degree
+
+
+def _div_binomial(a, c):
+    """a / (1 - s^c), exact: a prefix sum in each residue class mod c."""
+    q = a[:len(a) - c]
+    for r in range(c):
+        q[r::c] = itertools.accumulate(q[r::c])
+    return q
+
+
+def _mul_binomial(a, c):
+    out = a + [0] * c
+    out[c:] = map(operator.sub, out[c:], a)
+    return out
+
+
+def _cyclotomic_gcd(a, need):
+    """{d: E_d} with prod_d (1 - s^d)^{E_d} = +-gcd(a, prod_k Phi_k^need[k]).
+
+    The multiplicity of Phi_k in a is the number of leading derivatives
+    a, a', ... that Phi_k divides.  The result is inverted with
+    Phi_k = prod_{d | k} (1 - s^d)^{mu(k/d)}, which holds up to sign."""
+    found = dict.fromkeys(need, 0)
+    for i in range(max(need.values(), default=0)):
+        live = [k for k in need if found[k] == i < need[k]]
+        if not live:
+            break
+        if i:
+            a = [j * x for j, x in enumerate(a)][1:]
+        for k in live:
+            if _phi_divides(_fold(a, k), k):
+                found[k] += 1
+    net = {}
+    for k, e in found.items():
+        if e:
+            for d in _divisors(k):
+                net[d] = net.get(d, 0) + e * _mobius(k // d)
+    return net
+
+
+def _fold(a, k):
+    """a mod (s^k - 1)."""
+    return [sum(a[r::k]) for r in range(k)]
+
+
+def _phi_divides(f, k):
+    """Phi_k | f for f reduced mod s^k - 1.  prod_{p | k} (s^{k/p} - 1)
+    vanishes at every k-th root of unity except the primitive ones, so the
+    product with f is 0 mod s^k - 1 exactly when Phi_k divides f."""
+    for p in _factor(k):
+        m = k // p
+        f = list(map(operator.sub, f[-m:] + f[:-m], f))
+    return not any(f)
+
+
+def _apply(a, net):
+    """a / prod_d (1 - s^d)^{net[d]}, known to be a polynomial: multiply
+    first so that every division is exact."""
+    for d, e in net.items():
+        for _ in range(-e):
+            a = _mul_binomial(a, d)
+    for d, e in net.items():
+        for _ in range(e):
+            a = _div_binomial(a, d)
+    return a
+
+
+def _factor(n):
+    """{prime: exponent} of n."""
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _divisors(n):
+    divs = [1]
+    for p, e in _factor(n).items():
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return divs
+
+
+def _mobius(n):
+    f = _factor(n)
+    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
+
+
+def _prs_gcd(a, b):
+    """gcd of integer coefficient lists by a primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a if not b else [1]
+
+
+def _primitive(p):
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _pseudo_remainder(a, b):
+    r = list(a)
+    db, lead = len(b) - 1, b[-1]
+    low = [(j, c) for j, c in enumerate(b[:db]) if c]
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            g = math.gcd(top, lead)
+            if lead // g != 1:
+                r = [x * (lead // g) for x in r]
+            top //= g
+            i = len(r) - db
+            for j, c in low:
+                r[i + j] -= top * c
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _quotient(a, g):
+    """a / g for a primitive divisor g of a in Z[s]."""
+    a = list(a)
+    dg, lead = len(g) - 1, g[-1]
+    low = [(j, c) for j, c in enumerate(g[:dg]) if c]
+    q = [0] * (len(a) - dg)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + dg] // lead
+        if c:
+            for j, gj in low:
+                a[i + j] -= c * gj
+    return q

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from . import arcspace, core, stacky
 from .core import Cone, Fan, ZERO_CONE, as_vec
-from .errors import LambdaNotKLT, NegativeMu, NotComplete, NotKLT
+from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu, NotComplete,
+                     NotKLT)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
                       substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan, age, box_elements, psi
@@ -186,45 +187,55 @@ def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRationa
     """The weighted delta-vector as an exact rational function: sum over
     cones of h_tau^lambda times the box-element contributions.
 
-    Computed over the single common denominator prod_i (1 - t^{lam(b_i)+1}):
-    writing each h-summand and box factor over that denominator, every term
-    carries exactly (1 - t)^d, so only one gcd reduction is needed at the
-    end.  Agrees with the naive sum of h_tau_lambda * box factors (tested).
+    Assembled with integer exponents on the grid s = t^{1/N}, N the lcm of
+    the denominators of the lambda(b_i) and of the box exponents, over the
+    single common denominator prod_i (1 - t^{lam(b_i)+1}): each h-summand
+    and box factor written over it carries exactly (1 - t)^d.  Agrees with
+    the naive sum of h_tau_lambda * box factors (tested).
     """
     _check_admissible(lam)
-    nrays = len(sfan.fan.rays)
-    binom = [FracPoly({0: 1, lam.values_on_b[i] + 1: -1}) for i in range(nrays)]
+    lams = lam.values_on_b
     cones = sfan.fan.sorted_cones
-    complements = {}
-    for sigma in cones:
-        prod = FracPoly.one()
-        for i in range(nrays):
-            if i not in sigma.ray_indices:
-                prod = prod * binom[i]
-        complements[sigma] = prod
-    total = FracPoly.zero()
+    boxes = {}
     for tau in cones:
-        boxes = box_elements(sfan, tau)
-        if not boxes:
-            continue
-        box_sum = FracPoly.zero()
-        for e in boxes:
-            lam_v = sum((qi * lam.values_on_b[i]
-                         for qi, i in zip(e.q, tau.ray_indices)), Fraction(0))
-            box_sum = box_sum + FracPoly.t_power(age(sfan, e) + lam_v)
-        for sigma in cones:
-            if not tau.is_face_of(sigma):
+        boxes[tau] = [age(sfan, e) + sum((qi * lams[i] for qi, i in
+                                          zip(e.q, tau.ray_indices)), Fraction(0))
+                      for e in box_elements(sfan, tau)]
+    n = math.lcm(*(x.denominator for x in
+                   itertools.chain(lams, *boxes.values())))
+    binom = [int((x + 1) * n) for x in lams]   # factor i is 1 - s^binom[i]
+    total = {}
+    for sigma in cones:
+        # faces tau of sigma: box exponents shifted by sum over the rays of
+        # sigma - tau of lam(b_i) + 1, times the factors of rays not in sigma
+        part = {}
+        for tau in cones:
+            if not boxes[tau] or not tau.is_face_of(sigma):
                 continue
-            lam_sum = sum((lam.values_on_b[i] for i in sigma.ray_indices
-                           if i not in tau.ray_indices), Fraction(0))
-            total = total + (
-                box_sum * complements[sigma]
-                * FracPoly.t_power(lam_sum + sigma.dim - tau.dim))
-    denominator = FracPoly.one()
-    for i in range(nrays):
-        denominator = denominator * binom[i]
-    numerator = total * (FracPoly({0: 1, 1: -1}) ** sfan.rank)
-    return FracRational(numerator, denominator)
+            shift = sum(binom[i] for i in sigma.ray_indices
+                        if i not in tau.ray_indices)
+            for x in boxes[tau]:
+                e = int(x * n) + shift
+                part[e] = part.get(e, 0) + 1
+        for i, c in enumerate(binom):
+            if i not in sigma.ray_indices:
+                part = _times_binomial(part, c)
+        for e, c in part.items():
+            total[e] = total.get(e, 0) + c
+    for _ in range(sfan.rank):
+        total = _times_binomial(total, n)
+    denominator = {0: 1}
+    for c in binom:
+        denominator = _times_binomial(denominator, c)
+    return FracRational(total, denominator, grid=n)
+
+
+def _times_binomial(p: dict, c: int) -> dict:
+    """p * (1 - s^c) for a sparse {exponent: int} polynomial."""
+    out = dict(p)
+    for e, v in p.items():
+        out[e + c] = out.get(e + c, 0) - v
+    return out
 
 
 def check_symmetry(sfan: StackyFan, lam: PiecewiseQLinear) -> bool:
@@ -307,10 +318,13 @@ def orbifold_betti(sfan: StackyFan) -> dict:
     """Coefficients of Gamma(X, 0); dimensions of the orbifold cohomology
     groups with compact support."""
     g = gamma(sfan, arcspace.zero_divisor(sfan))
-    assert g.is_polynomial(), "Gamma(X, 0) must be a polynomial"
+    if not g.is_polynomial():
+        raise InvariantViolation("Gamma(X, 0) is not a polynomial")
     out = {}
     for exp in sorted(g.num.terms):
         c = g.num.terms[exp]
-        assert c.denominator == 1 and c > 0, "betti numbers must be positive integers"
+        if c.denominator != 1 or c <= 0:
+            raise InvariantViolation(
+                f"orbifold Betti number {c} at {exp} is not a positive integer")
         out[exp] = int(c)
     return out

@@ -41,6 +41,10 @@ class NotKLT(StackyFanError):
     """A stack divisor violates the Kawamata log terminal bound beta_i < 1."""
 
 
+class InvariantViolation(StackyFanError):
+    """A computed invariant breaks a property the theory guarantees."""
+
+
 class RankMismatch(StackyFanError):
     """Two fans live in lattices of different rank."""
 

@@ -1,9 +1,10 @@
 """Exact algebra of polynomials and rational functions in t with rational
-exponents on a common 1/N grid, plus ascending power-series expansion.
+exponents, plus ascending power-series expansion.
 
-Fractional exponents are handled by the substitution s = t^{1/N}, where N is
-the lcm of all exponent denominators in the expression; gcd reduction is then
-ordinary univariate polynomial gcd over the rationals.
+A rational function is kept in canonical form on the grid s = t^{1/N}, where
+N is the lcm of the exponent denominators: integer coefficients and no common
+factor between numerator and denominator, at every size.  The common factors
+are removed by `cyclotomic.lowest_terms`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cyclotomic import lowest_terms
 from .errors import DivisionByZero, NoExpansionAtZero
 
 
@@ -114,144 +116,55 @@ class FracPoly:
         return f"FracPoly({format_poly(self)})"
 
 
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_neg(f):
-    return -f
-
-
-def poly_scale(f, c):
-    return f.scale(c)
-
-
-# --- dense integer-exponent helpers (coefficient lists in s) ---------------
-
-def _to_dense(poly: FracPoly, n_grid: int, shift: int):
-    deg = 0
-    for e in poly.terms:
-        deg = max(deg, int(e * n_grid) + shift)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in poly.terms.items():
-        coeffs[int(e * n_grid) + shift] = c
-    return coeffs
-
-
-def _dense_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _dense_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        f = a[i + len(b) - 1] / lead
-        if f == 0:
-            continue
-        q[i] = f
-        for j, bc in enumerate(b):
-            a[i + j] -= f * bc
-    return _dense_trim(q), _dense_trim(a)
-
-
-# longest dense representation for which gcd reduction is attempted
-_GCD_DENSE_LIMIT = 1200
-
-
-def _dense_to_primitive_int(p):
-    """Scale a Fraction coefficient list to a primitive integer list."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    q = [int(c * den) for c in p]
-    g = 0
-    for c in q:
-        g = math.gcd(g, abs(c))
-    return [c // g for c in q] if g > 1 else q
-
-
-def _dense_gcd(a, b):
-    """Monic gcd via a primitive polynomial remainder sequence over the
-    integers; avoids the coefficient blow-up of rational-arithmetic Euclid."""
-    a = _dense_trim(list(a))
-    b = _dense_trim(list(b))
-    if not a:
-        a, b = b, a
-    if not b:
-        if a:
-            lead = a[-1]
-            return [c / lead for c in a]
-        return a
-    A = _dense_to_primitive_int(a)
-    B = _dense_to_primitive_int(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = list(A)
-        db = len(B) - 1
-        lead = B[-1]
-        for i in range(len(R) - len(B), -1, -1):
-            coef = R[i + db]
-            if coef == 0:
-                continue
-            # R <- lead*R - coef*(B shifted by i): cancels position i+db
-            for j in range(len(R)):
-                R[j] *= lead
-            for j, bc in enumerate(B):
-                R[i + j] -= coef * bc
-        R = _dense_trim(R[:db] if len(R) > db else R)
-        g = 0
-        for c in R:
-            g = math.gcd(g, abs(c))
-        if g > 1:
-            R = [c // g for c in R]
-        A, B = B, R
-    lead = A[-1]
-    return [Fraction(c, lead) for c in A]
-
-
-def _from_dense(coeffs, n_grid: int, shift: int) -> FracPoly:
-    return FracPoly({Fraction(i - shift, n_grid): c
-                     for i, c in enumerate(coeffs) if c != 0})
+def _poly(terms) -> FracPoly:
+    """FracPoly from {Fraction: nonzero Fraction} without re-checking."""
+    p = FracPoly.__new__(FracPoly)
+    p.terms = terms
+    return p
 
 
 class FracRational:
     """Rational function num/den in canonical form.
 
-    Canonical form: after substituting s = t^{1/N} and clearing to
-    non-negative integer exponents, numerator and denominator share no common
-    polynomial factor, the denominator's lowest nonzero coefficient is
-    positive, and integer content is removed symmetrically.
+    Canonical form: on the grid s = t^{1/N}, numerator and denominator are
+    polynomials in s with no common factor (so at most one of them is
+    divisible by s), integer coefficients with no common content, and a
+    positive lowest coefficient in the denominator.  Equal values have equal
+    forms at every size, so `==` compares the two forms term by term.
 
-    For very long dense representations the common-factor removal is skipped
-    (it is quadratic in the dense length); equality then falls back to exact
-    cross-multiplication, so values still compare correctly.
+    With `grid=n`, num and den are {int exponent: int coefficient} dicts on
+    the grid s = t^{1/n} instead of FracPolys.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if not isinstance(num, FracPoly):
-            num = FracPoly.constant(num)
-        if den is None:
-            den = FracPoly.one()
-        elif not isinstance(den, FracPoly):
-            den = FracPoly.constant(den)
-        if den.is_zero():
+    def __init__(self, num, den=None, grid=None):
+        if grid is None:
+            num, den = (p if isinstance(p, FracPoly) else FracPoly.constant(p)
+                        for p in (num, 1 if den is None else den))
+            grid, (num, den) = _to_grid(num, den)
+        else:
+            num = {e: c for e, c in num.items() if c}
+            den = {e: c for e, c in den.items() if c}
+        if not den:
             raise DivisionByZero("zero denominator")
-        self.num, self.den = _canonicalize(num, den)
+        self.num, self.den = _canonical(num, den, grid)
 
     @classmethod
-    def from_poly(cls, poly):
-        return cls(poly)
+    def _coprime(cls, num: FracPoly, den: FracPoly) -> "FracRational":
+        """num/den for coprime integral num, den with nonnegative exponents
+        and no common power of t: only content and sign are normalised."""
+        self = object.__new__(cls)
+        if num.is_zero():
+            self.num, self.den = FracPoly.zero(), FracPoly.one()
+            return self
+        g = math.gcd(*(c.numerator for p in (num, den) for c in p.terms.values()))
+        if den.terms[den.min_exp()] < 0:
+            g = -g
+        if g != 1:
+            num, den = num.scale(Fraction(1, g)), den.scale(Fraction(1, g))
+        self.num, self.den = num, den
+        return self
 
     def is_zero(self):
         return self.num.is_zero()
@@ -262,22 +175,10 @@ class FracRational:
     def __eq__(self, other):
         if not isinstance(other, FracRational):
             return NotImplemented
-        if self.num == other.num and self.den == other.den:
-            return True
-        # representations may differ when gcd reduction was skipped for
-        # size reasons; cross-multiplication is always exact
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # invariant under the choice of representative: order and leading
-        # coefficient of the function at t -> 0 and t -> infinity
-        if self.num.is_zero():
-            return hash(0)
-        lo = self.num.min_exp() - self.den.min_exp()
-        hi = self.num.max_exp() - self.den.max_exp()
-        c_lo = self.num.coeff(self.num.min_exp()) / self.den.coeff(self.den.min_exp())
-        c_hi = self.num.coeff(self.num.max_exp()) / self.den.coeff(self.den.max_exp())
-        return hash((lo, c_lo, hi, c_hi))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -290,17 +191,21 @@ class FracRational:
                             self.den * other.den)
 
     def __neg__(self):
-        return FracRational(-self.num, self.den)
+        return FracRational._coprime(-self.num, self.den)
 
     def __mul__(self, other):
+        # (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))):
+        # lowest terms from two reductions of the smaller cross pairs
         other = _coerce(other)
-        return FracRational(self.num * other.num, self.den * other.den)
+        x = FracRational(self.num, other.den)
+        y = FracRational(other.num, self.den)
+        return FracRational._coprime(x.num * y.num, x.den * y.den)
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other.num.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return FracRational(self.num * other.den, self.den * other.num)
+        return self * FracRational._coprime(other.den, other.num)
 
     def __repr__(self):
         return f"FracRational({format_rational(self)})"
@@ -314,59 +219,53 @@ def _coerce(x) -> FracRational:
     return FracRational(FracPoly.constant(x))
 
 
-def _canonicalize(num: FracPoly, den: FracPoly):
-    if num.is_zero():
-        return FracPoly.zero(), FracPoly.one()
-    n_grid = 1
-    for g in (num.grid(), den.grid()):
-        n_grid = n_grid * g // math.gcd(n_grid, g)
-    shift = -min(int(num.min_exp() * n_grid), int(den.min_exp() * n_grid), 0)
-    a = _to_dense(num, n_grid, shift)
-    b = _to_dense(den, n_grid, shift)
-    # gcd reduction is quadratic in the dense length, so skip it for very
-    # long representations (fine exponent grid); equality stays exact via
-    # cross-multiplication and expansion never needs lowest terms
-    if max(len(a), len(b)) <= _GCD_DENSE_LIMIT:
-        g = _dense_gcd(a, b)
-        if len(g) > 1 or (g and g[0] != 1):
-            a, _ = _dense_divmod(a, g)
-            b, _ = _dense_divmod(b, g)
-    # remove rational content symmetrically; make coefficients coprime ints
-    denom_lcm = 1
-    for c in a + b:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    a = [c * denom_lcm for c in a]
-    b = [c * denom_lcm for c in b]
-    g_int = 0
-    for c in a + b:
-        g_int = math.gcd(g_int, abs(c.numerator))
-    if g_int > 1:
-        a = [c / g_int for c in a]
-        b = [c / g_int for c in b]
-    low = next(c for c in b if c != 0)
-    if low < 0:
-        a = [-c for c in a]
-        b = [-c for c in b]
-    return _from_dense(a, n_grid, 0), _from_dense(b, n_grid, 0)
-
-
-def rat_add(f, g):
-    return _coerce(f) + _coerce(g)
-
-
-def rat_mul(f, g):
-    return _coerce(f) * _coerce(g)
-
-
-def rat_div(f, g):
-    return _coerce(f) / _coerce(g)
-
-
 def substitute_reciprocal(f: FracRational) -> FracRational:
-    """Replace t by 1/t and re-canonicalize."""
-    num = FracPoly({-e: c for e, c in f.num.terms.items()})
-    den = FracPoly({-e: c for e, c in f.den.terms.items()})
-    return FracRational(num, den)
+    """Replace t by 1/t.  Reversal keeps lowest terms, so no gcd is needed."""
+    top = max(f.num.max_exp(), f.den.max_exp())
+    num, den = (_poly({top - e: c for e, c in p.terms.items()})
+                for p in (f.num, f.den))
+    return FracRational._coprime(num, den)
+
+
+# ---------------------------------------------------------------------------
+# Canonicalisation: integer coefficient lists on the grid s = t^{1/N}
+
+
+def _to_grid(*polys):
+    """(N, [{int exponent: int coefficient}]) for polys scaled by one common
+    rational factor onto the grid s = t^{1/N}."""
+    n = math.lcm(*(e.denominator for p in polys for e in p.terms))
+    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return n, [{e.numerator * (n // e.denominator):
+                c.numerator * (d // c.denominator) for e, c in p.terms.items()}
+               for p in polys]
+
+
+def _canonical(a: dict, b: dict, n: int):
+    """Canonical (num, den) FracPolys of a/b, given as {exponent: int}
+    dicts on the grid s = t^{1/n}."""
+    if not a:
+        return FracPoly.zero(), FracPoly.one()
+    (lo_a, a), (lo_b, b) = _coefficient_list(a), _coefficient_list(b)
+    if len(a) > 1 and len(b) > 1:
+        a, b = lowest_terms(a, b)
+    g = math.gcd(*a, *b)
+    if b[0] < 0:
+        g = -g
+    shift = lo_a - lo_b
+    return tuple(
+        _poly({Fraction(i + lo, n): Fraction(c // g)
+               for i, c in enumerate(p) if c})
+        for p, lo in ((a, max(shift, 0)), (b, max(-shift, 0))))
+
+
+def _coefficient_list(p: dict):
+    """(lowest exponent, coefficient list from it) of {exponent: int}."""
+    lo = min(p)
+    out = [0] * (max(p) - lo + 1)
+    for e, c in p.items():
+        out[e - lo] = c
+    return lo, out
 
 
 @dataclass
@@ -397,22 +296,16 @@ def _expand(f: FracRational, cutoff, laurent: bool) -> TruncatedSeries:
     cutoff = Fraction(cutoff)
     if f.num.is_zero():
         return TruncatedSeries({}, cutoff)
-    n_grid = f.num.grid()
-    for g in (f.den.grid(), cutoff.denominator):
-        n_grid = n_grid * g // math.gcd(n_grid, g)
-    a = _to_dense(f.num, n_grid, 0)
-    b = _to_dense(f.den, n_grid, 0)
-    pole = next(i for i, c in enumerate(b) if c != 0)
-    if pole > 0:
-        if not laurent:
-            raise NoExpansionAtZero("denominator vanishes at t = 0")
-        b = b[pole:]
+    n_grid, (a, b, _) = _to_grid(f.num, f.den, FracPoly.t_power(cutoff))
+    pole, b = _coefficient_list(b)
+    if pole > 0 and not laurent:
+        raise NoExpansionAtZero("denominator vanishes at t = 0")
     # long division: coefficients of a/b in ascending s powers
     top = int(math.floor(cutoff * n_grid)) + pole
-    inv0 = Fraction(1) / b[0]
+    inv0 = Fraction(1, b[0])
     b_nonzero = [(j, bj) for j, bj in enumerate(b) if j > 0 and bj != 0]
     coeffs = []
-    rem = list(a) + [Fraction(0)] * max(0, top + 1 - len(a))
+    rem = [a.get(k, 0) for k in range(top + 1)]
     for k in range(top + 1):
         c = rem[k] * inv0
         coeffs.append(c)

@@ -160,6 +160,17 @@ def test_exit_code_domain_error():
     assert code == 1 and out.startswith("error:")
 
 
+def test_betti_on_large_grid_fan(tmp_path):
+    doc = tmp_path / "defect.json"
+    doc.write_text(_minimal(
+        rank=2, rays=[[3, 1], [-1, 2], [-2, 3], [-3, -1], [2, -3]],
+        weights=[3, 1, 2, 3, 1],
+        cones=[[i, (i + 1) % 5] for i in range(5)], support="complete"))
+    code, out = run_command(["betti", str(doc)])
+    assert code == 0, out
+    assert out.startswith("q^0: 1\n") and out.endswith("q^2: 1\n")
+
+
 def test_validate_reports_violations():
     bad = DATA / "golden" / "_tmp_bad.json"
     bad.write_text(_minimal(rays=[[1], [1]]))

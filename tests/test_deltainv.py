@@ -308,3 +308,32 @@ def test_orbifold_betti_palindromic():
         b = orbifold_betti(f)
         for e, c in b.items():
             assert b[Fraction(f.rank) - e] == c
+
+
+def _defect_fan():
+    """Complete rank-2 fan on the exponent grid N = 462 whose Gamma(X, 0)
+    has a dense length above 1200."""
+    rays = [(3, 1), (-1, 2), (-2, 3), (-3, -1), (2, -3)]
+    return mk_sfan(2, rays, (3, 1, 2, 3, 1),
+                   [(i, (i + 1) % 5) for i in range(5)], "complete")
+
+
+def test_orbifold_betti_large_grid():
+    f = _defect_fan()
+    b = orbifold_betti(f)
+    assert all(isinstance(c, int) and c > 0 for c in b.values())
+    assert sum(b.values()) == sum(
+        determinant_abs([f.b(i) for i in s.ray_indices])
+        for s in f.fan.maximal_cones)
+
+
+def test_orbifold_betti_rejects_non_polynomial_gamma(monkeypatch):
+    from stackyfan import deltainv
+    from stackyfan.errors import InvariantViolation, StackyFanError
+    assert issubclass(InvariantViolation, StackyFanError)
+    monkeypatch.setattr(deltainv, "gamma", lambda sfan, e: R({0: 1}, {0: 1, 1: -1}))
+    with pytest.raises(InvariantViolation):
+        orbifold_betti(fan_p2())
+    monkeypatch.setattr(deltainv, "gamma", lambda sfan, e: R({0: 1, 1: -2}))
+    with pytest.raises(InvariantViolation):
+        orbifold_betti(fan_p2())

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,7 @@ import pytest
 from stackyfan.errors import DivisionByZero, NoExpansionAtZero
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_laurent, expand_series, format_poly,
-                               format_rational, format_series, poly_add,
-                               poly_mul, rat_div, rat_mul, series_equal,
+                               format_rational, format_series, series_equal,
                                substitute_reciprocal)
 
 
@@ -25,7 +25,7 @@ def test_poly_fractional_exponents():
 
 
 def test_poly_cancellation_pruning():
-    s = poly_add(P({0: 1, Fraction(1, 2): 1}), P({Fraction(1, 2): -1}))
+    s = P({0: 1, Fraction(1, 2): 1}) + P({Fraction(1, 2): -1})
     assert s == P({0: 1}) and len(s.terms) == 1
 
 
@@ -51,7 +51,7 @@ def test_rational_gcd_cancellation():
 
 def test_rational_mul_clears_factor():
     r = FracRational(P({0: 1, 1: 1, 2: 1}), P({0: 1, 1: 1}))
-    assert rat_mul(r, FracRational(P({0: 1, 1: 1}))) == \
+    assert r * FracRational(P({0: 1, 1: 1})) == \
         FracRational(P({0: 1, 1: 1, 2: 1}))
 
 
@@ -75,12 +75,12 @@ def test_rational_div_round_trip_random():
         if g_num.is_zero():
             continue
         g = FracRational(g_num)
-        assert rat_div(rat_mul(f, g), g) == f
+        assert (f * g) / g == f
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        rat_div(FracRational(P({0: 1})), FracRational(P({})))
+        FracRational(P({0: 1})) / FracRational(P({}))
     with pytest.raises(DivisionByZero):
         FracRational(P({0: 1}), P({}))
 
@@ -89,7 +89,7 @@ def test_substitute_reciprocal_examples():
     r = substitute_reciprocal(FracRational(P({0: 1, 1: 1})))
     assert r == FracRational(P({0: 1, 1: 1}), P({1: 1}))
     palindromic = FracRational(P({0: 1, 1: 1, 2: 1}))
-    flipped = rat_mul(FracRational(P({2: 1})), substitute_reciprocal(palindromic))
+    flipped = FracRational(P({2: 1})) * substitute_reciprocal(palindromic)
     assert flipped == palindromic
     r = substitute_reciprocal(FracRational(P({0: 1}), P({0: 1, 1: -1})))
     assert r == FracRational(P({1: 1}), P({0: -1, 1: 1}))
@@ -163,3 +163,93 @@ def test_format_rational_and_series():
     assert format_rational(r) == "(1 + t + t^2)/(1 + t)"
     s = TruncatedSeries({0: 1, Fraction(1, 2): 1}, Fraction(3, 2))
     assert format_series(s) == "1 + t^{1/2} + O(t^{3/2})"
+
+
+def test_canonical_form_in_lowest_terms_on_a_fine_grid():
+    # dense length 2000 on the grid N = 3603
+    binom = P({0: 1, Fraction(1000, 1201): -1})
+    r = FracRational(binom * P({0: 1, Fraction(1, 3): 1}), binom)
+    assert r.is_polynomial()
+    assert format_rational(r) == "1 + t^{1/3}"
+
+
+# ---------------------------------------------------------------------------
+# Canonical forms: seeded random property test
+
+
+def _random_poly(rng, grid, top):
+    """Nonzero, with up to four terms."""
+    p = P({Fraction(rng.randint(-grid, top * grid), grid):
+           Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3]))
+           for _ in range(rng.randint(1, 4))})
+    return P({0: 1}) if p.is_zero() else p
+
+
+def _binomial(e):
+    return P({0: 1, e: -1})
+
+
+def _random_fraction(rng, grid):
+    """(num, den, extra).  A long den is a product of binomials 1 - t^c with
+    dense length above 1200; a short one is a non-binomial polynomial such
+    as 1 + 2t times short binomials.  num shares some factors with den, and
+    num * extra / (den * extra) is the same value."""
+    if grid > 3:
+        cs = [Fraction(1301, grid)] + [Fraction(rng.randint(grid // 2, 2 * grid),
+                                                 grid)
+                                        for _ in range(rng.randint(1, 3))]
+        den = P({0: rng.choice([1, -2, 3])})
+        for c in cs:
+            den = den * _binomial(c)
+        shared = [rng.choice(cs) * rng.choice([Fraction(1, 2), 1, 2])
+                  for _ in range(rng.randint(0, 3))]
+        extra = _binomial(rng.choice(cs) * 2) * P({Fraction(-1, grid): 2})
+    else:
+        den = rng.choice([P({0: 1, 1: 2}), P({0: 3, Fraction(1, 2): -1, 1: 2}),
+                          P({Fraction(1, 2): 1, 2: -5})])
+        den = den * _random_poly(rng, grid, 2)
+        shared = [Fraction(rng.randint(1, 4), grid)
+                  for _ in range(rng.randint(0, 2))]
+        for c in shared:
+            den = den * _binomial(c)
+        extra = _random_poly(rng, 2, 2)
+    num = _random_poly(rng, rng.choice([1, 2, grid]), 3)
+    for c in shared:
+        num = num * _binomial(c)
+    return num, den, extra
+
+
+def _on_grid(sympy, s, poly, grid):
+    return sympy.Poly.from_dict({(int(e * grid),): int(c)
+                                 for e, c in poly.terms.items()}, s)
+
+
+def test_canonical_forms_random():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(20080437)
+    for i in range(16):
+        grid = [420, 1, 1201, 2, 420, 3, 1201, 2][i % 8]
+        num, den, extra = _random_fraction(rng, grid)
+        f = FracRational(num, den)
+        if grid > 3:
+            assert den.grid() * den.max_exp() > 1200
+        # canonical forms are fixed points of canonicalisation
+        again = FracRational(f.num, f.den)
+        assert (again.num, again.den) == (f.num, f.den)
+        for p in (f.num, f.den):
+            assert all(c.denominator == 1 for c in p.terms.values())
+            assert p.min_exp() >= 0
+        # == agrees with exact cross-multiplication; equal values hash equal
+        same = FracRational(num * extra, den * extra)
+        assert same == f and hash(same) == hash(f)
+        g_num, g_den, _ = _random_fraction(rng, grid)
+        g = FracRational(g_num, g_den)
+        n = math.lcm(f.num.grid(), f.den.grid(), g.num.grid(), g.den.grid())
+        a_f, b_f = _on_grid(sympy, s, f.num, n), _on_grid(sympy, s, f.den, n)
+        a_g, b_g = _on_grid(sympy, s, g.num, n), _on_grid(sympy, s, g.den, n)
+        assert (f == g) == (a_f * b_g == a_g * b_f)
+        if grid <= 3:
+            assert (f + g) - g == f
+        # numerator and denominator coprime, checked independently
+        assert sympy.gcd(a_f, b_f).degree() == 0
