@@ -7,8 +7,8 @@ from .core import (Cone, Fan, ValidationReport, ZERO_CONE, cone_coordinates,
                    solve_rational_system, validate_fan)
 from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
                      StackyFan, age, box_all, box_bar_n, box_elements,
-                     element_order, eval_pl, fractional_decompose,
-                     group_order, iota, psi, zero_functional)
+                     eval_pl, fractional_decompose, group_order, iota, psi,
+                     zero_functional)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_laurent,
                       expand_series, format_poly, format_rational,
                       format_series, series_equal, substitute_reciprocal)

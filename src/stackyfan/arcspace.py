@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core, stacky
-from .core import Cone
-from .errors import NotKLT, OutsideSupport
+from .errors import InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
                      StackyFan, age, eval_pl, fractional_decompose, iota, psi)
@@ -79,7 +78,9 @@ def shift_function(sfan: StackyFan, w: OrbitLabel) -> Fraction:
     box = w.decomposition.box_part
     value = box.cone.dim - age(sfan, box)
     alt = age(sfan, iota(sfan, box))
-    assert value == alt, "shift-function formulas disagree"
+    if value != alt:
+        raise InvariantViolation(
+            f"shift-function formulas disagree at {list(w.w)}: {value} != {alt}")
     return value
 
 
@@ -96,19 +97,13 @@ def closure_leq(sfan: StackyFan, v: OrbitLabel, w: OrbitLabel) -> bool:
     integer combination of the b_i of some cone containing both."""
     diff = core.vec_sub(w.w, v.w)
     for sigma in sfan.fan.maximal_cones:
-        if not (_in_cone(sfan, sigma, v.w) and _in_cone(sfan, sigma, w.w)):
+        if not (core.in_cone(sfan.fan, sigma, v.w)
+                and core.in_cone(sfan.fan, sigma, w.w)):
             continue
-        sol = core.solve_rational_system(
-            [sfan.b(i) for i in sigma.ray_indices], core.as_vec(diff))
-        if sol is not None and all(c >= 0 and c.denominator == 1 for c in sol):
+        sol = sfan.solvers[sigma].solve(diff)
+        if sol is not None and all(n >= 0 and n % sol[1] == 0 for n in sol[0]):
             return True
     return False
-
-
-def _in_cone(sfan: StackyFan, sigma: Cone, v) -> bool:
-    sol = core.solve_rational_system(
-        [sfan.fan.rays[i] for i in sigma.ray_indices], core.as_vec(v))
-    return sol is not None and all(c >= 0 for c in sol)
 
 
 @dataclass
@@ -134,12 +129,19 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
                 strict.add((v.w, w.w))
     # partial-order axioms before reduction
     for (a, b) in strict:
-        assert (b, a) not in strict, "closure order not antisymmetric"
-        assert psis[a] < psis[b], "psi not strictly increasing along closure"
+        if (b, a) in strict:
+            raise InvariantViolation(
+                f"closure order not antisymmetric at {list(a)}, {list(b)}")
+        if psis[a] >= psis[b]:
+            raise InvariantViolation(
+                f"psi not strictly increasing along closure from {list(a)} "
+                f"to {list(b)}")
     for (a, b) in strict:
         for (c, d) in strict:
-            if b == c:
-                assert (a, d) in strict, "closure order not transitive"
+            if b == c and (a, d) not in strict:
+                raise InvariantViolation(
+                    f"closure order not transitive at {list(a)}, {list(b)}, "
+                    f"{list(d)}")
     covers = {(a, b) for (a, b) in strict
               if not any((a, c) in strict and (c, b) in strict
                          for c in psis if c != a and c != b)}
@@ -166,7 +168,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
     psi_bound = math.floor(bound / slack) + 1
-    total = FracPoly.zero()
+    total = {}   # q-exponent -> coefficient
     qm1 = FracPoly({0: -1, 1: 1}) ** d
     for point, psi_w, lam_w in stacky.enumerate_support_points(
             sfan, psi_bound, lam.values_on_b):
@@ -176,8 +178,11 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
         label = orbit_label(sfan, point)
         via_measure = orbit_measure(sfan, label) * FracPoly.t_power(
             shift_function(sfan, label) + contact_order(e, label))
-        assert direct == via_measure, "orbit-measure route disagrees"
-        total = total + direct
+        if direct != via_measure:
+            raise InvariantViolation(
+                f"orbit-measure route disagrees at {list(point)}")
+        for qe, c in direct.terms.items():
+            total[qe] = total.get(qe, 0) + c
     # series in q^{-1}: exponent of q^{-1} is minus the q-exponent
-    return TruncatedSeries({-qe: c for qe, c in total.terms.items()
+    return TruncatedSeries({-qe: c for qe, c in total.items()
                             if -qe <= bound - d}, bound - d)

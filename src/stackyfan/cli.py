@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 domain error, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -334,7 +335,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every call of
+    run_command (parsing leaves it unchanged)."""
     parser = _Parser(prog="stackyfan", description=__doc__)
     parser.add_argument("--uv", action="store_true",
                         help="render the motivic variable as uv instead of q")

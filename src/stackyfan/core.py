@@ -1,16 +1,20 @@
 """Exact rational linear algebra and polyhedral primitives.
 
-Lattices, simplicial cones, fans, point-in-cone tests and validation.  All
-arithmetic uses arbitrary-precision integers and ``fractions.Fraction``;
-there is no floating point anywhere in the package.
+Lattices, simplicial cones, fans, point-in-cone tests and validation.
+Point location runs on integer per-cone solvers (`ConeSolver`), built once
+per cone and cached on the fan.  All arithmetic uses arbitrary-precision
+integers and ``fractions.Fraction``; there is no floating point anywhere in
+the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NotInSpan, OutsideSupport
@@ -28,10 +32,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -96,8 +96,13 @@ def solve_rational_system(columns: Sequence[Vec], rhs: Vec) -> Optional[tuple]:
 
 
 def determinant_abs(vectors: Sequence[Vec]) -> int:
-    """|det| of d integer vectors of length d, by fraction-free (Bareiss)
-    elimination."""
+    """|det| of d integer vectors of length d."""
+    return abs(determinant(vectors))
+
+
+def determinant(vectors: Sequence[Vec]) -> int:
+    """det of d integer vectors of length d (as rows), by fraction-free
+    (Bareiss) elimination."""
     d = len(vectors)
     if d == 0:
         return 1
@@ -118,25 +123,94 @@ def determinant_abs(vectors: Sequence[Vec]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return abs(m[d - 1][d - 1])
+    return sign * m[d - 1][d - 1]
 
 
-def matrix_rank(vectors: Sequence[Vec]) -> int:
-    rows = [[Fraction(a) for a in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / p
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def independent_rows(columns: Sequence[Vec], dim: int) -> Optional[tuple]:
+    """The first k of the dim coordinates (lexicographically) on which the
+    k integer columns have a non-zero minor; None when the columns are
+    linearly dependent."""
+    return next((rows for rows in itertools.combinations(range(dim), len(columns))
+                 if determinant([[c[i] for i in rows] for c in columns])),
+                None)
+
+
+class ConeSolver:
+    """Exact coordinates over k linearly independent integer columns M in
+    Z^dim, built once per cone.
+
+    With k rows on which M has a non-zero minor S, the integer matrix
+    A = D * S^{-1} = +-adj(S) / g (g the gcd of det S and the cofactors,
+    so D = |det S| / g is the least denominator making it integral), a
+    point v of the span has coordinates x = A . v[rows] / D.  v lies in the
+    span if and only if D * v[others] == C . v[rows] on the remaining
+    coordinates, with the integer matrix C = M[others] . A.
+    """
+
+    __slots__ = ("rows", "matrix", "denominator", "others", "check")
+
+    def __init__(self, columns: Sequence[Vec], dim: int):
+        rows = independent_rows(columns, dim)
+        if rows is None:
+            raise ValueError("cone rays are linearly dependent")
+        # square[j] is column j on the chosen rows: the transpose of S, so
+        # adj(S)[j][r] is the signed minor of square without row j, column r
+        square = [[c[i] for i in rows] for c in columns]
+        k = len(columns)
+        det = determinant(square)
+        adj = [[(-1) ** (j + r) * determinant(
+                    [row[:r] + row[r + 1:] for jj, row in enumerate(square)
+                     if jj != j])
+                for r in range(k)] for j in range(k)]
+        g = math.gcd(det, *(a for row in adj for a in row))
+        self.rows = rows
+        self.denominator = abs(det) // g
+        self.matrix = tuple(tuple((a if det > 0 else -a) // g for a in row)
+                            for row in adj)
+        self.others = tuple(i for i in range(dim) if i not in rows)
+        self.check = tuple(
+            tuple(sum(columns[j][i] * self.matrix[j][r] for j in range(k))
+                  for r in range(k))
+            for i in self.others)
+
+    def solve(self, v) -> Optional[tuple]:
+        """(n, m): integers n and m > 0 with v = sum_j (n_j / m) * column_j,
+        or None when v is not in the span.  v may have Fraction
+        coordinates."""
+        scale = 1
+        if not all(type(x) is int for x in v):
+            scale = math.lcm(*(Fraction(x).denominator for x in v))
+            v = [int(x * scale) for x in v]
+        top = [v[i] for i in self.rows]
+        for i, row in zip(self.others, self.check):
+            if self.denominator * v[i] != sum(map(operator.mul, row, top)):
+                return None
+        return (tuple(sum(map(operator.mul, row, top)) for row in self.matrix),
+                self.denominator * scale)
+
+    def coordinates(self, v) -> tuple:
+        """The coordinates of v as Fractions; NotInSpan when v is not in the
+        span."""
+        sol = self.solve(v)
+        if sol is None:
+            raise NotInSpan(f"point {tuple(v)} not in the span of the cone")
+        nums, den = sol
+        return tuple(Fraction(n, den) for n in nums)
+
+
+class ConeSolvers(dict):
+    """The ConeSolver of each cone over the given vectors, built on first
+    use."""
+
+    def __init__(self, vectors, dim: int):
+        super().__init__()
+        self.vectors = vectors
+        self.dim = dim
+
+    def __missing__(self, cone):
+        solver = self[cone] = ConeSolver(
+            [self.vectors[i] for i in cone.ray_indices], self.dim)
+        return solver
 
 
 def nullspace_vector(vectors: Sequence[Vec], dim: int) -> Optional[Vec]:
@@ -176,9 +250,11 @@ def nullspace_vector(vectors: Sequence[Vec], dim: int) -> Optional[Vec]:
 
 def _fm_feasible(ineqs, eqs, nvars) -> bool:
     """Is there a rational x with a.x >= c for all (a, c) in ineqs and
-    a.x == c for all (a, c) in eqs?"""
-    ineqs = [([Fraction(a) for a in row], Fraction(c)) for row, c in ineqs]
-    eqs = [([Fraction(a) for a in row], Fraction(c)) for row, c in eqs]
+    a.x == c for all (a, c) in eqs?  Integer rows: every combination uses
+    positive multipliers on the inequalities, and each row is divided by
+    the content of its coefficients and right-hand side together."""
+    ineqs = {(tuple(row), c) for row, c in ineqs}
+    eqs = [(tuple(row), c) for row, c in eqs]
     # substitute out equalities
     live = list(range(nvars))
     while eqs:
@@ -188,27 +264,38 @@ def _fm_feasible(ineqs, eqs, nvars) -> bool:
             if c != 0:
                 return False
             continue
+        if row[piv] < 0:
+            row, c = tuple(-a for a in row), -c
         p = row[piv]
 
         def subst(orow, oc):
-            f = orow[piv] / p
-            return ([a - f * b for a, b in zip(orow, row)], oc - f * c)
+            f = orow[piv]
+            if f == 0:
+                return orow, oc
+            return _primitive_row([p * a - f * b for a, b in zip(orow, row)],
+                                  p * oc - f * c)
 
         eqs = [subst(r, cc) for r, cc in eqs]
-        ineqs = [subst(r, cc) for r, cc in ineqs]
+        ineqs = {subst(r, cc) for r, cc in ineqs}
         live.remove(piv)
     # Fourier-Motzkin on the remaining variables
     for j in live:
         pos = [(r, c) for r, c in ineqs if r[j] > 0]
         neg = [(r, c) for r, c in ineqs if r[j] < 0]
-        rest = [(r, c) for r, c in ineqs if r[j] == 0]
+        rest = {(r, c) for r, c in ineqs if r[j] == 0}
         for (rp, cp), (rn, cn) in itertools.product(pos, neg):
             # rp.x >= cp with rp[j] > 0, rn.x >= cn with rn[j] < 0
-            a = [x / rp[j] - y / rn[j] for x, y in zip(rp, rn)]
-            c = cp / rp[j] - cn / rn[j]
-            rest.append((a, c))
+            fp, fn = -rn[j], rp[j]
+            rest.add(_primitive_row([fp * x + fn * y for x, y in zip(rp, rn)],
+                                    fp * cp + fn * cn))
         ineqs = rest
     return all(c <= 0 for _, c in ineqs)
+
+
+def _primitive_row(row, c) -> tuple:
+    """(row, c) divided by the gcd of its entries (unchanged if all zero)."""
+    g = math.gcd(*row, c) or 1
+    return tuple(a // g for a in row), c // g
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +351,16 @@ class Fan:
         """Canonical enumeration order: lexicographic by ray indices."""
         return sorted(self.cones, key=lambda c: c.ray_indices)
 
-    @property
-    def maximal_cones(self):
+    @cached_property
+    def maximal_cones(self) -> tuple:
         maximal = [c for c in self.cones
                    if not any(c != o and c.is_face_of(o) for o in self.cones)]
-        return sorted(maximal, key=lambda c: c.ray_indices)
+        return tuple(sorted(maximal, key=lambda c: c.ray_indices))
+
+    @cached_property
+    def solvers(self) -> ConeSolvers:
+        """The ConeSolver over the rays of each cone, by cone."""
+        return ConeSolvers(self.rays, self.rank)
 
     def ray_vectors(self, cone: Cone):
         return tuple(self.rays[i] for i in cone.ray_indices)
@@ -294,7 +386,10 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     """True iff cone(a) and cone(b) share a point outside their common face.
 
     Feasibility of: A p = B q, p >= 0, q >= 0, sum of p over non-shared
-    rays of a equals 1.  Exact Fourier-Motzkin at desk scale.
+    rays of a equals 1.  Exact Fourier-Motzkin at desk scale.  With
+    linearly independent rays the coordinates of a point are unique, so it
+    lies outside the common face iff its coordinates over a (equally, over
+    b) put weight on a non-shared ray: the test is symmetric in a and b.
     """
     common = set(a.ray_indices) & set(b.ray_indices)
     extra = [i for i in a.ray_indices if i not in common]
@@ -304,17 +399,12 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     n = ka + kb
     eqs = []
     for coord in range(fan.rank):
-        row = [Fraction(fan.rays[i][coord]) for i in a.ray_indices]
-        row += [-Fraction(fan.rays[j][coord]) for j in b.ray_indices]
-        eqs.append((row, Fraction(0)))
-    norm = [Fraction(1) if (k < ka and a.ray_indices[k] in extra) else Fraction(0)
-            for k in range(n)]
-    eqs.append((norm, Fraction(1)))
-    ineqs = []
-    for k in range(n):
-        row = [Fraction(0)] * n
-        row[k] = Fraction(1)
-        ineqs.append((row, Fraction(0)))
+        row = [fan.rays[i][coord] for i in a.ray_indices]
+        row += [-fan.rays[j][coord] for j in b.ray_indices]
+        eqs.append((row, 0))
+    norm = [int(k < ka and a.ray_indices[k] in extra) for k in range(n)]
+    eqs.append((norm, 1))
+    ineqs = [([int(i == k) for i in range(n)], 0) for k in range(n)]
     return _fm_feasible(ineqs, eqs, n)
 
 
@@ -335,7 +425,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
             rep.add(f"cone {list(c.ray_indices)} references missing ray")
             continue
         vecs = fan.ray_vectors(c)
-        if vecs and matrix_rank(vecs) != len(vecs):
+        if (all(len(v) == fan.rank for v in vecs)
+                and independent_rows(vecs, fan.rank) is None):
             rep.add(f"cone {list(c.ray_indices)} rays not linearly independent")
     if ZERO_CONE not in fan.cones:
         rep.add("zero cone missing")
@@ -348,8 +439,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
         return rep
     maximal = fan.maximal_cones
     for a, b in itertools.combinations(maximal, 2):
-        if (_cones_overlap_improperly(fan, a, b)
-                or _cones_overlap_improperly(fan, b, a)):
+        if _cones_overlap_improperly(fan, a, b):
             rep.add(f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
                     "intersect outside their common face")
     if fan.support_kind == "complete":
@@ -381,26 +471,22 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 def cone_coordinates(fan: Fan, cone: Cone, v) -> tuple:
     """The unique rationals q with v = sum q_i * ray_i over the cone's rays."""
-    v = as_vec(v)
-    if cone.dim == 0:
-        if is_zero_vec(v):
-            return ()
-        raise NotInSpan("nonzero point vs zero cone")
-    sol = solve_rational_system(fan.ray_vectors(cone), v)
-    if sol is None:
-        raise NotInSpan(f"point {v} not in span of cone {list(cone.ray_indices)}")
-    return sol
+    return fan.solvers[cone].coordinates(v)
+
+
+def in_cone(fan: Fan, cone: Cone, v) -> bool:
+    """Does v lie in the closed cone?"""
+    sol = fan.solvers[cone].solve(v)
+    return sol is not None and all(n >= 0 for n in sol[0])
 
 
 def minimal_containing_cone(fan: Fan, v) -> Cone:
     """The unique cone containing v in its relative interior."""
-    v = as_vec(v)
     if is_zero_vec(v):
         return ZERO_CONE
     for cone in fan.maximal_cones:
-        sol = solve_rational_system(fan.ray_vectors(cone), v)
-        if sol is None or any(q < 0 for q in sol):
+        sol = fan.solvers[cone].solve(v)
+        if sol is None or any(n < 0 for n in sol[0]):
             continue
-        face = tuple(i for i, q in zip(cone.ray_indices, sol) if q > 0)
-        return Cone(face)
-    raise OutsideSupport(f"point {v} outside the fan support")
+        return Cone(tuple(i for i, n in zip(cone.ray_indices, sol[0]) if n > 0))
+    raise OutsideSupport(f"point {tuple(v)} outside the fan support")

@@ -9,10 +9,11 @@ from fractions import Fraction
 from typing import Optional
 
 from . import core, stacky
-from .core import Cone, Fan
+from .core import Fan
 from .deltainv import count_lattice_points, weighted_delta_closed
-from .errors import (IntegralityFailure, NotARefinement, NotInSupport,
-                     OutsideSupport, RankMismatch, TransferNotKLT)
+from .errors import (IntegralityFailure, InvariantViolation, NotARefinement,
+                     NotInSupport, OutsideSupport, RankMismatch,
+                     TransferNotKLT)
 from .stacky import PiecewiseQLinear, StackyFan, eval_pl, psi
 
 
@@ -33,12 +34,6 @@ class RefinementWitness:
     integrality_certificates: tuple
 
 
-def _cone_contains(sfan: StackyFan, sigma: Cone, v) -> bool:
-    sol = core.solve_rational_system(
-        [sfan.fan.rays[i] for i in sigma.ray_indices], core.as_vec(v))
-    return sol is not None and all(c >= 0 for c in sol)
-
-
 def is_stacky_refinement(fine: StackyFan,
                          coarse: StackyFan) -> Optional[RefinementWitness]:
     """A witness that `fine` refines `coarse`, or None.
@@ -56,7 +51,7 @@ def is_stacky_refinement(fine: StackyFan,
     for tau in fine.fan.maximal_cones:
         home = None
         for j, sigma in enumerate(coarse_max):
-            if all(_cone_contains(coarse, sigma, fine.fan.rays[i])
+            if all(core.in_cone(coarse.fan, sigma, fine.fan.rays[i])
                    for i in tau.ray_indices):
                 home = j
                 break
@@ -70,12 +65,11 @@ def is_stacky_refinement(fine: StackyFan,
             sigma = core.minimal_containing_cone(coarse.fan, b_bar)
         except OutsideSupport:
             return None
-        sol = core.solve_rational_system(
-            [coarse.b(j) for j in sigma.ray_indices], core.as_vec(b_bar))
-        if sol is None or any(c.denominator != 1 for c in sol):
+        nums, den = coarse.solvers[sigma].solve(b_bar)
+        if any(n % den for n in nums):
             return None
         certificates.append(tuple(
-            (j, int(c)) for j, c in zip(sigma.ray_indices, sol)))
+            (j, n // den) for j, n in zip(sigma.ray_indices, nums)))
     # support proxy: coarse sublevel points must lie in the fine support
     for point, _, _ in stacky.enumerate_support_points(coarse, coarse.rank):
         try:
@@ -104,9 +98,8 @@ def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
     except OutsideSupport:
         raise NotInSupport(f"{list(w)} is outside the fan support")
     b_bar = tuple(int(multiplicity) * x for x in v)
-    sol = core.solve_rational_system(
-        [sfan.b(i) for i in tau0.ray_indices], core.as_vec(b_bar))
-    if sol is None or any(c.denominator != 1 for c in sol):
+    nums, den = sfan.solvers[tau0].solve(b_bar)
+    if any(n % den for n in nums):
         raise IntegralityFailure(
             f"new b-vector {list(b_bar)} is not an integer combination of "
             "the b-vectors of its containing cone")
@@ -122,7 +115,9 @@ def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
     fan = Fan.from_maximal(sfan.rank, sfan.fan.rays + (v,), new_maximal,
                            sfan.fan.support_kind)
     report = core.validate_fan(fan)
-    assert report.ok, f"subdivision produced an invalid fan: {report.violations}"
+    if not report.ok:
+        raise InvariantViolation(
+            f"subdivision produced an invalid fan: {report.violations}")
     return StackyFan(fan, sfan.weights + (int(multiplicity),))
 
 

@@ -8,11 +8,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
 from . import core
-from .core import Cone, Fan, ZERO_CONE, as_vec, is_zero_vec, vec_add
-from .errors import NotMaximalCone, OutsideSupport
+from .core import Cone, Fan, ZERO_CONE, vec_add
+from .errors import NotMaximalCone
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,14 @@ class StackyFan:
     def b(self, i) -> tuple:
         return tuple(self.weights[i] * x for x in self.fan.rays[i])
 
-    @property
+    @cached_property
     def b_vectors(self) -> tuple:
         return tuple(self.b(i) for i in range(len(self.fan.rays)))
+
+    @cached_property
+    def solvers(self) -> core.ConeSolvers:
+        """The ConeSolver over the b-vectors of each cone, by cone."""
+        return core.ConeSolvers(self.b_vectors, self.rank)
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,7 @@ class FractionalDecomposition:
 
 def b_coordinates(sfan: StackyFan, cone: Cone, v) -> tuple:
     """Coordinates of v with respect to {b_i : rho_i in cone}."""
-    q = core.cone_coordinates(sfan.fan, cone, v)
-    return tuple(qi / sfan.weights[i] for qi, i in zip(q, cone.ray_indices))
+    return sfan.solvers[cone].coordinates(v)
 
 
 def locate(sfan: StackyFan, v):
@@ -132,30 +136,47 @@ def _bounding_box(vectors, lo_mult, hi_mult):
     return ([math.ceil(v) for v in lows], [math.floor(v) for v in highs])
 
 
-def _scan_parallelepiped(sfan: StackyFan, tau: Cone, keep):
-    """Integer points of the closed parallelepiped of {b_i : rho_i in tau},
-    filtered by keep(q)."""
+def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
+    """Lattice points u = sum q_i b_i with 0 <= q_i < 1 over the rays of tau
+    (coset representatives of the b-sublattice), as (u, q) sorted by u.
+
+    With the b-solver x = A . v[rows] / D of tau, the coordinates of lattice
+    points, times D and taken mod D, form the subgroup of (Z/D)^k generated
+    by the columns of A.  It is enumerated coset by coset, so the work is
+    proportional to its order, the |det| of the chosen minor of the b_i; an
+    element n is kept when sum n_i b_i / D is integral, which only discards
+    anything for lower-dimensional cones.
+    """
+    solver = sfan.solvers[tau]
+    den = solver.denominator
+    k = len(tau.ray_indices)
+    group = [(0,) * k]
+    for r in range(k):
+        gen = tuple(row[r] % den for row in solver.matrix)
+        members = set(group)
+        shift = gen
+        cosets = []
+        while shift not in members:
+            cosets.extend(tuple((a + s) % den for a, s in zip(n, shift))
+                          for n in group)
+            shift = tuple((a + s) % den for a, s in zip(shift, gen))
+        group += cosets
     bvecs = [sfan.b(i) for i in tau.ray_indices]
-    if not bvecs:
-        return [((0,) * sfan.rank, ())] if keep(()) else []
-    lows, highs = _bounding_box(bvecs, 0, 1)
     out = []
-    for point in itertools.product(*[range(lo, hi + 1)
-                                     for lo, hi in zip(lows, highs)]):
-        q = core.solve_rational_system(bvecs, as_vec(point))
-        if q is not None and keep(q):
-            out.append((tuple(point), q))
+    for n in group:
+        point = [sum(ni * b[j] for ni, b in zip(n, bvecs))
+                 for j in range(sfan.rank)]
+        if all(x % den == 0 for x in point):
+            out.append((tuple(x // den for x in point),
+                        tuple(Fraction(ni, den) for ni in n)))
     out.sort(key=lambda pq: pq[0])
     return out
 
 
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
     """All of BOX(tau), sorted lexicographically by point coordinates."""
-    if tau == ZERO_CONE:
-        return [zero_box_element(sfan.rank)]
-    found = _scan_parallelepiped(
-        sfan, tau, lambda q: all(0 < qi < 1 for qi in q))
-    return [BoxElement(point, tau, q, _order_of(q)) for point, q in found]
+    return [BoxElement(point, tau, q, _order_of(q))
+            for point, q in _scan_parallelepiped(sfan, tau) if all(q)]
 
 
 def _order_of(q) -> int:
@@ -191,10 +212,6 @@ def age(sfan: StackyFan, e: BoxElement) -> Fraction:
     return sum(e.q, Fraction(0))
 
 
-def element_order(sfan: StackyFan, e: BoxElement) -> int:
-    return e.order
-
-
 def group_order(sfan: StackyFan, sigma: Cone) -> int:
     """|N(sigma)| for a maximal-dimensional cone, as |det{b_i}|."""
     if sigma.dim != sfan.rank:
@@ -223,17 +240,17 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
 
 
 def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
-    """Lattice points sum q_i b_i with 0 < q_i <= n over the rays of tau."""
-    if tau == ZERO_CONE:
-        return [(0,) * sfan.rank]
+    """Lattice points sum q_i b_i with 0 < q_i <= n over the rays of tau:
+    the unit representatives plus shifts by non-negative multiples of the
+    b_i, sorted."""
     bvecs = [sfan.b(i) for i in tau.ray_indices]
-    lows, highs = _bounding_box(bvecs, 0, n)
     out = []
-    for point in itertools.product(*[range(lo, hi + 1)
-                                     for lo, hi in zip(lows, highs)]):
-        q = core.solve_rational_system(bvecs, as_vec(point))
-        if q is not None and all(0 < qi <= n for qi in q):
-            out.append(tuple(point))
+    for u, q in _scan_parallelepiped(sfan, tau):
+        ranges = [range(0, n) if qi else range(1, n + 1) for qi in q]
+        for shifts in itertools.product(*ranges):
+            out.append(tuple(
+                x + sum(s * b[j] for s, b in zip(shifts, bvecs))
+                for j, x in enumerate(u)))
     out.sort()
     return out
 
@@ -244,13 +261,6 @@ def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
 # the series oracles, orbit enumeration and the truncated motivic integral,
 # where the bounding-box scan of deltainv.count_lattice_points would be too
 # slow.  The two routes cross-check each other in the tests.
-
-
-def _unit_box_reps(sfan: StackyFan, sigma: Cone):
-    """Lattice points u = sum q_i b_i with 0 <= q_i < 1 over the rays of
-    sigma (coset representatives of the b-sublattice)."""
-    return _scan_parallelepiped(
-        sfan, sigma, lambda q: all(0 <= qi < 1 for qi in q))
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
@@ -270,7 +280,7 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
         lam_b = None
         if lam_values is not None:
             lam_b = [Fraction(lam_values[i]) for i in idx]
-        for u, q in _unit_box_reps(sfan, sigma):
+        for u, q in _scan_parallelepiped(sfan, sigma):
             psi_u = sum(q, Fraction(0))
             if psi_u > bound:
                 continue

@@ -10,7 +10,8 @@ from stackyfan.arcspace import (StackDivisor, canonical_divisor, closure_leq,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, orbit_poset, pullback_divisor,
                                 shift_function, zero_divisor)
-from stackyfan.errors import NotKLT, OutsideSupport
+from stackyfan import arcspace
+from stackyfan.errors import InvariantViolation, NotKLT, OutsideSupport
 from stackyfan.qseries import (FracPoly, expand_laurent, series_equal,
                                substitute_reciprocal)
 from stackyfan.stacky import psi
@@ -155,3 +156,50 @@ def test_gamma_truncated_matches_closed_random_divisors():
 def test_orbit_label_outside_support():
     with pytest.raises(OutsideSupport):
         orbit_label(fan_a1(), (-2,))
+
+
+# The invariant checks raise InvariantViolation, which python -O keeps;
+# each test breaks one input of a check to force its failure.
+
+
+def test_shift_function_disagreement_raises(monkeypatch):
+    f = fan_p12()
+    monkeypatch.setattr(arcspace, "age", lambda sfan, e: Fraction(1))
+    with pytest.raises(InvariantViolation, match="shift-function"):
+        shift_function(f, orbit_label(f, (0,)))
+
+
+def _fake_closure(holds):
+    def closure(sfan, v, w):
+        return holds(psi(sfan, v.w), psi(sfan, w.w))
+    return closure
+
+
+def test_orbit_poset_not_antisymmetric_raises(monkeypatch):
+    monkeypatch.setattr(arcspace, "closure_leq", lambda sfan, v, w: True)
+    with pytest.raises(InvariantViolation, match="antisymmetric"):
+        orbit_poset(fan_a1(), 2)
+
+
+def test_orbit_poset_psi_not_increasing_raises(monkeypatch):
+    monkeypatch.setattr(arcspace, "closure_leq",
+                        _fake_closure(lambda pv, pw: pv > pw))
+    with pytest.raises(InvariantViolation, match="psi not strictly"):
+        orbit_poset(fan_a1(), 2)
+
+
+def test_orbit_poset_not_transitive_raises(monkeypatch):
+    # psi 0 < 1 < 2 related step by step only
+    monkeypatch.setattr(arcspace, "closure_leq",
+                        _fake_closure(lambda pv, pw: pw - pv == 1))
+    with pytest.raises(InvariantViolation, match="transitive"):
+        orbit_poset(fan_a1(), 2)
+
+
+def test_gamma_truncated_orbit_measure_disagreement_raises(monkeypatch):
+    f = fan_p12()
+    measure = arcspace.orbit_measure
+    monkeypatch.setattr(arcspace, "orbit_measure", lambda sfan, w:
+                        measure(sfan, w) * FracPoly.t_power(1))
+    with pytest.raises(InvariantViolation, match="orbit-measure"):
+        gamma_truncated_direct(f, zero_divisor(f), 1)

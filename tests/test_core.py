@@ -152,3 +152,8 @@ def test_cone_canonical_sorting():
     assert Cone((2, 0)).ray_indices == (0, 2)
     assert Cone((1,)).is_face_of(Cone((0, 1)))
     assert not Cone((2,)).is_face_of(Cone((0, 1)))
+
+
+def test_validate_wrong_length_ray():
+    fan = Fan.from_maximal(2, [(1, 0), (0, 1, 1)], [(0, 1)], "general")
+    assert validate_fan(fan).violations == ["ray 1 has wrong length"]

@@ -1,5 +1,5 @@
 """The package runs on the standard library alone, whatever is installed
-in the test environment."""
+in the test environment, and keeps every check under `python -O`."""
 
 import ast
 import sys
@@ -22,3 +22,11 @@ def test_imports_are_standard_library_or_package_relative(path):
         for name in names:
             assert name.split(".")[0] in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_assert_statements(path):
+    # python -O strips assert statements; checks raise StackyFanErrors
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        assert not isinstance(node, ast.Assert), \
+            f"{path.name}:{node.lineno} uses assert"

@@ -1,0 +1,179 @@
+"""Seeded random checks of the integer cone kernels (per-cone solvers,
+box-group enumeration, the integer overlap test) against references
+written here from solve_rational_system and bounding-box scans."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import (random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3)
+from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
+                            _fm_feasible, cone_coordinates, in_cone,
+                            independent_rows, minimal_containing_cone,
+                            solve_rational_system, validate_fan)
+from stackyfan.errors import NotInSpan, OutsideSupport
+from stackyfan.stacky import _scan_parallelepiped, box_bar_n, box_elements
+
+MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
+          random_convex_rank3)
+
+
+def random_fans(seed, per_maker):
+    rng = random.Random(seed)
+    return [make(rng) for make in MAKERS for _ in range(per_maker)]
+
+
+def scan_reference(sfan, tau, high, keep):
+    """Bounding-box scan of the lattice points sum q_i b_i, 0 <= q_i <= high,
+    over the rays of tau, kept when keep(q); sorted by point."""
+    bvecs = [sfan.b(i) for i in tau.ray_indices]
+    ranges = []
+    for j in range(sfan.rank):
+        lo = sum(min(0, high * b[j]) for b in bvecs)
+        hi = sum(max(0, high * b[j]) for b in bvecs)
+        ranges.append(range(lo, hi + 1))
+    out = []
+    for point in itertools.product(*ranges):
+        q = solve_rational_system(bvecs, point)
+        if q is not None and keep(q):
+            out.append((point, q))
+    return sorted(out)
+
+
+def locate_reference(fan, v):
+    """(minimal cone, its coordinates) from the maximal cones, or None."""
+    if all(x == 0 for x in v):
+        return ZERO_CONE, ()
+    for sigma in fan.maximal_cones:
+        q = solve_rational_system(fan.ray_vectors(sigma), v)
+        if q is not None and all(x >= 0 for x in q):
+            face = tuple((i, x) for i, x in zip(sigma.ray_indices, q) if x > 0)
+            return Cone(tuple(i for i, _ in face)), tuple(x for _, x in face)
+    return None
+
+
+def sample_points(rng, sfan):
+    """Integer, Fraction, boundary and (for cones) out-of-support points."""
+    d = sfan.rank
+    rays = sfan.fan.rays
+    points = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(12)]
+    points += [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(d)) for _ in range(6)]
+    for tau in sfan.fan.sorted_cones:
+        # a point in the relative interior of every cone
+        k = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        points.append(tuple(k * sum(r[j] for r in sfan.fan.ray_vectors(tau))
+                            for j in range(d)))
+    points += [sfan.b(i) for i in range(len(rays))]
+    points += [tuple(-x for x in r) for r in rays]
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parallelepiped_and_box_elements_match_scan(seed):
+    for sfan in random_fans(seed, 2):
+        for tau in sfan.fan.sorted_cones:
+            reps = scan_reference(sfan, tau, 1,
+                                  lambda q: all(0 <= x < 1 for x in q))
+            assert _scan_parallelepiped(sfan, tau) == reps
+            box = [(e.point, e.q) for e in box_elements(sfan, tau)]
+            assert box == [(p, q) for p, q in reps if all(x > 0 for x in q)]
+            for e in box_elements(sfan, tau):
+                assert e.cone == tau
+                assert e.order == math.lcm(*(x.denominator for x in e.q))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_box_bar_n_matches_scan(seed):
+    for sfan in random_fans(seed, 1):
+        for tau in sfan.fan.sorted_cones:
+            if tau == ZERO_CONE:
+                continue
+            for n in ((1, 2) if sfan.rank == 2 else (1,)):
+                expected = scan_reference(
+                    sfan, tau, n, lambda q: all(0 < x <= n for x in q))
+                assert box_bar_n(sfan, tau, n) == [p for p, _ in expected]
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_point_location_matches_reference(seed):
+    rng = random.Random(seed)
+    for sfan in random_fans(seed, 2):
+        fan = sfan.fan
+        for v in sample_points(rng, sfan):
+            expected = locate_reference(fan, v)
+            if expected is None:
+                with pytest.raises(OutsideSupport):
+                    minimal_containing_cone(fan, v)
+            else:
+                cone, coords = expected
+                assert minimal_containing_cone(fan, v) == cone
+                assert cone_coordinates(fan, cone, v) == coords
+            for tau in fan.sorted_cones:
+                q = solve_rational_system(fan.ray_vectors(tau), v)
+                assert in_cone(fan, tau, v) == \
+                    (q is not None and all(x >= 0 for x in q))
+                if q is None:
+                    with pytest.raises(NotInSpan):
+                        cone_coordinates(fan, tau, v)
+                else:
+                    assert cone_coordinates(fan, tau, v) == q
+
+
+E = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+@pytest.mark.parametrize("rays, cones, overlap", [
+    # (1,1,1) is interior to the first cone
+    (E + [(1, 1, 1), (-1, 0, 0), (0, -1, 0)], [(0, 1, 2), (3, 4, 5)], True),
+    # a shared ray, but e2 + e3 lies inside a face of the first cone only
+    (E + [(0, 1, 1), (0, 0, -1)], [(0, 1, 2), (0, 3, 4)], True),
+    # meeting in the common face on e1, e2
+    (E + [(0, 0, -1)], [(0, 1, 2), (0, 1, 3)], False),
+    # meeting in the common ray e1
+    (E + [(0, -1, 0), (0, 0, -1)], [(0, 1, 2), (0, 3, 4)], False),
+])
+def test_validate_rank3_pairs(rays, cones, overlap):
+    report = validate_fan(Fan.from_maximal(3, rays, cones, "general"))
+    message = (f"cones {list(cones[0])} and {list(cones[1])} intersect "
+               "outside their common face")
+    assert (message in report.violations) == overlap
+    assert report.ok == (not overlap)
+
+
+def test_fourier_motzkin_decides_rational_feasibility():
+    # x = 2y with x >= 1: feasible with y = 1/2, not with y <= 0; dividing
+    # 2y >= 1 by its coefficients' content alone would round 1/2 away
+    eq = [((1, -2), 0)]
+    assert _fm_feasible([((1, 0), 1), ((0, -2), -1)], eq, 2)
+    assert not _fm_feasible([((1, 0), 1), ((0, -1), 0)], eq, 2)
+    assert not _fm_feasible([((2, 0), 1), ((-2, 0), 0)], [], 2)
+    assert _fm_feasible([((2, 0), 1), ((-4, 0), -2)], [], 2)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_overlap_test_is_symmetric(seed):
+    # validate_fan tests each pair of maximal cones in one direction only
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 40:
+        rank = rng.choice((2, 3))
+        rays = []
+        while len(rays) < 2 * rank:
+            r = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if math.gcd(*r) == 1 and r not in rays:
+                rays.append(r)
+        a, b = (Cone(tuple(rng.sample(range(2 * rank), rank)))
+                for _ in range(2))
+        fan = Fan.from_maximal(rank, rays, [a.ray_indices, b.ray_indices],
+                               "general")
+        if a == b or any(independent_rows(fan.ray_vectors(c), rank) is None
+                         for c in (a, b)):
+            continue
+        checked += 1
+        assert _cones_overlap_improperly(fan, a, b) == \
+            _cones_overlap_improperly(fan, b, a)

@@ -7,9 +7,11 @@ import pytest
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_admissible_lambda,
                       random_complete_rank2)
-from stackyfan.core import Cone
-from stackyfan.errors import (IntegralityFailure, NotARefinement,
-                              NotInSupport, RankMismatch, TransferNotKLT)
+from stackyfan import core
+from stackyfan.core import Cone, ValidationReport
+from stackyfan.errors import (IntegralityFailure, InvariantViolation,
+                              NotARefinement, NotInSupport, RankMismatch,
+                              TransferNotKLT)
 from stackyfan.refine import (check_invariance, is_stacky_refinement,
                               stellar_subdivide, transfer_lambda)
 from stackyfan.stacky import PiecewiseQLinear, eval_pl, psi, zero_functional
@@ -160,3 +162,11 @@ def test_invariance_random_rank2_subdivisions():
             continue
         lam = random_admissible_lambda(rng, coarse)
         assert check_invariance(coarse, lam, fine)
+
+
+def test_stellar_subdivide_invalid_result_raises(monkeypatch):
+    # a check python -O keeps: force the validation of the result to fail
+    monkeypatch.setattr(core, "validate_fan",
+                        lambda fan: ValidationReport(["forced violation"]))
+    with pytest.raises(InvariantViolation, match="forced violation"):
+        stellar_subdivide(fan_p2(), (1, 1))

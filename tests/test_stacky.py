@@ -8,7 +8,7 @@ from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
 from stackyfan.core import Cone, ZERO_CONE
 from stackyfan.errors import NotMaximalCone, OutsideSupport
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
-                              box_bar_n, box_elements, element_order,
+                              box_bar_n, box_elements,
                               enumerate_support_points, eval_pl,
                               fractional_decompose, group_order, iota, psi,
                               zero_functional)
@@ -151,9 +151,9 @@ def test_box_group_bijection():
 
 
 def test_element_order():
-    assert element_order(fan_p12(), box_all(fan_p12())[0]) == 1
+    assert box_all(fan_p12())[0].order == 1
     e = box_elements(cone12(), Cone((0, 1)))[0]
-    assert element_order(cone12(), e) == 2
+    assert e.order == 2
 
 
 def test_fractional_decompose_integral():
