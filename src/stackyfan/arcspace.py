@@ -4,6 +4,7 @@ direct motivic integral used as an oracle."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +90,13 @@ def orbit_measure(sfan: StackyFan, w: OrbitLabel) -> FracPoly:
     d = sfan.rank
     box = w.decomposition.box_part
     exponent = -psi(sfan, w.w) + age(sfan, box) - box.cone.dim
-    return (FracPoly({0: -1, 1: 1}) ** d) * FracPoly.t_power(exponent)
+    return _q_minus_1_power(d) * FracPoly.t_power(exponent)
+
+
+@functools.cache
+def _q_minus_1_power(d: int) -> FracPoly:
+    """(q-1)^d, shared by every orbit of a rank-d fan; never mutated."""
+    return FracPoly({0: -1, 1: 1}) ** d
 
 
 def closure_leq(sfan: StackyFan, v: OrbitLabel, w: OrbitLabel) -> bool:
@@ -136,15 +143,21 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
             raise InvariantViolation(
                 f"psi not strictly increasing along closure from {list(a)} "
                 f"to {list(b)}")
+    succ = {lab.w: set() for lab in labels}
     for (a, b) in strict:
-        for (c, d) in strict:
-            if b == c and (a, d) not in strict:
-                raise InvariantViolation(
-                    f"closure order not transitive at {list(a)}, {list(b)}, "
-                    f"{list(d)}")
-    covers = {(a, b) for (a, b) in strict
-              if not any((a, c) in strict and (c, b) in strict
-                         for c in psis if c != a and c != b)}
+        succ[a].add(b)
+    for (a, b) in strict:
+        if not succ[b] <= succ[a]:
+            d = next(iter(succ[b] - succ[a]))
+            raise InvariantViolation(
+                f"closure order not transitive at {list(a)}, {list(b)}, "
+                f"{list(d)}")
+    # by transitivity, b covers a when b is above a and above nothing
+    # else that is above a
+    covers = set()
+    for a, above in succ.items():
+        covered = above.difference(*(succ[c] for c in above))
+        covers.update((a, b) for b in covered)
     return OrbitPoset(labels, strict, covers)
 
 
@@ -169,7 +182,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
     psi_bound = math.floor(bound / slack) + 1
     total = {}   # q-exponent -> coefficient
-    qm1 = FracPoly({0: -1, 1: 1}) ** d
+    qm1 = _q_minus_1_power(d)
     for point, psi_w, lam_w in stacky.enumerate_support_points(
             sfan, psi_bound, lam.values_on_b):
         if psi_w + lam_w > bound:

@@ -5,9 +5,14 @@ Every denominator the invariant formulas build is c * prod_d (1 - s^d), and
 every reduced form of one is c * prod_d (1 - s^d)^{e_d} with exponents of
 either sign; so every common factor is a product of cyclotomic polynomials
 Phi_k(s).  They are found by folding modulo s^k - 1 and removed by
-multiplying and dividing by binomials, each an O(length) pass.  Any other
-denominator (only arbitrary input such as 1 + 2s) is reduced by an integer
-primitive remainder sequence.
+multiplying and dividing by binomials, each an O(length) pass.  The folds
+run down the divisor lattice: the numerator is folded in full only modulo
+s^d - 1 for the binomial exponents d of the denominator, and each divisor
+k from the fold of a multiple, so a test costs O(multiple), not O(length).
+A pass over residue classes mod c runs as c slices, or as length/c
+blocks when c^2 >= length, so it makes at most sqrt(length) Python steps.
+Any other denominator (only arbitrary input such as 1 + 2s) is reduced by
+an integer primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -23,11 +28,7 @@ def lowest_terms(a, b):
     if exps is None:
         g = _prs_gcd(a, b)
         return (_quotient(a, g), _quotient(b, g)) if len(g) > 1 else (a, b)
-    need = {}                 # k -> multiplicity of Phi_k in b
-    for d, e in exps.items():
-        for k in _divisors(d):
-            need[k] = need.get(k, 0) + e
-    net = _cyclotomic_gcd(a, {k: m for k, m in need.items() if m > 0})
+    net = _cyclotomic_gcd(a, exps)
     return _apply(a, net), _apply(b, net)
 
 
@@ -67,10 +68,16 @@ def _cyclotomic_exponents(u):
 
 
 def _div_binomial(a, c):
-    """a / (1 - s^c), exact: a prefix sum in each residue class mod c."""
+    """a / (1 - s^c), exact: a prefix sum in each residue class mod c, run
+    as c slices or, when c^2 >= the length, as blocks of c added to the
+    block before them, whichever takes fewer passes."""
     q = a[:len(a) - c]
-    for r in range(c):
-        q[r::c] = itertools.accumulate(q[r::c])
+    if c * c < len(q):
+        for r in range(c):
+            q[r::c] = itertools.accumulate(q[r::c])
+    else:
+        for i in range(c, len(q), c):
+            q[i:i + c] = map(operator.add, q[i:i + c], q[i - c:i])
     return q
 
 
@@ -80,21 +87,42 @@ def _mul_binomial(a, c):
     return out
 
 
-def _cyclotomic_gcd(a, need):
-    """{d: E_d} with prod_d (1 - s^d)^{E_d} = +-gcd(a, prod_k Phi_k^need[k]).
+def _cyclotomic_gcd(a, exps):
+    """{d: E_d} with prod_d (1 - s^d)^{E_d} = +-gcd(a, b) for
+    b = prod_d (1 - s^d)^{exps[d]}.
 
     The multiplicity of Phi_k in a is the number of leading derivatives
-    a, a', ... that Phi_k divides.  The result is inverted with
-    Phi_k = prod_{d | k} (1 - s^d)^{mu(k/d)}, which holds up to sign."""
+    a, a', ... that Phi_k divides.  At each derivative, a is folded in
+    full only mod s^d - 1 for the tops d (exps[d] > 0) that some live k
+    divides; each live k, in descending order, is folded from the fold of
+    its least multiple m already made, which is exact because s^k - 1
+    divides s^m - 1.  So a level costs one full-length pass per top and
+    one pass of length m per other k, not one full-length pass per k.
+    The result is inverted with Phi_k = prod_{d | k} (1 - s^d)^{mu(k/d)},
+    which holds up to sign."""
+    tops = sorted(d for d, e in exps.items() if e > 0)
+    need = {}                 # k -> multiplicity of Phi_k in b
+    for d, e in exps.items():
+        for k in _divisors(d):
+            need[k] = need.get(k, 0) + e
+    need = {k: m for k, m in need.items() if m > 0}
     found = dict.fromkeys(need, 0)
     for i in range(max(need.values(), default=0)):
-        live = [k for k in need if found[k] == i < need[k]]
+        live = sorted((k for k in need if found[k] == i < need[k]),
+                      reverse=True)
         if not live:
             break
         if i:
             a = [j * x for j, x in enumerate(a)][1:]
+        folds = {}            # m -> a mod s^m - 1, for this derivative only
         for k in live:
-            if _phi_divides(_fold(a, k), k):
+            m = min((n for n in folds if n % k == 0), default=None)
+            if m is None:
+                m = next(d for d in tops if d % k == 0)
+                folds[m] = _fold(a, m)
+            if m != k:
+                folds[k] = _fold(folds[m], k)
+            if _phi_divides(folds[k], k):
                 found[k] += 1
     net = {}
     for k, e in found.items():
@@ -105,8 +133,15 @@ def _cyclotomic_gcd(a, need):
 
 
 def _fold(a, k):
-    """a mod (s^k - 1)."""
-    return [sum(a[r::k]) for r in range(k)]
+    """a mod (s^k - 1): a sum over each residue class mod k, run as k
+    slices or, when k^2 >= the length, as blocks of k added up."""
+    if k * k < len(a):
+        return [sum(a[r::k]) for r in range(k)]
+    out = a[:k] + [0] * (k - len(a))
+    for i in range(k, len(a), k):
+        block = a[i:i + k]
+        out[:len(block)] = map(operator.add, out, block)
+    return out
 
 
 def _phi_divides(f, k):

@@ -1,6 +1,7 @@
 """Seeded random checks of the integer cone kernels (per-cone solvers,
 box-group enumeration, the integer overlap test) against references
-written here from solve_rational_system and bounding-box scans."""
+written here from solve_rational_system and bounding-box scans, and of the
+cyclotomic lowest-terms kernels against naive loops and sympy."""
 
 import itertools
 import math
@@ -15,6 +16,7 @@ from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
                             _fm_feasible, cone_coordinates, in_cone,
                             independent_rows, minimal_containing_cone,
                             solve_rational_system, validate_fan)
+from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
 from stackyfan.errors import NotInSpan, OutsideSupport
 from stackyfan.stacky import _scan_parallelepiped, box_bar_n, box_elements
 
@@ -177,3 +179,117 @@ def test_overlap_test_is_symmetric(seed):
         checked += 1
         assert _cones_overlap_improperly(fan, a, b) == \
             _cones_overlap_improperly(fan, b, a)
+
+
+# cyclotomic kernels: polynomials are integer coefficient lists in s
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def binomial(d):
+    """1 - s^d."""
+    return [1] + [0] * (d - 1) + [-1]
+
+
+def div_binomial_reference(a, c):
+    """The first len(a) - c terms of a / (1 - s^c) as a power series."""
+    q = []
+    for i in range(len(a) - c):
+        q.append(a[i] + (q[i - c] if i >= c else 0))
+    return q
+
+
+# (c, length) on both sides of c^2 = length, at it, and (for _fold) with
+# length < c and length not a multiple of c
+FOLD_SHAPES = [(1, 7), (3, 40), (5, 25), (6, 35), (7, 50), (12, 100),
+               (30, 101), (64, 64), (90, 40)]
+
+
+@pytest.mark.parametrize("c, length", FOLD_SHAPES)
+def test_fold_matches_naive_loop(c, length):
+    rng = random.Random(c * 1000 + length)
+    a = [rng.randint(-9, 9) for _ in range(length)]
+    expected = [0] * c
+    for i, x in enumerate(a):
+        expected[i % c] += x
+    assert _fold(a, c) == expected
+
+
+@pytest.mark.parametrize("c, length", [(c, n) for c, n in FOLD_SHAPES
+                                       if n > c])
+def test_div_binomial_matches_naive_loop(c, length):
+    rng = random.Random(c * 1000 + length)
+    a = [rng.randint(-9, 9) for _ in range(length)]
+    assert _div_binomial(list(a), c) == div_binomial_reference(a, c)
+    q = [rng.randint(-9, 9) for _ in range(length)]
+    assert _div_binomial(poly_mul(q, binomial(c)), c) == q
+
+
+def random_quotients(seed, count):
+    """(a, b) with b a product of binomials (1 - s^d)^e, e of either sign
+    (exact), and a a random polynomial times binomials sharing cyclotomic
+    factors with b, so that Phi_k divides both, some k more than once."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        tops = rng.sample(range(2, 31), rng.randint(1, 4))
+        b = [1]
+        for d in tops:
+            for _ in range(rng.randint(1, 3)):
+                b = poly_mul(b, binomial(d))
+        if rng.random() < 0.5:
+            # divide out a binomial 1 - s^k for k | some top: a negative
+            # peel exponent
+            d = rng.choice(tops)
+            k = rng.choice([k for k in range(1, d) if d % k == 0])
+            b = div_binomial_reference(b, k)
+        a = [rng.choice((-1, 1)) * rng.randint(1, 5)] + \
+            [rng.randint(-4, 4) for _ in range(rng.randint(0, 40))]
+        for _ in range(rng.randint(0, 4)):
+            d = rng.choice(tops)
+            m = rng.choice([m for m in range(1, 2 * d + 1)
+                            if math.gcd(m, d) > 1 or m == 1])
+            a = poly_mul(a, binomial(m))
+        while not a[-1]:
+            a.pop()
+        out.append((a, b))
+    return out
+
+
+def test_lowest_terms_divisor_lattice_cases():
+    # Phi_1 and Phi_2 twice in each: common factors found again on the
+    # first derivative
+    a = poly_mul(binomial(2), binomial(6))
+    b = poly_mul(binomial(4), binomial(4))
+    num, den = lowest_terms(a, b)
+    assert poly_mul(num, b) == poly_mul(a, den)
+    assert num == [1, 0, 1, 0, 1] and den == [1, 0, 2, 0, 1]
+    # tops 12 and 10: Phi_5 and Phi_10 divide only the smaller top, and
+    # b = (1 - s^12)(1 - s^10)/(1 - s^2) peels with e_2 = -1; the gcd is
+    # Phi_1 Phi_2 Phi_5 Phi_10 = 1 - s^10
+    b = div_binomial_reference(poly_mul(binomial(12), binomial(10)), 2)
+    a = poly_mul(poly_mul([3, 1], binomial(5)), binomial(10))
+    num, den = lowest_terms(a, b)
+    assert num == poly_mul([3, 1], binomial(5))
+    assert den == div_binomial_reference(binomial(12), 2)
+
+
+def _sympy_poly(sympy, s, coefficients):
+    return sympy.Poly(list(reversed(coefficients)), s)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_lowest_terms_random_quotients_coprime(seed):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    for a, b in random_quotients(seed, 25):
+        num, den = lowest_terms(list(a), list(b))
+        assert poly_mul(num, b) == poly_mul(a, den)
+        assert len(den) <= len(b) and den[0] and num[0]
+        g = sympy.gcd(_sympy_poly(sympy, s, num), _sympy_poly(sympy, s, den))
+        assert g.degree() == 0
