@@ -17,7 +17,7 @@ from .arcspace import (OrbitLabel, OrbitPoset, StackDivisor, canonical_divisor,
                        gamma_truncated_direct, orbit_label, orbit_measure,
                        orbit_poset, pullback_divisor, shift_function,
                        zero_divisor)
-from .deltainv import (DeltaVector, EhrhartData, bucket_series, check_symmetry,
+from .deltainv import (DeltaVector, bucket_series, check_symmetry,
                        count_lattice_points, delta_mu_series, ehrhart_counts,
                        ehrhart_delta, gamma, h_tau_lambda, h_vector,
                        hodge_polynomial_toric, orbifold_betti,

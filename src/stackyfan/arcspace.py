@@ -5,7 +5,6 @@ direct motivic integral used as an oracle."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,11 +85,12 @@ def shift_function(sfan: StackyFan, w: OrbitLabel) -> Fraction:
 
 
 def orbit_measure(sfan: StackyFan, w: OrbitLabel) -> FracPoly:
-    """Cylinder measure of the orbit: (q-1)^d q^{-psi(w)+psi({w})-dim}."""
-    d = sfan.rank
+    """Cylinder measure of the orbit: (q-1)^d q^{-psi(w)+psi({w})-dim},
+    the terms of (q-1)^d shifted by the exponent."""
     box = w.decomposition.box_part
     exponent = -psi(sfan, w.w) + age(sfan, box) - box.cone.dim
-    return _q_minus_1_power(d) * FracPoly.t_power(exponent)
+    return FracPoly({qe + exponent: c
+                     for qe, c in _q_minus_1_power(sfan.rank).terms.items()})
 
 
 @functools.cache
@@ -101,11 +101,15 @@ def _q_minus_1_power(d: int) -> FracPoly:
 
 def closure_leq(sfan: StackyFan, v: OrbitLabel, w: OrbitLabel) -> bool:
     """orbit(w) lies in the closure of orbit(v): w - v is a non-negative
-    integer combination of the b_i of some cone containing both."""
+    integer combination of the b_i of some cone containing both.
+
+    In a fan a point lies in a cone exactly when its minimal cone is a face
+    of it; the rays of each label's minimal cone are those of its shifts."""
     diff = core.vec_sub(w.w, v.w)
+    rays = {i for i, _ in v.decomposition.shifts}
+    rays.update(i for i, _ in w.decomposition.shifts)
     for sigma in sfan.fan.maximal_cones:
-        if not (core.in_cone(sfan.fan, sigma, v.w)
-                and core.in_cone(sfan.fan, sigma, w.w)):
+        if not rays.issubset(sigma.ray_indices):
             continue
         sol = sfan.solvers[sigma].solve(diff)
         if sol is not None and all(n >= 0 and n % sol[1] == 0 for n in sol[0]):
@@ -165,8 +169,12 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     """Partial sum (q-1)^d sum_w q^{-psi(w)-lambda(w)} over labels with
     psi(w) + lambda(w) <= bound.
 
-    Every term is computed twice: directly, and as
-    orbit_measure(w) * q^{shift(w) + contact_order(w)}; the two must agree.
+    Every term is computed twice: directly, as (q-1)^d q^{-psi(w)-lambda(w)},
+    and as orbit_measure(w) * q^{shift(w) + contact_order(w)}; the two must
+    agree.  Multiplying by a power of q is a bijection, so this is checked
+    as orbit_measure(w) == (q-1)^d q^{-psi(w)-lambda(w)-shift(w)-contact(w)}
+    term by term, and the direct terms are summed as a count per exponent
+    -psi(w)-lambda(w), multiplied by (q-1)^d once at the end.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
     below d - bound.
@@ -178,24 +186,28 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
         raise ValueError("bound must be non-negative")
     d = sfan.rank
     lam = divisor_to_pl(e)
-    # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1
+    # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
+    # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    psi_bound = math.floor(bound / slack) + 1
-    total = {}   # q-exponent -> coefficient
-    qm1 = _q_minus_1_power(d)
+    qm1 = _q_minus_1_power(d).terms
+    counts = {}   # q-exponent -psi(w)-lambda(w) -> number of labels
     for point, psi_w, lam_w in stacky.enumerate_support_points(
-            sfan, psi_bound, lam.values_on_b):
+            sfan, bound / slack, lam.values_on_b):
         if psi_w + lam_w > bound:
             continue
-        direct = qm1 * FracPoly.t_power(-psi_w - lam_w)
+        exponent = -psi_w - lam_w
         label = orbit_label(sfan, point)
-        via_measure = orbit_measure(sfan, label) * FracPoly.t_power(
-            shift_function(sfan, label) + contact_order(e, label))
-        if direct != via_measure:
+        shift = (exponent - shift_function(sfan, label)
+                 - contact_order(e, label))
+        if orbit_measure(sfan, label).terms != {
+                qe + shift: c for qe, c in qm1.items()}:
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")
-        for qe, c in direct.terms.items():
-            total[qe] = total.get(qe, 0) + c
+        counts[exponent] = counts.get(exponent, 0) + 1
+    total = {}   # q-exponent -> coefficient
+    for base, n in counts.items():
+        for qe, c in qm1.items():
+            total[base + qe] = total.get(base + qe, 0) + n * c
     # series in q^{-1}: exponent of q^{-1} is minus the q-exponent
     return TruncatedSeries({-qe: c for qe, c in total.items()
                             if -qe <= bound - d}, bound - d)

@@ -233,8 +233,8 @@ def _cmd_ages(doc, sfan, args):
 
 
 def _cmd_ehrhart(doc, sfan, args):
-    data = deltainv.ehrhart_counts(sfan, args.max_m)
-    lines = [f"f({m}) = {c}" for m, c in enumerate(data.counts)]
+    counts = deltainv.ehrhart_counts(sfan, args.max_m)
+    lines = [f"f({m}) = {c}" for m, c in enumerate(counts)]
     return 0, "\n".join(lines) + "\n"
 
 
@@ -318,11 +318,10 @@ def _cmd_refine_check(doc, sfan, args):
 
 
 def _cmd_subdivide(doc, sfan, args):
-    try:
-        w = tuple(int(x) for x in args.at.split(","))
-    except ValueError:
-        raise ParseError(f"--at: malformed lattice point {args.at!r}")
-    result = refine.stellar_subdivide(sfan, w, args.weight)
+    if len(args.at) != sfan.rank:
+        raise _UsageError(f"argument --at: expected {sfan.rank} coordinates, "
+                          f"got {len(args.at)}")
+    result = refine.stellar_subdivide(sfan, args.at, args.weight)
     return 0, render_document(document_of(result))
 
 
@@ -333,6 +332,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _at_least(parse, low, what):
+    """An argument type: the value parsed from the text, rejected below
+    low; a malformed value is reported as for parse itself."""
+    def convert(text):
+        value = parse(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    convert.__name__ = parse.__name__
+    return convert
+
+
+def _lattice_point(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed lattice point {text!r}")
 
 
 @functools.cache
@@ -354,7 +372,8 @@ def _build_parser() -> _Parser:
     add("box", _cmd_box, help="box elements of every cone")
     add("ages", _cmd_ages, help="ages of all box elements")
     p = add("ehrhart", _cmd_ehrhart, help="lattice-point counts f(0..K)")
-    p.add_argument("--max-m", type=int, required=True, metavar="K")
+    p.add_argument("--max-m", type=_at_least(int, 0, "non-negative"),
+                   required=True, metavar="K")
     add("delta", _cmd_delta, help="Ehrhart delta-polynomial")
     p = add("weighted-delta", _cmd_weighted_delta,
             help="weighted delta-vector (closed form)")
@@ -362,12 +381,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--series-cutoff", type=Fraction, metavar="C")
     p = add("gamma", _cmd_gamma, help="motivic integral Gamma(X, E)")
     p.add_argument("--divisor", required=True, metavar="NAME")
-    p.add_argument("--check-direct", type=Fraction, metavar="BOUND")
+    p.add_argument("--check-direct", metavar="BOUND",
+                   type=_at_least(Fraction, 0, "non-negative"))
     add("betti", _cmd_betti, help="orbifold Betti numbers")
     p = add("symmetry", _cmd_symmetry, help="palindromy of the delta-vector")
     p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
     p = add("orbit-poset", _cmd_orbit_poset, help="twisted-arc orbit poset")
-    p.add_argument("--bound", type=Fraction, required=True, metavar="B")
+    p.add_argument("--bound", type=_at_least(Fraction, 0, "non-negative"),
+                   required=True, metavar="B")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--json", action="store_true")
@@ -376,8 +397,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--fine", required=True, metavar="FILE")
     p.add_argument("--lambda", dest="lam", metavar="NAME")
     p = add("subdivide", _cmd_subdivide, help="stellar subdivision at a point")
-    p.add_argument("--at", required=True, metavar="x,y,..")
-    p.add_argument("--weight", type=int, default=1, metavar="a")
+    p.add_argument("--at", type=_lattice_point, required=True,
+                   metavar="x,y,..")
+    p.add_argument("--weight", type=_at_least(int, 1, "positive"), default=1,
+                   metavar="a")
     return parser
 
 
@@ -399,6 +422,8 @@ def run_command(argv) -> tuple:
         doc = parse_fan_document(text)
         sfan = doc.to_stacky_fan()
         return args.func(doc, sfan, args)
+    except _UsageError as exc:
+        return 2, f"usage error: {exc}\n"
     except ParseError as exc:
         return 2, f"error: {exc}\n"
     except StackyFanError as exc:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,17 +18,6 @@ from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu, NotComplete,
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
                       substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan, age, box_elements, psi
-
-
-@dataclass(frozen=True)
-class EhrhartData:
-    """A stacky fan together with its lattice-point counts f(0..k)."""
-
-    sfan: StackyFan
-    counts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
 
 @dataclass(frozen=True)
@@ -44,47 +34,69 @@ def _check_admissible(lam: PiecewiseQLinear):
 
 
 def count_lattice_points(sfan: StackyFan, m: int) -> int:
-    """|{v in N cap |Sigma| : psi(v) <= m}|.
+    """|{v in N cap |Sigma| : psi(v) <= m}|: the last count of
+    ehrhart_counts(sfan, m)."""
+    return ehrhart_counts(sfan, m)[-1]
 
-    Brute force per maximal cone: integer points of the bounding box of the
-    simplex conv(0, m*b_i), kept when the cone coordinates satisfy
-    0 <= q_i and sum q_i <= m; de-duplicated across cones.  Deliberately
-    independent of the box-decomposition enumerator in `stacky`, so the two
-    routes can cross-check each other.
+
+def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
+    """The lattice-point counts f(m) = |{v in N cap |Sigma| : psi(v) <= m}|
+    for m = 0..max_m.
+
+    Brute force in one scan per maximal cone: the integer points p of the
+    bounding box of the simplex conv(0, max_m * b_i) get the cone
+    coordinates n / D = A . p / D, with A and D the inverse of the b-matrix
+    with its denominators cleared once; p is kept when every n_i >= 0, at
+    the level ceil(sum n_i / D) = ceil(psi(p)), when that is <= max_m.
+    Points are de-duplicated across cones, and f(m) counts the levels
+    <= m.  Deliberately independent of the box-group enumerator in
+    `stacky` and of the per-cone solvers in `core`, so the two routes can
+    cross-check each other.
     """
-    points = {(0,) * sfan.rank}
-    if m == 0:
-        return len(points)
+    if max_m < 0:
+        raise ValueError("max_m must be non-negative")
+    levels = {(0,) * sfan.rank: 0}
     for sigma in sfan.fan.maximal_cones:
         bvecs = [sfan.b(i) for i in sigma.ray_indices]
         if not bvecs:
             continue
-        solver = _cone_solver(bvecs)
-        lows, highs = stacky._bounding_box(bvecs, 0, m)
-        for point in itertools.product(*[range(lo, hi + 1)
-                                         for lo, hi in zip(lows, highs)]):
-            q = solver(point)
-            if q is not None and all(qi >= 0 for qi in q) and sum(q) <= m:
-                points.add(tuple(point))
-    return len(points)
+        lows, highs = stacky._bounding_box(bvecs, 0, max_m)
+        box = itertools.product(*[range(lo, hi + 1)
+                                  for lo, hi in zip(lows, highs)])
+        inverse = _integer_inverse(bvecs)
+        if inverse is None:
+            # lower-dimensional cone: exact elimination per point
+            for point in box:
+                q = core.solve_rational_system(bvecs, as_vec(point))
+                if q is not None and all(qi >= 0 for qi in q):
+                    level = math.ceil(sum(q))
+                    if level <= max_m:
+                        levels[point] = level
+            continue
+        rows, den = inverse
+        for point in box:
+            n = [sum(map(operator.mul, row, point)) for row in rows]
+            if min(n) >= 0:
+                level = -(-sum(n) // den)
+                if level <= max_m:
+                    levels[point] = level
+    per_level = [0] * (max_m + 1)
+    for level in levels.values():
+        per_level[level] += 1
+    return tuple(itertools.accumulate(per_level))
 
 
-def _cone_solver(bvecs):
-    """point -> exact b-coordinates (or None), precomputing the inverse for
-    square full-rank systems."""
+def _integer_inverse(bvecs):
+    """(A, D) with integer A and D > 0 such that A . p / D are the
+    coordinates of p over the b-vectors, or None unless they form a
+    square full-rank system."""
     d = len(bvecs[0])
-    if len(bvecs) == d and core.determinant_abs(bvecs) != 0:
-        inv = _invert([[Fraction(bvecs[j][i]) for j in range(d)]
-                       for i in range(d)])
-
-        def solve(point):
-            return tuple(sum(row[i] * point[i] for i in range(d))
-                         for row in inv)
-        return solve
-
-    def solve(point):
-        return core.solve_rational_system(bvecs, as_vec(point))
-    return solve
+    if len(bvecs) != d or core.determinant_abs(bvecs) == 0:
+        return None
+    inv = _invert([[Fraction(bvecs[j][i]) for j in range(d)]
+                   for i in range(d)])
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return [[int(x * den) for x in row] for row in inv], den
 
 
 def _invert(matrix):
@@ -103,15 +115,10 @@ def _invert(matrix):
     return [row[d:] for row in aug]
 
 
-def ehrhart_counts(sfan: StackyFan, max_m: int) -> EhrhartData:
-    return EhrhartData(sfan, tuple(count_lattice_points(sfan, m)
-                                   for m in range(max_m + 1)))
-
-
 def ehrhart_delta(sfan: StackyFan) -> DeltaVector:
     """delta_j = sum_k (-1)^k C(d+1, k) f(j-k), j = 0..d."""
     d = sfan.rank
-    counts = ehrhart_counts(sfan, d).counts
+    counts = ehrhart_counts(sfan, d)
     terms = {}
     for j in range(d + 1):
         coeff = sum((-1) ** k * math.comb(d + 1, k) * counts[j - k]

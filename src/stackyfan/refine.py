@@ -10,7 +10,7 @@ from typing import Optional
 
 from . import core, stacky
 from .core import Fan
-from .deltainv import count_lattice_points, weighted_delta_closed
+from .deltainv import weighted_delta_closed
 from .errors import (IntegralityFailure, InvariantViolation, NotARefinement,
                      NotInSupport, OutsideSupport, RankMismatch,
                      TransferNotKLT)

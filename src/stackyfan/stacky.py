@@ -256,11 +256,12 @@ def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Fast enumeration of |Sigma| cap N by psi-sublevel, via the box
-# decomposition w = u + sum lambda_i b_i within each maximal cone.  Used by
-# the series oracles, orbit enumeration and the truncated motivic integral,
-# where the bounding-box scan of deltainv.count_lattice_points would be too
-# slow.  The two routes cross-check each other in the tests.
+# Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
+# w = u + sum lambda_i b_i within each maximal cone, yielding psi and lambda
+# exactly at every point.  Used by the series oracles, orbit enumeration and
+# the truncated motivic integral.  The bounding-box scan of
+# deltainv.ehrhart_counts counts the same points by another route, and the
+# two cross-check each other in the tests.
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):

@@ -160,6 +160,27 @@ def test_exit_code_domain_error():
     assert code == 1 and out.startswith("error:")
 
 
+OUT_OF_RANGE = [
+    ("check_direct_negative",
+     ["gamma", "--divisor", "zero", "--check-direct", "-1"]),
+    ("weight_zero", ["subdivide", "--at", "1,1", "--weight", "0"]),
+    ("weight_negative", ["subdivide", "--at", "1,1", "--weight", "-2"]),
+    ("at_too_short", ["subdivide", "--at", "1"]),
+    ("at_too_long", ["subdivide", "--at", "1,1,1"]),
+    ("max_m_negative", ["ehrhart", "--max-m", "-1"]),
+    ("bound_negative", ["orbit-poset", "--bound", "-1"]),
+]
+
+
+@pytest.mark.parametrize("argv", [c[1] for c in OUT_OF_RANGE],
+                         ids=[c[0] for c in OUT_OF_RANGE])
+def test_exit_code_out_of_range_argument(argv):
+    # the fan fan_p112.json has rank 2
+    command, *options = argv
+    code, out = run_command([command, str(DATA / "fan_p112.json"), *options])
+    assert code == 2 and out.startswith("usage error: argument --"), out
+
+
 def test_betti_on_large_grid_fan(tmp_path):
     doc = tmp_path / "defect.json"
     doc.write_text(_minimal(

@@ -1,7 +1,9 @@
 """Seeded random checks of the integer cone kernels (per-cone solvers,
 box-group enumeration, the integer overlap test) against references
-written here from solve_rational_system and bounding-box scans, and of the
-cyclotomic lowest-terms kernels against naive loops and sympy."""
+written here from solve_rational_system and bounding-box scans, of the
+cyclotomic lowest-terms kernels against naive loops and sympy, and of the
+oracle kernels (Ehrhart counts, closure order, direct Gamma) against their
+definitions."""
 
 import itertools
 import math
@@ -10,15 +12,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2, random_convex_rank3)
+from conftest import (mk_sfan, random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3,
+                      random_klt_divisor)
+from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
+                                gamma_truncated_direct, orbit_label,
+                                orbit_measure, shift_function)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
                             _fm_feasible, cone_coordinates, in_cone,
                             independent_rows, minimal_containing_cone,
                             solve_rational_system, validate_fan)
 from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
+from stackyfan.deltainv import count_lattice_points, ehrhart_counts
 from stackyfan.errors import NotInSpan, OutsideSupport
-from stackyfan.stacky import _scan_parallelepiped, box_bar_n, box_elements
+from stackyfan.qseries import FracPoly, TruncatedSeries
+from stackyfan.stacky import (_scan_parallelepiped, box_bar_n, box_elements,
+                              enumerate_support_points)
 
 MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
           random_convex_rank3)
@@ -293,3 +302,124 @@ def test_lowest_terms_random_quotients_coprime(seed):
         assert len(den) <= len(b) and den[0] and num[0]
         g = sympy.gcd(_sympy_poly(sympy, s, num), _sympy_poly(sympy, s, den))
         assert g.degree() == 0
+
+
+# oracle kernels
+
+
+def random_mixed_dimension(rng, max_weight=3):
+    """A fan with a lower-dimensional maximal cone: a full cone of rank 2 or
+    3 and a ray or 2-cone pointing away from it."""
+    if rng.random() < 0.5:
+        rays = [(1, 0), (0, 1), (-1, -rng.randint(1, 2))]
+        cones = [(0, 1), (2,)]
+        rank = 2
+    else:
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0),
+                (0, -1, -rng.randint(1, 2))]
+        cones = [(0, 1, 2), (3, 4)]
+        rank = 3
+    sfan = mk_sfan(rank, rays, tuple(rng.randint(1, max_weight) for _ in rays),
+                   cones, "general")
+    assert validate_fan(sfan.fan).ok
+    return sfan
+
+
+def oracle_fans(seed, per_maker):
+    rng = random.Random(seed)
+    return [make(rng) for make in MAKERS + (random_mixed_dimension,)
+            for _ in range(per_maker)]
+
+
+def count_reference(sfan, m):
+    """Lattice points with psi <= m: a bounding-box scan of conv(0, m b_i)
+    per maximal cone, one rational solve per point."""
+    points = {(0,) * sfan.rank}
+    for sigma in sfan.fan.maximal_cones:
+        bvecs = [sfan.b(i) for i in sigma.ray_indices]
+        ranges = [range(sum(min(0, m * b[j]) for b in bvecs),
+                        sum(max(0, m * b[j]) for b in bvecs) + 1)
+                  for j in range(sfan.rank)]
+        for point in itertools.product(*ranges):
+            q = solve_rational_system(bvecs, point)
+            if q is not None and all(x >= 0 for x in q) and sum(q) <= m:
+                points.add(point)
+    return len(points)
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_ehrhart_counts_match_per_level_scan(seed):
+    for sfan in oracle_fans(seed, 2):
+        top = 3 if sfan.rank == 2 else 1
+        counts = ehrhart_counts(sfan, top)
+        assert counts == tuple(count_reference(sfan, m)
+                               for m in range(top + 1))
+        assert count_lattice_points(sfan, top) == counts[-1]
+
+
+def test_ehrhart_counts_reject_negative_level():
+    with pytest.raises(ValueError):
+        ehrhart_counts(random_mixed_dimension(random.Random(1)), -1)
+
+
+def closure_reference(sfan, v, w):
+    """w - v is a non-negative integer combination of the b_i of a maximal
+    cone containing both points, by rational solves."""
+    diff = tuple(a - b for a, b in zip(w, v))
+    for sigma in sfan.fan.maximal_cones:
+        rays = sfan.fan.ray_vectors(sigma)
+        if not all((q := solve_rational_system(rays, p)) is not None
+                   and all(x >= 0 for x in q) for p in (v, w)):
+            continue
+        q = solve_rational_system([sfan.b(i) for i in sigma.ray_indices], diff)
+        if q is not None and all(x >= 0 and x.denominator == 1 for x in q):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", [15, 16])
+def test_closure_leq_matches_cone_definition(seed):
+    held = 0
+    for sfan in oracle_fans(seed, 1):
+        labels = [orbit_label(sfan, p)
+                  for p, _, _ in enumerate_support_points(sfan, 1)]
+        for v in labels:
+            for w in labels:
+                expected = closure_reference(sfan, v.w, w.w)
+                assert closure_leq(sfan, v, w) == expected, (v.w, w.w)
+                held += expected
+    assert 0 < held
+
+
+def gamma_direct_reference(sfan, e, bound):
+    """gamma_truncated_direct with a FracPoly product per point and per
+    route."""
+    bound = Fraction(bound)
+    d = sfan.rank
+    lam = divisor_to_pl(e)
+    slack = 1 - max(Fraction(0), max(e.coefficients))
+    total = FracPoly.zero()
+    qm1 = FracPoly({0: -1, 1: 1}) ** d
+    for point, psi_w, lam_w in enumerate_support_points(
+            sfan, math.floor(bound / slack) + 1, lam.values_on_b):
+        if psi_w + lam_w > bound:
+            continue
+        direct = qm1 * FracPoly.t_power(-psi_w - lam_w)
+        label = orbit_label(sfan, point)
+        assert direct == orbit_measure(sfan, label) * FracPoly.t_power(
+            shift_function(sfan, label) + contact_order(e, label))
+        total = total + direct
+    return TruncatedSeries({-qe: c for qe, c in total.terms.items()},
+                           bound - d)
+
+
+@pytest.mark.parametrize("seed", [17, 18])
+def test_gamma_truncated_direct_matches_per_point_products(seed):
+    rng = random.Random(seed)
+    for sfan in oracle_fans(seed, 1):
+        for bound in (Fraction(3, 2), 2):
+            e = random_klt_divisor(rng, sfan)
+            got = gamma_truncated_direct(sfan, e, bound)
+            expected = gamma_direct_reference(sfan, e, bound)
+            assert got.cutoff == expected.cutoff
+            assert got.terms == expected.terms
