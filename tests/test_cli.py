@@ -31,9 +31,14 @@ GOLDEN_CASES = [
       "--series-cutoff", "2"]),
     ("weighted_delta_p12_kappa", 0,
      ["weighted-delta", "fan_p12.json", "--lambda", "kappa"]),
+    ("weighted_delta_p12_kappa_series", 0,
+     ["weighted-delta", "fan_p12.json", "--lambda", "kappa",
+      "--series-cutoff", "2"]),
     ("gamma_p12_zero", 0,
      ["gamma", "fan_p12.json", "--divisor", "zero", "--check-direct", "3"]),
     ("gamma_p12_half", 0, ["gamma", "fan_p12.json", "--divisor", "half"]),
+    ("gamma_p12_half_direct", 0,
+     ["gamma", "fan_p12.json", "--divisor", "half", "--check-direct", "2"]),
     ("gamma_p2_uv", 0, ["--uv", "gamma", "fan_p2.json", "--divisor", "zero"]),
     ("betti_p12", 0, ["betti", "fan_p12.json"]),
     ("symmetry_p112", 0, ["symmetry", "fan_p112.json", "--lambda", "zero"]),
