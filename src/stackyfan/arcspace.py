@@ -12,7 +12,7 @@ from . import core, stacky
 from .errors import InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
-                     StackyFan, age, eval_pl, fractional_decompose, iota, psi)
+                     StackyFan, age, fractional_decompose, iota, psi)
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,14 @@ def divisor_to_pl(e: StackDivisor) -> PiecewiseQLinear:
 
 
 def contact_order(e: StackDivisor, w: OrbitLabel) -> Fraction:
-    """Contact order of the orbit of w along the divisor."""
-    return -eval_pl(divisor_to_pl(e), w.w)
+    """Contact order of the orbit of w along the divisor: -lambda(w) with
+    lambda(b_i) = -beta_i, read from the label's decomposition
+    w = sum q_i b_i + sum s_i b_i as sum beta_i (q_i + s_i)."""
+    box = w.decomposition.box_part
+    beta = e.coefficients
+    return (sum((qi * beta[i] for qi, i in zip(box.q, box.cone.ray_indices)),
+                Fraction(0))
+            + sum(s * beta[i] for i, s in w.decomposition.shifts))
 
 
 def shift_function(sfan: StackyFan, w: OrbitLabel) -> Fraction:

@@ -213,37 +213,6 @@ class ConeSolvers(dict):
         return solver
 
 
-def nullspace_vector(vectors: Sequence[Vec], dim: int) -> Optional[Vec]:
-    """A nonzero rational vector orthogonal to all given vectors, or None
-    if they span the whole space."""
-    rows = [[Fraction(a) for a in v] for v in vectors]
-    # reduce to row echelon with pivot bookkeeping
-    piv_of_col = {}
-    rank = 0
-    for col in range(dim):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [a / p for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    free = [c for c in range(dim) if c not in piv_of_col]
-    if not free:
-        return None
-    fc = free[0]
-    n = [Fraction(0)] * dim
-    n[fc] = Fraction(1)
-    for col, r in piv_of_col.items():
-        n[col] = -rows[r][fc]
-    return tuple(n)
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin feasibility (exact), used for pairwise cone-intersection
 # validation at desk scale.
@@ -459,9 +428,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
             count = sum(1 for c in top if facet.is_face_of(c))
             if count != 1:
                 continue
-            normal = nullspace_vector(fan.ray_vectors(facet), fan.rank)
-            if normal is None:
-                continue
+            # the facet's rays are independent, so its normal is the
+            # vector of signed maximal minors
+            rows = fan.ray_vectors(facet)
+            normal = [(-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows])
+                      for j in range(fan.rank)]
             dots = [sum(n * x for n, x in zip(normal, r)) for r in fan.rays]
             if any(d > 0 for d in dots) and any(d < 0 for d in dots):
                 rep.add(f"boundary facet {list(facet.ray_indices)} admits no "

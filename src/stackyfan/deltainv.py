@@ -142,8 +142,12 @@ def series_level_bound(cutoff, lam_values) -> int:
     exponents above the cutoff; multiplying by (1 - t)^{d+1} cannot lower
     them.  M = floor((cutoff + 1)/(1 - L)) + 1.
     """
-    slack = Fraction(1) + min(Fraction(0), min(lam_values, default=Fraction(0)))
-    return math.floor((Fraction(cutoff) + 1) / slack) + 1
+    return math.floor((Fraction(cutoff) + 1) / _slack(lam_values)) + 1
+
+
+def _slack(lam_values) -> Fraction:
+    """1 - L for L = max(0, max_i(-lam(b_i)))."""
+    return Fraction(1) + min(Fraction(0), min(lam_values, default=Fraction(0)))
 
 
 def weighted_delta_series(sfan: StackyFan, lam: PiecewiseQLinear,
@@ -155,8 +159,10 @@ def weighted_delta_series(sfan: StackyFan, lam: PiecewiseQLinear,
     d = sfan.rank
     level_bound = series_level_bound(cutoff, lam.values_on_b)
     raw = {Fraction(0): Fraction(1)}
+    # a point adds a term only if psi + lam <= cutoff, and psi + lam >=
+    # psi (1 - L) (see series_level_bound)
     for point, psi_v, lam_v in stacky.enumerate_support_points(
-            sfan, level_bound, lam.values_on_b):
+            sfan, cutoff / _slack(lam.values_on_b), lam.values_on_b):
         base = psi_v - math.ceil(psi_v) + lam_v
         m = max(1, math.ceil(psi_v))
         while m <= level_bound:
@@ -270,8 +276,9 @@ def delta_mu_series(sfan: StackyFan, mu: PiecewiseQLinear, cutoff) -> TruncatedS
     d = sfan.rank
     level_bound = math.floor(cutoff) + 1
     raw = {Fraction(0): Fraction(1)}
+    # mu >= 0: a point adds a term only if psi <= cutoff
     for point, psi_v, mu_v in stacky.enumerate_support_points(
-            sfan, level_bound, mu.values_on_b):
+            sfan, cutoff, mu.values_on_b):
         m = max(1, math.ceil(psi_v))
         while m <= level_bound:
             exp = mu_v + m
@@ -328,8 +335,7 @@ def orbifold_betti(sfan: StackyFan) -> dict:
     if not g.is_polynomial():
         raise InvariantViolation("Gamma(X, 0) is not a polynomial")
     out = {}
-    for exp in sorted(g.num.terms):
-        c = g.num.terms[exp]
+    for exp, c in sorted(g.num.terms.items()):
         if c.denominator != 1 or c <= 0:
             raise InvariantViolation(
                 f"orbifold Betti number {c} at {exp} is not a positive integer")

@@ -1,10 +1,10 @@
 """Exact algebra of polynomials and rational functions in t with rational
 exponents, plus ascending power-series expansion.
 
-A rational function is kept in canonical form on the grid s = t^{1/N}, where
-N is the lcm of the exponent denominators: integer coefficients and no common
-factor between numerator and denominator, at every size.  The common factors
-are removed by `cyclotomic.lowest_terms`.
+`FracPoly` maps Fraction exponents to Fraction coefficients.  `FracRational`
+keeps only its canonical form on one integer grid s = t^{1/N}: coprime lists
+of ints, so products, quotients, sums, t -> 1/t, comparison and expansion
+run on ints; common factors are removed by `cyclotomic.lowest_terms`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,24 @@ from fractions import Fraction
 
 from .cyclotomic import lowest_terms
 from .errors import DivisionByZero, NoExpansionAtZero
+
+
+def _sparse_sum(p: dict, q: dict) -> dict:
+    """Sum of {exponent: coefficient} polynomials; may hold zeros."""
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _sparse_product(p: dict, q: dict) -> dict:
+    """Product of {exponent: coefficient} polynomials; may hold zeros."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 class FracPoly:
@@ -58,10 +76,7 @@ class FracPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return FracPoly(out)
+        return FracPoly(_sparse_sum(self.terms, other.terms))
 
     def __neg__(self):
         return FracPoly({e: -c for e, c in self.terms.items()})
@@ -70,16 +85,7 @@ class FracPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return FracPoly(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return FracPoly({e: c * v for e, v in self.terms.items()})
+        return FracPoly(_sparse_product(self.terms, other.terms))
 
     def __pow__(self, n: int):
         result = FracPoly.one()
@@ -116,156 +122,166 @@ class FracPoly:
         return f"FracPoly({format_poly(self)})"
 
 
-def _poly(terms) -> FracPoly:
-    """FracPoly from {Fraction: nonzero Fraction} without re-checking."""
-    p = FracPoly.__new__(FracPoly)
-    p.terms = terms
-    return p
-
-
 class FracRational:
-    """Rational function num/den in canonical form.
+    """Rational function stored only in canonical form (n, shift, a, b):
+    s^shift * a(s)/b(s) with s = t^{1/n}, for lists of ints a, b indexed by
+    exponent with nonzero constant terms, no common factor or content and
+    b[0] > 0, on the least grid: gcd(n, shift, every exponent of a nonzero
+    coefficient) = 1.  Zero is (1, 0, [], [1]).  Equal values have equal
+    forms at every size, so `==` compares the four slots.
 
-    Canonical form: on the grid s = t^{1/N}, numerator and denominator are
-    polynomials in s with no common factor (so at most one of them is
-    divisible by s), integer coefficients with no common content, and a
-    positive lowest coefficient in the denominator.  Equal values have equal
-    forms at every size, so `==` compares the two forms term by term.
+    Built from FracPolys or rational scalars num and den or, with `grid=n`,
+    from {int exponent: int coefficient} dicts on the grid s = t^{1/n};
+    `num` and `den` rebuild FracPolys with nonnegative exponents."""
 
-    With `grid=n`, num and den are {int exponent: int coefficient} dicts on
-    the grid s = t^{1/n} instead of FracPolys.
-    """
-
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "shift", "a", "b")
 
     def __init__(self, num, den=None, grid=None):
         if grid is None:
-            num, den = (p if isinstance(p, FracPoly) else FracPoly.constant(p)
+            num, den = (p.terms if isinstance(p, FracPoly) else {0: p}
                         for p in (num, 1 if den is None else den))
-            grid, (num, den) = _to_grid(num, den)
-        else:
-            num = {e: c for e, c in num.items() if c}
-            den = {e: c for e, c in den.items() if c}
+            # one common rational factor moves both onto the grid of the
+            # lcm of the exponent denominators, with int coefficients
+            grid = math.lcm(*(e.denominator for p in (num, den) for e in p))
+            d = math.lcm(*(c.denominator for p in (num, den)
+                           for c in p.values()))
+            num, den = ({e.numerator * (grid // e.denominator):
+                         c.numerator * (d // c.denominator)
+                         for e, c in p.items()} for p in (num, den))
+        num, den = ({e: c for e, c in p.items() if c} for p in (num, den))
         if not den:
             raise DivisionByZero("zero denominator")
-        self.num, self.den = _canonical(num, den, grid)
+        (lo_a, a), (lo_b, b) = _coefficient_list(num), _coefficient_list(den)
+        self._set(grid, lo_a - lo_b, *_reduce(a, b))
 
-    @classmethod
-    def _coprime(cls, num: FracPoly, den: FracPoly) -> "FracRational":
-        """num/den for coprime integral num, den with nonnegative exponents
-        and no common power of t: only content and sign are normalised."""
-        self = object.__new__(cls)
-        if num.is_zero():
-            self.num, self.den = FracPoly.zero(), FracPoly.one()
-            return self
-        g = math.gcd(*(c.numerator for p in (num, den) for c in p.terms.values()))
-        if den.terms[den.min_exp()] < 0:
-            g = -g
+    def _set(self, n, shift, a, b):
+        """Store s^shift a/b on the grid t^{1/n} (a, b coprime lists with
+        nonzero constant terms, a empty for 0) without content or sign, on
+        the least grid."""
+        if not a:
+            n, shift, b = 1, 0, [1]
+        g = math.gcd(*a, *b) if b[0] > 0 else -math.gcd(*a, *b)
         if g != 1:
-            num, den = num.scale(Fraction(1, g)), den.scale(Fraction(1, g))
-        self.num, self.den = num, den
+            a, b = [c // g for c in a], [c // g for c in b]
+        k = math.gcd(n, shift)
+        for i in (i for p in (a, b) for i, c in enumerate(p) if c):
+            if k == 1:
+                break
+            k = math.gcd(k, i)
+        if k > 1:
+            n, shift, a, b = n // k, shift // k, a[::k], b[::k]
+        self.n, self.shift, self.a, self.b = n, shift, a, b
         return self
 
+    num = property(lambda f: _grid_poly(f.a, max(f.shift, 0), f.n))
+    den = property(lambda f: _grid_poly(f.b, max(-f.shift, 0), f.n))
+
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.a
 
     def is_polynomial(self):
-        return self.den == FracPoly.one()
+        return self.b == [1] and self.shift >= 0
 
     def __eq__(self, other):
         if not isinstance(other, FracRational):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.n == other.n and self.shift == other.shift
+                and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.n, self.shift, tuple(self.a), tuple(self.b)))
+
+    def _on(self, n):
+        """(shift, a, b) on the grid t^{1/n}, a multiple of self.n."""
+        k = n // self.n
+        a, b = ([0] * ((len(p) - 1) * k + 1) for p in (self.a, self.b))
+        a[::k], b[::k] = self.a, self.b
+        return self.shift * k, a, b
 
     def __add__(self, other):
         other = _coerce(other)
-        return FracRational(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
+        n = math.lcm(self.n, other.n)
+        (h1, a1, b1), (h2, a2, b2) = self._on(n), other._on(n)
+        b1, b2 = _sparse(b1), _sparse(b2)
+        return FracRational(
+            _sparse_sum(_sparse_product(_sparse(a1, h1), b2),
+                        _sparse_product(_sparse(a2, h2), b1)),
+            _sparse_product(b1, b2), grid=n)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return FracRational(self.num * other.den - other.num * self.den,
-                            self.den * other.den)
+        return self + (-_coerce(other))
 
     def __neg__(self):
-        return FracRational._coprime(-self.num, self.den)
+        return _rational(self.n, self.shift, [-c for c in self.a], self.b)
 
     def __mul__(self, other):
         # (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))):
         # lowest terms from two reductions of the smaller cross pairs
         other = _coerce(other)
-        x = FracRational(self.num, other.den)
-        y = FracRational(other.num, self.den)
-        return FracRational._coprime(x.num * y.num, x.den * y.den)
+        n = math.lcm(self.n, other.n)
+        (h1, a1, b1), (h2, a2, b2) = self._on(n), other._on(n)
+        a1, b2 = _reduce(a1, b2)
+        a2, b1 = _reduce(a2, b1)
+        return _rational(n, h1 + h2, _times(a1, a2), _times(b1, b2))
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if other.num.is_zero():
+        if not other.a:
             raise DivisionByZero("division by the zero rational function")
-        return self * FracRational._coprime(other.den, other.num)
+        return self * _rational(other.n, -other.shift, other.b, other.a)
 
     def __repr__(self):
         return f"FracRational({format_rational(self)})"
 
 
 def _coerce(x) -> FracRational:
-    if isinstance(x, FracRational):
-        return x
-    if isinstance(x, FracPoly):
-        return FracRational(x)
-    return FracRational(FracPoly.constant(x))
+    return x if isinstance(x, FracRational) else FracRational(x)
 
 
 def substitute_reciprocal(f: FracRational) -> FracRational:
-    """Replace t by 1/t.  Reversal keeps lowest terms, so no gcd is needed."""
-    top = max(f.num.max_exp(), f.den.max_exp())
-    num, den = (_poly({top - e: c for e, c in p.terms.items()})
-                for p in (f.num, f.den))
-    return FracRational._coprime(num, den)
+    """Replace t by 1/t: s^shift a(s)/b(s) becomes s^(deg b - deg a - shift)
+    times the quotient of the reversed lists, still in lowest terms."""
+    return _rational(f.n, len(f.b) - len(f.a) - f.shift, f.a[::-1], f.b[::-1])
 
 
 # ---------------------------------------------------------------------------
 # Canonicalisation: integer coefficient lists on the grid s = t^{1/N}
 
 
-def _to_grid(*polys):
-    """(N, [{int exponent: int coefficient}]) for polys scaled by one common
-    rational factor onto the grid s = t^{1/N}."""
-    n = math.lcm(*(e.denominator for p in polys for e in p.terms))
-    d = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return n, [{e.numerator * (n // e.denominator):
-                c.numerator * (d // c.denominator) for e, c in p.terms.items()}
-               for p in polys]
+def _rational(n, shift, a, b) -> FracRational:
+    return object.__new__(FracRational)._set(n, shift, a, b)
 
 
-def _canonical(a: dict, b: dict, n: int):
-    """Canonical (num, den) FracPolys of a/b, given as {exponent: int}
-    dicts on the grid s = t^{1/n}."""
-    if not a:
-        return FracPoly.zero(), FracPoly.one()
-    (lo_a, a), (lo_b, b) = _coefficient_list(a), _coefficient_list(b)
-    if len(a) > 1 and len(b) > 1:
-        a, b = lowest_terms(a, b)
-    g = math.gcd(*a, *b)
-    if b[0] < 0:
-        g = -g
-    shift = lo_a - lo_b
-    return tuple(
-        _poly({Fraction(i + lo, n): Fraction(c // g)
-               for i, c in enumerate(p) if c})
-        for p, lo in ((a, max(shift, 0)), (b, max(-shift, 0))))
+def _reduce(a, b):
+    """a/b in lowest terms, for lists with nonzero constant terms."""
+    return lowest_terms(a, b) if len(a) > 1 and len(b) > 1 else (a, b)
 
 
 def _coefficient_list(p: dict):
-    """(lowest exponent, coefficient list from it) of {exponent: int}."""
-    lo = min(p)
-    out = [0] * (max(p) - lo + 1)
+    """(lowest exponent, list of coefficients from it); (0, []) for {}."""
+    lo = min(p, default=0)
+    out = [0] * (max(p, default=lo - 1) - lo + 1)
     for e, c in p.items():
         out[e - lo] = c
     return lo, out
+
+
+def _sparse(p, lo=0) -> dict:
+    """{exponent: coefficient} of s^lo * p for a coefficient list p."""
+    return {i + lo: c for i, c in enumerate(p) if c}
+
+
+def _grid_poly(p, lo, n) -> FracPoly:
+    """The FracPoly s^lo p(s) for s = t^{1/n}, built without re-checking."""
+    poly = object.__new__(FracPoly)
+    poly.terms = {Fraction(i + lo, n): Fraction(c)
+                  for i, c in enumerate(p) if c}
+    return poly
+
+
+def _times(a, b):
+    """Product of coefficient lists with nonzero constant terms."""
+    return _coefficient_list(_sparse_product(_sparse(a), _sparse(b)))[1]
 
 
 @dataclass
@@ -294,29 +310,27 @@ def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
 
 def _expand(f: FracRational, cutoff, laurent: bool) -> TruncatedSeries:
     cutoff = Fraction(cutoff)
-    if f.num.is_zero():
+    if not f.a:
         return TruncatedSeries({}, cutoff)
-    n_grid, (a, b, _) = _to_grid(f.num, f.den, FracPoly.t_power(cutoff))
-    pole, b = _coefficient_list(b)
-    if pole > 0 and not laurent:
+    n, shift, a, b = f.n, f.shift, f.a, f.b
+    if shift < 0 and not laurent:
         raise NoExpansionAtZero("denominator vanishes at t = 0")
-    # long division: coefficients of a/b in ascending s powers
-    top = int(math.floor(cutoff * n_grid)) + pole
-    inv0 = Fraction(1, b[0])
-    b_nonzero = [(j, bj) for j, bj in enumerate(b) if j > 0 and bj != 0]
-    coeffs = []
-    rem = [a.get(k, 0) for k in range(top + 1)]
-    for k in range(top + 1):
-        c = rem[k] * inv0
-        coeffs.append(c)
-        if c != 0:
-            for j, bj in b_nonzero:
+    # long division of a by b in ascending s powers, up to the last index
+    # k with (k + shift)/n <= cutoff; exact in ints when b[0] = 1, as for
+    # every denominator the invariant formulas build
+    top = cutoff.numerator * n // cutoff.denominator - shift
+    inv0 = 1 if b[0] == 1 else Fraction(1, b[0])
+    tail = [(j, bj) for j, bj in enumerate(b) if j and bj]
+    q = (a + [0] * top)[:max(top + 1, 0)]
+    for k in range(len(q)):
+        c = q[k] = q[k] * inv0
+        if c:
+            for j, bj in tail:
                 if k + j > top:
                     break
-                rem[k + j] -= c * bj
+                q[k + j] -= c * bj
     return TruncatedSeries(
-        {Fraction(k - pole, n_grid): c for k, c in enumerate(coeffs) if c != 0},
-        cutoff)
+        {Fraction(k + shift, n): c for k, c in enumerate(q) if c}, cutoff)
 
 
 def expand_series(f: FracRational, cutoff) -> TruncatedSeries:

@@ -14,7 +14,7 @@ from stackyfan import arcspace
 from stackyfan.errors import InvariantViolation, NotKLT, OutsideSupport
 from stackyfan.qseries import (FracPoly, expand_laurent, series_equal,
                                substitute_reciprocal)
-from stackyfan.stacky import psi
+from stackyfan.stacky import enumerate_support_points, eval_pl, psi
 
 
 def test_pullback_divisor():
@@ -49,6 +49,17 @@ def test_contact_order():
     a = fan_a1()
     d1 = StackDivisor(a, (1,))
     assert contact_order(d1, orbit_label(a, (5,))) == 5
+
+
+def test_contact_order_matches_lambda_at_the_point():
+    rng = random.Random(41)
+    for f in named_fans().values():
+        for _ in range(3):
+            e = random_klt_divisor(rng, f)
+            lam = divisor_to_pl(e)
+            for w, _, _ in enumerate_support_points(f, 3):
+                assert contact_order(e, orbit_label(f, w)) == \
+                    -eval_pl(lam, w), w
 
 
 def test_shift_function():

@@ -6,8 +6,7 @@ import pytest
 from conftest import fan_a1, fan_p1, fan_p2, mk_sfan
 from stackyfan.core import (Cone, Fan, ZERO_CONE, cone_coordinates,
                             determinant_abs, minimal_containing_cone,
-                            nullspace_vector, solve_rational_system,
-                            validate_fan)
+                            solve_rational_system, validate_fan)
 from stackyfan.errors import NotInSpan, OutsideSupport
 
 
@@ -135,10 +134,20 @@ def test_containing_cone_reassembly_positive():
         assert rebuilt == tuple(Fraction(x) for x in v)
 
 
-def test_nullspace_vector():
-    n = nullspace_vector([(1, 0, 0), (0, 1, 0)], 3)
-    assert n is not None and n[2] != 0 and n[0] == n[1] == 0
-    assert nullspace_vector([(1, 0), (0, 1)], 2) is None
+def test_validate_convex_supporting_hyperplanes():
+    # (rank, rays, maximal cones, boundary facets with no supporting
+    # hyperplane), all declared convex
+    cases = [
+        (2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)], [[0], [2]]),
+        (2, [(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)], []),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)],
+         [(0, 1, 2), (1, 2, 3)], [[0, 2], [2, 3]]),
+    ]
+    for rank, rays, cones, facets in cases:
+        fan = Fan.from_maximal(rank, rays, cones, "convex")
+        assert validate_fan(fan).violations == [
+            f"boundary facet {f} admits no supporting hyperplane "
+            "(support not convex)" for f in facets]
 
 
 def test_fan_face_closure():

@@ -19,6 +19,7 @@ from stackyfan.deltainv import (DeltaVector, bucket_series,
 from stackyfan.errors import LambdaNotKLT, NegativeMu, NotComplete, NotKLT
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_series, series_equal)
+from stackyfan import stacky
 from stackyfan.stacky import PiecewiseQLinear, age, box_elements, zero_functional
 
 
@@ -256,6 +257,45 @@ def test_bucketing_matches_delta_mu_for_integral_lambda():
             bucketed = bucket_series(weighted_delta_series(f, lam, cutoff))
             mu_series = delta_mu_series(f, lam, cutoff)
             assert series_equal(bucketed, mu_series)
+
+
+def test_series_oracles_enumerate_only_contributing_points(monkeypatch):
+    # a point adds a term only when psi + lambda <= cutoff, and
+    # psi + lambda >= psi (1 - L); for mu >= 0 only when psi <= cutoff
+    enumerate_points = stacky.enumerate_support_points
+    bounds = []
+
+    def recording(sfan, bound, lam_values=None):
+        bounds.append(bound)
+        return enumerate_points(sfan, bound, lam_values)
+
+    monkeypatch.setattr(stacky, "enumerate_support_points", recording)
+    f = fan_p112()
+    weighted_delta_series(
+        f, PiecewiseQLinear(f, (Fraction(-1, 2), Fraction(1, 4), 0)), 2)
+    delta_mu_series(f, PiecewiseQLinear(f, (1, 0, 2)), Fraction(5, 2))
+    assert bounds == [4, Fraction(5, 2)]
+
+
+def test_series_oracles_lose_no_term_to_the_bound(monkeypatch):
+    # the same series from every point up to the level bound
+    enumerate_points = stacky.enumerate_support_points
+    rng = random.Random(56)
+    for f in named_fans().values():
+        for cutoff in (1, 2, Fraction(5, 2)):
+            lam = random_admissible_lambda(rng, f)
+            mu = PiecewiseQLinear(f, tuple(Fraction(rng.randint(0, 8), 4)
+                                           for _ in f.fan.rays))
+            narrow = (weighted_delta_series(f, lam, cutoff),
+                      delta_mu_series(f, mu, cutoff))
+            wide_bound = series_level_bound(cutoff, lam.values_on_b)
+            with monkeypatch.context() as m:
+                m.setattr(stacky, "enumerate_support_points",
+                          lambda sfan, bound, values=None:
+                          enumerate_points(sfan, wide_bound, values))
+                wide = (weighted_delta_series(f, lam, cutoff),
+                        delta_mu_series(f, mu, cutoff))
+            assert [s.terms for s in narrow] == [s.terms for s in wide]
 
 
 # ---------------------------------------------------------------------------

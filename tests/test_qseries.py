@@ -253,3 +253,44 @@ def test_canonical_forms_random():
             assert (f + g) - g == f
         # numerator and denominator coprime, checked independently
         assert sympy.gcd(a_f, b_f).degree() == 0
+
+
+# ---------------------------------------------------------------------------
+# Expansion: seeded comparison with sympy's series
+
+
+def test_expansion_matches_sympy_random():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(437)
+    for i in range(8):
+        grid = [1, 2, 6, 420][i % 4]
+        pole = i >= 4
+        # denominators such as 3 - 2t^{1/grid}, whose lowest coefficient is
+        # not +-1, times a short random factor; a pole at 0 in half the cases
+        den = P({0: rng.choice([3, -2, 5, 1]), Fraction(1, grid): -2}) * P(
+            {0: rng.randint(1, 3),
+             Fraction(rng.randint(1, 12), grid): rng.randint(-3, 3)})
+        if pole:
+            den = den * P({Fraction(rng.randint(1, 9), grid): 1})
+        num = P({Fraction(rng.randint(0, 12), grid): rng.randint(-4, 4)
+                 for _ in range(3)}) + P({0: 5, Fraction(1, grid): 1})
+        f = FracRational(num, den)
+        assert f.n == grid
+        assert all(type(x) is int for x in (f.n, f.shift, *f.a, *f.b))
+        cutoff = Fraction(rng.randint(0, 20), grid)
+        a, b = (sum(int(c) * s ** int(e * grid) for e, c in p.terms.items())
+                for p in (num, den))
+        top = int(cutoff * grid)
+        ref = sympy.series(a / b, s, 0, top + 1).removeO()
+        # lifted by s^64 past any pole to read it as a polynomial
+        lifted = sympy.Poly(sympy.expand(ref * s ** 64), s)
+        expected = {Fraction(k - 64, grid): Fraction(int(c.p), int(c.q))
+                    for (k,), c in lifted.terms() if c}
+        if pole:
+            with pytest.raises(NoExpansionAtZero):
+                expand_series(f, cutoff)
+            got = expand_laurent(f, cutoff)
+        else:
+            got = expand_series(f, cutoff)
+        assert got.terms == expected and got.cutoff == cutoff
