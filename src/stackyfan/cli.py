@@ -166,12 +166,8 @@ def document_of(sfan: StackyFan) -> FanDocument:
 # Rendering helpers
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else str(x)
-
-
 def _fmt_vec(v) -> str:
-    return "[" + ", ".join(_fmt(Fraction(x)) for x in v) + "]"
+    return "[" + ", ".join(map(str, v)) + "]"
 
 
 def _power(var: str, e: Fraction) -> str:
@@ -228,7 +224,7 @@ def _cmd_ages(doc, sfan, args):
     lines = []
     for e in stacky.box_all(sfan):
         lines.append(f"point {_fmt_vec(e.point)}: "
-                     f"age {_fmt(stacky.age(sfan, e))}")
+                     f"age {stacky.age(sfan, e)}")
     return 0, "\n".join(lines) + "\n"
 
 
@@ -263,8 +259,8 @@ def _cmd_gamma(doc, sfan, args):
         direct = arcspace.gamma_truncated_direct(sfan, e, bound)
         closed = expand_laurent(substitute_reciprocal(g), direct.cutoff)
         if not series_equal(direct, closed):
-            return 1, out + f"direct check (bound {_fmt(bound)}): FAILED\n"
-        out += f"direct check (bound {_fmt(bound)}): ok\n"
+            return 1, out + f"direct check (bound {bound}): FAILED\n"
+        out += f"direct check (bound {bound}): ok\n"
     return 0, out
 
 
@@ -303,9 +299,7 @@ def _cmd_orbit_poset(doc, sfan, args):
 
 
 def _cmd_refine_check(doc, sfan, args):
-    with open(args.fine, encoding="utf-8") as fh:
-        fine_doc = parse_fan_document(fh.read())
-    fine = fine_doc.to_stacky_fan()
+    fine = parse_fan_document(_read(args.fine)).to_stacky_fan()
     witness = refine.is_stacky_refinement(fine, sfan)
     if witness is None:
         return 1, "refinement: no\n"
@@ -378,7 +372,8 @@ def _build_parser() -> _Parser:
     p = add("weighted-delta", _cmd_weighted_delta,
             help="weighted delta-vector (closed form)")
     p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
-    p.add_argument("--series-cutoff", type=Fraction, metavar="C")
+    p.add_argument("--series-cutoff", metavar="C",
+                   type=_at_least(Fraction, 0, "non-negative"))
     p = add("gamma", _cmd_gamma, help="motivic integral Gamma(X, E)")
     p.add_argument("--divisor", required=True, metavar="NAME")
     p.add_argument("--check-direct", metavar="BOUND",
@@ -404,6 +399,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read(path) -> str:
+    """The text of a UTF-8 document; a ParseError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def run_command(argv) -> tuple:
     """Execute a CLI invocation; returns (exit code, rendered output)."""
     parser = _build_parser()
@@ -412,13 +416,9 @@ def run_command(argv) -> tuple:
     except _UsageError as exc:
         return 2, f"usage error: {exc}\n"
     try:
-        with open(args.fan, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return 2, f"error: {exc}\n"
-    if args.func is _cmd_validate:
-        return _cmd_validate(text, args)
-    try:
+        text = _read(args.fan)
+        if args.func is _cmd_validate:
+            return _cmd_validate(text, args)
         doc = parse_fan_document(text)
         sfan = doc.to_stacky_fan()
         return args.func(doc, sfan, args)

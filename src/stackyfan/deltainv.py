@@ -1,7 +1,13 @@
 """The invariant engine: Ehrhart counts and the delta-polynomial, the
 weighted delta-vector by definition (truncated series) and by closed
 formula, bucketing, h-vectors and Hodge polynomials, the palindromy check,
-the motivic integral Gamma and orbifold Betti numbers."""
+the motivic integral Gamma and orbifold Betti numbers.
+
+The three oracles, ehrhart_counts, weighted_delta_series and
+delta_mu_series, read the lattice points of |Sigma| from one enumerator of
+their own, _oracle_points.  It uses nothing of the box-group enumerator in
+`stacky` or of the per-cone solvers in `core`: the closed formula is built
+on those, and the oracles check it."""
 
 from __future__ import annotations
 
@@ -11,13 +17,13 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arcspace, core, stacky
-from .core import Cone, Fan, ZERO_CONE, as_vec
+from . import arcspace
+from .core import Cone, Fan
 from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu, NotComplete,
                      NotKLT)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
                       substitute_reciprocal)
-from .stacky import PiecewiseQLinear, StackyFan, age, box_elements, psi
+from .stacky import PiecewiseQLinear, StackyFan, age, box_elements
 
 
 @dataclass(frozen=True)
@@ -41,70 +47,92 @@ def count_lattice_points(sfan: StackyFan, m: int) -> int:
 
 def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
     """The lattice-point counts f(m) = |{v in N cap |Sigma| : psi(v) <= m}|
-    for m = 0..max_m.
-
-    Brute force in one scan per maximal cone: the integer points p of the
-    bounding box of the simplex conv(0, max_m * b_i) get the cone
-    coordinates n / D = A . p / D, with A and D the inverse of the b-matrix
-    with its denominators cleared once; p is kept when every n_i >= 0, at
-    the level ceil(sum n_i / D) = ceil(psi(p)), when that is <= max_m.
-    Points are de-duplicated across cones, and f(m) counts the levels
-    <= m.  Deliberately independent of the box-group enumerator in
-    `stacky` and of the per-cone solvers in `core`, so the two routes can
-    cross-check each other.
-    """
+    for m = 0..max_m: each oracle point with psi(v) <= max_m is recorded
+    at its level ceil(psi(v)) = ceil(sum n_i / D), and f(m) counts the
+    levels <= m."""
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
-    levels = {(0,) * sfan.rank: 0}
-    for sigma in sfan.fan.maximal_cones:
-        bvecs = [sfan.b(i) for i in sigma.ray_indices]
-        if not bvecs:
-            continue
-        lows, highs = stacky._bounding_box(bvecs, 0, max_m)
-        box = itertools.product(*[range(lo, hi + 1)
-                                  for lo, hi in zip(lows, highs)])
-        inverse = _integer_inverse(bvecs)
-        if inverse is None:
-            # lower-dimensional cone: exact elimination per point
-            for point in box:
-                q = core.solve_rational_system(bvecs, as_vec(point))
-                if q is not None and all(qi >= 0 for qi in q):
-                    level = math.ceil(sum(q))
-                    if level <= max_m:
-                        levels[point] = level
-            continue
-        rows, den = inverse
-        for point in box:
-            n = [sum(map(operator.mul, row, point)) for row in rows]
-            if min(n) >= 0:
-                level = -(-sum(n) // den)
-                if level <= max_m:
-                    levels[point] = level
     per_level = [0] * (max_m + 1)
-    for level in levels.values():
-        per_level[level] += 1
+    for _, den, points in _oracle_points(sfan, max_m):
+        for n in points.values():
+            per_level[-(-sum(n) // den)] += 1
     return tuple(itertools.accumulate(per_level))
 
 
-def _integer_inverse(bvecs):
-    """(A, D) with integer A and D > 0 such that A . p / D are the
-    coordinates of p over the b-vectors, or None unless they form a
-    square full-rank system."""
-    d = len(bvecs[0])
-    if len(bvecs) != d or core.determinant_abs(bvecs) == 0:
-        return None
-    inv = _invert([[Fraction(bvecs[j][i]) for j in range(d)]
-                   for i in range(d)])
-    den = math.lcm(*(x.denominator for row in inv for x in row))
-    return [[int(x * den) for x in row] for row in inv], den
+def _oracle_points(sfan: StackyFan, bound):
+    """The lattice points v of |Sigma| with psi(v) <= bound, each once, as
+    (ray indices, D, {v: n}) per maximal cone: v = sum n_i b_i / D over the
+    cone's rays with integers n_i >= 0 and D > 0, so psi(v) = sum n_i / D.
+
+    For a cone with k rays, k coordinates of v on which the b_i have a
+    non-zero minor give n = A . v[rows], with A and D the inverse of that
+    minor with its denominators cleared.  The first k - 1 of them run over
+    the bounding box of the simplex conv(0, bound * b_i), the last over
+    the integer interval that the k + 1 facets n_i >= 0, sum n_i <= bound * D
+    leave; the other coordinates, sum n_i b_i / D, must be integers.  Full-
+    and lower-dimensional cones take this one path.
+    """
+    bound = Fraction(bound)
+    if bound < 0:
+        return
+    d = sfan.rank
+    seen = {(0,) * d}
+    yield (), 1, {(0,) * d: ()}
+    for sigma in sfan.fan.maximal_cones:
+        idx = sigma.ray_indices
+        bvecs = [sfan.b(i) for i in idx]
+        if not bvecs:
+            continue
+        for rows in itertools.combinations(range(d), len(bvecs)):
+            minor = [[b[r] for b in bvecs] for r in rows]
+            inv = _invert(minor)
+            if inv is not None:
+                break
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        matrix = [[int(x * den) for x in row] for row in inv]
+        others = [j for j in range(d) if j not in rows]
+        derived = [[b[j] for b in bvecs] for j in others]
+        place = [(list(rows) + others).index(j) for j in range(d)]
+        outer_box = [range(math.ceil(bound * min(0, *row)),
+                           math.floor(bound * max(0, *row)) + 1)
+                     for row in minor[:-1]]
+        # facet i reads c_i + s_i x >= 0 in the last coordinate x: n_i for
+        # i < k, and bound * D - sum n_i
+        slopes = [row[-1] for row in matrix]
+        slopes.append(-sum(slopes))
+        top = math.floor(bound * den)
+        found = {}
+        for outer in itertools.product(*outer_box):
+            base = [sum(map(operator.mul, row, outer)) for row in matrix]
+            facets = list(zip(base + [top - sum(base)], slopes))
+            if any(c < 0 for c, s in facets if s == 0):
+                continue
+            lo = max(-(c // s) for c, s in facets if s > 0)
+            hi = min(c // -s for c, s in facets if s < 0)
+            for x in range(lo, hi + 1):
+                n = tuple(c + s * x for c, s in zip(base, slopes))
+                point = outer + (x,)
+                if derived:
+                    extra = [sum(map(operator.mul, n, col)) for col in derived]
+                    if any(e % den for e in extra):
+                        continue
+                    point += tuple(e // den for e in extra)
+                    point = tuple(point[k] for k in place)
+                if point not in seen:
+                    seen.add(point)
+                    found[point] = n
+        yield idx, den, found
 
 
 def _invert(matrix):
+    """The inverse of a square matrix over Q, or None if it is singular."""
     d = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(d)]
+    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(d)]
            for i, row in enumerate(matrix)]
     for col in range(d):
-        piv = next(r for r in range(col, d) if aug[r][col] != 0)
+        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
         aug[col], aug[piv] = aug[piv], aug[col]
         p = aug[col][col]
         aug[col] = [a / p for a in aug[col]]
@@ -132,46 +160,49 @@ def ehrhart_delta(sfan: StackyFan) -> DeltaVector:
 # Weighted delta-vector: definitional series (oracle) and closed formula
 
 
-def series_level_bound(cutoff, lam_values) -> int:
-    """Least safe m-cutoff M for the definitional series.
-
-    Every term contributed by a lattice point v at level m has exponent
-    psi(v) - ceil(psi(v)) + lam(v) + m >= m(1 - L) - 1, where
-    L = max(0, max_i(-lam(b_i))) < 1: indeed lam(v) >= -L psi(v) >= -L m on
-    each cone.  So all levels m > (cutoff + 1)/(1 - L) only produce
-    exponents above the cutoff; multiplying by (1 - t)^{d+1} cannot lower
-    them.  M = floor((cutoff + 1)/(1 - L)) + 1.
-    """
-    return math.floor((Fraction(cutoff) + 1) / _slack(lam_values)) + 1
-
-
-def _slack(lam_values) -> Fraction:
-    """1 - L for L = max(0, max_i(-lam(b_i)))."""
-    return Fraction(1) + min(Fraction(0), min(lam_values, default=Fraction(0)))
-
-
 def weighted_delta_series(sfan: StackyFan, lam: PiecewiseQLinear,
                           cutoff) -> TruncatedSeries:
     """Literal evaluation of the defining series of the weighted
-    delta-vector, truncated at the cutoff."""
+    delta-vector, truncated at the cutoff: (1 - t)^d sum_v t^{psi(v) +
+    lam(v)} over the lattice points v of |Sigma|."""
     _check_admissible(lam)
     cutoff = Fraction(cutoff)
-    d = sfan.rank
-    level_bound = series_level_bound(cutoff, lam.values_on_b)
-    raw = {Fraction(0): Fraction(1)}
-    # a point adds a term only if psi + lam <= cutoff, and psi + lam >=
-    # psi (1 - L) (see series_level_bound)
-    for point, psi_v, lam_v in stacky.enumerate_support_points(
-            sfan, cutoff / _slack(lam.values_on_b), lam.values_on_b):
-        base = psi_v - math.ceil(psi_v) + lam_v
-        m = max(1, math.ceil(psi_v))
-        while m <= level_bound:
-            exp = base + m
-            if exp > cutoff:
-                break
-            raw[exp] = raw.get(exp, Fraction(0)) + 1
-            m += 1
-    product = FracPoly(raw) * (FracPoly({0: 1, 1: -1}) ** (d + 1))
+    # psi + lam >= psi (1 - L) with L = max(0, max_i -lam(b_i)) < 1, so a
+    # point adds a term only if psi <= cutoff / (1 - L)
+    bound = cutoff / (1 + min([0, *lam.values_on_b]))
+    return _level_sum(sfan, bound, cutoff, [1 + x for x in lam.values_on_b],
+                      ceil_psi=False)
+
+
+def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
+               ceil_psi: bool) -> TruncatedSeries:
+    """(1 - t)^d sum_v t^{e(v)} over the oracle points with psi(v) <= bound,
+    truncated at the cutoff, for e = f, or e = f + ceil(psi) if ceil_psi, and
+    f the piecewise linear function with the given values on the b_i.
+
+    This is the level sum (1 - t)^{d+1} sum_v sum_{m >= ceil(psi(v))}
+    t^{e(v) - ceil(psi(v)) + m} with the sum over m taken as a geometric
+    series.  Each exponent is read from the integer numerators n: with the
+    values on their common denominator S, e(v) D S is sum n_i S f(b_i), plus
+    ceil(psi(v)) D S if ceil_psi.
+    """
+    scale = math.lcm(*(x.denominator for x in values))
+    ints = [int(x * scale) for x in values]
+    raw = {}
+    for idx, den, points in _oracle_points(sfan, bound):
+        weights = [ints[i] for i in idx]
+        top = math.floor(cutoff * den * scale)
+        counts = {}
+        for n in points.values():
+            e = sum(map(operator.mul, n, weights))
+            if ceil_psi:
+                e += -(-sum(n) // den) * den * scale
+            if e <= top:
+                counts[e] = counts.get(e, 0) + 1
+        for e, c in counts.items():
+            key = Fraction(e, den * scale)
+            raw[key] = raw.get(key, 0) + c
+    product = FracPoly(raw) * (FracPoly({0: 1, 1: -1}) ** sfan.rank)
     return product.truncate(cutoff)
 
 
@@ -262,32 +293,15 @@ def check_symmetry(sfan: StackyFan, lam: PiecewiseQLinear) -> bool:
 
 
 def delta_mu_series(sfan: StackyFan, mu: PiecewiseQLinear, cutoff) -> TruncatedSeries:
-    """The bucketed generating series with exponent mu(v) + m."""
+    """The bucketed generating series (1 - t)^d sum_v t^{mu(v) +
+    ceil(psi(v))} over the lattice points v of |Sigma|, truncated at the
+    cutoff."""
     for i, v in enumerate(mu.values_on_b):
         if v < 0:
             raise NegativeMu(f"mu(b_{i}) < 0")
-    for e in stacky.box_all(mu.sfan):
-        if not e.is_zero:
-            val = sum((qi * mu.values_on_b[i]
-                       for qi, i in zip(e.q, e.cone.ray_indices)), Fraction(0))
-            if val < 0:
-                raise NegativeMu("mu negative at a box representative")
     cutoff = Fraction(cutoff)
-    d = sfan.rank
-    level_bound = math.floor(cutoff) + 1
-    raw = {Fraction(0): Fraction(1)}
     # mu >= 0: a point adds a term only if psi <= cutoff
-    for point, psi_v, mu_v in stacky.enumerate_support_points(
-            sfan, cutoff, mu.values_on_b):
-        m = max(1, math.ceil(psi_v))
-        while m <= level_bound:
-            exp = mu_v + m
-            if exp > cutoff:
-                break
-            raw[exp] = raw.get(exp, Fraction(0)) + 1
-            m += 1
-    product = FracPoly(raw) * (FracPoly({0: 1, 1: -1}) ** (d + 1))
-    return product.truncate(cutoff)
+    return _level_sum(sfan, cutoff, cutoff, mu.values_on_b, ceil_psi=True)
 
 
 def bucket_series(a: TruncatedSeries) -> TruncatedSeries:

@@ -355,12 +355,6 @@ def _format_exponent(var, e: Fraction) -> str:
     return f"{var}^{{{e}}}"
 
 
-def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(poly: FracPoly, var: str = "t") -> str:
     if poly.is_zero():
         return "0"
@@ -369,13 +363,13 @@ def format_poly(poly: FracPoly, var: str = "t") -> str:
         c = poly.terms[e]
         mag = abs(c)
         if e == 0:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = _format_exponent(var, e)
         elif mag.denominator == 1:
             body = f"{mag.numerator}{_format_exponent(var, e)}"
         else:
-            body = f"({_format_coeff(mag)}){_format_exponent(var, e)}"
+            body = f"({mag}){_format_exponent(var, e)}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:

@@ -124,18 +124,6 @@ def eval_pl(f: PiecewiseQLinear, v) -> Fraction:
 # BOX enumeration
 
 
-def _bounding_box(vectors, lo_mult, hi_mult):
-    """Integer bounding box of {sum c_i * vectors_i : lo <= c_i <= hi}."""
-    dim = len(vectors[0])
-    lows = [Fraction(0)] * dim
-    highs = [Fraction(0)] * dim
-    for vec in vectors:
-        for j, x in enumerate(vec):
-            lows[j] += min(lo_mult * x, hi_mult * x)
-            highs[j] += max(lo_mult * x, hi_mult * x)
-    return ([math.ceil(v) for v in lows], [math.floor(v) for v in highs])
-
-
 def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
     """Lattice points u = sum q_i b_i with 0 <= q_i < 1 over the rays of tau
     (coset representatives of the b-sublattice), as (u, q) sorted by u.
@@ -258,10 +246,10 @@ def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
 # w = u + sum lambda_i b_i within each maximal cone, yielding psi and lambda
-# exactly at every point.  Used by the series oracles, orbit enumeration and
-# the truncated motivic integral.  The bounding-box scan of
-# deltainv.ehrhart_counts counts the same points by another route, and the
-# two cross-check each other in the tests.
+# exactly at every point.  Used by orbit enumeration, the truncated motivic
+# integral and the refinement check.  The oracles in deltainv enumerate the
+# same points by their own route, not through this one, and the two
+# cross-check each other in the tests.
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):

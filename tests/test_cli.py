@@ -174,6 +174,8 @@ OUT_OF_RANGE = [
     ("at_too_long", ["subdivide", "--at", "1,1,1"]),
     ("max_m_negative", ["ehrhart", "--max-m", "-1"]),
     ("bound_negative", ["orbit-poset", "--bound", "-1"]),
+    ("series_cutoff_negative",
+     ["weighted-delta", "--lambda", "zero", "--series-cutoff", "-1"]),
 ]
 
 
@@ -184,6 +186,26 @@ def test_exit_code_out_of_range_argument(argv):
     command, *options = argv
     code, out = run_command([command, str(DATA / "fan_p112.json"), *options])
     assert code == 2 and out.startswith("usage error: argument --"), out
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize("role", ["fan", "fine"])
+def test_exit_code_unreadable_document(tmp_path, role, kind):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+    path = {"missing": tmp_path / "no_such.json", "directory": tmp_path,
+            "not_utf8": tmp_path / "binary.json"}[kind]
+    p2 = str(DATA / "fan_p2.json")
+    documents = [str(path), p2] if role == "fan" else [p2, str(path)]
+    code, out = run_command(["refine-check", documents[0],
+                             "--fine", documents[1]])
+    assert code == 2 and out.startswith("error:"), out
+
+
+def test_validate_malformed_json_is_a_parse_error(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    code, out = run_command(["validate", str(path)])
+    assert code == 2 and out.startswith("error: invalid JSON"), out
 
 
 def test_betti_on_large_grid_fan(tmp_path):

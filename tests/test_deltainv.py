@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,17 +10,16 @@ from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       random_convex_rank2)
 from stackyfan.arcspace import StackDivisor, zero_divisor
 from stackyfan.core import Cone, ZERO_CONE, determinant_abs
-from stackyfan.deltainv import (DeltaVector, bucket_series,
+from stackyfan import core, deltainv, stacky
+from stackyfan.deltainv import (DeltaVector, _oracle_points, bucket_series,
                                 check_symmetry, count_lattice_points,
                                 delta_mu_series, ehrhart_counts,
                                 ehrhart_delta, gamma, h_tau_lambda, h_vector,
                                 hodge_polynomial_toric, orbifold_betti,
-                                series_level_bound, weighted_delta_closed,
-                                weighted_delta_series)
+                                weighted_delta_closed, weighted_delta_series)
 from stackyfan.errors import LambdaNotKLT, NegativeMu, NotComplete, NotKLT
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_series, series_equal)
-from stackyfan import stacky
 from stackyfan.stacky import PiecewiseQLinear, age, box_elements, zero_functional
 
 
@@ -80,9 +80,21 @@ def test_normalized_volume_is_group_order_sum():
 # Weighted delta-vector: definitional series
 
 
-def test_series_level_bound_values():
-    assert series_level_bound(2, (Fraction(0), Fraction(0))) == 4
-    assert series_level_bound(2, (Fraction(-1, 2), Fraction(1))) == 7
+def test_oracle_points_fixtures():
+    # P(1,2): b = (1), (-2); each point once, with v = sum n_i b_i / D
+    assert list(_oracle_points(fan_p12(), Fraction(3, 2))) == [
+        ((), 1, {(0,): ()}), ((0,), 1, {(1,): (1,)}),
+        ((1,), 2, {(-1,): (1,), (-2,): (2,), (-3,): (3,)})]
+    # a lower-dimensional cone on b = (-2, -3): n = -v_1 must be even for
+    # v_2 = 3 v_1 / 2 to be an integer
+    f = mk_sfan(2, [(1, 0), (0, 1), (-2, -3)], (1, 1, 1), [(0, 1), (2,)],
+                "general")
+    origin, square, ray = _oracle_points(f, 2)
+    assert origin == ((), 1, {(0, 0): ()})
+    assert ray == ((2,), 2, {(-2, -3): (2,), (-4, -6): (4,)})
+    assert sorted(square[2]) == sorted(
+        (x, y) for x in range(3) for y in range(3) if 0 < x + y <= 2)
+    assert list(_oracle_points(f, -1)) == []
 
 
 def test_weighted_delta_series_rejects_bad_lambda():
@@ -262,14 +274,13 @@ def test_bucketing_matches_delta_mu_for_integral_lambda():
 def test_series_oracles_enumerate_only_contributing_points(monkeypatch):
     # a point adds a term only when psi + lambda <= cutoff, and
     # psi + lambda >= psi (1 - L); for mu >= 0 only when psi <= cutoff
-    enumerate_points = stacky.enumerate_support_points
     bounds = []
 
-    def recording(sfan, bound, lam_values=None):
+    def recording(sfan, bound):
         bounds.append(bound)
-        return enumerate_points(sfan, bound, lam_values)
+        return _oracle_points(sfan, bound)
 
-    monkeypatch.setattr(stacky, "enumerate_support_points", recording)
+    monkeypatch.setattr(deltainv, "_oracle_points", recording)
     f = fan_p112()
     weighted_delta_series(
         f, PiecewiseQLinear(f, (Fraction(-1, 2), Fraction(1, 4), 0)), 2)
@@ -278,8 +289,8 @@ def test_series_oracles_enumerate_only_contributing_points(monkeypatch):
 
 
 def test_series_oracles_lose_no_term_to_the_bound(monkeypatch):
-    # the same series from every point up to the level bound
-    enumerate_points = stacky.enumerate_support_points
+    # the same series from every point up to the old level bound
+    # floor((cutoff + 1) / (1 - L)) + 1
     rng = random.Random(56)
     for f in named_fans().values():
         for cutoff in (1, 2, Fraction(5, 2)):
@@ -288,14 +299,52 @@ def test_series_oracles_lose_no_term_to_the_bound(monkeypatch):
                                            for _ in f.fan.rays))
             narrow = (weighted_delta_series(f, lam, cutoff),
                       delta_mu_series(f, mu, cutoff))
-            wide_bound = series_level_bound(cutoff, lam.values_on_b)
+            slack = 1 + min([0, *lam.values_on_b])
+            wide_bound = (cutoff + 1) // slack + 1
             with monkeypatch.context() as m:
-                m.setattr(stacky, "enumerate_support_points",
-                          lambda sfan, bound, values=None:
-                          enumerate_points(sfan, wide_bound, values))
+                m.setattr(deltainv, "_oracle_points",
+                          lambda sfan, bound: _oracle_points(sfan, wide_bound))
                 wide = (weighted_delta_series(f, lam, cutoff),
                         delta_mu_series(f, mu, cutoff))
             assert [s.terms for s in narrow] == [s.terms for s in wide]
+
+
+def test_oracles_use_no_stacky_or_core_enumerator(monkeypatch):
+    mixed = mk_sfan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0),
+                        (0, -2, -3)], (1, 2, 1, 2, 3),
+                    [(0, 1, 2), (3, 4)], "general")
+    fans = [*named_fans().values(), mixed]
+
+    def oracles(f):
+        lam = PiecewiseQLinear(f, (Fraction(1, 2),) * len(f.fan.rays))
+        return (ehrhart_counts(f, 2), weighted_delta_series(f, lam, 2).terms,
+                delta_mu_series(f, lam, 2).terms)
+
+    expected = [oracles(f) for f in fans]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a stacky or core enumerator")
+
+    monkeypatch.setattr(stacky, "enumerate_support_points", forbidden)
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", forbidden)
+    monkeypatch.setattr(core.ConeSolver, "solve", forbidden)
+    monkeypatch.setattr(core, "solve_rational_system", forbidden)
+    assert [oracles(f) for f in fans] == expected
+
+
+def test_oracles_above_rank_three():
+    # P(1,2,3,2,3): rays -(2,3,2,3) and e_1..e_4, all 4-subsets as cones
+    rays = [(-2, -3, -2, -3), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+            (0, 0, 0, 1)]
+    f = mk_sfan(4, rays, (1,) * 5, list(itertools.combinations(range(5), 4)),
+                "complete")
+    assert ehrhart_counts(f, 4) == (1, 6, 24, 74, 186)
+    for values in ((0,) * 5, (Fraction(1, 2), 0, Fraction(1, 4), 1, 0)):
+        lam = PiecewiseQLinear(f, values)
+        closed = weighted_delta_closed(f, lam)
+        for cutoff in (2, 4):
+            assert weighted_delta_series(f, lam, cutoff).terms == \
+                expand_series(closed, cutoff).terms
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone, whatever is installed
-in the test environment, and keeps every check under `python -O`."""
+in the test environment, keeps every check under `python -O`, and keeps
+its oracles apart from the enumerators they check."""
 
 import ast
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "stackyfan").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "stackyfan"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -30,3 +32,16 @@ def test_no_assert_statements(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         assert not isinstance(node, ast.Assert), \
             f"{path.name}:{node.lineno} uses assert"
+
+
+def test_oracles_name_no_checked_enumerator():
+    # deltainv's oracles check the box-group enumerator and the per-cone
+    # solvers, so they must not be built on them
+    path = PACKAGE / "deltainv.py"
+    banned = {"enumerate_support_points", "_scan_parallelepiped",
+              "ConeSolver", "solvers", "solve_rational_system"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        assert name not in banned, f"deltainv.py:{node.lineno} names {name}"

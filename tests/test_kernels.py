@@ -2,8 +2,8 @@
 box-group enumeration, the integer overlap test) against references
 written here from solve_rational_system and bounding-box scans, of the
 cyclotomic lowest-terms kernels against naive loops and sympy, and of the
-oracle kernels (Ehrhart counts, closure order, direct Gamma) against their
-definitions."""
+oracle kernels (Ehrhart counts, the series oracles, closure order, direct
+Gamma) against their definitions."""
 
 import itertools
 import math
@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (mk_sfan, random_complete_rank2, random_complete_rank3,
+from conftest import (mk_sfan, random_admissible_lambda,
+                      random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor)
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
@@ -23,10 +24,12 @@ from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
                             independent_rows, minimal_containing_cone,
                             solve_rational_system, validate_fan)
 from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
-from stackyfan.deltainv import count_lattice_points, ehrhart_counts
+from stackyfan.deltainv import (count_lattice_points, delta_mu_series,
+                                ehrhart_counts, weighted_delta_series)
 from stackyfan.errors import NotInSpan, OutsideSupport
 from stackyfan.qseries import FracPoly, TruncatedSeries
-from stackyfan.stacky import (_scan_parallelepiped, box_bar_n, box_elements,
+from stackyfan.stacky import (PiecewiseQLinear, _scan_parallelepiped,
+                              box_bar_n, box_elements,
                               enumerate_support_points)
 
 MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
@@ -360,6 +363,69 @@ def test_ehrhart_counts_match_per_level_scan(seed):
 def test_ehrhart_counts_reject_negative_level():
     with pytest.raises(ValueError):
         ehrhart_counts(random_mixed_dimension(random.Random(1)), -1)
+
+
+def random_rank1(rng, max_weight=3):
+    """The half-line or the line, with random weights."""
+    if rng.random() < 0.5:
+        return mk_sfan(1, [(1,)], (rng.randint(1, max_weight),), [(0,)],
+                       "convex")
+    return mk_sfan(1, [(1,), (-1,)], (rng.randint(1, max_weight),
+                                      rng.randint(1, max_weight)),
+                   [(0,), (1,)], "complete")
+
+
+def random_skew_lower_dimension(rng, max_weight=3):
+    """A full cone and a lower-dimensional one whose b-vectors are not
+    unimodular on the coordinates they are read from: a ray -(a, c) with
+    a >= 2 in rank 2, a 2-cone with (0, -a, -c) in rank 3."""
+    a = rng.randint(2, 3)
+    c = rng.choice([x for x in range(1, 5) if math.gcd(a, x) == 1])
+    if rng.random() < 0.5:
+        rays = [(1, 0), (0, 1), (-a, -c)]
+        cones = [(0, 1), (2,)]
+    else:
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -a, -c)]
+        cones = [(0, 1, 2), (3, 4)]
+    return mk_sfan(len(rays[0]), rays, tuple(rng.randint(1, max_weight)
+                                             for _ in rays), cones, "general")
+
+
+def level_sum_reference(sfan, values, cutoff, mu):
+    """The defining level sum of weighted_delta_series (mu false) or
+    delta_mu_series (mu true), term by term: 1 plus, for every lattice point
+    with psi <= M = floor((cutoff + 1) / (1 - L)) + 1, the terms t^{psi -
+    ceil(psi) + lambda + m} (or t^{mu + m}) for max(1, ceil(psi)) <= m <= M,
+    times (1 - t)^{d+1}; L = max(0, max_i -lambda(b_i)), and 0 for mu."""
+    slack = 1 if mu else 1 + min([0, *values])
+    top = math.floor((Fraction(cutoff) + 1) / slack) + 1
+    raw = {Fraction(0): 1}
+    for _, psi_v, f_v in enumerate_support_points(sfan, top, values):
+        base = f_v if mu else psi_v - math.ceil(psi_v) + f_v
+        for m in range(max(1, math.ceil(psi_v)), top + 1):
+            raw[base + m] = raw.get(base + m, 0) + 1
+    one_minus_t = FracPoly({0: 1, 1: -1})
+    return (FracPoly(raw) * one_minus_t ** (sfan.rank + 1)).truncate(cutoff)
+
+
+@pytest.mark.parametrize("seed", [19, 20])
+def test_oracles_match_level_sum_over_support_points(seed):
+    rng = random.Random(seed)
+    fans = [random_rank1(rng), *oracle_fans(seed, 1),
+            random_skew_lower_dimension(rng)]
+    for sfan in fans:
+        top = 2 if sfan.rank == 3 else 4
+        assert ehrhart_counts(sfan, top) == tuple(
+            len(enumerate_support_points(sfan, m)) for m in range(top + 1))
+        for cutoff in (1, Fraction(5, 2), sfan.rank + 1):
+            lam = random_admissible_lambda(
+                rng, sfan, min_num=0 if sfan.rank == 3 else None)
+            mu = tuple(Fraction(rng.randint(0, 8), 4) for _ in sfan.fan.rays)
+            assert weighted_delta_series(sfan, lam, cutoff).terms == \
+                level_sum_reference(sfan, lam.values_on_b, cutoff, False).terms
+            assert delta_mu_series(
+                sfan, PiecewiseQLinear(sfan, mu), cutoff).terms == \
+                level_sum_reference(sfan, mu, cutoff, True).terms
 
 
 def closure_reference(sfan, v, w):
