@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import arcspace, core, deltainv, refine, stacky
 from .core import Fan
-from .errors import ParseError, StackyFanError, ValidationError
+from .errors import NotARefinement, ParseError, StackyFanError, ValidationError
 from .qseries import (FracPoly, expand_laurent, format_poly, format_rational,
                       format_series, series_equal, substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan
@@ -80,6 +80,8 @@ def parse_fan_document(text: str) -> FanDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: line {exc.lineno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     for key in data:
@@ -300,15 +302,15 @@ def _cmd_orbit_poset(doc, sfan, args):
 
 def _cmd_refine_check(doc, sfan, args):
     fine = parse_fan_document(_read(args.fine)).to_stacky_fan()
-    witness = refine.is_stacky_refinement(fine, sfan)
-    if witness is None:
-        return 1, "refinement: no\n"
-    out = "refinement: yes\n"
-    if args.lam is not None:
-        lam = _resolve_functional(doc, sfan, args.lam)
+    if args.lam is None:
+        ok = refine.is_stacky_refinement(fine, sfan) is not None
+        return (0, "refinement: yes\n") if ok else (1, "refinement: no\n")
+    lam = _resolve_functional(doc, sfan, args.lam)
+    try:
         ok = refine.check_invariance(sfan, lam, fine)
-        out += f"invariance: {'true' if ok else 'false'}\n"
-    return 0, out
+    except NotARefinement:
+        return 1, "refinement: no\n"
+    return 0, f"refinement: yes\ninvariance: {'true' if ok else 'false'}\n"
 
 
 def _cmd_subdivide(doc, sfan, args):
@@ -330,9 +332,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _at_least(parse, low, what):
     """An argument type: the value parsed from the text, rejected below
-    low; a malformed value is reported as for parse itself."""
+    low; a malformed value (such as 1/0) is reported as for parse itself."""
     def convert(text):
-        value = parse(text)
+        try:
+            value = parse(text)
+        except ZeroDivisionError:
+            raise ValueError(text) from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value

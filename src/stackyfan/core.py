@@ -22,10 +22,6 @@ from .errors import NotInSpan, OutsideSupport
 Vec = tuple  # integer or Fraction coordinates
 
 
-def as_vec(coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -443,12 +439,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
 def cone_coordinates(fan: Fan, cone: Cone, v) -> tuple:
     """The unique rationals q with v = sum q_i * ray_i over the cone's rays."""
     return fan.solvers[cone].coordinates(v)
-
-
-def in_cone(fan: Fan, cone: Cone, v) -> bool:
-    """Does v lie in the closed cone?"""
-    sol = fan.solvers[cone].solve(v)
-    return sol is not None and all(n >= 0 for n in sol[0])
 
 
 def minimal_containing_cone(fan: Fan, v) -> Cone:

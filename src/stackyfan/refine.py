@@ -1,32 +1,30 @@
 """Stacky refinements: the refinement predicate, stellar subdivision as a
 refinement generator, the lambda-transfer map and the invariance check of
-the weighted delta-vector under refinement."""
+the weighted delta-vector under refinement.  The predicate is exact, and
+one solve per fine ray gives its certificates, cone map and coverage."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import core, stacky
+from . import core
 from .core import Fan
 from .deltainv import weighted_delta_closed
 from .errors import (IntegralityFailure, InvariantViolation, NotARefinement,
                      NotInSupport, OutsideSupport, RankMismatch,
                      TransferNotKLT)
-from .stacky import PiecewiseQLinear, StackyFan, eval_pl, psi
+from .stacky import PiecewiseQLinear, StackyFan
 
 
 @dataclass(frozen=True)
 class RefinementWitness:
-    """Evidence that `fine` refines `coarse` as stacky fans.
-
-    cone_map sends each fine maximal cone to the index (into the coarse
-    fan's maximal_cones) of a coarse cone containing it;
-    integrality_certificates gives, per fine ray, the integer coefficients
-    expressing its b-vector in the b_j of its minimal containing coarse
-    cone, as pairs (coarse ray index, coefficient).
-    """
+    """Evidence that `fine` refines `coarse` as stacky fans: cone_map sends
+    each fine maximal cone to the index of a coarse maximal cone holding
+    it; integrality_certificates gives, per fine ray, its b-vector over the
+    b_j of its minimal coarse cone, as pairs (coarse ray index, integer)."""
 
     fine: StackyFan
     coarse: StackyFan
@@ -38,45 +36,50 @@ def is_stacky_refinement(fine: StackyFan,
                          coarse: StackyFan) -> Optional[RefinementWitness]:
     """A witness that `fine` refines `coarse`, or None.
 
-    Checks: (1) every fine maximal cone lies inside some coarse maximal
-    cone; (2) every fine b-vector is an integer combination of the coarse
-    b_j of its minimal containing coarse cone; plus a finite support proxy —
-    every coarse lattice point with psi_coarse <= rank lies in the fine
-    support.  A full polyhedral support-equality decision is out of scope.
+    One solve per fine ray gives a_i v_i = sum_j c_ij b_j over its minimal
+    coarse cone.  (1) Every c_ij must be an integer.  (2) A fine maximal
+    cone tau lies in the first coarse maximal cone sigma whose rays hold
+    every j with c_ij > 0, i in tau; so |fine| lies in |coarse|.  (3) A
+    fine cone tau of sigma's dimension cuts |det c_tau| / prod_i sum_j c_ij
+    of the volume of sigma's slice psi <= 1, and sigma is covered exactly
+    when these sum to 1.  This presumes that the fine maximal cones do not
+    overlap (`core.validate_fan` checks it).
     """
     if fine.rank != coarse.rank:
         raise RankMismatch("fine and coarse fans have different ranks")
     coarse_max = coarse.fan.maximal_cones
-    cone_map = {}
-    for tau in fine.fan.maximal_cones:
-        home = None
-        for j, sigma in enumerate(coarse_max):
-            if all(core.in_cone(coarse.fan, sigma, fine.fan.rays[i])
-                   for i in tau.ray_indices):
-                home = j
+    certificates = []
+    for a, v in zip(fine.weights, fine.fan.rays):
+        for sigma in coarse_max:
+            sol = coarse.solvers[sigma].solve(v)
+            if sol is not None and all(n >= 0 for n in sol[0]):
                 break
+        else:
+            return None
+        nums, den = sol
+        if any(a * n % den for n in nums):
+            return None
+        certificates.append({j: a * n // den
+                             for j, n in zip(sigma.ray_indices, nums) if n})
+    cone_map = {}
+    covered = [Fraction(0)] * len(coarse_max)
+    for tau in fine.fan.maximal_cones:
+        rows = [certificates[i] for i in tau.ray_indices]
+        home = next((j for j, sigma in enumerate(coarse_max)
+                     if set().union(*rows) <= set(sigma.ray_indices)), None)
         if home is None:
             return None
         cone_map[tau] = home
-    certificates = []
-    for i in range(len(fine.fan.rays)):
-        b_bar = fine.b(i)
-        try:
-            sigma = core.minimal_containing_cone(coarse.fan, b_bar)
-        except OutsideSupport:
-            return None
-        nums, den = coarse.solvers[sigma].solve(b_bar)
-        if any(n % den for n in nums):
-            return None
-        certificates.append(tuple(
-            (j, n // den) for j, n in zip(sigma.ray_indices, nums)))
-    # support proxy: coarse sublevel points must lie in the fine support
-    for point, _, _ in stacky.enumerate_support_points(coarse, coarse.rank):
-        try:
-            core.minimal_containing_cone(fine.fan, point)
-        except OutsideSupport:
-            return None
-    return RefinementWitness(fine, coarse, cone_map, tuple(certificates))
+        sigma = coarse_max[home].ray_indices
+        if tau.dim == len(sigma):
+            det = core.determinant([[row.get(j, 0) for j in sigma]
+                                    for row in rows])
+            covered[home] += Fraction(abs(det), math.prod(
+                sum(row.values()) for row in rows))
+    if any(share != 1 for share in covered):
+        return None
+    return RefinementWitness(fine, coarse, cone_map,
+                             tuple(tuple(c.items()) for c in certificates))
 
 
 def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
@@ -123,15 +126,15 @@ def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
 
 def transfer_lambda(coarse: StackyFan, lam: PiecewiseQLinear,
                     fine: StackyFan) -> PiecewiseQLinear:
-    """Transport an admissible functional along a refinement:
-    lambda'(b_bar) = lambda(b_bar) + psi_coarse(b_bar) - 1."""
+    """Transport an admissible functional along a refinement: lambda'(b_bar)
+    = lambda(b_bar) + psi_coarse(b_bar) - 1 = sum_j c_j (lambda(b_j) + 1) - 1
+    over the certificate b_bar = sum_j c_j b_j of the witness."""
     witness = is_stacky_refinement(fine, coarse)
     if witness is None:
         raise NotARefinement("fine fan does not refine the coarse fan")
     values = []
-    for i in range(len(fine.fan.rays)):
-        b_bar = fine.b(i)
-        val = eval_pl(lam, b_bar) + psi(coarse, b_bar) - 1
+    for i, cert in enumerate(witness.integrality_certificates):
+        val = sum(c * (lam.values_on_b[j] + 1) for j, c in cert) - 1
         if val <= -1:
             raise TransferNotKLT(
                 f"transferred value {val} at fine ray {i} is <= -1")

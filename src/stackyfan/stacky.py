@@ -246,9 +246,9 @@ def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
 # w = u + sum lambda_i b_i within each maximal cone, yielding psi and lambda
-# exactly at every point.  Used by orbit enumeration, the truncated motivic
-# integral and the refinement check.  The oracles in deltainv enumerate the
-# same points by their own route, not through this one, and the two
+# exactly at every point, for orbit enumeration and the truncated motivic
+# integral (the refinement check decides coverage without it).  The oracles
+# in deltainv enumerate the same points by their own route; the two
 # cross-check each other in the tests.
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from stackyfan import refine
 from stackyfan.cli import (FanDocument, document_of, parse_fan_document,
                            render_document, run_command)
 from stackyfan.errors import ParseError, ValidationError
@@ -176,6 +177,11 @@ OUT_OF_RANGE = [
     ("bound_negative", ["orbit-poset", "--bound", "-1"]),
     ("series_cutoff_negative",
      ["weighted-delta", "--lambda", "zero", "--series-cutoff", "-1"]),
+    ("bound_zero_denominator", ["orbit-poset", "--bound", "1/0"]),
+    ("series_cutoff_zero_denominator",
+     ["weighted-delta", "--lambda", "zero", "--series-cutoff", "1/0"]),
+    ("check_direct_zero_denominator",
+     ["gamma", "--divisor", "zero", "--check-direct", "1/0"]),
 ]
 
 
@@ -206,6 +212,67 @@ def test_validate_malformed_json_is_a_parse_error(tmp_path):
     path.write_text("{")
     code, out = run_command(["validate", str(path)])
     assert code == 2 and out.startswith("error: invalid JSON"), out
+
+
+def test_validate_overlong_integer_is_a_parse_error(tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"rank": ' + "7" * 5000 + "}")
+    code, out = run_command(["validate", str(path)])
+    assert code == 2 and out.startswith("error: invalid JSON"), out
+
+
+def test_validate_deep_nesting_is_a_parse_error(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out = run_command(["validate", str(path)])
+    assert code == 2 and out.startswith("error: invalid JSON"), out
+
+
+def _gap_documents(tmp_path):
+    """cone((1,0),(0,1)) and fine cones [(1,0),(1,1)], [(0,1),(1,20)],
+    which leave the wedge between (1,1) and (1,20) uncovered."""
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(_minimal(rank=2, rays=[[1, 0], [0, 1]], weights=[1, 1],
+                               cones=[[0, 1]], support="convex"))
+    fine = tmp_path / "fine.json"
+    fine.write_text(_minimal(rank=2, rays=[[1, 0], [0, 1], [1, 1], [1, 20]],
+                             weights=[1, 1, 1, 1], cones=[[0, 2], [1, 3]],
+                             support="general"))
+    return str(coarse), str(fine)
+
+
+@pytest.mark.parametrize("options", [[], ["--lambda", "zero"]])
+def test_refine_check_gap_is_not_a_refinement(tmp_path, options):
+    coarse, fine = _gap_documents(tmp_path)
+    code, out = run_command(["refine-check", coarse, "--fine", fine,
+                             *options])
+    assert (code, out) == (1, "refinement: no\n")
+
+
+def test_refine_check_unknown_lambda_is_a_usage_error_first():
+    # the functional is resolved before the predicate runs, so an unknown
+    # name exits 2 on a pair that is not a refinement too
+    code, out = run_command(["refine-check", str(DATA / "fan_p112.json"),
+                             "--fine", str(DATA / "fan_p2.json"),
+                             "--lambda", "nope"])
+    assert code == 2 and "unknown functional" in out, out
+
+
+@pytest.mark.parametrize("options", [[], ["--lambda", "zero"]])
+def test_refine_check_decides_the_predicate_once(monkeypatch, options):
+    calls = []
+    original = refine.is_stacky_refinement
+
+    def counted(fine, coarse):
+        calls.append(1)
+        return original(fine, coarse)
+
+    monkeypatch.setattr(refine, "is_stacky_refinement", counted)
+    code, out = run_command(["refine-check", str(DATA / "fan_p2.json"),
+                             "--fine", str(DATA / "fan_p2_subdivided.json"),
+                             *options])
+    assert code == 0 and out.startswith("refinement: yes\n"), out
+    assert len(calls) == 1
 
 
 def test_betti_on_large_grid_fan(tmp_path):

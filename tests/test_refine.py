@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_admissible_lambda,
-                      random_complete_rank2)
-from stackyfan import core
-from stackyfan.core import Cone, ValidationReport
+                      random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3)
+from stackyfan import core, refine, stacky
+from stackyfan.core import Cone, ValidationReport, validate_fan
 from stackyfan.errors import (IntegralityFailure, InvariantViolation,
                               NotARefinement, NotInSupport, RankMismatch,
                               TransferNotKLT)
@@ -170,3 +172,103 @@ def test_stellar_subdivide_invalid_result_raises(monkeypatch):
                         lambda fan: ValidationReport(["forced violation"]))
     with pytest.raises(InvariantViolation, match="forced violation"):
         stellar_subdivide(fan_p2(), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Coverage is decided exactly: fine fans with a gap are not refinements
+
+
+def gap_rank2():
+    """cone((1,0),(0,1)) and a fine fan missing the wedge between (1,1)
+    and (1,20): no lattice point with psi <= 2 lies in it, so sampling
+    such points cannot see the gap."""
+    coarse = mk_sfan(2, [(1, 0), (0, 1)], (1, 1), [(0, 1)], "convex")
+    fine = mk_sfan(2, [(1, 0), (0, 1), (1, 1), (1, 20)], (1, 1, 1, 1),
+                   [(0, 2), (1, 3)], "general")
+    return coarse, fine
+
+
+def gap_rank3():
+    """A complete rank-3 stacky fan and a two-step stellar subdivision of
+    it with the maximal cone (1, 4, 5) dropped."""
+    coarse = mk_sfan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -2, -1)],
+                     (1, 3, 2, 2),
+                     [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "complete")
+    fine = mk_sfan(3, coarse.fan.rays + ((0, 3, 1), (-1, 1, 0)),
+                   (1, 3, 2, 2, 2, 4),
+                   [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (1, 3, 5),
+                    (2, 3, 5), (2, 4, 5)], "general")
+    return coarse, fine
+
+
+@pytest.mark.parametrize("make", [gap_rank2, gap_rank3])
+def test_fine_fan_with_a_gap_is_not_a_refinement(make):
+    coarse, fine = make()
+    assert validate_fan(fine.fan).ok
+    assert is_stacky_refinement(fine, coarse) is None
+    with pytest.raises(NotARefinement):
+        transfer_lambda(coarse, zero_functional(coarse), fine)
+
+
+def test_refinement_needs_no_point_location(monkeypatch):
+    coarse = fan_p2()
+    fine = stellar_subdivide(stellar_subdivide(coarse, (1, 1)), (2, 1))
+    lam = PiecewiseQLinear(coarse, (Fraction(1, 2), 0, 1))
+    gap_coarse, gap_fine = gap_rank2()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("point location called")
+
+    for module, name in [(stacky, "enumerate_support_points"),
+                         (stacky, "psi"), (stacky, "eval_pl"),
+                         (core, "minimal_containing_cone")]:
+        original = getattr(module, name)
+        for owner in (core, stacky, refine):
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, forbidden)
+    assert is_stacky_refinement(fine, coarse) is not None
+    assert is_stacky_refinement(gap_fine, gap_coarse) is None
+    assert transfer_lambda(coarse, lam, fine).values_on_b[:3] == \
+        lam.values_on_b
+    assert check_invariance(coarse, lam, fine)
+
+
+# ---------------------------------------------------------------------------
+# Property: stellar-subdivision chains refine, and lose that by a dropped cone
+
+MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
+          random_convex_rank3)
+
+
+def subdivision_chain(rng, sfan, steps):
+    """Stellar subdivisions at integer combinations of the b-vectors of a
+    maximal cone, with the new b-vector a multiple of that combination."""
+    for _ in range(steps):
+        sigma = rng.choice(sfan.fan.maximal_cones)
+        ks = [rng.randint(0, 2) for _ in sigma.ray_indices]
+        ks[rng.randrange(len(ks))] = rng.randint(1, 2)
+        w = [sum(k * sfan.b(i)[c] for k, i in zip(ks, sigma.ray_indices))
+             for c in range(sfan.rank)]
+        sfan = stellar_subdivide(sfan, w, core.content(w) * rng.randint(1, 2))
+    return sfan
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(maker=st.sampled_from(MAKERS), steps=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_subdivision_chains_refine_and_a_dropped_cone_does_not(maker, steps,
+                                                              seed):
+    # the makers sample by rejection, so they draw from a seeded Random
+    rng = random.Random(seed)
+    coarse = maker(rng)
+    fine = subdivision_chain(rng, coarse, steps)
+    assert is_stacky_refinement(fine, coarse) is not None
+    assert check_invariance(coarse, random_admissible_lambda(rng, coarse),
+                            fine)
+    maximal = fine.fan.maximal_cones
+    drop = rng.randrange(len(maximal))
+    holed = mk_sfan(fine.rank, fine.fan.rays, fine.weights,
+                    [c.ray_indices for k, c in enumerate(maximal)
+                     if k != drop], "general")
+    if validate_fan(holed.fan).ok:
+        assert is_stacky_refinement(holed, coarse) is None
