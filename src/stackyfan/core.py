@@ -385,6 +385,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
             rep.add(f"ray {i} not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         rep.add("duplicate rays")
+    used = {i for c in fan.cones for i in c.ray_indices}
+    for i in sorted(set(range(len(fan.rays))) - used):
+        rep.add(f"ray {i} lies in no cone")
     for c in fan.sorted_cones:
         if any(i < 0 or i >= len(fan.rays) for i in c.ray_indices):
             rep.add(f"cone {list(c.ray_indices)} references missing ray")

@@ -99,11 +99,12 @@ def _cyclotomic_gcd(a, exps):
     divides s^m - 1.  So a level costs one full-length pass per top and
     one pass of length m per other k, not one full-length pass per k.
     The result is inverted with Phi_k = prod_{d | k} (1 - s^d)^{mu(k/d)},
-    which holds up to sign."""
+    which holds up to sign.  Each n is factored once per call."""
+    factors = {}              # n -> {prime: exponent}, for this call only
     tops = sorted(d for d, e in exps.items() if e > 0)
     need = {}                 # k -> multiplicity of Phi_k in b
     for d, e in exps.items():
-        for k in _divisors(d):
+        for k in _divisors(d, factors):
             need[k] = need.get(k, 0) + e
     need = {k: m for k, m in need.items() if m > 0}
     found = dict.fromkeys(need, 0)
@@ -122,13 +123,13 @@ def _cyclotomic_gcd(a, exps):
                 folds[m] = _fold(a, m)
             if m != k:
                 folds[k] = _fold(folds[m], k)
-            if _phi_divides(folds[k], k):
+            if _phi_divides(folds[k], k, factors):
                 found[k] += 1
     net = {}
     for k, e in found.items():
         if e:
-            for d in _divisors(k):
-                net[d] = net.get(d, 0) + e * _mobius(k // d)
+            for d in _divisors(k, factors):
+                net[d] = net.get(d, 0) + e * _mobius(k // d, factors)
     return net
 
 
@@ -144,11 +145,11 @@ def _fold(a, k):
     return out
 
 
-def _phi_divides(f, k):
+def _phi_divides(f, k, factors):
     """Phi_k | f for f reduced mod s^k - 1.  prod_{p | k} (s^{k/p} - 1)
     vanishes at every k-th root of unity except the primitive ones, so the
     product with f is 0 mod s^k - 1 exactly when Phi_k divides f."""
-    for p in _factor(k):
+    for p in _factor(k, factors):
         m = k // p
         f = list(map(operator.sub, f[-m:] + f[:-m], f))
     return not any(f)
@@ -166,9 +167,11 @@ def _apply(a, net):
     return a
 
 
-def _factor(n):
-    """{prime: exponent} of n."""
-    out, p = {}, 2
+def _factor(n, factors):
+    """{prime: exponent} of n, computed once per dict factors."""
+    if n in factors:
+        return factors[n]
+    out, p = factors.setdefault(n, {}), 2
     while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -179,15 +182,15 @@ def _factor(n):
     return out
 
 
-def _divisors(n):
+def _divisors(n, factors):
     divs = [1]
-    for p, e in _factor(n).items():
+    for p, e in _factor(n, factors).items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return divs
 
 
-def _mobius(n):
-    f = _factor(n)
+def _mobius(n, factors):
+    f = _factor(n, factors)
     return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
 
 

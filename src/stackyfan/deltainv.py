@@ -11,9 +11,11 @@ on those, and the oracles check it."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -228,15 +230,21 @@ def h_tau_lambda(sfan: StackyFan, tau: Cone, lam: PiecewiseQLinear) -> FracRatio
 
 
 def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRational:
-    """The weighted delta-vector as an exact rational function: sum over
-    cones of h_tau^lambda times the box-element contributions.
+    """The weighted delta-vector as an exact rational function in canonical
+    form: sum over cones of h_tau^lambda times the box-element
+    contributions, assembled by _weighted_delta_parts.  Agrees with the
+    naive sum of h_tau_lambda * box factors (tested)."""
+    n, total, binom = _weighted_delta_parts(sfan, lam)
+    denominator = functools.reduce(_times_binomial, binom, {0: 1})
+    return FracRational(total, denominator, grid=n)
 
-    Assembled with integer exponents on the grid s = t^{1/N}, N the lcm of
-    the denominators of the lambda(b_i) and of the box exponents, over the
-    single common denominator prod_i (1 - t^{lam(b_i)+1}): each h-summand
-    and box factor written over it carries exactly (1 - t)^d.  Agrees with
-    the naive sum of h_tau_lambda * box factors (tested).
-    """
+
+def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
+    """(n, numerator, binom) with delta = numerator(s) / prod_i (1 -
+    s^binom[i]), s = t^{1/n}, not reduced: n is the lcm of the denominators
+    of the lambda(b_i) and of the box exponents, binom[i] = n (lambda(b_i) +
+    1), and numerator is a sparse {int exponent: int} dict without zeros;
+    each h-summand and box factor over that denominator carries (1 - t)^d."""
     _check_admissible(lam)
     lams = lam.values_on_b
     cones = sfan.fan.sorted_cones
@@ -268,28 +276,52 @@ def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRationa
             total[e] = total.get(e, 0) + c
     for _ in range(sfan.rank):
         total = _times_binomial(total, n)
-    denominator = {0: 1}
-    for c in binom:
-        denominator = _times_binomial(denominator, c)
-    return FracRational(total, denominator, grid=n)
+    return n, total, binom
 
 
 def _times_binomial(p: dict, c: int) -> dict:
-    """p * (1 - s^c) for a sparse {exponent: int} polynomial."""
+    """p * (1 - s^c) for a sparse {exponent: int} polynomial, without
+    zeros."""
     out = dict(p)
     for e, v in p.items():
         out[e + c] = out.get(e + c, 0) - v
-    return out
+    return {e: v for e, v in out.items() if v}
+
+
+def weighted_delta_equal(sfan1: StackyFan, lam1: PiecewiseQLinear,
+                         sfan2: StackyFan, lam2: PiecewiseQLinear) -> bool:
+    """Whether two weighted delta-vectors are equal, decided exactly on
+    their assembled parts (_parts_equal) without reducing either."""
+    return _parts_equal(_weighted_delta_parts(sfan1, lam1),
+                        _weighted_delta_parts(sfan2, lam2))
+
+
+def _parts_equal(parts1, parts2) -> bool:
+    """Whether p1 / B1 = p2 / B2 for two (n, numerator, binom) triples: on
+    the lcm grid this holds exactly when p1 (B2 / S) = p2 (B1 / S), with S
+    the product of the binomials that B1 and B2 share as a multiset."""
+    n = math.lcm(parts1[0], parts2[0])
+    nums = [{e * (n // m): v for e, v in num.items()}
+            for m, num, _ in (parts1, parts2)]
+    binoms = [Counter(c * (n // m) for c in binom)
+              for m, _, binom in (parts1, parts2)]
+    shared = binoms[0] & binoms[1]
+    for i, other in ((0, binoms[1]), (1, binoms[0])):
+        for c in (other - shared).elements():
+            nums[i] = _times_binomial(nums[i], c)
+    return nums[0] == nums[1]
 
 
 def check_symmetry(sfan: StackyFan, lam: PiecewiseQLinear) -> bool:
-    """Palindromy delta(t) = t^d delta(1/t), for complete fans."""
+    """Palindromy delta(t) = t^d delta(1/t), for complete fans, decided on
+    the assembled parts: m binomials with exponent sum C give D(1/s) =
+    (-1)^m s^{-C} D(s), so it holds exactly when numerator(s) = (-1)^m
+    s^{d n + C} numerator(1/s)."""
     if sfan.fan.support_kind != "complete":
         raise NotComplete("fan support is not complete")
-    _check_admissible(lam)
-    delta = weighted_delta_closed(sfan, lam)
-    flipped = FracRational(FracPoly.t_power(sfan.rank)) * substitute_reciprocal(delta)
-    return delta == flipped
+    n, num, binom = _weighted_delta_parts(sfan, lam)
+    top, sign = sfan.rank * n + sum(binom), (-1) ** len(binom)
+    return num == {top - e: sign * v for e, v in num.items()}
 
 
 def delta_mu_series(sfan: StackyFan, mu: PiecewiseQLinear, cutoff) -> TruncatedSeries:

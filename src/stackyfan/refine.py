@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import core
 from .core import Fan
-from .deltainv import weighted_delta_closed
+from .deltainv import weighted_delta_equal
 from .errors import (IntegralityFailure, InvariantViolation, NotARefinement,
                      NotInSupport, OutsideSupport, RankMismatch,
                      TransferNotKLT)
@@ -145,7 +145,7 @@ def transfer_lambda(coarse: StackyFan, lam: PiecewiseQLinear,
 def check_invariance(coarse: StackyFan, lam: PiecewiseQLinear,
                      fine: StackyFan) -> bool:
     """The weighted delta-vector is unchanged by refinement once lambda is
-    transferred; exact equality of canonical rational functions."""
+    transferred; decided exactly by `weighted_delta_equal` on the two
+    assembled closed forms, neither of them reduced to lowest terms."""
     lam_fine = transfer_lambda(coarse, lam, fine)
-    return (weighted_delta_closed(coarse, lam)
-            == weighted_delta_closed(fine, lam_fine))
+    return weighted_delta_equal(coarse, lam, fine, lam_fine)

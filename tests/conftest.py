@@ -127,6 +127,16 @@ def random_convex_rank3(rng, max_weight=3):
                                         for _ in rays))
 
 
+def random_rank1(rng, max_weight=3):
+    """The half-line or the line, with random weights."""
+    if rng.random() < 0.5:
+        return mk_sfan(1, [(1,)], (rng.randint(1, max_weight),), [(0,)],
+                       "convex")
+    return mk_sfan(1, [(1,), (-1,)], (rng.randint(1, max_weight),
+                                      rng.randint(1, max_weight)),
+                   [(0,), (1,)], "complete")
+
+
 def random_admissible_lambda(rng, sfan, min_num=None):
     """Random functional with values in (-1, 2], denominators <= 4.
 

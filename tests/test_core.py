@@ -68,6 +68,13 @@ def test_validate_duplicate_rays():
     assert "duplicate rays" in validate_fan(fan).violations
 
 
+def test_validate_ray_in_no_cone():
+    # the rays are exactly the 1-cones: P2 with (1, 1) listed in no cone
+    fan = Fan.from_maximal(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                           [(0, 1), (1, 2), (0, 2)], "complete")
+    assert validate_fan(fan).violations == ["ray 3 lies in no cone"]
+
+
 def test_validate_dependent_cone_rays():
     fan = Fan.from_maximal(2, [(1, 0), (-1, 0)], [(0, 1)], "general")
     report = validate_fan(fan)

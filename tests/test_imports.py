@@ -45,3 +45,15 @@ def test_oracles_name_no_checked_enumerator():
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
         assert name not in banned, f"deltainv.py:{node.lineno} names {name}"
+
+
+def test_refine_decides_invariance_without_canonical_forms():
+    # check_invariance compares assembled closed forms through
+    # deltainv.weighted_delta_equal; it builds no canonical FracRational
+    path = PACKAGE / "refine.py"
+    banned = {"weighted_delta_closed", "FracRational"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        assert name not in banned, f"refine.py:{node.lineno} names {name}"

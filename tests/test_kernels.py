@@ -15,7 +15,7 @@ import pytest
 from conftest import (mk_sfan, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
-                      random_klt_divisor)
+                      random_klt_divisor, random_rank1)
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, shift_function)
@@ -364,16 +364,6 @@ def test_ehrhart_counts_match_per_level_scan(seed):
 def test_ehrhart_counts_reject_negative_level():
     with pytest.raises(ValueError):
         ehrhart_counts(random_mixed_dimension(random.Random(1)), -1)
-
-
-def random_rank1(rng, max_weight=3):
-    """The half-line or the line, with random weights."""
-    if rng.random() < 0.5:
-        return mk_sfan(1, [(1,)], (rng.randint(1, max_weight),), [(0,)],
-                       "convex")
-    return mk_sfan(1, [(1,), (-1,)], (rng.randint(1, max_weight),
-                                      rng.randint(1, max_weight)),
-                   [(0,), (1,)], "complete")
 
 
 def random_skew_lower_dimension(rng, max_weight=3):

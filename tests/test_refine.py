@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2, random_convex_rank3)
-from stackyfan import core, refine, stacky
+                      random_convex_rank2, random_convex_rank3,
+                      random_rank1)
+from stackyfan import core, cyclotomic, deltainv, qseries, refine, stacky
 from stackyfan.core import Cone, ValidationReport, validate_fan
+from stackyfan.deltainv import (check_symmetry, weighted_delta_closed,
+                                weighted_delta_equal)
 from stackyfan.errors import (IntegralityFailure, InvariantViolation,
                               NotARefinement, NotInSupport, RankMismatch,
                               TransferNotKLT)
+from stackyfan.qseries import FracPoly, FracRational, substitute_reciprocal
 from stackyfan.refine import (check_invariance, is_stacky_refinement,
                               stellar_subdivide, transfer_lambda)
 from stackyfan.stacky import PiecewiseQLinear, eval_pl, psi, zero_functional
@@ -253,6 +259,18 @@ def subdivision_chain(rng, sfan, steps):
     return sfan
 
 
+def drop_cone(sfan, drop):
+    """The fan without its maximal cone number `drop` and without the rays
+    no other cone uses, which validation would reject."""
+    kept = [c.ray_indices for k, c in enumerate(sfan.fan.maximal_cones)
+            if k != drop]
+    used = sorted(set().union(*kept))
+    index = {i: k for k, i in enumerate(used)}
+    return mk_sfan(sfan.rank, [sfan.fan.rays[i] for i in used],
+                   [sfan.weights[i] for i in used],
+                   [[index[i] for i in c] for c in kept], "general")
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(maker=st.sampled_from(MAKERS), steps=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -265,10 +283,133 @@ def test_subdivision_chains_refine_and_a_dropped_cone_does_not(maker, steps,
     assert is_stacky_refinement(fine, coarse) is not None
     assert check_invariance(coarse, random_admissible_lambda(rng, coarse),
                             fine)
-    maximal = fine.fan.maximal_cones
-    drop = rng.randrange(len(maximal))
-    holed = mk_sfan(fine.rank, fine.fan.rays, fine.weights,
-                    [c.ray_indices for k, c in enumerate(maximal)
-                     if k != drop], "general")
+    holed = drop_cone(fine, rng.randrange(len(fine.fan.maximal_cones)))
     if validate_fan(holed.fan).ok:
         assert is_stacky_refinement(holed, coarse) is None
+
+
+# ---------------------------------------------------------------------------
+# Invariance and palindromy are decided on the assembled closed form; the
+# reference is the old definition on canonical forms
+
+
+def canonical_palindromic(sfan, lam):
+    delta = weighted_delta_closed(sfan, lam)
+    return delta == (FracRational(FracPoly.t_power(sfan.rank))
+                     * substitute_reciprocal(delta))
+
+
+def decision_cases(rng):
+    """(kind, (fan, lambda), (fan, lambda)) pairs on seeded fans of rank 1-3:
+    stellar-subdivision chains with the transferred lambda, the same with
+    lambda changed at one fine ray, and two independently drawn fans."""
+    for maker in (random_rank1,) + MAKERS:
+        for _ in range(3):
+            coarse = maker(rng)
+            lam = random_admissible_lambda(rng, coarse)
+            other = maker(rng)
+            yield "other", (coarse, lam), (other,
+                                           random_admissible_lambda(rng, other))
+            if coarse.rank == 1:
+                continue
+            fine = subdivision_chain(rng, coarse, rng.randint(1, 2))
+            lam_fine = transfer_lambda(coarse, lam, fine)
+            yield "chain", (coarse, lam), (fine, lam_fine)
+            values = list(lam_fine.values_on_b)
+            values[rng.randrange(len(values))] += Fraction(rng.randint(1, 3), 3)
+            yield "changed", (coarse, lam), (fine,
+                                             PiecewiseQLinear(fine, values))
+
+
+def test_decisions_agree_with_canonical_forms():
+    rng = random.Random(2718)
+    seen = collections.Counter()
+    for kind, a, b in decision_cases(rng):
+        equal = weighted_delta_closed(*a) == weighted_delta_closed(*b)
+        assert weighted_delta_equal(*a, *b) == equal
+        assert weighted_delta_equal(*b, *a) == equal
+        if kind == "chain":
+            assert check_invariance(a[0], a[1], b[0])
+        grids = {deltainv._weighted_delta_parts(*side)[0] for side in (a, b)}
+        seen[kind, equal, len(grids) > 1] += 1
+        for sfan, lam in (a, b):
+            if sfan.fan.support_kind == "complete":
+                assert check_symmetry(sfan, lam) == \
+                    canonical_palindromic(sfan, lam)
+    # on refinements the assembled grids agree (n is read from the values
+    # of psi + lambda); other pairs give different grids
+    assert seen["chain", True, False] and seen["other", False, False]
+    assert seen["changed", False, True] and seen["changed", False, False]
+    assert seen["other", False, True]
+
+
+def rational_of(parts):
+    """The reference value num(s) / prod_c (1 - s^c) of assembled parts,
+    with s = t^{1/n}, as a canonical FracRational."""
+    n, num, binom = parts
+    den = FracPoly.one()
+    for c in binom:
+        den = den * FracPoly({0: 1, Fraction(c, n): -1})
+    return FracRational(FracPoly({Fraction(e, n): v for e, v in num.items()}),
+                        den)
+
+
+def test_parts_equal_across_grids_and_binomials():
+    # the same value on a grid k times finer, or with a binomial multiplied
+    # into both sides, against the parts of other fans; each pair is judged
+    # by the canonical reference
+    rng = random.Random(577)
+    fans = list(named_fans().values())
+    fans += [maker(rng) for maker in (random_rank1, random_complete_rank2,
+                                      random_convex_rank2) for _ in range(3)]
+    seen = collections.Counter()
+    for f, g in zip(fans, fans[1:] + fans[:1]):
+        pa, pb = (deltainv._weighted_delta_parts(
+            h, random_admissible_lambda(rng, h)) for h in (f, g))
+        n, num, binom = pa
+        k, c = rng.randint(2, 3), rng.choice(binom + [rng.randint(1, 5)])
+        finer = (k * n, {k * e: v for e, v in num.items()},
+                 [k * x for x in binom])
+        extra = (n, deltainv._times_binomial(num, c), binom + [c])
+        value = {id(x): rational_of(x) for x in (pa, pb, finer, extra)}
+        for x, y in ((pa, finer), (pa, extra), (finer, extra), (finer, pb),
+                     (extra, pb)):
+            equal = value[id(x)] == value[id(y)]
+            assert deltainv._parts_equal(x, y) == equal
+            assert deltainv._parts_equal(y, x) == equal
+            seen[equal, x[0] != y[0]] += 1
+    assert all(seen[key] for key in itertools.product((True, False), repeat=2))
+
+
+def test_palindromy_decision_agrees_when_it_fails():
+    # the closed formula does not read the support kind, so single-cone
+    # fans labelled complete give delta-vectors that are not palindromic
+    rng = random.Random(1618)
+    verdicts = collections.Counter()
+    for maker in (random_convex_rank2, random_convex_rank3, random_rank1):
+        for _ in range(6):
+            f = maker(rng)
+            labelled = mk_sfan(f.rank, f.fan.rays, f.weights,
+                               [c.ray_indices for c in f.fan.maximal_cones],
+                               "complete")
+            lam = random_admissible_lambda(rng, labelled)
+            verdict = canonical_palindromic(labelled, lam)
+            assert check_symmetry(labelled, lam) == verdict
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_predicates_do_not_canonicalise(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("lowest_terms called")
+
+    coarse = fan_p2()
+    fine = stellar_subdivide(stellar_subdivide(coarse, (1, 1)), (2, 1))
+    lam = PiecewiseQLinear(coarse, (Fraction(1, 2), Fraction(-1, 3), 1))
+    for module in (qseries, cyclotomic):
+        monkeypatch.setattr(module, "lowest_terms", forbidden)
+    assert check_invariance(coarse, lam, fine)
+    assert check_symmetry(fine, transfer_lambda(coarse, lam, fine))
+    assert check_symmetry(fan_p112(), zero_functional(fan_p112()))
+    with pytest.raises(AssertionError, match="lowest_terms"):
+        weighted_delta_closed(coarse, lam)
