@@ -12,7 +12,7 @@ from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_laurent,
                       expand_series, format_poly, format_rational,
                       format_series, series_equal, substitute_reciprocal)
-from .arcspace import (OrbitLabel, OrbitPoset, StackDivisor, canonical_divisor,
+from .arcspace import (OrbitPoset, StackDivisor, canonical_divisor,
                        closure_leq, contact_order, divisor_to_pl,
                        gamma_truncated_direct, orbit_label, orbit_measure,
                        orbit_poset, pullback_divisor, shift_function,

@@ -11,22 +11,14 @@ from fractions import Fraction
 from . import core, stacky
 from .errors import InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
-from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
-                     StackyFan, age, fractional_decompose, iota, psi)
+from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
+                     age, fractional_decompose, iota, psi)
 
 
-@dataclass(frozen=True)
-class OrbitLabel:
-    """A twisted-arc orbit, labelled by its lattice point w together with the
-    cached fractional decomposition w = {w} + sum lambda_i b_i."""
-
-    w: tuple
-    decomposition: FractionalDecomposition
-
-
-def orbit_label(sfan: StackyFan, w) -> OrbitLabel:
-    w = tuple(int(x) for x in w)
-    return OrbitLabel(w, fractional_decompose(sfan, w))
+def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
+    """The label of the twisted-arc orbit of the lattice point w: its
+    fractional decomposition w = {w} + sum lambda_i b_i."""
+    return fractional_decompose(sfan, w)
 
 
 @dataclass(frozen=True)
@@ -68,20 +60,20 @@ def divisor_to_pl(e: StackDivisor) -> PiecewiseQLinear:
     return PiecewiseQLinear(e.sfan, tuple(-b for b in e.coefficients))
 
 
-def contact_order(e: StackDivisor, w: OrbitLabel) -> Fraction:
+def contact_order(e: StackDivisor, w: FractionalDecomposition) -> Fraction:
     """Contact order of the orbit of w along the divisor: -lambda(w) with
     lambda(b_i) = -beta_i, read from the label's decomposition
     w = sum q_i b_i + sum s_i b_i as sum beta_i (q_i + s_i)."""
-    box = w.decomposition.box_part
+    box = w.box_part
     beta = e.coefficients
     return (sum((qi * beta[i] for qi, i in zip(box.q, box.cone.ray_indices)),
                 Fraction(0))
-            + sum(s * beta[i] for i, s in w.decomposition.shifts))
+            + sum(s * beta[i] for i, s in w.shifts))
 
 
-def shift_function(sfan: StackyFan, w: OrbitLabel) -> Fraction:
+def shift_function(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
     """dim sigma({w}) - psi({w}); equal to psi(iota({w}))."""
-    box = w.decomposition.box_part
+    box = w.box_part
     value = box.cone.dim - age(sfan, box)
     alt = age(sfan, iota(sfan, box))
     if value != alt:
@@ -90,10 +82,10 @@ def shift_function(sfan: StackyFan, w: OrbitLabel) -> Fraction:
     return value
 
 
-def orbit_measure(sfan: StackyFan, w: OrbitLabel) -> FracPoly:
+def orbit_measure(sfan: StackyFan, w: FractionalDecomposition) -> FracPoly:
     """Cylinder measure of the orbit: (q-1)^d q^{-psi(w)+psi({w})-dim},
     the terms of (q-1)^d shifted by the exponent."""
-    box = w.decomposition.box_part
+    box = w.box_part
     exponent = -psi(sfan, w.w) + age(sfan, box) - box.cone.dim
     return FracPoly({qe + exponent: c
                      for qe, c in _q_minus_1_power(sfan.rank).terms.items()})
@@ -105,15 +97,16 @@ def _q_minus_1_power(d: int) -> FracPoly:
     return FracPoly({0: -1, 1: 1}) ** d
 
 
-def closure_leq(sfan: StackyFan, v: OrbitLabel, w: OrbitLabel) -> bool:
+def closure_leq(sfan: StackyFan, v: FractionalDecomposition,
+                w: FractionalDecomposition) -> bool:
     """orbit(w) lies in the closure of orbit(v): w - v is a non-negative
     integer combination of the b_i of some cone containing both.
 
     In a fan a point lies in a cone exactly when its minimal cone is a face
     of it; the rays of each label's minimal cone are those of its shifts."""
     diff = core.vec_sub(w.w, v.w)
-    rays = {i for i, _ in v.decomposition.shifts}
-    rays.update(i for i, _ in w.decomposition.shifts)
+    rays = {i for i, _ in v.shifts}
+    rays.update(i for i, _ in w.shifts)
     for sigma in sfan.fan.maximal_cones:
         if not rays.issubset(sigma.ray_indices):
             continue

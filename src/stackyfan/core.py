@@ -2,7 +2,8 @@
 
 Lattices, simplicial cones, fans, point-in-cone tests and validation.
 Point location runs on integer per-cone solvers (`ConeSolver`), built once
-per cone and cached on the fan.  All arithmetic uses arbitrary-precision
+per cone and cached on the fan; `ConeSolvers.locate` is the one routine
+that finds a point's minimal cone.  All arithmetic uses arbitrary-precision
 integers and ``fractions.Fraction``; there is no floating point anywhere in
 the package.
 """
@@ -20,10 +21,6 @@ from typing import Optional, Sequence
 from .errors import NotInSpan, OutsideSupport
 
 Vec = tuple  # integer or Fraction coordinates
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -184,29 +181,36 @@ class ConeSolver:
         return (tuple(sum(map(operator.mul, row, top)) for row in self.matrix),
                 self.denominator * scale)
 
-    def coordinates(self, v) -> tuple:
-        """The coordinates of v as Fractions; NotInSpan when v is not in the
-        span."""
-        sol = self.solve(v)
-        if sol is None:
-            raise NotInSpan(f"point {tuple(v)} not in the span of the cone")
-        nums, den = sol
-        return tuple(Fraction(n, den) for n in nums)
-
 
 class ConeSolvers(dict):
-    """The ConeSolver of each cone over the given vectors, built on first
-    use."""
+    """The ConeSolver of each cone of a fan over the given vectors (its rays
+    or its b-vectors), built on first use."""
 
-    def __init__(self, vectors, dim: int):
+    def __init__(self, fan: Fan, vectors):
         super().__init__()
         self.vectors = vectors
-        self.dim = dim
+        self.rank = fan.rank
+        self.maximal_cones = fan.maximal_cones
 
     def __missing__(self, cone):
         solver = self[cone] = ConeSolver(
-            [self.vectors[i] for i in cone.ray_indices], self.dim)
+            [self.vectors[i] for i in cone.ray_indices], self.rank)
         return solver
+
+    def locate(self, v) -> tuple:
+        """(cone, n, m): the minimal cone of v, the unique cone holding v in
+        its relative interior, and positive integers n and m with
+        v = sum_j (n_j / m) * vectors_j over the cone's rays, from one solve
+        per maximal cone.  OutsideSupport when v lies in no cone."""
+        for sigma in self.maximal_cones:
+            sol = self[sigma].solve(v)
+            if sol is None or any(n < 0 for n in sol[0]):
+                continue
+            nums, den = sol
+            face = [(i, n) for i, n in zip(sigma.ray_indices, nums) if n]
+            return (Cone(tuple(i for i, _ in face)),
+                    tuple(n for _, n in face), den)
+        raise OutsideSupport(f"point {tuple(v)} outside the fan support")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +329,7 @@ class Fan:
     @cached_property
     def solvers(self) -> ConeSolvers:
         """The ConeSolver over the rays of each cone, by cone."""
-        return ConeSolvers(self.rays, self.rank)
+        return ConeSolvers(self, self.rays)
 
     def ray_vectors(self, cone: Cone):
         return tuple(self.rays[i] for i in cone.ray_indices)
@@ -440,17 +444,15 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 
 def cone_coordinates(fan: Fan, cone: Cone, v) -> tuple:
-    """The unique rationals q with v = sum q_i * ray_i over the cone's rays."""
-    return fan.solvers[cone].coordinates(v)
+    """The unique rationals q with v = sum q_i * ray_i over the cone's rays;
+    NotInSpan when v is not in their span."""
+    sol = fan.solvers[cone].solve(v)
+    if sol is None:
+        raise NotInSpan(f"point {tuple(v)} not in the span of the cone")
+    nums, den = sol
+    return tuple(Fraction(n, den) for n in nums)
 
 
 def minimal_containing_cone(fan: Fan, v) -> Cone:
     """The unique cone containing v in its relative interior."""
-    if is_zero_vec(v):
-        return ZERO_CONE
-    for cone in fan.maximal_cones:
-        sol = fan.solvers[cone].solve(v)
-        if sol is None or any(n < 0 for n in sol[0]):
-            continue
-        return Cone(tuple(i for i, n in zip(cone.ray_indices, sol[0]) if n > 0))
-    raise OutsideSupport(f"point {tuple(v)} outside the fan support")
+    return fan.solvers.locate(v)[0]

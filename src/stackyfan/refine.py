@@ -36,13 +36,14 @@ def is_stacky_refinement(fine: StackyFan,
                          coarse: StackyFan) -> Optional[RefinementWitness]:
     """A witness that `fine` refines `coarse`, or None.
 
-    One solve per fine ray gives a_i v_i = sum_j c_ij b_j over its minimal
-    coarse cone.  (1) Every c_ij must be an integer.  (2) A fine maximal
-    cone tau lies in the first coarse maximal cone sigma whose rays hold
-    every j with c_ij > 0, i in tau; so |fine| lies in |coarse|.  (3) A
-    fine cone tau of sigma's dimension cuts |det c_tau| / prod_i sum_j c_ij
-    of the volume of sigma's slice psi <= 1, and sigma is covered exactly
-    when these sum to 1.  This presumes that the fine maximal cones do not
+    Locating each fine ray once over the coarse b-vectors gives
+    a_i v_i = sum_j c_ij b_j over its minimal coarse cone.  (1) Every c_ij
+    must be an integer.  (2) A fine maximal cone tau lies in the first
+    coarse maximal cone sigma whose rays hold every j with c_ij > 0, i in
+    tau; so |fine| lies in |coarse|.  (3) A fine cone tau of sigma's
+    dimension cuts |det c_tau| / prod_i sum_j c_ij of the volume of
+    sigma's slice psi <= 1, and sigma is covered exactly when these sum
+    to 1.  This presumes that the fine maximal cones do not
     overlap (`core.validate_fan` checks it).
     """
     if fine.rank != coarse.rank:
@@ -50,17 +51,14 @@ def is_stacky_refinement(fine: StackyFan,
     coarse_max = coarse.fan.maximal_cones
     certificates = []
     for a, v in zip(fine.weights, fine.fan.rays):
-        for sigma in coarse_max:
-            sol = coarse.solvers[sigma].solve(v)
-            if sol is not None and all(n >= 0 for n in sol[0]):
-                break
-        else:
+        try:
+            tau, nums, den = coarse.solvers.locate(v)
+        except OutsideSupport:
             return None
-        nums, den = sol
         if any(a * n % den for n in nums):
             return None
         certificates.append({j: a * n // den
-                             for j, n in zip(sigma.ray_indices, nums) if n})
+                             for j, n in zip(tau.ray_indices, nums)})
     cone_map = {}
     covered = [Fraction(0)] * len(coarse_max)
     for tau in fine.fan.maximal_cones:
@@ -96,12 +94,13 @@ def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
     v = core.primitive_part(w)
     if v in sfan.fan.rays:
         return sfan
+    if multiplicity < 1:
+        raise ValueError("weights must be positive")
+    b_bar = tuple(int(multiplicity) * x for x in v)
     try:
-        tau0 = core.minimal_containing_cone(sfan.fan, w)
+        tau0, nums, den = sfan.solvers.locate(b_bar)
     except OutsideSupport:
         raise NotInSupport(f"{list(w)} is outside the fan support")
-    b_bar = tuple(int(multiplicity) * x for x in v)
-    nums, den = sfan.solvers[tau0].solve(b_bar)
     if any(n % den for n in nums):
         raise IntegralityFailure(
             f"new b-vector {list(b_bar)} is not an integer combination of "

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import core
-from .core import Cone, Fan, ZERO_CONE, vec_add
+from .core import Cone, Fan, ZERO_CONE
 from .errors import NotMaximalCone
 
 
@@ -42,8 +42,9 @@ class StackyFan:
 
     @cached_property
     def solvers(self) -> core.ConeSolvers:
-        """The ConeSolver over the b-vectors of each cone, by cone."""
-        return core.ConeSolvers(self.b_vectors, self.rank)
+        """The ConeSolver over the b-vectors of each cone, by cone; its
+        `locate` finds a point's minimal cone and b-coordinates."""
+        return core.ConeSolvers(self.fan, self.b_vectors)
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,6 @@ class BoxElement:
         return self.cone == ZERO_CONE
 
 
-def zero_box_element(rank: int) -> BoxElement:
-    return BoxElement((0,) * rank, ZERO_CONE, (), 1)
-
-
 @dataclass(frozen=True)
 class FractionalDecomposition:
     """w = {w} + sum lambda_i b_i over the rays of sigma(w)."""
@@ -97,27 +94,22 @@ class FractionalDecomposition:
 # Coordinates with respect to the b_i
 
 
-def b_coordinates(sfan: StackyFan, cone: Cone, v) -> tuple:
-    """Coordinates of v with respect to {b_i : rho_i in cone}."""
-    return sfan.solvers[cone].coordinates(v)
-
-
 def locate(sfan: StackyFan, v):
     """(minimal cone of v, coordinates of v w.r.t. its b_i)."""
-    cone = core.minimal_containing_cone(sfan.fan, v)
-    return cone, b_coordinates(sfan, cone, v)
+    cone, nums, den = sfan.solvers.locate(v)
+    return cone, tuple(Fraction(n, den) for n in nums)
 
 
 def psi(sfan: StackyFan, v) -> Fraction:
     """The piecewise Q-linear function with psi(b_i) = 1."""
-    _, q = locate(sfan, v)
-    return sum(q, Fraction(0))
+    _, nums, den = sfan.solvers.locate(v)
+    return Fraction(sum(nums), den)
 
 
 def eval_pl(f: PiecewiseQLinear, v) -> Fraction:
-    cone, q = locate(f.sfan, v)
-    return sum((qi * f.values_on_b[i] for qi, i in zip(q, cone.ray_indices)),
-               Fraction(0))
+    cone, nums, den = f.sfan.solvers.locate(v)
+    return sum((n * f.values_on_b[i] for n, i in zip(nums, cone.ray_indices)),
+               Fraction(0)) / den
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +179,9 @@ def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
     """The box involution q_i -> 1 - q_i; fixes the zero element."""
     if e.is_zero:
         return e
-    q = tuple(1 - qi for qi in e.q)
-    point = (0,) * sfan.rank
-    for qi, i in zip(q, e.cone.ray_indices):
-        point = vec_add(point, tuple(qi * x for x in sfan.b(i)))
-    point = tuple(int(x) for x in point)
-    return BoxElement(point, e.cone, q, _order_of(q))
+    bvecs = [sfan.b_vectors[i] for i in e.cone.ray_indices]
+    point = tuple(sum(b[j] for b in bvecs) - x for j, x in enumerate(e.point))
+    return BoxElement(point, e.cone, tuple(1 - qi for qi in e.q), e.order)
 
 
 def age(sfan: StackyFan, e: BoxElement) -> Fraction:
@@ -211,19 +200,16 @@ def group_order(sfan: StackyFan, sigma: Cone) -> int:
 def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
     """The unique decomposition w = {w} + sum lambda_i b_i over sigma(w)."""
     w = tuple(int(x) for x in w)
-    cone, q = locate(sfan, w)
-    shifts = tuple((i, math.floor(qi)) for i, qi in zip(cone.ray_indices, q))
-    frac = [(i, qi - math.floor(qi)) for i, qi in zip(cone.ray_indices, q)]
-    nonzero = [(i, f) for i, f in frac if f != 0]
-    if not nonzero:
-        box = zero_box_element(sfan.rank)
-    else:
-        tau = Cone(tuple(i for i, _ in nonzero))
-        qs = tuple(f for _, f in nonzero)
-        point = (Fraction(0),) * sfan.rank
-        for i, f in nonzero:
-            point = vec_add(point, tuple(f * x for x in sfan.b(i)))
-        box = BoxElement(tuple(int(x) for x in point), tau, qs, _order_of(qs))
+    cone, nums, den = sfan.solvers.locate(w)
+    shifts = tuple((i, n // den) for i, n in zip(cone.ray_indices, nums))
+    point = list(w)
+    for i, s in shifts:
+        for j, x in enumerate(sfan.b_vectors[i]):
+            point[j] -= s * x
+    frac = [(i, n % den) for i, n in zip(cone.ray_indices, nums) if n % den]
+    tau = Cone(tuple(i for i, _ in frac))
+    qs = tuple(Fraction(r, den) for _, r in frac)
+    box = BoxElement(tuple(point), tau, qs, _order_of(qs))
     return FractionalDecomposition(w, box, shifts)
 
 

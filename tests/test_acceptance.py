@@ -133,6 +133,10 @@ def test_criterion_4_box_group():
                 continue
             total = sum(len(box_elements(f, tau)) for tau in sigma.faces())
             assert total == group_order(f, sigma)
+        for tau in f.fan.sorted_cones:
+            box = box_elements(f, tau)
+            for e in box:
+                assert iota(f, e) in box
         for e in box_all(f):
             back = iota(f, iota(f, e))
             assert back.point == e.point and back.q == e.q

@@ -75,7 +75,7 @@ def test_shift_plus_age_is_dim():
         from stackyfan.stacky import enumerate_support_points, age
         for p, _, _ in enumerate_support_points(f, 3):
             lab = orbit_label(f, p)
-            box = lab.decomposition.box_part
+            box = lab.box_part
             assert shift_function(f, lab) + age(f, box) == box.cone.dim
 
 

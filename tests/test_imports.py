@@ -57,3 +57,16 @@ def test_refine_decides_invariance_without_canonical_forms():
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
         assert name not in banned, f"refine.py:{node.lineno} names {name}"
+
+
+@pytest.mark.parametrize("module", ["stacky.py", "refine.py"])
+def test_point_location_goes_through_cone_solvers_locate(module):
+    # a point's minimal cone is found by core.ConeSolvers.locate alone;
+    # neither module locates by ray-vector cones or by per-cone solves
+    path = PACKAGE / module
+    banned = {"minimal_containing_cone", "solve"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        assert name not in banned, f"{module}:{node.lineno} names {name}"

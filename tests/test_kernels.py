@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (mk_sfan, random_admissible_lambda,
+from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1)
+from stackyfan import core
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, shift_function)
@@ -28,9 +29,11 @@ from stackyfan.deltainv import (count_lattice_points, delta_mu_series,
                                 ehrhart_counts, weighted_delta_series)
 from stackyfan.errors import NotInSpan, OutsideSupport
 from stackyfan.qseries import FracPoly, TruncatedSeries
+from stackyfan.refine import is_stacky_refinement, stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, _scan_parallelepiped,
                               box_bar_n, box_elements,
-                              enumerate_support_points)
+                              enumerate_support_points,
+                              fractional_decompose, locate, psi)
 
 MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
           random_convex_rank3)
@@ -123,10 +126,15 @@ def test_point_location_matches_reference(seed):
             if expected is None:
                 with pytest.raises(OutsideSupport):
                     minimal_containing_cone(fan, v)
+                with pytest.raises(OutsideSupport):
+                    locate(sfan, v)
             else:
                 cone, coords = expected
                 assert minimal_containing_cone(fan, v) == cone
                 assert cone_coordinates(fan, cone, v) == coords
+                assert locate(sfan, v) == (cone, tuple(
+                    x / sfan.weights[i]
+                    for x, i in zip(coords, cone.ray_indices)))
             for tau in fan.sorted_cones:
                 q = solve_rational_system(fan.ray_vectors(tau), v)
                 sol = fan.solvers[tau].solve(v)
@@ -137,6 +145,46 @@ def test_point_location_matches_reference(seed):
                         cone_coordinates(fan, tau, v)
                 else:
                     assert cone_coordinates(fan, tau, v) == q
+
+
+def cone_sums(sfan):
+    """Each ray, and the sum of the b-vectors of each maximal cone."""
+    sums = [tuple(sum(sfan.b(i)[j] for i in sigma.ray_indices)
+                  for j in range(sfan.rank))
+            for sigma in sfan.fan.maximal_cones]
+    return list(sfan.fan.rays) + sums
+
+
+def test_each_point_is_located_by_one_solve_family():
+    # psi, the decomposition and stellar subdivision locate a point over
+    # the b-vectors of the maximal cones alone: they build no solver over
+    # the rays and none over a face cone
+    for sfan in named_fans().values():
+        for w in cone_sums(sfan):
+            psi(sfan, w)
+            fractional_decompose(sfan, w)
+            stellar_subdivide(sfan, w, core.content(w))
+        assert "solvers" not in sfan.fan.__dict__
+        assert set(sfan.solvers) <= set(sfan.fan.maximal_cones)
+
+
+def test_refinement_locates_each_fine_ray_once(monkeypatch):
+    pairs = []
+    for coarse in named_fans().values():
+        w = cone_sums(coarse)[-1]
+        pairs.append((coarse, stellar_subdivide(coarse, w, core.content(w))))
+    located = []
+    original = core.ConeSolvers.locate
+
+    def counting(self, v):
+        located.append(v)
+        return original(self, v)
+
+    monkeypatch.setattr(core.ConeSolvers, "locate", counting)
+    for coarse, fine in pairs:
+        located.clear()
+        assert is_stacky_refinement(fine, coarse) is not None
+        assert located == list(fine.fan.rays)
 
 
 E = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]

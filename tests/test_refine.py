@@ -64,6 +64,12 @@ def test_stellar_subdivide_integrality_failure():
         stellar_subdivide(f, (1, 1), 1)
 
 
+def test_stellar_subdivide_rejects_a_weight_below_one():
+    for multiplicity in (0, -1):
+        with pytest.raises(ValueError):
+            stellar_subdivide(fan_p2(), (1, 1), multiplicity)
+
+
 def test_stellar_subdivide_multiplicity():
     f = mk_sfan(2, [(1, 0), (0, 1)], (2, 1), [(0, 1)], "convex")
     g = stellar_subdivide(f, (1, 1), 2)

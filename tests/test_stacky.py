@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
-                      named_fans)
+                      named_fans, random_complete_rank2, random_convex_rank3)
 from stackyfan.core import Cone, ZERO_CONE
 from stackyfan.errors import NotMaximalCone, OutsideSupport
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
@@ -181,6 +181,17 @@ def test_fractional_decompose_reassembles():
                 for j, x in enumerate(f.b(i)):
                     rebuilt[j] += n * x
             assert tuple(rebuilt) == w
+
+
+def test_fractional_decompose_box_part_is_a_box_element():
+    rng = random.Random(19)
+    fans = [(f, 4) for f in named_fans().values()]
+    fans += [(random_complete_rank2(rng), 2), (random_convex_rank3(rng), 2)]
+    for f, bound in fans:
+        for w, _, _ in enumerate_support_points(f, bound):
+            box = fractional_decompose(f, w).box_part
+            assert [e for e in box_elements(f, box.cone)
+                    if e.point == box.point] == [box]
 
 
 def test_fractional_decompose_on_b():
