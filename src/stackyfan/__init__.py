@@ -2,12 +2,12 @@
 and ages, Ehrhart delta-polynomials, weighted delta-vectors, twisted-arc
 orbit posets and motivic integrals, all in exact rational arithmetic."""
 
-from .core import (Cone, Fan, ValidationReport, ZERO_CONE, cone_coordinates,
-                   determinant_abs, minimal_containing_cone,
-                   solve_rational_system, validate_fan)
+from .core import (Cone, Fan, ValidationReport, ZERO_CONE, determinant_abs,
+                   minimal_containing_cone, solve_rational_system,
+                   validate_fan)
 from .stacky import (BoxElement, FractionalDecomposition, PiecewiseQLinear,
-                     StackyFan, age, box_all, box_bar_n, box_elements,
-                     eval_pl, fractional_decompose, group_order, iota, psi,
+                     StackyFan, age, box_all, box_elements, eval_pl,
+                     fractional_decompose, group_order, iota, psi,
                      zero_functional)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_laurent,
                       expand_series, format_poly, format_rational,

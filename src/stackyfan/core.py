@@ -1,11 +1,10 @@
 """Exact rational linear algebra and polyhedral primitives.
 
 Lattices, simplicial cones, fans, point-in-cone tests and validation.
-Point location runs on integer per-cone solvers (`ConeSolver`), built once
-per cone and cached on the fan; `ConeSolvers.locate` is the one routine
-that finds a point's minimal cone.  All arithmetic uses arbitrary-precision
-integers and ``fractions.Fraction``; there is no floating point anywhere in
-the package.
+Point location runs on integer solvers (`ConeSolver`) on the maximal
+cones; `ConeSolvers.locate` is the one routine that finds a point's minimal
+cone.  All arithmetic uses arbitrary-precision integers and
+``fractions.Fraction``; there is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -13,12 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NotInSpan, OutsideSupport
+from .errors import OutsideSupport
 
 Vec = tuple  # integer or Fraction coordinates
 
@@ -289,6 +289,11 @@ class Cone:
             for sub in itertools.combinations(self.ray_indices, k):
                 yield Cone(sub)
 
+    def facets(self):
+        """The faces with one ray fewer."""
+        idx = self.ray_indices
+        return [Cone(idx[:j] + idx[j + 1:]) for j in range(len(idx))]
+
     def is_face_of(self, other: "Cone") -> bool:
         return set(self.ray_indices) <= set(other.ray_indices)
 
@@ -315,28 +320,21 @@ class Fan:
             cones.update(cone.faces())
         return cls(rank, rays, frozenset(cones), support_kind)
 
-    @property
-    def sorted_cones(self):
+    @cached_property
+    def sorted_cones(self) -> tuple:
         """Canonical enumeration order: lexicographic by ray indices."""
-        return sorted(self.cones, key=lambda c: c.ray_indices)
+        return tuple(sorted(self.cones, key=lambda c: c.ray_indices))
 
     @cached_property
     def maximal_cones(self) -> tuple:
-        maximal = [c for c in self.cones
-                   if not any(c != o and c.is_face_of(o) for o in self.cones)]
-        return tuple(sorted(maximal, key=lambda c: c.ray_indices))
-
-    @cached_property
-    def solvers(self) -> ConeSolvers:
-        """The ConeSolver over the rays of each cone, by cone."""
-        return ConeSolvers(self, self.rays)
+        """The cones that no one more ray extends to a cone of the fan: the
+        cones are closed under faces, so these are the faces of no other
+        cone."""
+        extended = {facet for c in self.cones for facet in c.facets()}
+        return tuple(c for c in self.sorted_cones if c not in extended)
 
     def ray_vectors(self, cone: Cone):
         return tuple(self.rays[i] for i in cone.ray_indices)
-
-    def cones_of_dim(self, k):
-        return sorted((c for c in self.cones if c.dim == k),
-                      key=lambda c: c.ray_indices)
 
 
 @dataclass
@@ -414,21 +412,23 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if _cones_overlap_improperly(fan, a, b):
             rep.add(f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
                     "intersect outside their common face")
+    # each codimension-one cone with the number of top-dimensional cones
+    # holding it
+    top = [c for c in maximal if c.dim == fan.rank]
+    on_top = Counter(facet for c in top for facet in c.facets())
+    facets = [(f, on_top[f]) for f in fan.sorted_cones
+              if f.dim == fan.rank - 1]
     if fan.support_kind == "complete":
-        top = [c for c in maximal if c.dim == fan.rank]
         if not top:
             rep.add("complete fan has no maximal-dimensional cone")
         if any(c.dim != fan.rank for c in maximal):
             rep.add("complete fan has a maximal cone of lower dimension")
-        for facet in fan.cones_of_dim(fan.rank - 1):
-            count = sum(1 for c in top if facet.is_face_of(c))
+        for facet, count in facets:
             if count != 2:
                 rep.add(f"facet {list(facet.ray_indices)} on {count} maximal "
                         "cone" + ("" if count == 1 else "s"))
     elif fan.support_kind == "convex":
-        top = [c for c in maximal if c.dim == fan.rank]
-        for facet in fan.cones_of_dim(fan.rank - 1):
-            count = sum(1 for c in top if facet.is_face_of(c))
+        for facet, count in facets:
             if count != 1:
                 continue
             # the facet's rays are independent, so its normal is the
@@ -443,16 +443,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return rep
 
 
-def cone_coordinates(fan: Fan, cone: Cone, v) -> tuple:
-    """The unique rationals q with v = sum q_i * ray_i over the cone's rays;
-    NotInSpan when v is not in their span."""
-    sol = fan.solvers[cone].solve(v)
-    if sol is None:
-        raise NotInSpan(f"point {tuple(v)} not in the span of the cone")
-    nums, den = sol
-    return tuple(Fraction(n, den) for n in nums)
-
-
 def minimal_containing_cone(fan: Fan, v) -> Cone:
     """The unique cone containing v in its relative interior."""
-    return fan.solvers.locate(v)[0]
+    return ConeSolvers(fan, fan.rays).locate(v)[0]

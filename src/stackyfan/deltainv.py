@@ -261,8 +261,8 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
         # faces tau of sigma: box exponents shifted by sum over the rays of
         # sigma - tau of lam(b_i) + 1, times the factors of rays not in sigma
         part = {}
-        for tau in cones:
-            if not boxes[tau] or not tau.is_face_of(sigma):
+        for tau in sigma.faces():
+            if not boxes[tau]:
                 continue
             shift = sum(binom[i] for i in sigma.ray_indices
                         if i not in tau.ray_indices)

@@ -9,10 +9,6 @@ class OutsideSupport(StackyFanError):
     """A point does not lie in the support of the fan."""
 
 
-class NotInSpan(StackyFanError):
-    """A point does not lie in the linear span of a cone's rays."""
-
-
 class NotMaximalCone(StackyFanError):
     """Operation requires a full-dimensional cone."""
 

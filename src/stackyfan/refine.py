@@ -88,14 +88,14 @@ def stellar_subdivide(sfan: StackyFan, w, multiplicity: int = 1) -> StackyFan:
     not containing w with the new ray; if the ray through w already exists
     the fan is returned unchanged.
     """
+    if multiplicity < 1:
+        raise ValueError("weights must be positive")
     w = tuple(int(x) for x in w)
     if core.is_zero_vec(w):
         raise NotInSupport("cannot subdivide at the origin")
     v = core.primitive_part(w)
     if v in sfan.fan.rays:
         return sfan
-    if multiplicity < 1:
-        raise ValueError("weights must be positive")
     b_bar = tuple(int(multiplicity) * x for x in v)
     try:
         tau0, nums, den = sfan.solvers.locate(b_bar)

@@ -46,6 +46,26 @@ class StackyFan:
         `locate` finds a point's minimal cone and b-coordinates."""
         return core.ConeSolvers(self.fan, self.b_vectors)
 
+    @cached_property
+    def box_table(self) -> dict:
+        """BOX(tau) of every cone tau, sorted by point, from one scan per
+        maximal cone: the fan is simplicial, so BOX(tau) is the part of the
+        parallelepiped of any maximal sigma containing tau whose non-zero
+        q_i lie on the rays of tau.  Each face is filed from the first
+        maximal cone that reaches it."""
+        table = {}
+        for sigma in self.fan.maximal_cones:
+            new = {}
+            for point, q in _scan_parallelepiped(self, sigma):
+                face = [(i, qi) for i, qi in zip(sigma.ray_indices, q) if qi]
+                tau = Cone(tuple(i for i, _ in face))
+                if tau not in table:
+                    qs = tuple(qi for _, qi in face)
+                    new.setdefault(tau, []).append(
+                        BoxElement(point, tau, qs, _order_of(qs)))
+            table.update(new)
+        return {tau: table.get(tau, []) for tau in self.fan.sorted_cones}
+
 
 @dataclass(frozen=True)
 class PiecewiseQLinear:
@@ -154,16 +174,13 @@ def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
 
 
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
-    """All of BOX(tau), sorted lexicographically by point coordinates."""
-    return [BoxElement(point, tau, q, _order_of(q))
-            for point, q in _scan_parallelepiped(sfan, tau) if all(q)]
+    """All of BOX(tau) for a cone tau of the fan, sorted lexicographically
+    by point coordinates, as a new list."""
+    return list(sfan.box_table[tau])
 
 
 def _order_of(q) -> int:
-    order = 1
-    for qi in q:
-        order = order * qi.denominator // math.gcd(order, qi.denominator)
-    return order
+    return math.lcm(*(qi.denominator for qi in q))
 
 
 def box_all(sfan: StackyFan) -> list:
@@ -213,22 +230,6 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
     return FractionalDecomposition(w, box, shifts)
 
 
-def box_bar_n(sfan: StackyFan, tau: Cone, n: int) -> list:
-    """Lattice points sum q_i b_i with 0 < q_i <= n over the rays of tau:
-    the unit representatives plus shifts by non-negative multiples of the
-    b_i, sorted."""
-    bvecs = [sfan.b(i) for i in tau.ray_indices]
-    out = []
-    for u, q in _scan_parallelepiped(sfan, tau):
-        ranges = [range(0, n) if qi else range(1, n + 1) for qi in q]
-        for shifts in itertools.product(*ranges):
-            out.append(tuple(
-                x + sum(s * b[j] for s, b in zip(shifts, bvecs))
-                for j, x in enumerate(u)))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
 # w = u + sum lambda_i b_i within each maximal cone, yielding psi and lambda
@@ -248,23 +249,25 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     bound = Fraction(bound)
     if bound < 0:
         return []
+    lam = None if lam_values is None else [Fraction(x) for x in lam_values]
     found = {}
     for sigma in sfan.fan.maximal_cones:
         idx = sigma.ray_indices
         bvecs = [sfan.b(i) for i in idx]
-        lam_b = None
-        if lam_values is not None:
-            lam_b = [Fraction(lam_values[i]) for i in idx]
-        for u, q in _scan_parallelepiped(sfan, sigma):
-            psi_u = sum(q, Fraction(0))
+        lam_b = None if lam is None else [lam[i] for i in idx]
+        # the box elements of the faces of sigma are its parallelepiped
+        for e in itertools.chain.from_iterable(
+                sfan.box_table[tau] for tau in sigma.faces()):
+            psi_u = age(sfan, e)
             if psi_u > bound:
                 continue
             lam_u = None
-            if lam_b is not None:
-                lam_u = sum((qi * lv for qi, lv in zip(q, lam_b)), Fraction(0))
+            if lam is not None:
+                lam_u = sum((qi * lam[i] for qi, i in
+                             zip(e.q, e.cone.ray_indices)), Fraction(0))
             budget = bound - psi_u
             for shifts in _bounded_tuples(len(bvecs), math.floor(budget)):
-                point = list(u)
+                point = list(e.point)
                 for k, s in enumerate(shifts):
                     if s:
                         bk = bvecs[k]

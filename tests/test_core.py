@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import fan_a1, fan_p1, fan_p2, mk_sfan
-from stackyfan.core import (Cone, Fan, ZERO_CONE, cone_coordinates,
+from stackyfan.core import (Cone, ConeSolver, Fan, ZERO_CONE,
                             determinant_abs, minimal_containing_cone,
                             solve_rational_system, validate_fan)
-from stackyfan.errors import NotInSpan, OutsideSupport
+from stackyfan.errors import OutsideSupport
+from stackyfan.stacky import locate
 
 
 def test_solve_identity():
@@ -53,6 +54,48 @@ def test_validate_incomplete_declared_complete():
     fan = Fan.from_maximal(2, [(1, 0), (0, 1)], [(0, 1)], "complete")
     report = validate_fan(fan)
     assert any("facet" in v for v in report.violations)
+
+
+def test_validate_complete_facet_counts():
+    # (rays, maximal cones, violations), all declared complete
+    p2 = [(1, 0), (0, 1), (-1, -1)]
+    cases = [
+        # a quadrant: each of its facets lies on one cone
+        ([(1, 0), (0, 1)], [(0, 1)],
+         ["facet [0] on 1 maximal cone", "facet [1] on 1 maximal cone"]),
+        # P2 less one cone
+        (p2, [(0, 1), (1, 2)],
+         ["facet [0] on 1 maximal cone", "facet [2] on 1 maximal cone"]),
+        # P2 with one cone replaced by its two rays
+        (p2, [(0, 1), (2,)],
+         ["complete fan has a maximal cone of lower dimension",
+          "facet [0] on 1 maximal cone", "facet [1] on 1 maximal cone",
+          "facet [2] on 0 maximal cones"]),
+        # only rays: no cone of full dimension
+        (p2, [(0,), (1,), (2,)],
+         ["complete fan has no maximal-dimensional cone",
+          "complete fan has a maximal cone of lower dimension",
+          "facet [0] on 0 maximal cones", "facet [1] on 0 maximal cones",
+          "facet [2] on 0 maximal cones"]),
+    ]
+    for rays, cones, violations in cases:
+        fan = Fan.from_maximal(2, rays, cones, "complete")
+        assert validate_fan(fan).violations == violations
+
+
+def test_validate_convex_boundary_facet_on_one_cone():
+    # a facet on one top cone is a boundary facet, checked for a supporting
+    # hyperplane; an interior facet (on two) and a facet of a lower
+    # cone (on none) are not
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    half_plane = Fan.from_maximal(2, rays[:3], [(0, 1), (1, 2)], "convex")
+    assert validate_fan(half_plane).ok
+    fan = Fan.from_maximal(2, rays, [(0, 1), (1, 2), (3,)], "convex")
+    assert validate_fan(fan).violations == [
+        "boundary facet [0] admits no supporting hyperplane "
+        "(support not convex)",
+        "boundary facet [2] admits no supporting hyperplane "
+        "(support not convex)"]
 
 
 def test_validate_overlapping_cones():
@@ -106,36 +149,46 @@ def test_minimal_containing_cone_outside():
         minimal_containing_cone(fan_a1().fan, (-1,))
 
 
+def ray_coordinates(fan, cone, v):
+    """The coordinates of v over the cone's rays, None off their span."""
+    sol = ConeSolver(fan.ray_vectors(cone), fan.rank).solve(v)
+    return None if sol is None else tuple(Fraction(n, sol[1]) for n in sol[0])
+
+
 def test_cone_coordinates_standard_basis():
-    assert cone_coordinates(fan_p2().fan, Cone((0, 1)), (2, 1)) == (2, 1)
+    f = fan_p2()
+    assert ray_coordinates(f.fan, Cone((0, 1)), (2, 1)) == (2, 1)
+    assert locate(f, (2, 1)) == (Cone((0, 1)), (2, 1))
 
 
 def test_cone_coordinates_halves():
-    fan = Fan.from_maximal(2, [(1, 0), (1, 2)], [(0, 1)], "convex")
-    assert cone_coordinates(fan, Cone((0, 1)), (1, 1)) == \
-        (Fraction(1, 2), Fraction(1, 2))
+    f = mk_sfan(2, [(1, 0), (1, 2)], (1, 1), [(0, 1)], "convex")
+    halves = (Fraction(1, 2), Fraction(1, 2))
+    assert ray_coordinates(f.fan, Cone((0, 1)), (1, 1)) == halves
+    assert locate(f, (1, 1)) == (Cone((0, 1)), halves)
 
 
 def test_cone_coordinates_zero_vector():
-    assert cone_coordinates(fan_p2().fan, Cone((0, 2)), (0, 0)) == (0, 0)
+    f = fan_p2()
+    assert ray_coordinates(f.fan, Cone((0, 2)), (0, 0)) == (0, 0)
+    assert locate(f, (0, 0)) == (ZERO_CONE, ())
 
 
 def test_cone_coordinates_not_in_span():
     fan = Fan.from_maximal(2, [(1, 0), (0, 1)], [(0, 1)], "general")
-    with pytest.raises(NotInSpan):
-        cone_coordinates(fan, Cone((0,)), (1, 1))
+    assert ray_coordinates(fan, Cone((0,)), (1, 1)) is None
 
 
 def test_containing_cone_reassembly_positive():
-    fan = fan_p2().fan
+    f = fan_p2()
     rng = random.Random(11)
     for _ in range(40):
         v = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
              Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
-        cone = minimal_containing_cone(fan, v)
-        q = cone_coordinates(fan, cone, v)
+        cone, q = locate(f, v)
+        assert cone == minimal_containing_cone(f.fan, v)
         assert all(qi > 0 for qi in q)
-        rebuilt = tuple(sum(qi * fan.rays[i][j]
+        rebuilt = tuple(sum(qi * f.fan.rays[i][j]
                             for qi, i in zip(q, cone.ray_indices))
                         for j in range(2))
         assert rebuilt == tuple(Fraction(x) for x in v)

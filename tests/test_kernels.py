@@ -16,24 +16,26 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1)
-from stackyfan import core
+from stackyfan import core, stacky
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
-                                orbit_measure, shift_function)
+                                orbit_measure, orbit_poset, shift_function,
+                                zero_divisor)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
-                            _fm_feasible, cone_coordinates,
-                            independent_rows, minimal_containing_cone,
-                            solve_rational_system, validate_fan)
+                            _fm_feasible, independent_rows,
+                            minimal_containing_cone, solve_rational_system,
+                            validate_fan)
 from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
-from stackyfan.deltainv import (count_lattice_points, delta_mu_series,
-                                ehrhart_counts, weighted_delta_series)
-from stackyfan.errors import NotInSpan, OutsideSupport
+from stackyfan.deltainv import (check_symmetry, count_lattice_points,
+                                delta_mu_series, ehrhart_counts,
+                                weighted_delta_closed, weighted_delta_series)
+from stackyfan.errors import OutsideSupport
 from stackyfan.qseries import FracPoly, TruncatedSeries
 from stackyfan.refine import is_stacky_refinement, stellar_subdivide
-from stackyfan.stacky import (PiecewiseQLinear, _scan_parallelepiped,
-                              box_bar_n, box_elements,
-                              enumerate_support_points,
-                              fractional_decompose, locate, psi)
+from stackyfan.stacky import (PiecewiseQLinear, StackyFan,
+                              _scan_parallelepiped, box_all, box_elements,
+                              enumerate_support_points, fractional_decompose,
+                              locate, psi, zero_functional)
 
 MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
           random_convex_rank3)
@@ -104,47 +106,36 @@ def test_parallelepiped_and_box_elements_match_scan(seed):
                 assert e.order == math.lcm(*(x.denominator for x in e.q))
 
 
-@pytest.mark.parametrize("seed", [3, 4])
-def test_box_bar_n_matches_scan(seed):
-    for sfan in random_fans(seed, 1):
-        for tau in sfan.fan.sorted_cones:
-            if tau == ZERO_CONE:
-                continue
-            for n in ((1, 2) if sfan.rank == 2 else (1,)):
-                expected = scan_reference(
-                    sfan, tau, n, lambda q: all(0 < x <= n for x in q))
-                assert box_bar_n(sfan, tau, n) == [p for p, _ in expected]
-
-
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_point_location_matches_reference(seed):
     rng = random.Random(seed)
     for sfan in random_fans(seed, 2):
         fan = sfan.fan
+        unit = StackyFan(fan, (1,) * len(fan.rays))
+        solvers = {tau: core.ConeSolver(fan.ray_vectors(tau), fan.rank)
+                   for tau in fan.sorted_cones}
         for v in sample_points(rng, sfan):
             expected = locate_reference(fan, v)
             if expected is None:
                 with pytest.raises(OutsideSupport):
                     minimal_containing_cone(fan, v)
                 with pytest.raises(OutsideSupport):
+                    locate(unit, v)
+                with pytest.raises(OutsideSupport):
                     locate(sfan, v)
             else:
                 cone, coords = expected
                 assert minimal_containing_cone(fan, v) == cone
-                assert cone_coordinates(fan, cone, v) == coords
+                assert locate(unit, v) == expected
                 assert locate(sfan, v) == (cone, tuple(
                     x / sfan.weights[i]
                     for x, i in zip(coords, cone.ray_indices)))
-            for tau in fan.sorted_cones:
+            for tau, solver in solvers.items():
                 q = solve_rational_system(fan.ray_vectors(tau), v)
-                sol = fan.solvers[tau].solve(v)
-                assert (sol is not None and all(n >= 0 for n in sol[0])) == \
-                    (q is not None and all(x >= 0 for x in q))
-                if q is None:
-                    with pytest.raises(NotInSpan):
-                        cone_coordinates(fan, tau, v)
-                else:
-                    assert cone_coordinates(fan, tau, v) == q
+                sol = solver.solve(v)
+                assert (sol is None) == (q is None)
+                if q is not None:
+                    assert tuple(Fraction(n, sol[1]) for n in sol[0]) == q
 
 
 def cone_sums(sfan):
@@ -155,17 +146,34 @@ def cone_sums(sfan):
     return list(sfan.fan.rays) + sums
 
 
-def test_each_point_is_located_by_one_solve_family():
-    # psi, the decomposition and stellar subdivision locate a point over
-    # the b-vectors of the maximal cones alone: they build no solver over
-    # the rays and none over a face cone
+def test_each_point_is_located_by_one_solve_family(monkeypatch):
+    # psi, the decomposition, stellar subdivision and every reader of BOX
+    # build b-solvers on the maximal cones alone, and scan the box group of
+    # each maximal cone once per fan
+    scans = []
+    original = stacky._scan_parallelepiped
+
+    def counting(sfan, tau):
+        scans.append((sfan, tau))
+        return original(sfan, tau)
+
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", counting)
     for sfan in named_fans().values():
         for w in cone_sums(sfan):
             psi(sfan, w)
             fractional_decompose(sfan, w)
             stellar_subdivide(sfan, w, core.content(w))
-        assert "solvers" not in sfan.fan.__dict__
+        lam = zero_functional(sfan)
+        box_all(sfan)
+        weighted_delta_closed(sfan, lam)
+        if sfan.fan.support_kind == "complete":
+            check_symmetry(sfan, lam)
+        orbit_poset(sfan, 2)
+        gamma_truncated_direct(sfan, zero_divisor(sfan), 2)
+        assert [tau for f, tau in scans if f is sfan] == \
+            list(sfan.fan.maximal_cones)
         assert set(sfan.solvers) <= set(sfan.fan.maximal_cones)
+    assert all(tau in f.fan.maximal_cones for f, tau in scans)
 
 
 def test_refinement_locates_each_fine_ray_once(monkeypatch):

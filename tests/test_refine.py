@@ -70,6 +70,12 @@ def test_stellar_subdivide_rejects_a_weight_below_one():
             stellar_subdivide(fan_p2(), (1, 1), multiplicity)
 
 
+def test_stellar_subdivide_checks_the_weight_at_an_existing_ray():
+    for multiplicity in (0, -5):
+        with pytest.raises(ValueError):
+            stellar_subdivide(fan_p2(), (2, 0), multiplicity)
+
+
 def test_stellar_subdivide_multiplicity():
     f = mk_sfan(2, [(1, 0), (0, 1)], (2, 1), [(0, 1)], "convex")
     g = stellar_subdivide(f, (1, 1), 2)

@@ -5,13 +5,12 @@ import pytest
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_complete_rank2, random_convex_rank3)
-from stackyfan.core import Cone, ZERO_CONE
+from stackyfan.core import Cone
 from stackyfan.errors import NotMaximalCone, OutsideSupport
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
-                              box_bar_n, box_elements,
-                              enumerate_support_points, eval_pl,
-                              fractional_decompose, group_order, iota, psi,
-                              zero_functional)
+                              box_elements, enumerate_support_points,
+                              eval_pl, fractional_decompose, group_order,
+                              iota, psi, zero_functional)
 
 
 def cone12():
@@ -200,26 +199,6 @@ def test_fractional_decompose_on_b():
             d = fractional_decompose(f, f.b(i))
             assert d.box_part.is_zero
             assert dict(d.shifts).get(i) == 1
-
-
-def test_box_bar_n():
-    assert box_bar_n(fan_a1(), Cone((0,)), 2) == [(1,), (2,)]
-    assert box_bar_n(fan_p12(), Cone((1,)), 1) == [(-2,), (-1,)]
-    assert box_bar_n(cone12(), Cone((0, 1)), 1) == [(1, 1), (2, 2)]
-
-
-def test_box_bar_1_strict_interior_is_box():
-    for f in named_fans().values():
-        for tau in f.fan.sorted_cones:
-            if tau == ZERO_CONE:
-                continue
-            strict = [e.point for e in box_elements(f, tau)]
-            bar = box_bar_n(f, tau, 1)
-            # removing points with some q_i = 1 leaves exactly the box
-            boundary = [p for p in bar if p not in strict]
-            assert sorted(strict) == sorted(p for p in bar if p in strict)
-            for p in boundary:
-                assert p not in strict
 
 
 def test_enumerate_support_points_matches_brute_count():
