@@ -112,6 +112,12 @@ def parse_fan_document(text: str) -> FanDocument:
     for i, c in enumerate(cones):
         if any(j < 0 or j >= len(rays) for j in c):
             raise ParseError(f"cones[{i}]: ray index out of range")
+        # a simplicial cone has at most rank rays, and a fan walks all
+        # 2^k faces of a k-ray cone
+        if len(c) > rank:
+            raise ParseError(f"cones[{i}]: more than {rank} ray indices")
+        if len(set(c)) != len(c):
+            raise ParseError(f"cones[{i}]: repeated ray index")
     support = data["support"]
     if support not in SUPPORT_KINDS:
         raise ParseError(f"support: expected one of {', '.join(SUPPORT_KINDS)}")

@@ -128,16 +128,43 @@ def independent_rows(columns: Sequence[Vec], dim: int) -> Optional[tuple]:
                 None)
 
 
+def _fraction_free_inverse(square: Sequence[Vec]) -> tuple:
+    """(R, delta): an integer matrix R and an integer delta != 0 with
+    square^{-1} = R / delta, for a non-singular square integer matrix, by
+    fraction-free (Bareiss) Gauss-Jordan elimination of [square | I]: the
+    row operations turn it into [delta I | R], and every division is
+    exact.  ValueError when the matrix is singular."""
+    k = len(square)
+    m = [[int(a) for a in row] + [int(i == r) for i in range(k)]
+         for r, row in enumerate(square)]
+    prev = 1
+    for c in range(k):
+        piv = next((r for r in range(c, k) if m[r][c]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        pivot_row = m[c]
+        p = pivot_row[c]
+        for r in range(k):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(p * a - f * b) // prev
+                        for a, b in zip(m[r], pivot_row)]
+        prev = p
+    return [row[k:] for row in m], prev
+
+
 class ConeSolver:
     """Exact coordinates over k linearly independent integer columns M in
     Z^dim, built once per cone.
 
     With k rows on which M has a non-zero minor S, the integer matrix
-    A = D * S^{-1} = +-adj(S) / g (g the gcd of det S and the cofactors,
-    so D = |det S| / g is the least denominator making it integral), a
-    point v of the span has coordinates x = A . v[rows] / D.  v lies in the
-    span if and only if D * v[others] == C . v[rows] on the remaining
-    coordinates, with the integer matrix C = M[others] . A.
+    A = D * S^{-1} (D the least positive integer making it integral, found
+    from one fraction-free inversion S^{-1} = R / delta as
+    D = |delta| / gcd(delta, R)), a point v of the span has coordinates
+    x = A . v[rows] / D.  v lies in the span if and only if
+    D * v[others] == C . v[rows] on the remaining coordinates, with the
+    integer matrix C = M[others] . A.
     """
 
     __slots__ = ("rows", "matrix", "denominator", "others", "check")
@@ -146,20 +173,15 @@ class ConeSolver:
         rows = independent_rows(columns, dim)
         if rows is None:
             raise ValueError("cone rays are linearly dependent")
-        # square[j] is column j on the chosen rows: the transpose of S, so
-        # adj(S)[j][r] is the signed minor of square without row j, column r
-        square = [[c[i] for i in rows] for c in columns]
         k = len(columns)
-        det = determinant(square)
-        adj = [[(-1) ** (j + r) * determinant(
-                    [row[:r] + row[r + 1:] for jj, row in enumerate(square)
-                     if jj != j])
-                for r in range(k)] for j in range(k)]
-        g = math.gcd(det, *(a for row in adj for a in row))
+        inverse, delta = _fraction_free_inverse(
+            [[c[i] for c in columns] for i in rows])
+        g = math.gcd(delta, *(a for row in inverse for a in row))
+        if delta < 0:
+            g = -g
         self.rows = rows
-        self.denominator = abs(det) // g
-        self.matrix = tuple(tuple((a if det > 0 else -a) // g for a in row)
-                            for row in adj)
+        self.denominator = delta // g
+        self.matrix = tuple(tuple(a // g for a in row) for row in inverse)
         self.others = tuple(i for i in range(dim) if i not in rows)
         self.check = tuple(
             tuple(sum(columns[j][i] * self.matrix[j][r] for j in range(k))
@@ -375,8 +397,67 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     return _fm_feasible(ineqs, eqs, n)
 
 
+def _complete_fan_certified(fan: Fan, maximal) -> bool:
+    """A certificate, linear in the cones, that the maximal cones of a fan
+    declared complete meet only in common faces, so that no pair overlaps
+    improperly.  The cones must have passed the ray, independence and
+    face-closure checks.  It holds when
+      (1) every maximal cone has dimension d = rank;
+      (2) every (d-1)-cone lies on exactly two maximal cones, whose other
+          rays lie strictly on opposite sides of its hyperplane;
+      (3) the sum p of the rays of the first maximal cone lies in no other
+          maximal cone.
+
+    Why that suffices.  Let B be the union of the cones of dimension at
+    most d - 2.  For y outside B, let n(y) count the maximal cones holding
+    the points near y that lie on no (d-1)-cone.  By (1) and (2), a cone
+    holding y has y in its interior or in the relative interior of one of
+    its facets, and on crossing that facet one cone of its pair gives way
+    to the other; so n is locally constant on R^d less B, which is
+    connected, as B is a finite union of cones of codimension >= 2.  By
+    (3), n(p) = 1, so n = 1 everywhere.  Now let x lie in maximal cones
+    sigma and tau, in the relative interior of their faces F and G.  In a
+    ball U about x that meets no cone missing x, count for each face H
+    only the maximal cones whose minimal face at x is H.  A facet that
+    meets U holds x, hence H, and so do both of its cones: the count is
+    constant too.  It is at least 1 for H = F and H = G, because sigma and
+    tau fill open parts of U, and the counts sum to n = 1.  So F = G.
+    Taking x in the relative interior of the convex set sigma cap tau, the
+    set lies in F, a face of both cones, so it is F: a common face.
+
+    Signs come from one determinant per maximal cone: moving row j of a
+    d x d matrix last multiplies its determinant by (-1)^(d-1-j), which
+    gives the side of the apex j of each facet, and by Cramer's rule p lies
+    in a cone exactly when no determinant with one row replaced by p has
+    the opposite sign to the cone's own.
+    """
+    d = fan.rank
+    if any(c.dim != d for c in maximal):
+        return False
+    dets = [determinant(fan.ray_vectors(c)) for c in maximal]
+    sides = {}
+    for c, det in zip(maximal, dets):
+        idx = c.ray_indices
+        for j in range(d):
+            sides.setdefault(idx[:j] + idx[j + 1:], []).append(
+                (det > 0) ^ ((d - 1 - j) % 2 == 1))
+    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
+        return False
+    p = [sum(x) for x in zip(*fan.ray_vectors(maximal[0]))]
+    for c, det in zip(maximal[1:], dets[1:]):
+        rows = list(fan.ray_vectors(c))
+        if all(determinant(rows[:j] + [p] + rows[j + 1:]) * det >= 0
+               for j in range(d)):
+            return False
+    return True
+
+
 def validate_fan(fan: Fan) -> ValidationReport:
-    """Check all structural invariants; violations are data, not errors."""
+    """Check all structural invariants; violations are data, not errors.
+
+    The maximal cones of a `complete` fan that passes the linear-time
+    certificate of `_complete_fan_certified` skip the pairwise overlap
+    test, which could find nothing there; every other fan runs it."""
     rep = ValidationReport()
     for i, r in enumerate(fan.rays):
         if len(r) != fan.rank:
@@ -390,25 +471,41 @@ def validate_fan(fan: Fan) -> ValidationReport:
     used = {i for c in fan.cones for i in c.ray_indices}
     for i in sorted(set(range(len(fan.rays))) - used):
         rep.add(f"ray {i} lies in no cone")
-    for c in fan.sorted_cones:
-        if any(i < 0 or i >= len(fan.rays) for i in c.ray_indices):
-            rep.add(f"cone {list(c.ray_indices)} references missing ray")
-            continue
-        vecs = fan.ray_vectors(c)
-        if (all(len(v) == fan.rank for v in vecs)
-                and independent_rows(vecs, fan.rank) is None):
-            rep.add(f"cone {list(c.ray_indices)} rays not linearly independent")
+    # every cone is a face of a maximal one, and a face of a cone whose
+    # rays exist, have the right length and are independent is such a cone
+    # too: when the maximal cones pass, every cone does
+    n = len(fan.rays)
+    if not all(all(0 <= i < n and len(fan.rays[i]) == fan.rank
+                   for i in c.ray_indices)
+               and independent_rows(fan.ray_vectors(c), fan.rank) is not None
+               for c in fan.maximal_cones):
+        for c in fan.sorted_cones:
+            if any(i < 0 or i >= n for i in c.ray_indices):
+                rep.add(f"cone {list(c.ray_indices)} references missing ray")
+                continue
+            vecs = fan.ray_vectors(c)
+            if (all(len(v) == fan.rank for v in vecs)
+                    and independent_rows(vecs, fan.rank) is None):
+                rep.add(f"cone {list(c.ray_indices)} rays not linearly "
+                        "independent")
     if ZERO_CONE not in fan.cones:
         rep.add("zero cone missing")
-    for c in fan.cones:
-        for f in c.faces():
-            if f not in fan.cones:
-                rep.add(f"face {list(f.ray_indices)} of cone "
-                        f"{list(c.ray_indices)} missing from fan")
+    # cones closed under facets are closed under faces
+    indices = {c.ray_indices for c in fan.cones}
+    if not all(idx[:j] + idx[j + 1:] in indices
+               for idx in indices for j in range(len(idx))):
+        for c in fan.cones:
+            for f in c.faces():
+                if f not in fan.cones:
+                    rep.add(f"face {list(f.ray_indices)} of cone "
+                            f"{list(c.ray_indices)} missing from fan")
     if not rep.ok:
         return rep
     maximal = fan.maximal_cones
-    for a, b in itertools.combinations(maximal, 2):
+    pairs = itertools.combinations(maximal, 2)
+    if fan.support_kind == "complete" and _complete_fan_certified(fan, maximal):
+        pairs = ()
+    for a, b in pairs:
         if _cones_overlap_improperly(fan, a, b):
             rep.add(f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
                     "intersect outside their common face")

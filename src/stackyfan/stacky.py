@@ -281,8 +281,12 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
                 if lam_b is not None:
                     lam_w = lam_u + sum(s * lv for s, lv in zip(shifts, lam_b))
                 found[point] = (psi_u + total, lam_w)
+    # psi times a common denominator orders the points as psi does, with
+    # integer comparisons
+    den = math.lcm(*{ps.denominator for ps, _ in found.values()})
     return sorted(((p, ps, lv) for p, (ps, lv) in found.items()),
-                  key=lambda item: (item[1], item[0]))
+                  key=lambda item: (item[1].numerator
+                                    * (den // item[1].denominator), item[0]))
 
 
 def _bounded_tuples(k: int, total_max: int):

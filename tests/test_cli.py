@@ -7,6 +7,7 @@ and review the diff before committing.
 """
 
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,36 @@ def test_parse_rejects_bad_support():
 def test_parse_rejects_invalid_json():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_fan_document("{")
+
+
+def test_parse_rejects_repeated_ray_index():
+    with pytest.raises(ParseError, match=r"cones\[0\]: repeated ray index"):
+        parse_fan_document(_minimal(rank=2, rays=[[1, 0], [0, 1]],
+                                    cones=[[1, 1], [0]], support="general"))
+
+
+def _long_cone_document(tmp_path, k):
+    """A rank-2 document whose one cone lists k rays."""
+    path = tmp_path / f"cone{k}.json"
+    path.write_text(_minimal(rank=2, rays=[[1, j] for j in range(k)],
+                             weights=[1] * k, cones=[list(range(k))],
+                             support="general"))
+    return path
+
+
+def test_validate_rejects_a_cone_of_more_than_rank_rays(tmp_path):
+    # a parse error, reported once, before any fan is built
+    code, out = run_command(["validate", str(_long_cone_document(tmp_path, 6))])
+    assert (code, out) == (2, "error: cones[0]: more than 2 ray indices\n")
+
+
+def test_long_cone_is_rejected_before_its_faces_are_walked(tmp_path):
+    # the 2^64 faces of a 64-ray cone would never be walked to the end
+    path = _long_cone_document(tmp_path, 64)
+    start = time.perf_counter()
+    code, out = run_command(["validate", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "error: cones[0]: more than 2 ray indices\n")
 
 
 def test_parse_validates_fan():

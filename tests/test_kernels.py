@@ -1,6 +1,7 @@
 """Seeded random checks of the integer cone kernels (per-cone solvers,
-box-group enumeration, the integer overlap test) against references
-written here from solve_rational_system and bounding-box scans, of the
+box-group enumeration, the integer overlap test, the complete-fan
+certificate) against references written here from solve_rational_system,
+adjugates, bounding-box scans and the pairwise overlap test, of the
 cyclotomic lowest-terms kernels against naive loops and sympy, and of the
 oracle kernels (Ehrhart counts, the series oracles, closure order, direct
 Gamma) against their definitions."""
@@ -248,6 +249,283 @@ def test_overlap_test_is_symmetric(seed):
         checked += 1
         assert _cones_overlap_improperly(fan, a, b) == \
             _cones_overlap_improperly(fan, b, a)
+
+
+def validate_reference(fan):
+    """The violations of `validate_fan` found the long way: every cone and
+    every face of every cone checked, and every pair of maximal cones given
+    the Fourier-Motzkin overlap test."""
+    out = []
+    for i, r in enumerate(fan.rays):
+        if len(r) != fan.rank:
+            out.append(f"ray {i} has wrong length")
+        elif all(a == 0 for a in r):
+            out.append(f"ray {i} is zero")
+        elif math.gcd(*r) != 1:
+            out.append(f"ray {i} not primitive")
+    if len(set(fan.rays)) != len(fan.rays):
+        out.append("duplicate rays")
+    used = {i for c in fan.cones for i in c.ray_indices}
+    out += [f"ray {i} lies in no cone"
+            for i in sorted(set(range(len(fan.rays))) - used)]
+    for c in fan.sorted_cones:
+        if any(i < 0 or i >= len(fan.rays) for i in c.ray_indices):
+            out.append(f"cone {list(c.ray_indices)} references missing ray")
+            continue
+        vecs = fan.ray_vectors(c)
+        if (all(len(v) == fan.rank for v in vecs)
+                and independent_rows(vecs, fan.rank) is None):
+            out.append(f"cone {list(c.ray_indices)} rays not linearly "
+                       "independent")
+    if ZERO_CONE not in fan.cones:
+        out.append("zero cone missing")
+    for c in fan.cones:
+        out += [f"face {list(f.ray_indices)} of cone {list(c.ray_indices)} "
+                "missing from fan" for f in c.faces() if f not in fan.cones]
+    if out:
+        return out
+    maximal = fan.maximal_cones
+    out += [f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
+            "intersect outside their common face"
+            for a, b in itertools.combinations(maximal, 2)
+            if _cones_overlap_improperly(fan, a, b)]
+    top = [c for c in maximal if c.dim == fan.rank]
+    facets = [(f, sum(f.is_face_of(c) for c in top))
+              for f in fan.sorted_cones if f.dim == fan.rank - 1]
+    if fan.support_kind == "complete":
+        if not top:
+            out.append("complete fan has no maximal-dimensional cone")
+        if any(c.dim != fan.rank for c in maximal):
+            out.append("complete fan has a maximal cone of lower dimension")
+        out += [f"facet {list(f.ray_indices)} on {n} maximal cone"
+                + ("" if n == 1 else "s") for f, n in facets if n != 2]
+    elif fan.support_kind == "convex":
+        for f, n in facets:
+            if n != 1:
+                continue
+            rows = fan.ray_vectors(f)
+            normal = [(-1) ** j * core.determinant(
+                [r[:j] + r[j + 1:] for r in rows]) for j in range(fan.rank)]
+            dots = [sum(n * x for n, x in zip(normal, r)) for r in fan.rays]
+            if any(d > 0 for d in dots) and any(d < 0 for d in dots):
+                out.append(f"boundary facet {list(f.ray_indices)} admits no "
+                           "supporting hyperplane (support not convex)")
+    return out
+
+
+def orthant_fan(rank):
+    """The complete fan of the 2^rank orthants, on the rays +-e_i."""
+    rays = [tuple(s * (i == j) for j in range(rank))
+            for i in range(rank) for s in (1, -1)]
+    cones = [tuple(2 * i + s for i, s in enumerate(signs))
+             for signs in itertools.product((0, 1), repeat=rank)]
+    return Fan.from_maximal(rank, rays, cones, "complete")
+
+
+PENTAGON = [(1, 0), (1, 3), (-3, 2), (-3, -2), (1, -3)]
+# the pentagon's rays taken two steps at a time: consecutive pairs span the
+# cones of a pentagram, which winds twice around the origin
+PENTAGRAM = [PENTAGON[2 * k % 5] for k in range(5)]
+
+
+# a pentagram whose first cone's ray sum (0, 2) lies on the ray (0, 1) of
+# two other cones, and in neither of their interiors
+PENTAGRAM_THROUGH_A_RAY = [(1, 0), (-1, 2), (1, -3), (0, 1), (-1, -1)]
+
+
+def cycle_fan(rays, support="complete"):
+    """The rank-2 fan whose cones join each ray to the next, cyclically."""
+    n = len(rays)
+    return Fan.from_maximal(2, rays, [(k, (k + 1) % n) for k in range(n)],
+                            support)
+
+
+def double_cover_rank3():
+    """The pentagram suspended by +-e3: every facet lies on two cones on
+    opposite sides, and the cones cover each direction twice."""
+    rays = [r + (0,) for r in PENTAGRAM] + [(0, 0, 1), (0, 0, -1)]
+    cones = [(k, (k + 1) % 5, top) for k in range(5) for top in (5, 6)]
+    return Fan.from_maximal(3, rays, cones, "complete")
+
+
+def complete_fans(seed):
+    """Valid complete fans: the named ones, seeded random rank-2 and rank-3
+    fans, stellar subdivisions of them at the b-sums of two maximal cones,
+    P(1,2,3,2,3), the large-grid pentagon and the orthant fans of ranks 1
+    to 4."""
+    rng = random.Random(seed)
+    sfans = [f for f in named_fans().values()
+             if f.fan.support_kind == "complete"]
+    sfans += [make(rng) for make in (random_complete_rank2,
+                                     random_complete_rank3)
+              for _ in range(6)]
+    for sfan in list(sfans):
+        for w in cone_sums(sfan)[len(sfan.fan.rays):][:2]:
+            sfan = stellar_subdivide(sfan, w, core.content(w))
+            sfans.append(sfan)
+    fans = [f.fan for f in sfans]
+    rank4 = [(-2, -3, -2, -3), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+             (0, 0, 0, 1)]
+    fans.append(Fan.from_maximal(4, rank4,
+                                 list(itertools.combinations(range(5), 4)),
+                                 "complete"))
+    fans.append(cycle_fan(PENTAGON))
+    fans += [orthant_fan(rank) for rank in range(1, 5)]
+    return fans
+
+
+def ray_mutants(fan):
+    """The fan with one ray negated, and with the first two coordinates of
+    one ray swapped, for every ray."""
+    out = []
+    for i, r in enumerate(fan.rays):
+        changed = [tuple(-a for a in r)]
+        if fan.rank >= 2 and r[0] != r[1]:
+            changed.append((r[1], r[0]) + r[2:])
+        for new in changed:
+            rays = fan.rays[:i] + (new,) + fan.rays[i + 1:]
+            out.append(Fan.from_maximal(
+                fan.rank, rays, [c.ray_indices for c in fan.maximal_cones],
+                "complete"))
+    return out
+
+
+def test_complete_fan_certificate_agrees_with_pairwise_reference():
+    valid = complete_fans(31)
+    for fan in valid:
+        assert core._complete_fan_certified(fan, fan.maximal_cones)
+        assert validate_fan(fan).violations == validate_reference(fan) == []
+    mutants = [m for fan in valid for m in ray_mutants(fan)]
+    mutants += [cycle_fan(PENTAGRAM), cycle_fan(PENTAGRAM_THROUGH_A_RAY),
+                double_cover_rank3()]
+    overlapping = 0
+    for fan in mutants:
+        expected = validate_reference(fan)
+        assert validate_fan(fan).violations == expected
+        maximal = fan.maximal_cones
+        if any(independent_rows(fan.ray_vectors(c), fan.rank) is None
+               for c in maximal):
+            continue
+        overlap = any(_cones_overlap_improperly(fan, a, b)
+                      for a, b in itertools.combinations(maximal, 2))
+        overlapping += overlap
+        certified = core._complete_fan_certified(fan, maximal)
+        assert not (certified and overlap)
+        assert certified or expected != []
+    assert overlapping > len(mutants) // 2
+    for fan, overlaps in ((cycle_fan(PENTAGRAM), 5),
+                          (double_cover_rank3(), 20)):
+        assert not core._complete_fan_certified(fan, fan.maximal_cones)
+        violations = validate_fan(fan).violations
+        assert len(violations) == overlaps
+        assert all("intersect outside their common face" in v
+                   for v in violations)
+
+
+def test_validate_matches_reference_beyond_valid_complete_fans():
+    # the cone and face checks are skipped when the maximal cones pass
+    # them; a fan that fails them gets every message the long way, and
+    # convex and general fans keep the pairwise overlap test
+    p2 = ((1, 0), (0, 1), (-1, -1))
+    quadrants = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    rng = random.Random(33)
+    others = [make(rng).fan for make in (random_convex_rank2,
+                                         random_convex_rank3)
+              for _ in range(4)]
+    others += [
+        Fan.from_maximal(2, quadrants[:3], [(0, 1), (1, 2)], "convex"),
+        Fan.from_maximal(2, quadrants, [(0, 1), (1, 2), (2, 3)], "convex"),
+        Fan.from_maximal(2, quadrants, [(0, 1), (1, 2), (3,)], "general"),
+        Fan.from_maximal(2, ((1, 0), (0, 1), (1, 1), (1, -1)),
+                         [(0, 1), (2, 3)], "general"),
+        cycle_fan(PENTAGRAM, "general"),
+    ]
+    for fan in others:
+        assert validate_fan(fan).violations == validate_reference(fan)
+    assert sum(validate_fan(fan).ok for fan in others) == 10
+    broken = [
+        Fan(2, p2, frozenset({Cone((0, 1)), Cone((1, 2)), ZERO_CONE}),
+            "complete"),
+        Fan(2, p2, frozenset({Cone((0, 1)), Cone((0,)), Cone((1,))}),
+            "general"),
+        Fan.from_maximal(2, p2, [(0, 1), (1, 5)], "complete"),
+        Fan.from_maximal(2, p2 + ((1, 0, 0),), [(0, 3), (1, 2)], "general"),
+        Fan.from_maximal(2, p2 + ((1, 1),), [(0, 1, 3), (1, 2)], "convex"),
+        Fan.from_maximal(2, ((1, 0), (-1, 0), (0, 1)), [(0, 1), (1, 2)],
+                         "convex"),
+        Fan.from_maximal(3, [r + (0,) for r in p2], [(0, 1), (1, 2), (0, 2)],
+                         "complete"),
+    ]
+    for fan in broken:
+        assert validate_fan(fan).violations == validate_reference(fan)
+        assert not validate_fan(fan).ok
+
+
+def test_complete_fans_skip_pairwise_overlap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("pairwise overlap test called")
+
+    rng = random.Random(32)
+    sfans = [f for f in named_fans().values()
+             if f.fan.support_kind == "complete"]
+    sfans += [make(rng) for make in (random_complete_rank2,
+                                     random_complete_rank3)
+              for _ in range(10)]
+    monkeypatch.setattr(core, "_cones_overlap_improperly", forbidden)
+    for sfan in sfans:
+        assert validate_fan(sfan.fan).ok
+        for w in cone_sums(sfan)[len(sfan.fan.rays):]:
+            fine = stellar_subdivide(sfan, w, core.content(w))
+            assert fine.fan.support_kind == "complete"
+            assert validate_fan(fine.fan).ok
+    for rank in range(1, 5):
+        assert validate_fan(orthant_fan(rank)).ok
+
+
+def cone_solver_reference(columns, dim):
+    """(rows, matrix, denominator) of a ConeSolver from the adjugate of the
+    square minor, one determinant per cofactor."""
+    rows = independent_rows(columns, dim)
+    square = [[c[i] for i in rows] for c in columns]
+    k = len(columns)
+    det = core.determinant(square)
+    adj = [[(-1) ** (j + r) * core.determinant(
+                [row[:r] + row[r + 1:] for jj, row in enumerate(square)
+                 if jj != j])
+            for r in range(k)] for j in range(k)]
+    g = math.gcd(det, *(a for row in adj for a in row))
+    matrix = tuple(tuple((a if det > 0 else -a) // g for a in row)
+                   for row in adj)
+    return rows, matrix, abs(det) // g
+
+
+@pytest.mark.parametrize("seed", [23, 24])
+def test_cone_solver_matches_adjugate_reference(seed):
+    rng = random.Random(seed)
+    for dim in range(1, 6):
+        for k in range(1, dim + 1):
+            checked = 0
+            while checked < 12:
+                columns = [tuple(rng.choice((-3, -1, 0, 0, 1, 2, 5))
+                                 for _ in range(dim)) for _ in range(k)]
+                if independent_rows(columns, dim) is None:
+                    continue
+                checked += 1
+                solver = core.ConeSolver(columns, dim)
+                assert (solver.rows, solver.matrix, solver.denominator) == \
+                    cone_solver_reference(columns, dim), columns
+
+
+@pytest.mark.parametrize("seed", [25, 26])
+def test_support_points_come_in_psi_then_point_order(seed):
+    rng = random.Random(seed)
+    for sfan in list(named_fans().values()) + random_fans(seed, 2):
+        lam = random_admissible_lambda(rng, sfan).values_on_b
+        for values in (None, lam):
+            for bound in (Fraction(5, 2), 3):
+                points = enumerate_support_points(sfan, bound, values)
+                assert points == sorted(points,
+                                        key=lambda item: (item[1], item[0]))
 
 
 # cyclotomic kernels: polynomials are integer coefficient lists in s
