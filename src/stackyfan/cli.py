@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,20 @@ class FanDocument:
         return StackyFan(fan, self.weights)
 
 
+def rational(text: str) -> Fraction:
+    """The rational written as an integer or p/q, each with an optional
+    sign; ValueError for any other text, a zero denominator or a part over
+    Python's digit limit.  (Fraction would also read decimals and exponent
+    notation, and expands 1e-10000000 in full.)"""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
+
+
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{path}: expected a rational, got a boolean")
@@ -55,8 +70,8 @@ def _rational(value, path: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return rational(value)
+        except ValueError:
             raise ParseError(f"{path}: malformed rational {value!r}")
     raise ParseError(f"{path}: expected an integer or 'p/q' string")
 
@@ -251,8 +266,8 @@ def _cmd_weighted_delta(doc, sfan, args):
     closed = deltainv.weighted_delta_closed(sfan, lam)
     out = format_rational(closed) + "\n"
     if args.series_cutoff is not None:
-        cutoff = Fraction(args.series_cutoff)
-        series = deltainv.weighted_delta_series(sfan, lam, cutoff)
+        series = deltainv.weighted_delta_series(sfan, lam,
+                                                args.series_cutoff)
         out += "series: " + format_series(series) + "\n"
     return 0, out
 
@@ -263,7 +278,7 @@ def _cmd_gamma(doc, sfan, args):
     g = deltainv.gamma(sfan, e)
     out = format_rational(g, var) + "\n"
     if args.check_direct is not None:
-        bound = Fraction(args.check_direct)
+        bound = args.check_direct
         direct = arcspace.gamma_truncated_direct(sfan, e, bound)
         closed = expand_laurent(substitute_reciprocal(g), direct.cutoff)
         if not series_equal(direct, closed):
@@ -286,7 +301,7 @@ def _cmd_symmetry(doc, sfan, args):
 
 
 def _cmd_orbit_poset(doc, sfan, args):
-    poset = arcspace.orbit_poset(sfan, Fraction(args.bound))
+    poset = arcspace.orbit_poset(sfan, args.bound)
     points = sorted(lab.w for lab in poset.labels)
     covers = sorted(poset.covers)
     if args.json:
@@ -340,10 +355,7 @@ def _at_least(parse, low, what):
     """An argument type: the value parsed from the text, rejected below
     low; a malformed value (such as 1/0) is reported as for parse itself."""
     def convert(text):
-        try:
-            value = parse(text)
-        except ZeroDivisionError:
-            raise ValueError(text) from None
+        value = parse(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
@@ -384,16 +396,16 @@ def _build_parser() -> _Parser:
             help="weighted delta-vector (closed form)")
     p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
     p.add_argument("--series-cutoff", metavar="C",
-                   type=_at_least(Fraction, 0, "non-negative"))
+                   type=_at_least(rational, 0, "non-negative"))
     p = add("gamma", _cmd_gamma, help="motivic integral Gamma(X, E)")
     p.add_argument("--divisor", required=True, metavar="NAME")
     p.add_argument("--check-direct", metavar="BOUND",
-                   type=_at_least(Fraction, 0, "non-negative"))
+                   type=_at_least(rational, 0, "non-negative"))
     add("betti", _cmd_betti, help="orbifold Betti numbers")
     p = add("symmetry", _cmd_symmetry, help="palindromy of the delta-vector")
     p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
     p = add("orbit-poset", _cmd_orbit_poset, help="twisted-arc orbit poset")
-    p.add_argument("--bound", type=_at_least(Fraction, 0, "non-negative"),
+    p.add_argument("--bound", type=_at_least(rational, 0, "non-negative"),
                    required=True, metavar="B")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true")

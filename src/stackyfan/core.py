@@ -93,100 +93,92 @@ def determinant_abs(vectors: Sequence[Vec]) -> int:
     return abs(determinant(vectors))
 
 
-def determinant(vectors: Sequence[Vec]) -> int:
-    """det of d integer vectors of length d (as rows), by fraction-free
-    (Bareiss) elimination."""
-    d = len(vectors)
-    if d == 0:
-        return 1
-    if any(len(v) != d for v in vectors):
-        raise ValueError("need d vectors of length d")
-    m = [[int(a) for a in v] for v in vectors]
+def _eliminate(rows: Sequence[Vec], width: int) -> tuple:
+    """(pivots, rows, delta, sign): fraction-free (Bareiss) Gauss-Jordan
+    elimination of integer rows, taking pivots greedily, left to right,
+    among the first `width` columns.
+
+    pivots are the pivot columns, the lexicographically first independent
+    ones.  In the eliminated rows, row t holds delta in column pivots[t]
+    and 0 in the other pivot columns, and the rows below len(pivots) are
+    zero on the first `width` columns.  delta is the minor of the
+    row-permuted input on its first len(pivots) rows and the pivot columns
+    (1 when there is no pivot), and sign = (-1)^(row swaps).  Every
+    division is exact, so the rows stay integral."""
+    m = [[int(a) for a in row] for row in rows]
+    pivots = []
     sign = 1
     prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            piv = next((r for r in range(k + 1, d) if m[r][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
+    for c in range(width):
+        t = len(pivots)
+        piv = next((r for r in range(t, len(m)) if m[r][c]), None)
+        if piv is None:
+            continue
+        if piv != t:
+            m[t], m[piv] = m[piv], m[t]
             sign = -sign
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+        top = m[t]
+        p = top[c]
+        for r in range(len(m)):
+            if r != t:
+                f = m[r][c]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = p
+        pivots.append(c)
+    return tuple(pivots), m, prev, sign
+
+
+def determinant(vectors: Sequence[Vec]) -> int:
+    """det of d integer vectors of length d (as rows)."""
+    d = len(vectors)
+    if any(len(v) != d for v in vectors):
+        raise ValueError("need d vectors of length d")
+    pivots, _, delta, sign = _eliminate(vectors, d)
+    return sign * delta if len(pivots) == d else 0
 
 
 def independent_rows(columns: Sequence[Vec], dim: int) -> Optional[tuple]:
     """The first k of the dim coordinates (lexicographically) on which the
     k integer columns have a non-zero minor; None when the columns are
     linearly dependent."""
-    return next((rows for rows in itertools.combinations(range(dim), len(columns))
-                 if determinant([[c[i] for i in rows] for c in columns])),
-                None)
-
-
-def _fraction_free_inverse(square: Sequence[Vec]) -> tuple:
-    """(R, delta): an integer matrix R and an integer delta != 0 with
-    square^{-1} = R / delta, for a non-singular square integer matrix, by
-    fraction-free (Bareiss) Gauss-Jordan elimination of [square | I]: the
-    row operations turn it into [delta I | R], and every division is
-    exact.  ValueError when the matrix is singular."""
-    k = len(square)
-    m = [[int(a) for a in row] + [int(i == r) for i in range(k)]
-         for r, row in enumerate(square)]
-    prev = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        pivot_row = m[c]
-        p = pivot_row[c]
-        for r in range(k):
-            if r != c:
-                f = m[r][c]
-                m[r] = [(p * a - f * b) // prev
-                        for a, b in zip(m[r], pivot_row)]
-        prev = p
-    return [row[k:] for row in m], prev
+    pivots = _eliminate(columns, dim)[0]
+    return pivots if len(pivots) == len(columns) else None
 
 
 class ConeSolver:
     """Exact coordinates over k linearly independent integer columns M in
     Z^dim, built once per cone.
 
-    With k rows on which M has a non-zero minor S, the integer matrix
-    A = D * S^{-1} (D the least positive integer making it integral, found
-    from one fraction-free inversion S^{-1} = R / delta as
-    D = |delta| / gcd(delta, R)), a point v of the span has coordinates
-    x = A . v[rows] / D.  v lies in the span if and only if
-    D * v[others] == C . v[rows] on the remaining coordinates, with the
-    integer matrix C = M[others] . A.
+    One elimination of [M^T | I_k] takes its pivots, the first k rows on
+    which M has a non-zero minor S, and turns the identity block into
+    delta * S^{-T} and the other coordinate columns into
+    delta * (M[others] . S^{-1})^T.  Divided by the gcd of delta and the
+    block, which divides those columns too, they give the integer matrix
+    A = D * S^{-1}, with D the least positive integer making it integral,
+    and C = M[others] . A.  A point v of the
+    span has coordinates x = A . v[rows] / D, and v lies in the span if and
+    only if D * v[others] == C . v[rows] on the remaining coordinates.
     """
 
     __slots__ = ("rows", "matrix", "denominator", "others", "check")
 
     def __init__(self, columns: Sequence[Vec], dim: int):
-        rows = independent_rows(columns, dim)
-        if rows is None:
-            raise ValueError("cone rays are linearly dependent")
         k = len(columns)
-        inverse, delta = _fraction_free_inverse(
-            [[c[i] for c in columns] for i in rows])
-        g = math.gcd(delta, *(a for row in inverse for a in row))
+        pivots, m, delta, _ = _eliminate(
+            [list(c) + [int(i == j) for i in range(k)]
+             for j, c in enumerate(columns)], dim)
+        if len(pivots) < k:
+            raise ValueError("cone rays are linearly dependent")
+        g = math.gcd(delta, *(a for row in m for a in row[dim:]))
         if delta < 0:
             g = -g
-        self.rows = rows
+        self.rows = pivots
         self.denominator = delta // g
-        self.matrix = tuple(tuple(a // g for a in row) for row in inverse)
-        self.others = tuple(i for i in range(dim) if i not in rows)
-        self.check = tuple(
-            tuple(sum(columns[j][i] * self.matrix[j][r] for j in range(k))
-                  for r in range(k))
-            for i in self.others)
+        self.matrix = tuple(tuple(row[dim + j] // g for row in m)
+                            for j in range(k))
+        self.others = tuple(i for i in range(dim) if i not in pivots)
+        self.check = tuple(tuple(row[i] // g for row in m)
+                           for i in self.others)
 
     def solve(self, v) -> Optional[tuple]:
         """(n, m): integers n and m > 0 with v = sum_j (n_j / m) * column_j,
@@ -244,31 +236,22 @@ def _fm_feasible(ineqs, eqs, nvars) -> bool:
     a.x == c for all (a, c) in eqs?  Integer rows: every combination uses
     positive multipliers on the inequalities, and each row is divided by
     the content of its coefficients and right-hand side together."""
-    ineqs = {(tuple(row), c) for row, c in ineqs}
-    eqs = [(tuple(row), c) for row, c in eqs]
-    # substitute out equalities
-    live = list(range(nvars))
-    while eqs:
-        row, c = eqs.pop()
-        piv = next((j for j in live if row[j] != 0), None)
-        if piv is None:
-            if c != 0:
-                return False
-            continue
-        if row[piv] < 0:
-            row, c = tuple(-a for a in row), -c
-        p = row[piv]
-
-        def subst(orow, oc):
-            f = orow[piv]
-            if f == 0:
-                return orow, oc
-            return _primitive_row([p * a - f * b for a, b in zip(orow, row)],
-                                  p * oc - f * c)
-
-        eqs = [subst(r, cc) for r, cc in eqs]
-        ineqs = {subst(r, cc) for r, cc in ineqs}
-        live.remove(piv)
+    # solve the equalities, delta x_p = c_p - sum_f m_pf x_f for each pivot
+    # p over the free variables f, and substitute them into each inequality
+    # times |delta|: subtracting a_p times row p clears column p
+    pivots, rows, delta, _ = _eliminate(
+        [list(row) + [c] for row, c in eqs], nvars)
+    if any(row[nvars] for row in rows[len(pivots):]):
+        return False
+    sign = 1 if delta > 0 else -1
+    subst = set()
+    for row, c in ineqs:
+        v = [sign * delta * a for a in (*row, c)]
+        for p, m in zip(pivots, rows):
+            v = [x - sign * row[p] * y for x, y in zip(v, m)]
+        subst.add(_primitive_row(v[:nvars], v[nvars]))
+    ineqs = subst
+    live = [j for j in range(nvars) if j not in pivots]
     # Fourier-Motzkin on the remaining variables
     for j in live:
         pos = [(r, c) for r, c in ineqs if r[j] > 0]
@@ -425,31 +408,29 @@ def _complete_fan_certified(fan: Fan, maximal) -> bool:
     Taking x in the relative interior of the convex set sigma cap tau, the
     set lies in F, a face of both cones, so it is F: a common face.
 
-    Signs come from one determinant per maximal cone: moving row j of a
-    d x d matrix last multiplies its determinant by (-1)^(d-1-j), which
-    gives the side of the apex j of each facet, and by Cramer's rule p lies
-    in a cone exactly when no determinant with one row replaced by p has
-    the opposite sign to the cone's own.
+    Signs and the point test come from one elimination per maximal cone,
+    of the d x (d + 1) matrix with the cone's rays S as columns and p last:
+    it gives the cone's determinant, sign * delta, and delta * S^{-1} p in
+    its last column.  Moving ray j last multiplies the determinant by
+    (-1)^(d-1-j), which gives the side of the apex j of each facet, and p
+    lies in the closed cone exactly when S^{-1} p >= 0, that is, when every
+    entry of the last column times delta is >= 0.
     """
     d = fan.rank
     if any(c.dim != d for c in maximal):
         return False
-    dets = [determinant(fan.ray_vectors(c)) for c in maximal]
+    p = [sum(x) for x in zip(*fan.ray_vectors(maximal[0]))]
     sides = {}
-    for c, det in zip(maximal, dets):
+    for n, c in enumerate(maximal):
+        _, rows, delta, sign = _eliminate(
+            [list(x) + [y] for x, y in zip(zip(*fan.ray_vectors(c)), p)], d)
+        if n and all(row[d] * delta >= 0 for row in rows):
+            return False
         idx = c.ray_indices
         for j in range(d):
             sides.setdefault(idx[:j] + idx[j + 1:], []).append(
-                (det > 0) ^ ((d - 1 - j) % 2 == 1))
-    if any(len(s) != 2 or s[0] == s[1] for s in sides.values()):
-        return False
-    p = [sum(x) for x in zip(*fan.ray_vectors(maximal[0]))]
-    for c, det in zip(maximal[1:], dets[1:]):
-        rows = list(fan.ray_vectors(c))
-        if all(determinant(rows[:j] + [p] + rows[j + 1:]) * det >= 0
-               for j in range(d)):
-            return False
-    return True
+                (sign * delta > 0) ^ ((d - 1 - j) % 2 == 1))
+    return all(len(s) == 2 and s[0] != s[1] for s in sides.values())
 
 
 def validate_fan(fan: Fan) -> ValidationReport:

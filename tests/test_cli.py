@@ -15,7 +15,7 @@ import pytest
 
 from stackyfan import refine
 from stackyfan.cli import (FanDocument, document_of, parse_fan_document,
-                           render_document, run_command)
+                           rational, render_document, run_command)
 from stackyfan.errors import ParseError, ValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -257,6 +257,39 @@ def test_validate_deep_nesting_is_a_parse_error(tmp_path):
     path.write_text("[" * 100_000)
     code, out = run_command(["validate", str(path)])
     assert code == 2 and out.startswith("error: invalid JSON"), out
+
+
+# Fraction reads exponent notation and expands 1e-10000000 in full, for
+# seconds; a rational is an integer or p/q
+EXPONENT = "1e-10000000"
+
+
+def test_rational_reads_integers_and_quotients_only():
+    assert [rational(t) for t in ("3", "-3", "+3", "0", "6/4", "-1/2",
+                                  "+07/14")] == \
+        [3, -3, 3, 0, Fraction(3, 2), Fraction(-1, 2), Fraction(1, 2)]
+    for text in ("1.5", "1e3", EXPONENT, " 1", "1 ", "1_0", "1/-2", "1/+2",
+                 "", "/2", "1/", "1/0", "-0/0", "inf", "nan", "7" * 5000):
+        with pytest.raises(ValueError):
+            rational(text)
+
+
+def test_exponent_notation_in_a_document_is_a_parse_error(tmp_path):
+    path = tmp_path / "exponent.json"
+    path.write_text(_minimal(weights=[1, 2], functionals={"L": [EXPONENT, 0]}))
+    start = time.perf_counter()
+    code, out = run_command(["validate", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "error: functionals.L[0]: malformed rational "
+                              f"'{EXPONENT}'\n")
+
+
+def test_exponent_notation_in_an_argument_is_a_usage_error():
+    start = time.perf_counter()
+    code, out = run_command(["orbit-poset", str(DATA / "fan_p12.json"),
+                             "--bound", EXPONENT])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out.startswith("usage error: argument --bound"), out
 
 
 def _gap_documents(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2)
+                      random_convex_rank2, random_convex_rank3)
 from stackyfan.arcspace import StackDivisor, zero_divisor
 from stackyfan.core import Cone, ZERO_CONE, determinant_abs
 from stackyfan import core, deltainv, stacky
@@ -20,7 +20,8 @@ from stackyfan.deltainv import (DeltaVector, _oracle_points, bucket_series,
 from stackyfan.errors import LambdaNotKLT, NegativeMu, NotComplete, NotKLT
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_series, series_equal)
-from stackyfan.stacky import PiecewiseQLinear, age, box_elements, zero_functional
+from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_elements,
+                              zero_functional)
 
 
 def P(terms):
@@ -376,6 +377,26 @@ def test_gamma_fixtures():
                 "p112": {0: 1, 1: 2, 2: 1}}
     for name, f in named_fans().items():
         assert gamma(f, zero_divisor(f)) == R(expected[name])
+
+
+def test_gamma_of_coarse_divisor_is_weight_independent():
+    # with weights a and E_a = sum (1 - a_i) D_i, the change of variables
+    # gives Gamma(X_a, E_a) = Gamma(X_1, 0), the stringy E-function of the
+    # coarse variety
+    rng = random.Random(61)
+    fans = list(named_fans().values())
+    fans += [make(rng) for make in (random_complete_rank2, random_convex_rank2,
+                                    random_complete_rank3, random_convex_rank3)
+             for _ in range(10)]
+    for f in fans:
+        rays = f.fan.rays
+        unit = StackyFan(f.fan, (1,) * len(rays))
+        coarse = gamma(unit, StackDivisor(unit, (0,) * len(rays)))
+        for _ in range(3):
+            weights = tuple(rng.randint(1, 4) for _ in rays)
+            stack = StackyFan(f.fan, weights)
+            e = StackDivisor(stack, tuple(1 - a for a in weights))
+            assert gamma(stack, e) == coarse, (rays, weights)
 
 
 def test_gamma_rejects_non_klt():

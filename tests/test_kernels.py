@@ -1,7 +1,9 @@
-"""Seeded random checks of the integer cone kernels (per-cone solvers,
-box-group enumeration, the integer overlap test, the complete-fan
-certificate) against references written here from solve_rational_system,
-adjugates, bounding-box scans and the pairwise overlap test, of the
+"""Seeded random checks of the integer cone kernels (the one elimination
+routine behind determinants, independent coordinates, per-cone solvers, the
+Fourier-Motzkin test and the complete-fan certificate; box-group
+enumeration) against references written here from solve_rational_system,
+Leibniz sums, minor searches, adjugates, one-at-a-time substitution,
+bounding-box scans and the pairwise overlap test, of the
 cyclotomic lowest-terms kernels against naive loops and sympy, and of the
 oracle kernels (Ehrhart counts, the series oracles, closure order, direct
 Gamma) against their definitions."""
@@ -9,6 +11,7 @@ Gamma) against their definitions."""
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,7 @@ from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 orbit_measure, orbit_poset, shift_function,
                                 zero_divisor)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
-                            _fm_feasible, independent_rows,
+                            _fm_feasible, determinant, independent_rows,
                             minimal_containing_cone, solve_rational_system,
                             validate_fan)
 from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
@@ -45,6 +48,27 @@ MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
 def random_fans(seed, per_maker):
     rng = random.Random(seed)
     return [make(rng) for make in MAKERS for _ in range(per_maker)]
+
+
+def determinant_reference(rows):
+    """det by the Leibniz sum over permutations."""
+    d = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(d), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(d))
+    return total
+
+
+def independent_rows_reference(columns, dim):
+    """The first k coordinates, in lexicographic order of k-subsets, on
+    which the k columns have a non-zero minor; None if there are none."""
+    return next((rows for rows in itertools.combinations(range(dim),
+                                                         len(columns))
+                 if determinant_reference([[c[i] for i in rows]
+                                           for c in columns])), None)
 
 
 def scan_reference(sfan, tau, high, keep):
@@ -243,8 +267,9 @@ def test_overlap_test_is_symmetric(seed):
                 for _ in range(2))
         fan = Fan.from_maximal(rank, rays, [a.ray_indices, b.ray_indices],
                                "general")
-        if a == b or any(independent_rows(fan.ray_vectors(c), rank) is None
-                         for c in (a, b)):
+        if a == b or any(
+                independent_rows_reference(fan.ray_vectors(c), rank) is None
+                for c in (a, b)):
             continue
         checked += 1
         assert _cones_overlap_improperly(fan, a, b) == \
@@ -274,7 +299,7 @@ def validate_reference(fan):
             continue
         vecs = fan.ray_vectors(c)
         if (all(len(v) == fan.rank for v in vecs)
-                and independent_rows(vecs, fan.rank) is None):
+                and independent_rows_reference(vecs, fan.rank) is None):
             out.append(f"cone {list(c.ray_indices)} rays not linearly "
                        "independent")
     if ZERO_CONE not in fan.cones:
@@ -304,7 +329,7 @@ def validate_reference(fan):
             if n != 1:
                 continue
             rows = fan.ray_vectors(f)
-            normal = [(-1) ** j * core.determinant(
+            normal = [(-1) ** j * determinant_reference(
                 [r[:j] + r[j + 1:] for r in rows]) for j in range(fan.rank)]
             dots = [sum(n * x for n, x in zip(normal, r)) for r in fan.rays]
             if any(d > 0 for d in dots) and any(d < 0 for d in dots):
@@ -403,8 +428,8 @@ def test_complete_fan_certificate_agrees_with_pairwise_reference():
         expected = validate_reference(fan)
         assert validate_fan(fan).violations == expected
         maximal = fan.maximal_cones
-        if any(independent_rows(fan.ray_vectors(c), fan.rank) is None
-               for c in maximal):
+        if any(independent_rows_reference(fan.ray_vectors(c), fan.rank)
+               is None for c in maximal):
             continue
         overlap = any(_cones_overlap_improperly(fan, a, b)
                       for a, b in itertools.combinations(maximal, 2))
@@ -485,11 +510,11 @@ def test_complete_fans_skip_pairwise_overlap(monkeypatch):
 def cone_solver_reference(columns, dim):
     """(rows, matrix, denominator) of a ConeSolver from the adjugate of the
     square minor, one determinant per cofactor."""
-    rows = independent_rows(columns, dim)
+    rows = independent_rows_reference(columns, dim)
     square = [[c[i] for i in rows] for c in columns]
     k = len(columns)
-    det = core.determinant(square)
-    adj = [[(-1) ** (j + r) * core.determinant(
+    det = determinant_reference(square)
+    adj = [[(-1) ** (j + r) * determinant_reference(
                 [row[:r] + row[r + 1:] for jj, row in enumerate(square)
                  if jj != j])
             for r in range(k)] for j in range(k)]
@@ -508,12 +533,167 @@ def test_cone_solver_matches_adjugate_reference(seed):
             while checked < 12:
                 columns = [tuple(rng.choice((-3, -1, 0, 0, 1, 2, 5))
                                  for _ in range(dim)) for _ in range(k)]
-                if independent_rows(columns, dim) is None:
+                if independent_rows_reference(columns, dim) is None:
                     continue
                 checked += 1
                 solver = core.ConeSolver(columns, dim)
                 assert (solver.rows, solver.matrix, solver.denominator) == \
                     cone_solver_reference(columns, dim), columns
+
+
+def random_matrix(rng, rows, cols):
+    return [tuple(rng.choice((-4, -1, 0, 0, 1, 2, 3, 7)) for _ in range(cols))
+            for _ in range(rows)]
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_determinant_matches_leibniz_sum(seed):
+    rng = random.Random(seed)
+    singular = 0
+    for d in range(6):
+        for _ in range(60):
+            m = random_matrix(rng, d, d)
+            if d >= 2 and rng.random() < 0.3:
+                # a row repeated, or a combination of two others
+                i, j = rng.sample(range(d), 2)
+                m[i] = tuple(a + rng.choice((0, 2)) * b
+                             for a, b in zip(m[j], m[i - 1]))
+            expected = determinant_reference(m)
+            singular += expected == 0
+            assert determinant(m) == expected, m
+    assert singular > 40
+
+
+@pytest.mark.parametrize("seed", [43, 44])
+def test_independent_rows_match_minor_search(seed):
+    rng = random.Random(seed)
+    dependent = 0
+    for dim in range(1, 6):
+        for k in range(1, dim + 1):
+            for _ in range(20):
+                columns = random_matrix(rng, k, dim)
+                if k >= 2 and rng.random() < 0.3:
+                    columns[-1] = tuple(2 * a - b for a, b in
+                                        zip(columns[0], columns[-2]))
+                expected = independent_rows_reference(columns, dim)
+                dependent += expected is None
+                assert independent_rows(columns, dim) == expected, columns
+    assert dependent > 40
+
+
+def fm_feasible_reference(ineqs, eqs, nvars):
+    """Exact Fourier-Motzkin feasibility, the equalities substituted out
+    one at a time, each made primitive with its right-hand side."""
+    def primitive(row, c):
+        g = math.gcd(*row, c) or 1
+        return tuple(a // g for a in row), c // g
+
+    ineqs = {(tuple(row), c) for row, c in ineqs}
+    eqs = [(tuple(row), c) for row, c in eqs]
+    live = list(range(nvars))
+    while eqs:
+        row, c = eqs.pop()
+        piv = next((j for j in live if row[j] != 0), None)
+        if piv is None:
+            if c != 0:
+                return False
+            continue
+        if row[piv] < 0:
+            row, c = tuple(-a for a in row), -c
+        p = row[piv]
+
+        def subst(orow, oc):
+            f = orow[piv]
+            if f == 0:
+                return orow, oc
+            return primitive([p * a - f * b for a, b in zip(orow, row)],
+                             p * oc - f * c)
+
+        eqs = [subst(r, cc) for r, cc in eqs]
+        ineqs = {subst(r, cc) for r, cc in ineqs}
+        live.remove(piv)
+    for j in live:
+        pos = [(r, c) for r, c in ineqs if r[j] > 0]
+        neg = [(r, c) for r, c in ineqs if r[j] < 0]
+        rest = {(r, c) for r, c in ineqs if r[j] == 0}
+        for (rp, cp), (rn, cn) in itertools.product(pos, neg):
+            fp, fn = -rn[j], rp[j]
+            rest.add(primitive([fp * x + fn * y for x, y in zip(rp, rn)],
+                               fp * cp + fn * cn))
+        ineqs = rest
+    return all(c <= 0 for _, c in ineqs)
+
+
+@pytest.mark.parametrize("seed", [45, 46])
+def test_fourier_motzkin_matches_substitution_reference(seed):
+    rng = random.Random(seed)
+    verdicts = Counter()
+    for _ in range(1500):
+        nvars = rng.randint(1, 5)
+
+        def rows(count):
+            return [([rng.randint(-3, 3) for _ in range(nvars)],
+                     rng.randint(-3, 3)) for _ in range(count)]
+
+        eqs = rows(rng.randint(0, 3))
+        inconsistent = bool(eqs) and rng.random() < 0.2
+        if inconsistent:
+            # twice the first equality, with an odd right-hand side
+            row, c = eqs[0]
+            eqs.insert(rng.randint(0, len(eqs)),
+                       ([2 * a for a in row], 2 * c + 1))
+        ineqs = rows(rng.randint(0, 5))
+        expected = fm_feasible_reference(ineqs, eqs, nvars)
+        assert not (inconsistent and expected)
+        verdicts[inconsistent, expected] += 1
+        assert _fm_feasible(ineqs, eqs, nvars) == expected, (ineqs, eqs)
+    assert min(verdicts[False, True], verdicts[False, False],
+               verdicts[True, False]) > 100
+
+
+def test_solvers_and_the_certificate_eliminate_once(monkeypatch):
+    # one elimination builds a ConeSolver; the complete-fan certificate
+    # takes each maximal cone's sign and point test from one elimination
+    # and calls no determinant
+    rng = random.Random(47)
+    column_sets = []
+    while len(column_sets) < 150:
+        dim = rng.randint(1, 5)
+        columns = random_matrix(rng, rng.randint(0, dim), dim)
+        if independent_rows_reference(columns, dim) is not None:
+            column_sets.append((columns, dim))
+    valid = complete_fans(48)
+    through_a_ray = cycle_fan(PENTAGRAM_THROUGH_A_RAY)
+    calls = []
+    original = core._eliminate
+
+    def counting(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    def forbidden(*args):
+        raise AssertionError("determinant called")
+
+    monkeypatch.setattr(core, "_eliminate", counting)
+    monkeypatch.setattr(core, "determinant", forbidden)
+    for columns, dim in column_sets:
+        calls.clear()
+        solver = core.ConeSolver(columns, dim)
+        assert calls == [dim]
+        assert solver.others == tuple(i for i in range(dim)
+                                      if i not in solver.rows)
+        assert solver.check == tuple(
+            tuple(sum(c[i] * row[r] for c, row in zip(columns, solver.matrix))
+                  for r in range(len(columns)))
+            for i in solver.others)
+    for fan in valid:
+        calls.clear()
+        assert core._complete_fan_certified(fan, fan.maximal_cones)
+        assert len(calls) == len(fan.maximal_cones)
+    calls.clear()
+    assert not core._complete_fan_certified(through_a_ray,
+                                            through_a_ray.maximal_cones)
+    assert len(calls) <= len(through_a_ray.maximal_cones)
 
 
 @pytest.mark.parametrize("seed", [25, 26])
