@@ -66,8 +66,8 @@ def contact_order(e: StackDivisor, w: FractionalDecomposition) -> Fraction:
     w = sum q_i b_i + sum s_i b_i as sum beta_i (q_i + s_i)."""
     box = w.box_part
     beta = e.coefficients
-    return (sum((qi * beta[i] for qi, i in zip(box.q, box.cone.ray_indices)),
-                Fraction(0))
+    return (sum((n * beta[i] for n, i in zip(box.nums, box.cone.ray_indices)),
+                Fraction(0)) / box.order
             + sum(s * beta[i] for i, s in w.shifts))
 
 

@@ -222,7 +222,7 @@ class ConeSolvers(dict):
                 continue
             nums, den = sol
             face = [(i, n) for i, n in zip(sigma.ray_indices, nums) if n]
-            return (Cone(tuple(i for i, _ in face)),
+            return (Cone._sorted(tuple(i for i, _ in face)),
                     tuple(n for _, n in face), den)
         raise OutsideSupport(f"point {tuple(v)} outside the fan support")
 
@@ -285,6 +285,14 @@ class Cone:
     def __post_init__(self):
         object.__setattr__(self, "ray_indices", tuple(sorted(self.ray_indices)))
 
+    @classmethod
+    def _sorted(cls, ray_indices: tuple) -> "Cone":
+        """The cone on indices already in ascending order, built without
+        the sort of __post_init__."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ray_indices", ray_indices)
+        return cone
+
     @property
     def dim(self) -> int:
         return len(self.ray_indices)
@@ -292,12 +300,12 @@ class Cone:
     def faces(self):
         for k in range(len(self.ray_indices) + 1):
             for sub in itertools.combinations(self.ray_indices, k):
-                yield Cone(sub)
+                yield Cone._sorted(sub)
 
     def facets(self):
         """The faces with one ray fewer."""
         idx = self.ray_indices
-        return [Cone(idx[:j] + idx[j + 1:]) for j in range(len(idx))]
+        return [Cone._sorted(idx[:j] + idx[j + 1:]) for j in range(len(idx))]
 
     def is_face_of(self, other: "Cone") -> bool:
         return set(self.ray_indices) <= set(other.ray_indices)

@@ -21,11 +21,15 @@ from fractions import Fraction
 
 from . import arcspace
 from .core import Cone, Fan
-from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu, NotComplete,
-                     NotKLT)
+from .errors import (BudgetExceeded, InvariantViolation, LambdaNotKLT,
+                     NegativeMu, NotComplete, NotKLT)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
                       substitute_reciprocal)
-from .stacky import PiecewiseQLinear, StackyFan, age, box_elements
+from .stacky import PiecewiseQLinear, StackyFan, box_elements
+
+
+# the most lattice points that ehrhart_counts may walk, by _scan_size
+EHRHART_SCAN_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,37 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
     """The lattice-point counts f(m) = |{v in N cap |Sigma| : psi(v) <= m}|
     for m = 0..max_m: each oracle point with psi(v) <= max_m is recorded
     at its level ceil(psi(v)) = ceil(sum n_i / D), and f(m) counts the
-    levels <= m."""
+    levels <= m.  Over EHRHART_SCAN_BUDGET by _scan_size, a BudgetExceeded
+    is raised before anything is allocated."""
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
+    if _scan_size(sfan, max_m) > EHRHART_SCAN_BUDGET:
+        raise BudgetExceeded(
+            f"Ehrhart counts up to {max_m} may walk more than "
+            f"{EHRHART_SCAN_BUDGET} lattice points")
     per_level = [0] * (max_m + 1)
     for _, den, points in _oracle_points(sfan, max_m):
         for n in points.values():
             per_level[-(-sum(n) // den)] += 1
     return tuple(itertools.accumulate(per_level))
+
+
+def _scan_size(sfan: StackyFan, bound: int) -> int:
+    """An a-priori bound on the work of ehrhart_counts(sfan, bound): its
+    bound + 1 levels, and for each maximal cone with k rays the product of
+    the k largest side lengths, in lattice points, of the bounding box of
+    conv(0, bound * b_i).  _oracle_points walks, in that cone, at most the
+    lattice points of the box over the k coordinates of a minor, which
+    this product bounds."""
+    size = bound + 1
+    for sigma in sfan.fan.maximal_cones:
+        bvecs = [sfan.b(i) for i in sigma.ray_indices]
+        if not bvecs:
+            continue
+        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
+                        for col in zip(*bvecs)), reverse=True)
+        size += math.prod(sides[:len(bvecs)])
+    return size
 
 
 def _oracle_points(sfan: StackyFan, bound):
@@ -244,30 +271,38 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
     s^binom[i]), s = t^{1/n}, not reduced: n is the lcm of the denominators
     of the lambda(b_i) and of the box exponents, binom[i] = n (lambda(b_i) +
     1), and numerator is a sparse {int exponent: int} dict without zeros;
-    each h-summand and box factor over that denominator carries (1 - t)^d."""
+    each h-summand and box factor over that denominator carries (1 - t)^d.
+
+    With lambda(b_i) = l_i / L over a common denominator, the box element
+    q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
+    / (L order), so every exponent is an integer quotient."""
     _check_admissible(lam)
     lams = lam.values_on_b
+    scale = math.lcm(*(x.denominator for x in lams))
+    plus = [scale + x.numerator * (scale // x.denominator) for x in lams]
     cones = sfan.fan.sorted_cones
-    boxes = {}
+    boxes = {}   # tau -> [(a, D)], exponents a / D
     for tau in cones:
-        boxes[tau] = [age(sfan, e) + sum((qi * lams[i] for qi, i in
-                                          zip(e.q, tau.ray_indices)), Fraction(0))
-                      for e in box_elements(sfan, tau)]
-    n = math.lcm(*(x.denominator for x in
-                   itertools.chain(lams, *boxes.values())))
-    binom = [int((x + 1) * n) for x in lams]   # factor i is 1 - s^binom[i]
+        weights = [plus[i] for i in tau.ray_indices]
+        boxes[tau] = [(sum(map(operator.mul, e.nums, weights)),
+                       scale * e.order) for e in box_elements(sfan, tau)]
+    n = math.lcm(scale, *(den // math.gcd(a, den)
+                          for pairs in boxes.values() for a, den in pairs))
+    binom = [c * (n // scale) for c in plus]   # factor i is 1 - s^binom[i]
+    exponents = {tau: [a * n // den for a, den in pairs]
+                 for tau, pairs in boxes.items()}
     total = {}
     for sigma in cones:
         # faces tau of sigma: box exponents shifted by sum over the rays of
         # sigma - tau of lam(b_i) + 1, times the factors of rays not in sigma
         part = {}
         for tau in sigma.faces():
-            if not boxes[tau]:
+            if not exponents[tau]:
                 continue
             shift = sum(binom[i] for i in sigma.ray_indices
                         if i not in tau.ray_indices)
-            for x in boxes[tau]:
-                e = int(x * n) + shift
+            for e in exponents[tau]:
+                e += shift
                 part[e] = part.get(e, 0) + 1
         for i, c in enumerate(binom):
             if i not in sigma.ray_indices:

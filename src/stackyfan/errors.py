@@ -61,6 +61,10 @@ class TransferNotKLT(StackyFanError):
     """The transferred functional violates the admissibility bound on the fine fan."""
 
 
+class BudgetExceeded(StackyFanError):
+    """An a-priori count puts a computation over its fixed size budget."""
+
+
 class ParseError(StackyFanError):
     """Malformed fan document."""
 

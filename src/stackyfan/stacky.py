@@ -51,20 +51,22 @@ class StackyFan:
         """BOX(tau) of every cone tau, sorted by point, from one scan per
         maximal cone: the fan is simplicial, so BOX(tau) is the part of the
         parallelepiped of any maximal sigma containing tau whose non-zero
-        q_i lie on the rays of tau.  Each face is filed from the first
-        maximal cone that reaches it."""
-        table = {}
+        q_i lie on the rays of tau.  Each face is filed, by its index tuple,
+        from the first maximal cone that reaches it."""
+        found = {}
         for sigma in self.fan.maximal_cones:
+            den = self.solvers[sigma].denominator
             new = {}
-            for point, q in _scan_parallelepiped(self, sigma):
-                face = [(i, qi) for i, qi in zip(sigma.ray_indices, q) if qi]
-                tau = Cone(tuple(i for i, _ in face))
-                if tau not in table:
-                    qs = tuple(qi for _, qi in face)
-                    new.setdefault(tau, []).append(
-                        BoxElement(point, tau, qs, _order_of(qs)))
-            table.update(new)
-        return {tau: table.get(tau, []) for tau in self.fan.sorted_cones}
+            for point, n in _scan_parallelepiped(self, sigma):
+                support = tuple(i for i, ni in zip(sigma.ray_indices, n) if ni)
+                if support not in found:
+                    nums = [ni for ni in n if ni]
+                    new.setdefault(support, []).append(
+                        (point, *_reduce_numerators(nums, den)))
+            found.update(new)
+        return {tau: [BoxElement(point, tau, nums, order)
+                      for point, nums, order in found.get(tau.ray_indices, ())]
+                for tau in self.fan.sorted_cones}
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,21 @@ def zero_functional(sfan: StackyFan) -> PiecewiseQLinear:
 @dataclass(frozen=True)
 class BoxElement:
     """A lattice point v = sum q_i b_i with all q_i in (0,1), together with
-    its minimal cone and the order of the corresponding group element."""
+    its minimal cone and the order of the corresponding group element.
+
+    The q_i are stored as integers, q_i = nums_i / order, one per ray of the
+    cone in the order of its indices, with gcd(order, *nums) = 1: the order
+    is the least common denominator of the q_i, and the form is canonical."""
 
     point: tuple
     cone: Cone
-    q: tuple      # fractions, one per ray of the cone, same order as indices
+    nums: tuple
     order: int
+
+    @property
+    def q(self) -> tuple:
+        """The coordinates nums_i / order as Fractions."""
+        return tuple(Fraction(n, self.order) for n in self.nums)
 
     @property
     def is_zero(self) -> bool:
@@ -138,7 +149,9 @@ def eval_pl(f: PiecewiseQLinear, v) -> Fraction:
 
 def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
     """Lattice points u = sum q_i b_i with 0 <= q_i < 1 over the rays of tau
-    (coset representatives of the b-sublattice), as (u, q) sorted by u.
+    (coset representatives of the b-sublattice), as (u, n) sorted by u, with
+    integers 0 <= n_i < D and q_i = n_i / D over the denominator D of the
+    b-solver of tau.
 
     With the b-solver x = A . v[rows] / D of tau, the coordinates of lattice
     points, times D and taken mod D, form the subgroup of (Z/D)^k generated
@@ -167,8 +180,7 @@ def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
         point = [sum(ni * b[j] for ni, b in zip(n, bvecs))
                  for j in range(sfan.rank)]
         if all(x % den == 0 for x in point):
-            out.append((tuple(x // den for x in point),
-                        tuple(Fraction(ni, den) for ni in n)))
+            out.append((tuple(x // den for x in point), n))
     out.sort(key=lambda pq: pq[0])
     return out
 
@@ -179,8 +191,11 @@ def box_elements(sfan: StackyFan, tau: Cone) -> list:
     return list(sfan.box_table[tau])
 
 
-def _order_of(q) -> int:
-    return math.lcm(*(qi.denominator for qi in q))
+def _reduce_numerators(nums, den) -> tuple:
+    """(nums', order): the fractions nums_i / den over their least common
+    denominator, order = den / gcd(den, *nums)."""
+    g = math.gcd(den, *nums)
+    return tuple(n // g for n in nums), den // g
 
 
 def box_all(sfan: StackyFan) -> list:
@@ -198,12 +213,13 @@ def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
         return e
     bvecs = [sfan.b_vectors[i] for i in e.cone.ray_indices]
     point = tuple(sum(b[j] for b in bvecs) - x for j, x in enumerate(e.point))
-    return BoxElement(point, e.cone, tuple(1 - qi for qi in e.q), e.order)
+    return BoxElement(point, e.cone, tuple(e.order - n for n in e.nums),
+                      e.order)
 
 
 def age(sfan: StackyFan, e: BoxElement) -> Fraction:
     """age = psi(v) = sum of the box coordinates."""
-    return sum(e.q, Fraction(0))
+    return Fraction(sum(e.nums), e.order)
 
 
 def group_order(sfan: StackyFan, sigma: Cone) -> int:
@@ -225,8 +241,8 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
             point[j] -= s * x
     frac = [(i, n % den) for i, n in zip(cone.ray_indices, nums) if n % den]
     tau = Cone(tuple(i for i, _ in frac))
-    qs = tuple(Fraction(r, den) for _, r in frac)
-    box = BoxElement(tuple(point), tau, qs, _order_of(qs))
+    box = BoxElement(tuple(point), tau,
+                     *_reduce_numerators([r for _, r in frac], den))
     return FractionalDecomposition(w, box, shifts)
 
 
@@ -249,24 +265,28 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     bound = Fraction(bound)
     if bound < 0:
         return []
-    lam = None if lam_values is None else [Fraction(x) for x in lam_values]
-    found = {}
+    if lam_values is not None:
+        # lam(b_i) = lam_int[i] / scale over a common denominator
+        lam = [Fraction(x) for x in lam_values]
+        scale = math.lcm(*(x.denominator for x in lam))
+        lam_int = [x.numerator * (scale // x.denominator) for x in lam]
+    found = {}   # point -> (psi * order, order, lam or None)
     for sigma in sfan.fan.maximal_cones:
         idx = sigma.ray_indices
         bvecs = [sfan.b(i) for i in idx]
-        lam_b = None if lam is None else [lam[i] for i in idx]
         # the box elements of the faces of sigma are its parallelepiped
         for e in itertools.chain.from_iterable(
                 sfan.box_table[tau] for tau in sigma.faces()):
-            psi_u = age(sfan, e)
-            if psi_u > bound:
+            order = e.order
+            psi_u = sum(e.nums)    # psi(u) * order
+            slack = bound.numerator * order - psi_u * bound.denominator
+            if slack < 0:
                 continue
-            lam_u = None
-            if lam is not None:
-                lam_u = sum((qi * lam[i] for qi, i in
-                             zip(e.q, e.cone.ray_indices)), Fraction(0))
-            budget = bound - psi_u
-            for shifts in _bounded_tuples(len(bvecs), math.floor(budget)):
+            if lam_values is not None:
+                lam_u = sum(n * lam_int[i]
+                            for n, i in zip(e.nums, e.cone.ray_indices))
+            for shifts in _bounded_tuples(
+                    len(bvecs), slack // (bound.denominator * order)):
                 point = list(e.point)
                 for k, s in enumerate(shifts):
                     if s:
@@ -276,17 +296,19 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
                 point = tuple(point)
                 if point in found:
                     continue
-                total = sum(shifts)
                 lam_w = None
-                if lam_b is not None:
-                    lam_w = lam_u + sum(s * lv for s, lv in zip(shifts, lam_b))
-                found[point] = (psi_u + total, lam_w)
+                if lam_values is not None:
+                    lam_w = Fraction(
+                        lam_u + order * sum(s * lam_int[i]
+                                            for s, i in zip(shifts, idx)),
+                        order * scale)
+                found[point] = (psi_u + order * sum(shifts), order, lam_w)
     # psi times a common denominator orders the points as psi does, with
     # integer comparisons
-    den = math.lcm(*{ps.denominator for ps, _ in found.values()})
-    return sorted(((p, ps, lv) for p, (ps, lv) in found.items()),
-                  key=lambda item: (item[1].numerator
-                                    * (den // item[1].denominator), item[0]))
+    den = math.lcm(*{order for _, order, _ in found.values()})
+    ordered = sorted(found.items(), key=lambda item: (
+        item[1][0] * (den // item[1][1]), item[0]))
+    return [(p, Fraction(ps, order), lv) for p, (ps, order, lv) in ordered]
 
 
 def _bounded_tuples(k: int, total_max: int):

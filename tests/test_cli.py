@@ -238,6 +238,16 @@ def test_exit_code_unreadable_document(tmp_path, role, kind):
     assert code == 2 and out.startswith("error:"), out
 
 
+def test_ehrhart_over_budget_exits_1_at_once():
+    # the counts were allocated before the scan: a MemoryError traceback
+    start = time.perf_counter()
+    code, out = run_command(["ehrhart", str(DATA / "fan_p2.json"),
+                             "--max-m", "10000000000000"])
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (1, "error: Ehrhart counts up to 10000000000000 "
+                              "may walk more than 10000000 lattice points\n")
+
+
 def test_validate_malformed_json_is_a_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")

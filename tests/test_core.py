@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import fan_a1, fan_p1, fan_p2, mk_sfan
+from conftest import (fan_a1, fan_p1, fan_p2, mk_sfan, named_fans,
+                      random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3)
 from stackyfan.core import (Cone, ConeSolver, Fan, ZERO_CONE,
                             determinant_abs, minimal_containing_cone,
                             solve_rational_system, validate_fan)
@@ -226,3 +229,31 @@ def test_cone_canonical_sorting():
 def test_validate_wrong_length_ray():
     fan = Fan.from_maximal(2, [(1, 0), (0, 1, 1)], [(0, 1)], "general")
     assert validate_fan(fan).violations == ["ray 1 has wrong length"]
+
+
+def test_faces_and_facets_match_sorted_cones():
+    # faces and facets are built without the sort of Cone(...), which still
+    # sorts the indices it is given
+    assert Cone((2, 0, 1)).ray_indices == (0, 1, 2)
+    rng = random.Random(29)
+    fans = [f.fan for f in named_fans().values()]
+    fans += [make(rng).fan for make in (random_complete_rank2,
+                                        random_convex_rank2,
+                                        random_complete_rank3,
+                                        random_convex_rank3)
+             for _ in range(3)]
+    for fan in fans:
+        for c in fan.sorted_cones:
+            idx = list(c.ray_indices)
+            rng.shuffle(idx)
+            assert Cone(tuple(idx)) == c
+            faces = list(c.faces())
+            assert len(faces) == 2 ** c.dim
+            assert set(faces) == {
+                Cone(tuple(sorted(sub))) for k in range(len(idx) + 1)
+                for sub in itertools.combinations(idx, k)}
+            assert all(list(f.ray_indices) == sorted(f.ray_indices)
+                       for f in faces)
+            assert c.facets() == [
+                Cone(tuple(sorted(set(c.ray_indices) - {i})))
+                for i in c.ray_indices]

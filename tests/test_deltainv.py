@@ -17,7 +17,8 @@ from stackyfan.deltainv import (DeltaVector, _oracle_points, bucket_series,
                                 ehrhart_delta, gamma, h_tau_lambda, h_vector,
                                 hodge_polynomial_toric, orbifold_betti,
                                 weighted_delta_closed, weighted_delta_series)
-from stackyfan.errors import LambdaNotKLT, NegativeMu, NotComplete, NotKLT
+from stackyfan.errors import (BudgetExceeded, LambdaNotKLT, NegativeMu,
+                              NotComplete, NotKLT)
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_series, series_equal)
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_elements,
@@ -46,6 +47,30 @@ def test_count_lattice_points_examples():
 
 def test_ehrhart_counts_p2():
     assert ehrhart_counts(fan_p2(), 2) == (1, 4, 10)
+
+
+def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
+    rng = random.Random(41)
+    fans = [fan_p2(), fan_p112(), random_complete_rank3(rng)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle scan started")
+
+    monkeypatch.setattr(deltainv, "_oracle_points", forbidden)
+    for f in fans:
+        with pytest.raises(BudgetExceeded):
+            ehrhart_counts(f, 10 ** 4)
+
+
+def test_scan_size_bounds_the_points_scanned():
+    rng = random.Random(43)
+    fans = [*named_fans().values(), random_complete_rank2(rng),
+            random_convex_rank3(rng)]
+    for f in fans:
+        for m in range(4):
+            found = sum(len(points) for _, _, points in _oracle_points(f, m))
+            assert found <= deltainv._scan_size(f, m) - m - 1
+            assert deltainv._scan_size(f, m) <= deltainv.EHRHART_SCAN_BUDGET
 
 
 def test_ehrhart_delta_fixtures():

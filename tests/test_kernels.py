@@ -1,7 +1,8 @@
 """Seeded random checks of the integer cone kernels (the one elimination
 routine behind determinants, independent coordinates, per-cone solvers, the
 Fourier-Motzkin test and the complete-fan certificate; box-group
-enumeration) against references written here from solve_rational_system,
+enumeration and the integer closed-form assembly) against references
+written here from solve_rational_system, the Fraction assembly,
 Leibniz sums, minor searches, adjugates, one-at-a-time substitution,
 bounding-box scans and the pairwise overlap test, of the
 cyclotomic lowest-terms kernels against naive loops and sympy, and of the
@@ -20,7 +21,7 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1)
-from stackyfan import core, stacky
+from stackyfan import core, deltainv, stacky
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, orbit_poset, shift_function,
@@ -123,12 +124,118 @@ def test_parallelepiped_and_box_elements_match_scan(seed):
         for tau in sfan.fan.sorted_cones:
             reps = scan_reference(sfan, tau, 1,
                                   lambda q: all(0 <= x < 1 for x in q))
-            assert _scan_parallelepiped(sfan, tau) == reps
+            # the scan gives numerators over the b-solver's denominator
+            den = sfan.solvers[tau].denominator
+            assert [(u, tuple(Fraction(x, den) for x in n))
+                    for u, n in _scan_parallelepiped(sfan, tau)] == reps
             box = [(e.point, e.q) for e in box_elements(sfan, tau)]
             assert box == [(p, q) for p, q in reps if all(x > 0 for x in q)]
             for e in box_elements(sfan, tau):
                 assert e.cone == tau
                 assert e.order == math.lcm(*(x.denominator for x in e.q))
+
+
+def assert_canonical_box_element(sfan, e):
+    """e stores q_i = nums_i / order in lowest terms, and q, age and iota
+    agree with the Fractions."""
+    assert type(e.order) is int and all(type(n) is int for n in e.nums)
+    assert len(e.nums) == e.cone.dim
+    assert all(0 < n < e.order for n in e.nums)
+    assert math.gcd(e.order, *e.nums) == 1
+    assert e.q == tuple(Fraction(n, e.order) for n in e.nums)
+    assert stacky.age(sfan, e) == sum(e.q, Fraction(0))
+    back = stacky.iota(sfan, e)
+    assert math.gcd(back.order, *back.nums) == 1
+    if not e.is_zero:
+        assert back.q == tuple(1 - x for x in e.q)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_box_elements_are_canonical_integer_numerators(seed):
+    rng = random.Random(seed)
+    for sfan in [*named_fans().values(), *random_fans(seed, 2)]:
+        for tau, elements in sfan.box_table.items():
+            for e in elements:
+                assert e.cone == tau
+                assert_canonical_box_element(sfan, e)
+        for w in sample_points(rng, sfan) + cone_sums(sfan):
+            if not all(type(x) is int for x in w):
+                continue
+            try:
+                _, coords = locate(sfan, w)
+            except OutsideSupport:
+                continue
+            box = fractional_decompose(sfan, w).box_part
+            assert_canonical_box_element(sfan, box)
+            # the box part holds the fractional parts of the b-coordinates
+            assert box.q == tuple(x - math.floor(x) for x in coords
+                                  if x != math.floor(x))
+
+
+def weighted_delta_parts_reference(sfan, lam):
+    """_weighted_delta_parts assembled on Fractions: each box exponent is
+    age + sum_i q_i lambda(b_i), taken to the grid n by int(x * n), and the
+    faces of each cone are found by is_face_of."""
+    lams = lam.values_on_b
+    cones = sfan.fan.sorted_cones
+    boxes = {tau: [sum(e.q, Fraction(0))
+                   + sum((qi * lams[i] for qi, i in zip(e.q, tau.ray_indices)),
+                         Fraction(0))
+                   for e in box_elements(sfan, tau)] for tau in cones}
+    n = math.lcm(*(x.denominator
+                   for x in itertools.chain(lams, *boxes.values())))
+    binom = [int((x + 1) * n) for x in lams]
+
+    def times(p, c):
+        out = Counter(p)
+        for e, v in p.items():
+            out[e + c] -= v
+        return {e: v for e, v in out.items() if v}
+
+    total = Counter()
+    for sigma in cones:
+        part = Counter()
+        for tau in cones:
+            if tau.is_face_of(sigma):
+                shift = sum(binom[i] for i in sigma.ray_indices
+                            if i not in tau.ray_indices)
+                for x in boxes[tau]:
+                    part[int(x * n) + shift] += 1
+        for i, c in enumerate(binom):
+            if i not in sigma.ray_indices:
+                part = times(part, c)
+        total.update(part)
+    total = {e: v for e, v in total.items() if v}
+    for _ in range(sfan.rank):
+        total = times(total, n)
+    return n, total, binom
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_weighted_delta_parts_match_fraction_reference(seed):
+    # lambda on the grids 1/den, den = 1..6, and zero
+    rng = random.Random(seed)
+    for sfan in [*named_fans().values(), *random_fans(seed, 2)]:
+        rays = len(sfan.fan.rays)
+        lams = [zero_functional(sfan)]
+        lams += [PiecewiseQLinear(sfan, [
+            Fraction(rng.randint(1 - den, 2 * den), den) for _ in range(rays)])
+            for den in range(1, 7)]
+        for lam in lams:
+            assert deltainv._weighted_delta_parts(sfan, lam) == \
+                weighted_delta_parts_reference(sfan, lam)
+
+
+def test_box_table_builds_no_fraction(monkeypatch):
+    fans = [*named_fans().values(), *random_fans(10, 2)]
+    expected = [sfan.box_table for sfan in fans]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(stacky, "Fraction", forbidden)
+    assert [StackyFan(sfan.fan, sfan.weights).box_table
+            for sfan in fans] == expected
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
