@@ -8,7 +8,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import core, stacky
+from . import stacky
 from .errors import InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
@@ -100,20 +100,21 @@ def _q_minus_1_power(d: int) -> FracPoly:
 def closure_leq(sfan: StackyFan, v: FractionalDecomposition,
                 w: FractionalDecomposition) -> bool:
     """orbit(w) lies in the closure of orbit(v): w - v is a non-negative
-    integer combination of the b_i of some cone containing both.
+    integer combination of the b_i of some cone containing both.  Read from
+    the labels alone: the box parts agree and no shift of w is below v's.
 
-    In a fan a point lies in a cone exactly when its minimal cone is a face
-    of it; the rays of each label's minimal cone are those of its shifts."""
-    diff = core.vec_sub(w.w, v.w)
-    rays = {i for i, _ in v.shifts}
-    rays.update(i for i, _ in w.shifts)
-    for sigma in sfan.fan.maximal_cones:
-        if not rays.issubset(sigma.ray_indices):
-            continue
-        sol = sfan.solvers[sigma].solve(diff)
-        if sol is not None and all(n >= 0 and n % sol[1] == 0 for n in sol[0]):
-            return True
-    return False
+    Over a cone that holds a point, its coordinates are its box part
+    q_i in [0, 1) plus its shift s_i; a label's shifts run over every ray
+    of its minimal cone.  So if w - v = sum n_i b_i over a cone holding
+    both, the box parts agree and each shift of w is that of v plus
+    n_i >= 0.  Conversely, if the box parts agree and no shift of w is
+    below v's, every ray of sigma(v) lies in sigma(w): a box ray because
+    the box parts agree, any other because its shift in v is at least 1.
+    Then w - v = sum (s_i(w) - s_i(v)) b_i over sigma(w)."""
+    if w.box_part.point != v.box_part.point:
+        return False
+    shifts = dict(w.shifts)
+    return all(shifts.get(i, 0) >= s for i, s in v.shifts)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import arcspace, core, deltainv, refine, stacky
 from .core import Fan
-from .errors import NotARefinement, ParseError, StackyFanError, ValidationError
+from .errors import (BudgetExceeded, NotARefinement, ParseError,
+                     StackyFanError, ValidationError)
 from .qseries import (FracPoly, expand_laurent, format_poly, format_rational,
                       format_series, series_equal, substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan
@@ -24,6 +25,8 @@ from .stacky import PiecewiseQLinear, StackyFan
 DOCUMENT_FIELDS = ("rank", "rays", "weights", "cones", "support",
                    "divisors", "functionals")
 SUPPORT_KINDS = ("complete", "convex", "general")
+# the largest rank a document may declare; every computation grows with it
+MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,8 @@ def parse_fan_document(text: str) -> FanDocument:
     rank = _integer(data["rank"], "rank")
     if rank < 1:
         raise ParseError("rank: must be positive")
+    if rank > MAX_RANK:
+        raise BudgetExceeded(f"rank {rank} is over the limit of {MAX_RANK}")
     if not isinstance(data["rays"], list):
         raise ParseError("rays: expected a list")
     rays = tuple(_int_list(r, f"rays[{i}]")

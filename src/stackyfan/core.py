@@ -23,10 +23,6 @@ from .errors import OutsideSupport
 Vec = tuple  # integer or Fraction coordinates
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def is_zero_vec(v: Vec) -> bool:
     return all(a == 0 for a in v)
 

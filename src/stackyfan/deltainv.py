@@ -28,7 +28,7 @@ from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
 from .stacky import PiecewiseQLinear, StackyFan, box_elements
 
 
-# the most lattice points that ehrhart_counts may walk, by _scan_size
+# the most lattice points that one oracle scan may walk, by _scan_size
 EHRHART_SCAN_BUDGET = 10 ** 7
 
 
@@ -71,12 +71,13 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
 
 
 def _scan_size(sfan: StackyFan, bound: int) -> int:
-    """An a-priori bound on the work of ehrhart_counts(sfan, bound): its
-    bound + 1 levels, and for each maximal cone with k rays the product of
-    the k largest side lengths, in lattice points, of the bounding box of
-    conv(0, bound * b_i).  _oracle_points walks, in that cone, at most the
-    lattice points of the box over the k coordinates of a minor, which
-    this product bounds."""
+    """An a-priori bound on the work of _oracle_points(sfan, bound), which
+    ehrhart_counts and the series oracles check against EHRHART_SCAN_BUDGET
+    before they scan: the bound + 1 levels of ehrhart_counts, and for each
+    maximal cone with k rays the product of the k largest side lengths, in
+    lattice points, of the bounding box of conv(0, bound * b_i).
+    _oracle_points walks, in that cone, at most the lattice points of the
+    box over the k coordinates of a minor, which this product bounds."""
     size = bound + 1
     for sigma in sfan.fan.maximal_cones:
         bvecs = [sfan.b(i) for i in sigma.ray_indices]
@@ -215,6 +216,11 @@ def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
     values on their common denominator S, e(v) D S is sum n_i S f(b_i), plus
     ceil(psi(v)) D S if ceil_psi.
     """
+    # the scan up to a rational bound walks no more than up to its ceiling
+    if _scan_size(sfan, math.ceil(bound)) > EHRHART_SCAN_BUDGET:
+        raise BudgetExceeded(
+            f"the series up to {cutoff} may walk more than "
+            f"{EHRHART_SCAN_BUDGET} lattice points")
     scale = math.lcm(*(x.denominator for x in values))
     ints = [int(x * scale) for x in values]
     raw = {}

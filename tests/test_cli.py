@@ -239,13 +239,40 @@ def test_exit_code_unreadable_document(tmp_path, role, kind):
 
 
 def test_ehrhart_over_budget_exits_1_at_once():
-    # the counts were allocated before the scan: a MemoryError traceback
+    # the Ehrhart counts were allocated before the scan (a MemoryError
+    # traceback), and the series oracle scanned with no budget: cutoff 1000
+    # took 5 s, and the time grows with the square of the cutoff
+    fan = str(DATA / "fan_p2.json")
+    for argv, message in [
+            (["ehrhart", fan, "--max-m", "10000000000000"],
+             "Ehrhart counts up to 10000000000000"),
+            (["weighted-delta", fan, "--lambda", "zero",
+              "--series-cutoff", "2000"], "the series up to 2000")]:
+        start = time.perf_counter()
+        code, out = run_command(argv)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (1, f"error: {message} may walk more than "
+                                  "10000000 lattice points\n")
+
+
+@pytest.mark.parametrize("command", [["weighted-delta", "--lambda", "zero"],
+                                     ["betti"], ["validate"]])
+def test_rank_over_the_limit_exits_1_at_once(tmp_path, command):
+    # a 79-byte rank-8000 document ran weighted-delta for 10 s and printed
+    # 14 MB
+    path = tmp_path / "rank.json"
+    path.write_text('{"rank": 8000, "rays": [], "weights": [], '
+                    '"cones": [[]], "support": "general"}')
     start = time.perf_counter()
-    code, out = run_command(["ehrhart", str(DATA / "fan_p2.json"),
-                             "--max-m", "10000000000000"])
-    assert time.perf_counter() - start < 2.0
-    assert (code, out) == (1, "error: Ehrhart counts up to 10000000000000 "
-                              "may walk more than 10000000 lattice points\n")
+    code, out = run_command(command[:1] + [str(path)] + command[1:])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "error: rank 8000 is over the limit of 64\n")
+
+
+def test_rank_at_the_limit_parses():
+    doc = parse_fan_document('{"rank": 64, "rays": [], "weights": [], '
+                             '"cones": [[]], "support": "general"}')
+    assert doc.rank == 64
 
 
 def test_validate_malformed_json_is_a_parse_error(tmp_path):

@@ -50,6 +50,8 @@ def test_ehrhart_counts_p2():
 
 
 def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
+    # the series oracles scanned with no budget: their time grew with the
+    # square of the cutoff on a rank-2 fan
     rng = random.Random(41)
     fans = [fan_p2(), fan_p112(), random_complete_rank3(rng)]
 
@@ -58,8 +60,15 @@ def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
 
     monkeypatch.setattr(deltainv, "_oracle_points", forbidden)
     for f in fans:
-        with pytest.raises(BudgetExceeded):
-            ehrhart_counts(f, 10 ** 4)
+        zero = zero_functional(f)
+        near_minus_one = PiecewiseQLinear(
+            f, (Fraction(-999, 1000),) * len(f.fan.rays))
+        for oracle in [lambda: ehrhart_counts(f, 10 ** 4),
+                       lambda: weighted_delta_series(f, zero, 2000),
+                       lambda: weighted_delta_series(f, near_minus_one, 10),
+                       lambda: delta_mu_series(f, zero, 2000)]:
+            with pytest.raises(BudgetExceeded):
+                oracle()
 
 
 def test_scan_size_bounds_the_points_scanned():

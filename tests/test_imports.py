@@ -59,10 +59,11 @@ def test_refine_decides_invariance_without_canonical_forms():
         assert name not in banned, f"refine.py:{node.lineno} names {name}"
 
 
-@pytest.mark.parametrize("module", ["stacky.py", "refine.py"])
+@pytest.mark.parametrize("module", ["stacky.py", "refine.py", "arcspace.py"])
 def test_point_location_goes_through_cone_solvers_locate(module):
-    # a point's minimal cone is found by core.ConeSolvers.locate alone;
-    # neither module locates by ray-vector cones or by per-cone solves
+    # a point's minimal cone is found by core.ConeSolvers.locate alone; no
+    # module here locates by ray-vector cones or by per-cone solves, and
+    # arcspace decides the closure order from the orbit labels alone
     path = PACKAGE / module
     banned = {"minimal_containing_cone", "solve"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

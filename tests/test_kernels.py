@@ -1055,15 +1055,36 @@ def closure_reference(sfan, v, w):
     return False
 
 
-@pytest.mark.parametrize("seed", [15, 16])
+def closure_cases(seed):
+    """(fan, bound) pairs: the oracle fans, and a complete rank-2 and a
+    complete rank-3 fan stellar-subdivided twice, at bound 1; a skew
+    lower-dimensional fan at bound 2."""
+    rng = random.Random(seed)
+    cases = [(sfan, 1) for sfan in oracle_fans(seed, 1)]
+    cases.append((random_skew_lower_dimension(rng), 2))
+    for make in (random_complete_rank2, random_complete_rank3):
+        sfan = make(rng)
+        for _ in range(2):
+            w = cone_sums(sfan)[-1]
+            sfan = stellar_subdivide(sfan, w, core.content(w))
+        cases.append((sfan, 1))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [15, 16, 17, 18, 19])
 def test_closure_leq_matches_cone_definition(seed):
+    # psi is linear on a cone holding both points, so w - v = sum n_i b_i
+    # with integers n_i >= 0 needs psi(w) - psi(v) to be a non-negative
+    # integer; the reference decides every pair where it is
     held = 0
-    for sfan in oracle_fans(seed, 1):
-        labels = [orbit_label(sfan, p)
-                  for p, _, _ in enumerate_support_points(sfan, 1)]
-        for v in labels:
-            for w in labels:
-                expected = closure_reference(sfan, v.w, w.w)
+    for sfan, bound in closure_cases(seed):
+        labels = [(orbit_label(sfan, p), ps)
+                  for p, ps, _ in enumerate_support_points(sfan, bound)]
+        for v, psi_v in labels:
+            for w, psi_w in labels:
+                gap = psi_w - psi_v
+                expected = (gap >= 0 and gap.denominator == 1
+                            and closure_reference(sfan, v.w, w.w))
                 assert closure_leq(sfan, v, w) == expected, (v.w, w.w)
                 held += expected
     assert 0 < held
