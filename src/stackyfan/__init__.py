@@ -17,11 +17,11 @@ from .arcspace import (OrbitPoset, StackDivisor, canonical_divisor,
                        gamma_truncated_direct, orbit_label, orbit_measure,
                        orbit_poset, pullback_divisor, shift_function,
                        zero_divisor)
-from .deltainv import (DeltaVector, bucket_series, check_symmetry,
-                       count_lattice_points, delta_mu_series, ehrhart_counts,
-                       ehrhart_delta, gamma, h_tau_lambda, h_vector,
-                       hodge_polynomial_toric, orbifold_betti,
-                       weighted_delta_closed, weighted_delta_series)
+from .deltainv import (bucket_series, check_symmetry, count_lattice_points,
+                       delta_mu_series, ehrhart_counts, ehrhart_delta, gamma,
+                       h_tau_lambda, h_vector, hodge_polynomial_toric,
+                       orbifold_betti, weighted_delta_closed,
+                       weighted_delta_series)
 from .refine import (RefinementWitness, check_invariance, is_stacky_refinement,
                      stellar_subdivide, transfer_lambda)
 from .cli import FanDocument, parse_fan_document, render_document, run_command

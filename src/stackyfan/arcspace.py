@@ -5,14 +5,25 @@ direct motivic integral used as an oracle."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stacky
-from .errors import InvariantViolation, NotKLT
+from .errors import BudgetExceeded, InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
-                     age, fractional_decompose, iota, psi)
+                     _scan_size, age, fractional_decompose, iota, psi)
+
+# the most pairs of labels that orbit_poset may compare, by _scan_size
+# squared, since it compares every pair; on P2 the square is about 12 times
+# the pairs, and bound 43, the largest under it, takes some 20 s (2 vCPU,
+# Python 3.11)
+ORBIT_PAIR_BUDGET = 10 ** 8
+# the most lattice points that gamma_truncated_direct may sum over, by
+# _scan_size; each costs an orbit label and a measure, so on P2 bound 140,
+# the largest under it, takes some 4 s on the same machine
+DIRECT_SCAN_BUDGET = 10 ** 5
 
 
 def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
@@ -130,6 +141,13 @@ class OrbitPoset:
 
 
 def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
+    """The orbit labels with psi <= bound and their closure order.  Over
+    ORBIT_PAIR_BUDGET by _scan_size squared, a BudgetExceeded is raised
+    before any label is made."""
+    if _scan_size(sfan, math.ceil(max(bound, 0))) ** 2 > ORBIT_PAIR_BUDGET:
+        raise BudgetExceeded(
+            f"the orbit poset up to {bound} may compare more than "
+            f"{ORBIT_PAIR_BUDGET} pairs of labels")
     pts = stacky.enumerate_support_points(sfan, bound)
     labels = [orbit_label(sfan, p) for p, _, _ in pts]
     psis = {lab.w: ps for lab, (_, ps, _) in zip(labels, pts)}
@@ -177,7 +195,8 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     -psi(w)-lambda(w), multiplied by (q-1)^d once at the end.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
-    below d - bound.
+    below d - bound.  Over DIRECT_SCAN_BUDGET by _scan_size, a
+    BudgetExceeded is raised before any point is enumerated.
     """
     bound = Fraction(bound)
     if not e.is_klt:
@@ -189,6 +208,10 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
+    if _scan_size(sfan, math.ceil(bound / slack)) > DIRECT_SCAN_BUDGET:
+        raise BudgetExceeded(
+            f"the direct sum up to {bound} may walk more than "
+            f"{DIRECT_SCAN_BUDGET} lattice points")
     qm1 = _q_minus_1_power(d).terms
     counts = {}   # q-exponent -psi(w)-lambda(w) -> number of labels
     for point, psi_w, lam_w in stacky.enumerate_support_points(

@@ -27,6 +27,10 @@ DOCUMENT_FIELDS = ("rank", "rays", "weights", "cones", "support",
 SUPPORT_KINDS = ("complete", "convex", "general")
 # the largest rank a document may declare; every computation grows with it
 MAX_RANK = 64
+# the most faces, sum 2^k over the k-ray cones, that a document may list:
+# the fan is built and validated face by face, and a document at the limit
+# validates in about 0.6 s (2 vCPU, Python 3.11)
+MAX_FACES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,10 @@ def parse_fan_document(text: str) -> FanDocument:
             raise ParseError(f"cones[{i}]: more than {rank} ray indices")
         if len(set(c)) != len(c):
             raise ParseError(f"cones[{i}]: repeated ray index")
+    faces = sum(2 ** len(c) for c in cones)
+    if faces > MAX_FACES:
+        raise BudgetExceeded(
+            f"the cones have {faces} faces, over the limit of {MAX_FACES}")
     support = data["support"]
     if support not in SUPPORT_KINDS:
         raise ParseError(f"support: expected one of {', '.join(SUPPORT_KINDS)}")
@@ -263,7 +271,7 @@ def _cmd_ehrhart(doc, sfan, args):
 
 
 def _cmd_delta(doc, sfan, args):
-    return 0, format_rational(deltainv.ehrhart_delta(sfan).value) + "\n"
+    return 0, format_rational(deltainv.ehrhart_delta(sfan)) + "\n"
 
 
 def _cmd_weighted_delta(doc, sfan, args):

@@ -7,7 +7,8 @@ The three oracles, ehrhart_counts, weighted_delta_series and
 delta_mu_series, read the lattice points of |Sigma| from one enumerator of
 their own, _oracle_points.  It uses nothing of the box-group enumerator in
 `stacky` or of the per-cone solvers in `core`: the closed formula is built
-on those, and the oracles check it."""
+on those, and the oracles check it.  The Ehrhart delta-polynomial,
+ehrhart_delta, is read from the closed formula, not from an oracle."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arcspace
@@ -25,19 +25,12 @@ from .errors import (BudgetExceeded, InvariantViolation, LambdaNotKLT,
                      NegativeMu, NotComplete, NotKLT)
 from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
                       substitute_reciprocal)
-from .stacky import PiecewiseQLinear, StackyFan, box_elements
+from .stacky import (PiecewiseQLinear, StackyFan, _scan_size, box_elements,
+                     zero_functional)
 
 
 # the most lattice points that one oracle scan may walk, by _scan_size
 EHRHART_SCAN_BUDGET = 10 ** 7
-
-
-@dataclass(frozen=True)
-class DeltaVector:
-    """A delta-vector as a canonical rational function in t; a polynomial
-    in the unweighted case."""
-
-    value: FracRational
 
 
 def _check_admissible(lam: PiecewiseQLinear):
@@ -68,25 +61,6 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
         for n in points.values():
             per_level[-(-sum(n) // den)] += 1
     return tuple(itertools.accumulate(per_level))
-
-
-def _scan_size(sfan: StackyFan, bound: int) -> int:
-    """An a-priori bound on the work of _oracle_points(sfan, bound), which
-    ehrhart_counts and the series oracles check against EHRHART_SCAN_BUDGET
-    before they scan: the bound + 1 levels of ehrhart_counts, and for each
-    maximal cone with k rays the product of the k largest side lengths, in
-    lattice points, of the bounding box of conv(0, bound * b_i).
-    _oracle_points walks, in that cone, at most the lattice points of the
-    box over the k coordinates of a minor, which this product bounds."""
-    size = bound + 1
-    for sigma in sfan.fan.maximal_cones:
-        bvecs = [sfan.b(i) for i in sigma.ray_indices]
-        if not bvecs:
-            continue
-        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
-                        for col in zip(*bvecs)), reverse=True)
-        size += math.prod(sides[:len(bvecs)])
-    return size
 
 
 def _oracle_points(sfan: StackyFan, bound):
@@ -173,17 +147,19 @@ def _invert(matrix):
     return [row[d:] for row in aug]
 
 
-def ehrhart_delta(sfan: StackyFan) -> DeltaVector:
-    """delta_j = sum_k (-1)^k C(d+1, k) f(j-k), j = 0..d."""
+def ehrhart_delta(sfan: StackyFan) -> FracRational:
+    """The Ehrhart delta-polynomial: the weighted delta-vector at lambda = 0
+    with each term c t^e moved to t^ceil(e).  A point v = u + sum s_i b_i
+    has ceil(psi(v)) = ceil(age(u)) + sum s_i, so this places it at the
+    level where the counts f(m) of ehrhart_counts record it."""
     d = sfan.rank
-    counts = ehrhart_counts(sfan, d)
-    terms = {}
-    for j in range(d + 1):
-        coeff = sum((-1) ** k * math.comb(d + 1, k) * counts[j - k]
-                    for k in range(j + 1))
-        if coeff:
-            terms[Fraction(j)] = Fraction(coeff)
-    return DeltaVector(FracRational(FracPoly(terms)))
+    closed = weighted_delta_closed(sfan, zero_functional(sfan))
+    if not closed.is_polynomial() or any(e > d for e in closed.num.terms):
+        raise InvariantViolation(
+            f"the delta-vector at lambda = 0 is not a polynomial of degree "
+            f"at most {d}")
+    bucketed = bucket_series(expand_series(closed, d))
+    return FracRational(FracPoly(bucketed.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,27 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     return [(p, Fraction(ps, order), lv) for p, (ps, order, lv) in ordered]
 
 
+def _scan_size(sfan: StackyFan, bound: int) -> int:
+    """An a-priori bound on the lattice points of |Sigma| with psi <= bound,
+    and on the work of deltainv._oracle_points(sfan, bound): the bound + 1
+    levels of the Ehrhart counts, and for each maximal cone with k rays the
+    product of the k largest side lengths, in lattice points, of the
+    bounding box of conv(0, bound * b_i).  The points of that simplex
+    project one to one onto the k coordinates of a non-zero minor, so they
+    are at most the lattice points of the box over those coordinates, which
+    this product bounds; _oracle_points walks no more.  The budgets read
+    it before any scan."""
+    size = bound + 1
+    for sigma in sfan.fan.maximal_cones:
+        bvecs = [sfan.b(i) for i in sigma.ray_indices]
+        if not bvecs:
+            continue
+        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
+                        for col in zip(*bvecs)), reverse=True)
+        size += math.prod(sides[:len(bvecs)])
+    return size
+
+
 def _bounded_tuples(k: int, total_max: int):
     """Non-negative integer k-tuples with coordinate sum <= total_max."""
     if k == 0:

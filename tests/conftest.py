@@ -1,11 +1,14 @@
 """Shared fixtures: the five named test fans and randomized generators."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
 
 from stackyfan.core import Fan, validate_fan
+from stackyfan.deltainv import ehrhart_counts
+from stackyfan.qseries import FracPoly, FracRational
 from stackyfan.stacky import PiecewiseQLinear, StackyFan
 from stackyfan.arcspace import StackDivisor
 
@@ -47,6 +50,26 @@ def fan_p112():
 def named_fans():
     return {"a1": fan_a1(), "p1": fan_p1(), "p2": fan_p2(),
             "p12": fan_p12(), "p112": fan_p112()}
+
+
+def fan_p12323():
+    """P(1,2,3,2,3): rank 4, rays -(2,3,2,3) and e_1..e_4, weights 1, all
+    4-subsets as cones."""
+    rays = [(-2, -3, -2, -3), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+            (0, 0, 0, 1)]
+    return mk_sfan(4, rays, (1,) * 5,
+                   list(itertools.combinations(range(5), 4)), "complete")
+
+
+def ehrhart_delta_reference(sfan):
+    """The Ehrhart delta-polynomial from the oracle's lattice-point counts:
+    delta_j = sum_k (-1)^k C(d+1, k) f(j-k), j = 0..d."""
+    d = sfan.rank
+    counts = ehrhart_counts(sfan, d)
+    return FracRational(FracPoly({
+        j: sum((-1) ** k * math.comb(d + 1, k) * counts[j - k]
+               for k in range(j + 1))
+        for j in range(d + 1)}))
 
 
 # ---------------------------------------------------------------------------

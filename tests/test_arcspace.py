@@ -4,14 +4,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
-                      named_fans, random_complete_rank2, random_klt_divisor)
+                      named_fans, random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3,
+                      random_klt_divisor)
 from stackyfan.arcspace import (StackDivisor, canonical_divisor, closure_leq,
                                 contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, orbit_poset, pullback_divisor,
                                 shift_function, zero_divisor)
-from stackyfan import arcspace
-from stackyfan.errors import InvariantViolation, NotKLT, OutsideSupport
+from stackyfan import arcspace, stacky
+from stackyfan.errors import (BudgetExceeded, InvariantViolation, NotKLT,
+                              OutsideSupport)
 from stackyfan.qseries import (FracPoly, expand_laurent, series_equal,
                                substitute_reciprocal)
 from stackyfan.stacky import enumerate_support_points, eval_pl, psi
@@ -214,3 +217,33 @@ def test_gamma_truncated_orbit_measure_disagreement_raises(monkeypatch):
                         measure(sfan, w) * FracPoly.t_power(1))
     with pytest.raises(InvariantViolation, match="orbit-measure"):
         gamma_truncated_direct(f, zero_divisor(f), 1)
+
+
+def test_poset_and_direct_sum_over_budget_raise_before_enumerating(
+        monkeypatch):
+    # both enumerated with no bound: on P2, orbit_poset at bound 60 and the
+    # direct sum at bound 400 still ran after 20 s
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(stacky, "enumerate_support_points", forbidden)
+    f = fan_p2()
+    with pytest.raises(BudgetExceeded, match="pairs of labels"):
+        orbit_poset(f, 60)
+    with pytest.raises(BudgetExceeded, match="lattice points"):
+        gamma_truncated_direct(f, zero_divisor(f), 400)
+    # a coefficient near 1 widens the direct scan to bound / (1 - 99/100)
+    near_one = StackDivisor(f, (Fraction(99, 100), 0, 0))
+    with pytest.raises(BudgetExceeded, match="lattice points"):
+        gamma_truncated_direct(f, near_one, 5)
+
+
+def test_small_bounds_stay_far_below_the_budgets():
+    # the benchmark asks for the poset at bound 1 and the direct sum at
+    # bound 2
+    rng = random.Random(47)
+    makers = [random_complete_rank2, random_convex_rank2,
+              random_complete_rank3, random_convex_rank3]
+    for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
+        assert 10 * stacky._scan_size(f, 1) ** 2 <= arcspace.ORBIT_PAIR_BUDGET
+        assert 10 * stacky._scan_size(f, 2) <= arcspace.DIRECT_SCAN_BUDGET

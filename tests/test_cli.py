@@ -6,6 +6,7 @@ Regenerate the golden files after an intentional output change with
 and review the diff before committing.
 """
 
+import itertools
 import sys
 import time
 from fractions import Fraction
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from stackyfan import refine
-from stackyfan.cli import (FanDocument, document_of, parse_fan_document,
-                           rational, render_document, run_command)
+from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
+                           parse_fan_document, rational, render_document,
+                           run_command)
 from stackyfan.errors import ParseError, ValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -273,6 +275,70 @@ def test_rank_at_the_limit_parses():
     doc = parse_fan_document('{"rank": 64, "rays": [], "weights": [], '
                              '"cones": [[]], "support": "general"}')
     assert doc.rank == 64
+
+
+def _orthant_document(tmp_path, rank):
+    """The orthant of the given rank: the unit rays and one cone on all of
+    them, with 2^rank faces."""
+    path = tmp_path / f"orthant{rank}.json"
+    path.write_text(_minimal(
+        rank=rank, rays=[[int(i == j) for j in range(rank)]
+                         for i in range(rank)],
+        weights=[1] * rank, cones=[list(range(rank))], support="convex"))
+    return path
+
+
+def test_faces_over_the_limit_exit_1_at_once(tmp_path):
+    # the fan is built face by face: the rank-20 orthant, a 1 KB document,
+    # took 56 s to validate
+    start = time.perf_counter()
+    code, out = run_command(["validate", str(_orthant_document(tmp_path, 20))])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "error: the cones have 1048576 faces, over "
+                              "the limit of 16384\n")
+
+
+def test_faces_at_the_limit_parse(tmp_path):
+    doc = parse_fan_document(_orthant_document(tmp_path, 14).read_text())
+    assert sum(2 ** len(c) for c in doc.cones) == MAX_FACES
+
+
+def test_poset_and_direct_check_over_budget_exit_1_at_once():
+    # both enumerated with no bound, and were still running after 20 s
+    fan = str(DATA / "fan_p2.json")
+    for argv, message in [
+            (["orbit-poset", fan, "--bound", "60"],
+             "the orbit poset up to 60 may compare more than 100000000 "
+             "pairs of labels"),
+            (["gamma", fan, "--divisor", "zero", "--check-direct", "400"],
+             "the direct sum up to 400 may walk more than 100000 lattice "
+             "points")]:
+        start = time.perf_counter()
+        code, out = run_command(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n, expected", [
+    (5, "1 + 20t + 75t^2 + 96t^3 + 45t^4 + 6t^5"),
+    (6, "1 + 27t + 140t^2 + 267t^3 + 216t^4 + 71t^5 + 7t^6")])
+def test_delta_of_a_power_of_p12_is_read_from_the_closed_form(tmp_path, n,
+                                                              expected):
+    # P(1,2)^n: rays e_j of weight 1 and -e_j of weight 2, and the 2^n
+    # cones on one ray per coordinate.  The lattice scan took 1.4 s for
+    # n = 5 and was over its budget for n = 6; the coefficients sum to the
+    # normalised volume 3^n
+    path = tmp_path / f"p12_{n}.json"
+    path.write_text(_minimal(
+        rank=n, rays=[[s * int(i == j) for j in range(n)]
+                      for i in range(n) for s in (1, -1)],
+        weights=[1, 2] * n,
+        cones=[[2 * j + c for j, c in enumerate(choice)]
+               for choice in itertools.product((0, 1), repeat=n)]))
+    start = time.perf_counter()
+    code, out = run_command(["delta", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, expected + "\n")
 
 
 def test_validate_malformed_json_is_a_parse_error(tmp_path):

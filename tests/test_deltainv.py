@@ -1,24 +1,24 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
-                      named_fans, random_admissible_lambda,
-                      random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2, random_convex_rank3)
+from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
+                      fan_p12, fan_p112, fan_p12323, mk_sfan, named_fans,
+                      random_admissible_lambda, random_complete_rank2,
+                      random_complete_rank3, random_convex_rank2,
+                      random_convex_rank3)
 from stackyfan.arcspace import StackDivisor, zero_divisor
 from stackyfan.core import Cone, ZERO_CONE, determinant_abs
 from stackyfan import core, deltainv, stacky
-from stackyfan.deltainv import (DeltaVector, _oracle_points, bucket_series,
+from stackyfan.deltainv import (_oracle_points, bucket_series,
                                 check_symmetry, count_lattice_points,
                                 delta_mu_series, ehrhart_counts,
                                 ehrhart_delta, gamma, h_tau_lambda, h_vector,
                                 hodge_polynomial_toric, orbifold_betti,
                                 weighted_delta_closed, weighted_delta_series)
-from stackyfan.errors import (BudgetExceeded, LambdaNotKLT, NegativeMu,
-                              NotComplete, NotKLT)
+from stackyfan.errors import (BudgetExceeded, InvariantViolation,
+                              LambdaNotKLT, NegativeMu, NotComplete, NotKLT)
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_series, series_equal)
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_elements,
@@ -83,18 +83,31 @@ def test_scan_size_bounds_the_points_scanned():
 
 
 def test_ehrhart_delta_fixtures():
-    assert ehrhart_delta(fan_a1()).value == R({0: 1})
-    assert ehrhart_delta(fan_p1()).value == R({0: 1, 1: 1})
-    assert ehrhart_delta(fan_p2()).value == R({0: 1, 1: 1, 2: 1})
-    assert ehrhart_delta(fan_p12()).value == R({0: 1, 1: 2})
-    assert ehrhart_delta(fan_p112()).value == R({0: 1, 1: 2, 2: 1})
+    assert ehrhart_delta(fan_a1()) == R({0: 1})
+    assert ehrhart_delta(fan_p1()) == R({0: 1, 1: 1})
+    assert ehrhart_delta(fan_p2()) == R({0: 1, 1: 1, 2: 1})
+    assert ehrhart_delta(fan_p12()) == R({0: 1, 1: 2})
+    assert ehrhart_delta(fan_p112()) == R({0: 1, 1: 2, 2: 1})
+
+
+@pytest.mark.parametrize("closed", [
+    R({0: 1}, {0: 1, 1: -1}),
+    R({0: 1, Fraction(5, 2): 1})])
+def test_ehrhart_delta_rejects_what_the_bucketing_would_cut_off(
+        monkeypatch, closed):
+    # fan_p112 has rank 2: a pole or a term above t^2 would be lost in
+    # the expansion up to t^2
+    monkeypatch.setattr(deltainv, "weighted_delta_closed",
+                        lambda sfan, lam: closed)
+    with pytest.raises(InvariantViolation, match="degree at most 2"):
+        ehrhart_delta(fan_p112())
 
 
 def test_delta_coefficients_nonneg_integers_random():
     rng = random.Random(41)
     for _ in range(5):
         f = random_complete_rank2(rng)
-        v = ehrhart_delta(f).value
+        v = ehrhart_delta(f)
         assert v.is_polynomial()
         for c in v.num.terms.values():
             assert c.denominator == 1 and c >= 0
@@ -102,7 +115,7 @@ def test_delta_coefficients_nonneg_integers_random():
 
 def test_normalized_volume_is_group_order_sum():
     for f in named_fans().values():
-        v = ehrhart_delta(f).value
+        v = ehrhart_delta(f)
         assert v.is_polynomial()
         vol = sum(v.num.terms.values())
         expected = sum(
@@ -155,7 +168,7 @@ def test_weighted_delta_series_zero_lambda_matches_ehrhart():
     for f in named_fans().values():
         s = weighted_delta_series(f, zero_functional(f), f.rank)
         bucketed = bucket_series(s)
-        expected = ehrhart_delta(f).value
+        expected = ehrhart_delta(f)
         for j in range(f.rank + 1):
             assert bucketed.terms.get(Fraction(j), 0) == \
                 expected.num.coeff(Fraction(j))
@@ -200,7 +213,7 @@ def test_closed_zero_lambda_matches_ehrhart_after_bucketing():
         closed = weighted_delta_closed(f, zero_functional(f))
         s = expand_series(closed, Fraction(f.rank))
         assert series_equal(bucket_series(s),
-                            expand_series(ehrhart_delta(f).value,
+                            expand_series(ehrhart_delta_reference(f),
                                           Fraction(f.rank)))
 
 
@@ -368,11 +381,7 @@ def test_oracles_use_no_stacky_or_core_enumerator(monkeypatch):
 
 
 def test_oracles_above_rank_three():
-    # P(1,2,3,2,3): rays -(2,3,2,3) and e_1..e_4, all 4-subsets as cones
-    rays = [(-2, -3, -2, -3), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-            (0, 0, 0, 1)]
-    f = mk_sfan(4, rays, (1,) * 5, list(itertools.combinations(range(5), 4)),
-                "complete")
+    f = fan_p12323()
     assert ehrhart_counts(f, 4) == (1, 6, 24, 74, 186)
     for values in ((0,) * 5, (Fraction(1, 2), 0, Fraction(1, 4), 1, 0)):
         lam = PiecewiseQLinear(f, values)

@@ -71,3 +71,18 @@ def test_point_location_goes_through_cone_solvers_locate(module):
                 else node.attr if isinstance(node, ast.Attribute)
                 else node.name if isinstance(node, ast.alias) else None)
         assert name not in banned, f"{module}:{node.lineno} names {name}"
+
+
+@pytest.mark.parametrize("module, function", [("deltainv.py", "ehrhart_delta"),
+                                              ("cli.py", "_cmd_delta")])
+def test_delta_is_read_from_the_closed_form(module, function):
+    # the delta-polynomial is the bucketed closed form at lambda = 0; the
+    # lattice-point scan stays with the oracles that check it
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    body = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    banned = {"ehrhart_counts", "count_lattice_points", "_oracle_points"}
+    for node in ast.walk(body):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        assert name not in banned, f"{module}:{node.lineno} names {name}"

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_admissible_lambda,
@@ -283,7 +283,10 @@ def drop_cone(sfan, drop):
                    [[index[i] for i in c] for c in kept], "general")
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+# no shrink phase: a defect that makes a maker raise spent most of a
+# failing run shrinking, and shrinking changes no verdict of a passing run
+@settings(max_examples=30, derandomize=True, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
 @given(maker=st.sampled_from(MAKERS), steps=st.integers(1, 3),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_subdivision_chains_refine_and_a_dropped_cone_does_not(maker, steps,
