@@ -13,17 +13,32 @@ from . import stacky
 from .errors import BudgetExceeded, InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
-                     _scan_size, age, fractional_decompose, iota, psi)
+                     age, fractional_decompose, iota, psi)
 
-# the most pairs of labels that orbit_poset may compare, by _scan_size
-# squared, since it compares every pair; on P2 the square is about 12 times
-# the pairs, and bound 43, the largest under it, takes some 20 s (2 vCPU,
-# Python 3.11)
-ORBIT_PAIR_BUDGET = 10 ** 8
-# the most lattice points that gamma_truncated_direct may sum over, by
-# _scan_size; each costs an orbit label and a measure, so on P2 bound 140,
-# the largest under it, takes some 4 s on the same machine
-DIRECT_SCAN_BUDGET = 10 ** 5
+# the most pairs of labels that orbit_poset may compare, by _walk_size
+# squared, since it compares every pair; on P2 bound 30, the largest under
+# it, takes some 5 s (2 vCPU, Python 3.11)
+ORBIT_PAIR_BUDGET = 25 * 10 ** 5
+# the most points that gamma_truncated_direct may walk, by _walk_size; each
+# costs an orbit label and a measure, so on P2 bound 139, the largest under
+# it, takes some 5 s on the same machine
+DIRECT_SCAN_BUDGET = 3 * 10 ** 4
+
+
+def _walk_size(sfan: StackyFan, bound) -> int:
+    """The points stacky.enumerate_support_points(sfan, bound) walks before
+    it drops repeats, read from the box table: for each maximal cone with k
+    rays and each box element u of its faces with age(u) <= bound, the
+    C(m + k, k) shift tuples of sum m = floor(bound - age(u)) or less."""
+    total = 0
+    for sigma in sfan.fan.maximal_cones:
+        k = len(sigma.ray_indices)
+        for tau in sigma.faces():
+            for u in sfan.box_table[tau]:
+                m = math.floor(bound - age(sfan, u))
+                if m >= 0:
+                    total += math.comb(m + k, k)
+    return total
 
 
 def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
@@ -142,9 +157,9 @@ class OrbitPoset:
 
 def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     """The orbit labels with psi <= bound and their closure order.  Over
-    ORBIT_PAIR_BUDGET by _scan_size squared, a BudgetExceeded is raised
+    ORBIT_PAIR_BUDGET by _walk_size squared, a BudgetExceeded is raised
     before any label is made."""
-    if _scan_size(sfan, math.ceil(max(bound, 0))) ** 2 > ORBIT_PAIR_BUDGET:
+    if _walk_size(sfan, Fraction(bound)) ** 2 > ORBIT_PAIR_BUDGET:
         raise BudgetExceeded(
             f"the orbit poset up to {bound} may compare more than "
             f"{ORBIT_PAIR_BUDGET} pairs of labels")
@@ -195,7 +210,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     -psi(w)-lambda(w), multiplied by (q-1)^d once at the end.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
-    below d - bound.  Over DIRECT_SCAN_BUDGET by _scan_size, a
+    below d - bound.  Over DIRECT_SCAN_BUDGET by _walk_size, a
     BudgetExceeded is raised before any point is enumerated.
     """
     bound = Fraction(bound)
@@ -208,7 +223,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    if _scan_size(sfan, math.ceil(bound / slack)) > DIRECT_SCAN_BUDGET:
+    if _walk_size(sfan, bound / slack) > DIRECT_SCAN_BUDGET:
         raise BudgetExceeded(
             f"the direct sum up to {bound} may walk more than "
             f"{DIRECT_SCAN_BUDGET} lattice points")

@@ -151,12 +151,13 @@ class ConeSolver:
     delta * (M[others] . S^{-1})^T.  Divided by the gcd of delta and the
     block, which divides those columns too, they give the integer matrix
     A = D * S^{-1}, with D the least positive integer making it integral,
-    and C = M[others] . A.  A point v of the
+    and C = M[others] . A; `order` is |det S| = |delta|, the order of the
+    subgroup of (Z/D)^k that the columns of A generate.  A point v of the
     span has coordinates x = A . v[rows] / D, and v lies in the span if and
     only if D * v[others] == C . v[rows] on the remaining coordinates.
     """
 
-    __slots__ = ("rows", "matrix", "denominator", "others", "check")
+    __slots__ = ("rows", "matrix", "denominator", "order", "others", "check")
 
     def __init__(self, columns: Sequence[Vec], dim: int):
         k = len(columns)
@@ -170,6 +171,7 @@ class ConeSolver:
             g = -g
         self.rows = pivots
         self.denominator = delta // g
+        self.order = abs(delta)
         self.matrix = tuple(tuple(row[dim + j] // g for row in m)
                             for j in range(k))
         self.others = tuple(i for i in range(dim) if i not in pivots)

@@ -23,9 +23,9 @@ from . import arcspace
 from .core import Cone, Fan
 from .errors import (BudgetExceeded, InvariantViolation, LambdaNotKLT,
                      NegativeMu, NotComplete, NotKLT)
-from .qseries import (FracPoly, FracRational, TruncatedSeries, expand_series,
+from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       substitute_reciprocal)
-from .stacky import (PiecewiseQLinear, StackyFan, _scan_size, box_elements,
+from .stacky import (PiecewiseQLinear, StackyFan, box_elements,
                      zero_functional)
 
 
@@ -61,6 +61,25 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
         for n in points.values():
             per_level[-(-sum(n) // den)] += 1
     return tuple(itertools.accumulate(per_level))
+
+
+def _scan_size(sfan: StackyFan, bound: int) -> int:
+    """An a-priori bound on the work of _oracle_points(sfan, bound), which
+    ehrhart_counts and the series oracles check against EHRHART_SCAN_BUDGET
+    before they scan: the bound + 1 levels of ehrhart_counts, and for each
+    maximal cone with k rays the product of the k largest side lengths, in
+    lattice points, of the bounding box of conv(0, bound * b_i).
+    _oracle_points walks, in that cone, at most the lattice points of the
+    box over the k coordinates of a minor, which this product bounds."""
+    size = bound + 1
+    for sigma in sfan.fan.maximal_cones:
+        bvecs = [sfan.b(i) for i in sigma.ray_indices]
+        if not bvecs:
+            continue
+        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
+                        for col in zip(*bvecs)), reverse=True)
+        size += math.prod(sides[:len(bvecs)])
+    return size
 
 
 def _oracle_points(sfan: StackyFan, bound):
@@ -158,8 +177,8 @@ def ehrhart_delta(sfan: StackyFan) -> FracRational:
         raise InvariantViolation(
             f"the delta-vector at lambda = 0 is not a polynomial of degree "
             f"at most {d}")
-    bucketed = bucket_series(expand_series(closed, d))
-    return FracRational(FracPoly(bucketed.terms))
+    return FracRational(FracPoly(
+        bucket_series(TruncatedSeries(closed.num.terms, d)).terms))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ from functools import cached_property
 
 from . import core
 from .core import Cone, Fan, ZERO_CONE
-from .errors import NotMaximalCone
+from .errors import BudgetExceeded, NotMaximalCone
+
+# the most box-group elements, summed over the maximal cones, that
+# box_table may scan; the scan takes some 15 us per element (2 vCPU,
+# Python 3.11), so about 1.5 s at the limit
+BOX_SCAN_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,14 @@ class StackyFan:
         maximal cone: the fan is simplicial, so BOX(tau) is the part of the
         parallelepiped of any maximal sigma containing tau whose non-zero
         q_i lie on the rays of tau.  Each face is filed, by its index tuple,
-        from the first maximal cone that reaches it."""
+        from the first maximal cone that reaches it.  Over BOX_SCAN_BUDGET
+        group elements in all, a BudgetExceeded is raised before any scan."""
+        orders = sum(self.solvers[sigma].order
+                     for sigma in self.fan.maximal_cones)
+        if orders > BOX_SCAN_BUDGET:
+            raise BudgetExceeded(
+                f"the box groups have {orders} elements in all, over the "
+                f"limit of {BOX_SCAN_BUDGET}")
         found = {}
         for sigma in self.fan.maximal_cones:
             den = self.solvers[sigma].denominator
@@ -309,27 +321,6 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     ordered = sorted(found.items(), key=lambda item: (
         item[1][0] * (den // item[1][1]), item[0]))
     return [(p, Fraction(ps, order), lv) for p, (ps, order, lv) in ordered]
-
-
-def _scan_size(sfan: StackyFan, bound: int) -> int:
-    """An a-priori bound on the lattice points of |Sigma| with psi <= bound,
-    and on the work of deltainv._oracle_points(sfan, bound): the bound + 1
-    levels of the Ehrhart counts, and for each maximal cone with k rays the
-    product of the k largest side lengths, in lattice points, of the
-    bounding box of conv(0, bound * b_i).  The points of that simplex
-    project one to one onto the k coordinates of a non-zero minor, so they
-    are at most the lattice points of the box over those coordinates, which
-    this product bounds; _oracle_points walks no more.  The budgets read
-    it before any scan."""
-    size = bound + 1
-    for sigma in sfan.fan.maximal_cones:
-        bvecs = [sfan.b(i) for i in sigma.ray_indices]
-        if not bvecs:
-            continue
-        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
-                        for col in zip(*bvecs)), reverse=True)
-        size += math.prod(sides[:len(bvecs)])
-    return size
 
 
 def _bounded_tuples(k: int, total_max: int):

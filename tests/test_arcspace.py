@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -245,5 +246,39 @@ def test_small_bounds_stay_far_below_the_budgets():
     makers = [random_complete_rank2, random_convex_rank2,
               random_complete_rank3, random_convex_rank3]
     for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
-        assert 10 * stacky._scan_size(f, 1) ** 2 <= arcspace.ORBIT_PAIR_BUDGET
-        assert 10 * stacky._scan_size(f, 2) <= arcspace.DIRECT_SCAN_BUDGET
+        assert 10 * arcspace._walk_size(f, 1) ** 2 <= \
+            arcspace.ORBIT_PAIR_BUDGET
+        assert 10 * arcspace._walk_size(f, 2) <= arcspace.DIRECT_SCAN_BUDGET
+
+
+def test_walk_size_counts_the_shift_tuples_enumerated(monkeypatch):
+    # _bounded_tuples recurses through the module name, so the counting
+    # stand-in makes the tuples itself
+    walked = []
+
+    def counting(k, total_max):
+        for shifts in itertools.product(range(total_max + 1), repeat=k):
+            if sum(shifts) <= total_max:
+                walked.append(shifts)
+                yield shifts
+
+    monkeypatch.setattr(stacky, "_bounded_tuples", counting)
+    rng = random.Random(48)
+    fans = [*named_fans().values(), random_complete_rank3(rng),
+            random_convex_rank3(rng)]
+    for f in fans:
+        for bound in (0, Fraction(3, 2), 3):
+            walked.clear()
+            points = enumerate_support_points(f, bound)
+            assert arcspace._walk_size(f, bound) == len(walked) >= \
+                len(points)
+
+
+def test_a_skewed_rank_3_fan_is_admitted_at_small_bounds():
+    # the squared lattice-point count of its bounding boxes, the budget's
+    # earlier measure, refused it at bound 3, where the poset has 655 labels
+    # and takes about 0.2 s
+    f = mk_sfan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-2, -2, -1)],
+                (3, 2, 3, 3), [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)],
+                "complete")
+    assert len(orbit_poset(f, 3).labels) == 655

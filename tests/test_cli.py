@@ -308,15 +308,33 @@ def test_poset_and_direct_check_over_budget_exit_1_at_once():
     fan = str(DATA / "fan_p2.json")
     for argv, message in [
             (["orbit-poset", fan, "--bound", "60"],
-             "the orbit poset up to 60 may compare more than 100000000 "
+             "the orbit poset up to 60 may compare more than 2500000 "
              "pairs of labels"),
             (["gamma", fan, "--divisor", "zero", "--check-direct", "400"],
-             "the direct sum up to 400 may walk more than 100000 lattice "
+             "the direct sum up to 400 may walk more than 30000 lattice "
              "points")]:
         start = time.perf_counter()
         code, out = run_command(argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["delta", "box", "betti"])
+@pytest.mark.parametrize("document, orders", [
+    ({"weights": [10 ** 8, 1]}, 100000001),
+    ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "weights": [3000] * 3,
+      "cones": [[0, 1], [1, 2], [0, 2]]}, 27000000)])
+def test_large_box_groups_exit_1_at_once(tmp_path, command, document,
+                                         orders):
+    # the box scan is linear in the group orders: on both documents `box`
+    # and `betti` were still running after 60 s
+    path = tmp_path / "heavy.json"
+    path.write_text(_minimal(**document))
+    start = time.perf_counter()
+    code, out = run_command([command, str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, f"error: the box groups have {orders} "
+                              "elements in all, over the limit of 100000\n")
 
 
 @pytest.mark.parametrize("n, expected", [

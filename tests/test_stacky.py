@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
-                      named_fans, random_complete_rank2, random_convex_rank3)
+                      named_fans, random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3)
+from stackyfan import stacky
 from stackyfan.core import Cone
-from stackyfan.errors import NotMaximalCone, OutsideSupport
+from stackyfan.errors import BudgetExceeded, NotMaximalCone, OutsideSupport
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
                               box_elements, enumerate_support_points,
                               eval_pl, fractional_decompose, group_order,
@@ -147,6 +149,39 @@ def test_box_group_bijection():
                 continue
             total = sum(len(box_elements(f, tau)) for tau in sigma.faces())
             assert total == group_order(f, sigma)
+
+
+def test_solver_order_is_the_group_order():
+    rng = random.Random(52)
+    fans = [*named_fans().values(), random_convex_rank3(rng),
+            random_complete_rank3(rng)]
+    for f in fans:
+        for sigma in f.fan.maximal_cones:
+            order = f.solvers[sigma].order
+            if sigma.dim == f.rank:
+                assert order == group_order(f, sigma)
+            # the scan keeps at most the group's elements
+            assert len(stacky._scan_parallelepiped(f, sigma)) <= order
+
+
+def test_box_table_over_budget_raises_before_scanning(monkeypatch):
+    # P(10^8, 1): the scan is linear in the group orders, and ran past 60 s
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", forbidden)
+    f = mk_sfan(1, [(1,), (-1,)], (10 ** 8, 1), [(0,), (1,)], "complete")
+    with pytest.raises(BudgetExceeded, match="100000001 elements"):
+        f.box_table
+
+
+def test_test_fans_stay_far_below_the_box_budget():
+    rng = random.Random(53)
+    makers = [random_complete_rank2, random_convex_rank2,
+              random_complete_rank3, random_convex_rank3]
+    for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
+        orders = sum(f.solvers[s].order for s in f.fan.maximal_cones)
+        assert 10 * orders <= stacky.BOX_SCAN_BUDGET
 
 
 def test_element_order():
