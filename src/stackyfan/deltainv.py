@@ -259,20 +259,21 @@ def h_tau_lambda(sfan: StackyFan, tau: Cone, lam: PiecewiseQLinear) -> FracRatio
 
 def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRational:
     """The weighted delta-vector as an exact rational function in canonical
-    form: sum over cones of h_tau^lambda times the box-element
-    contributions, assembled by _weighted_delta_parts.  Agrees with the
-    naive sum of h_tau_lambda * box factors (tested)."""
+    form: sum over cones of h_tau^lambda times the box contributions, over
+    the cones' least common denominator (_weighted_delta_parts).  Agrees
+    with the naive sum of h_tau_lambda * box factors (tested)."""
     n, total, binom = _weighted_delta_parts(sfan, lam)
     denominator = functools.reduce(_times_binomial, binom, {0: 1})
     return FracRational(total, denominator, grid=n)
 
 
 def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
-    """(n, numerator, binom) with delta = numerator(s) / prod_i (1 -
-    s^binom[i]), s = t^{1/n}, not reduced: n is the lcm of the denominators
-    of the lambda(b_i) and of the box exponents, binom[i] = n (lambda(b_i) +
-    1), and numerator is a sparse {int exponent: int} dict without zeros;
-    each h-summand and box factor over that denominator carries (1 - t)^d.
+    """(n, numerator, binom) with delta = numerator(s) / prod_{c in binom}
+    (1 - s^c), s = t^{1/n}, not reduced: n is the lcm of the denominators
+    of the lambda(b_i) and of the box exponents, binom the least multiset
+    holding each cone's c_i = n (lambda(b_i) + 1), less the 1 - s^n that
+    (1 - t)^d = (1 - s^n)^d cancels (so empty at lambda = 0), and numerator
+    a sparse {int exponent: int} dict without zeros.
 
     With lambda(b_i) = l_i / L over a common denominator, the box element
     q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
@@ -289,30 +290,32 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
                        scale * e.order) for e in box_elements(sfan, tau)]
     n = math.lcm(scale, *(den // math.gcd(a, den)
                           for pairs in boxes.values() for a, den in pairs))
-    binom = [c * (n // scale) for c in plus]   # factor i is 1 - s^binom[i]
+    binom = [c * (n // scale) for c in plus]   # ray i gives 1 - s^binom[i]
     exponents = {tau: [a * n // den for a, den in pairs]
                  for tau, pairs in boxes.items()}
-    total = {}
+    groups = {}   # a cone's sorted binomials -> the sum of its cones' parts
     for sigma in cones:
         # faces tau of sigma: box exponents shifted by sum over the rays of
-        # sigma - tau of lam(b_i) + 1, times the factors of rays not in sigma
-        part = {}
+        # sigma - tau of lam(b_i) + 1
+        part = groups.setdefault(
+            tuple(sorted(binom[i] for i in sigma.ray_indices)), {})
         for tau in sigma.faces():
-            if not exponents[tau]:
-                continue
             shift = sum(binom[i] for i in sigma.ray_indices
                         if i not in tau.ray_indices)
             for e in exponents[tau]:
-                e += shift
-                part[e] = part.get(e, 0) + 1
-        for i, c in enumerate(binom):
-            if i not in sigma.ray_indices:
-                part = _times_binomial(part, c)
-        for e, c in part.items():
-            total[e] = total.get(e, 0) + c
-    for _ in range(sfan.rank):
+                part[e + shift] = part.get(e + shift, 0) + 1
+    common = functools.reduce(operator.or_, map(Counter, groups), Counter())
+    total = {}
+    for key, part in groups.items():
+        for c in (common - Counter(key)).elements():
+            part = _times_binomial(part, c)
+        for e, v in part.items():
+            total[e] = total.get(e, 0) + v
+    cancelled = min(sfan.rank, common[n])
+    common[n] -= cancelled
+    for _ in range(sfan.rank - cancelled):
         total = _times_binomial(total, n)
-    return n, total, binom
+    return n, {e: v for e, v in total.items() if v}, sorted(common.elements())
 
 
 def _times_binomial(p: dict, c: int) -> dict:

@@ -80,6 +80,8 @@ def ehrhart_delta_reference(sfan):
 # suite's seeds need at most 14 draws, and over 2000 seeds each maker drew
 # a valid fan within 20
 MAX_DRAWS = 50
+# the most rays random_stellar_chain grows a fan to
+MAX_CHAIN_RAYS = 200
 
 
 def _angle_half(v):
@@ -172,6 +174,33 @@ def random_rank1(rng, max_weight=3):
     return mk_sfan(1, [(1,), (-1,)], (rng.randint(1, max_weight),
                                       rng.randint(1, max_weight)),
                    [(0,), (1,)], "complete")
+
+
+def random_stellar_chain(rng, rank, rays):
+    """A unit-weight complete fan of the given rank with the given number of
+    rays, grown from P^rank by stellar subdivisions at b_i + b_j, for two
+    rays i, j of a random maximal cone: every cone on both is split in two.
+    Each subdivision of a smooth fan is smooth, so every draw is valid; the
+    fan is validated once, and a defect that fails it raises instead of
+    drawing again.  The rays are capped at MAX_CHAIN_RAYS."""
+    if not rank < rays <= MAX_CHAIN_RAYS:
+        raise ValueError(f"a chain of rank {rank} has {rank + 1} to "
+                         f"{MAX_CHAIN_RAYS} rays")
+    vectors = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    vectors.append((-1,) * rank)
+    cones = list(itertools.combinations(range(rank + 1), rank))
+    while len(vectors) < rays:
+        i, j = rng.sample(rng.choice(cones), 2)
+        new = len(vectors)
+        vectors.append(tuple(map(sum, zip(vectors[i], vectors[j]))))
+        cones = [c for c in cones if i not in c or j not in c] + [
+            tuple(new if k == old else k for k in c)
+            for c in cones if i in c and j in c for old in (i, j)]
+    fan = Fan.from_maximal(rank, vectors, cones, "complete")
+    if not validate_fan(fan).ok:
+        raise RuntimeError(f"random_stellar_chain: rank {rank}, {rays} rays "
+                           "fails validation")
+    return StackyFan(fan, (1,) * rays)
 
 
 def random_admissible_lambda(rng, sfan, min_num=None):

@@ -14,12 +14,13 @@ from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
                       fan_p12, fan_p112, fan_p12323, named_fans,
                       random_admissible_lambda, random_complete_rank2,
                       random_complete_rank3, random_convex_rank2,
-                      random_convex_rank3, random_klt_divisor)
+                      random_convex_rank3, random_klt_divisor,
+                      random_stellar_chain)
 from stackyfan.arcspace import (gamma_truncated_direct, orbit_poset,
                                 zero_divisor)
 from stackyfan.cli import parse_fan_document, render_document, run_command
 from stackyfan.core import determinant_abs
-from stackyfan.deltainv import (bucket_series, check_symmetry,
+from stackyfan.deltainv import (_oracle_points, bucket_series, check_symmetry,
                                 delta_mu_series, ehrhart_delta, gamma,
                                 weighted_delta_closed, weighted_delta_series)
 from stackyfan.qseries import (FracPoly, FracRational, expand_laurent,
@@ -183,6 +184,21 @@ def test_criterion_6_refinement_invariance():
         checked += 1
 
 
+def _ehrhart_polynomial(delta, d, x):
+    """f(x) = sum_j delta_j C(x - j + d, d), as a polynomial in x."""
+    total = Fraction(0)
+    for j, c in delta.num.terms.items():
+        total += c * math.prod(range(x - int(j) + 1, x - int(j) + d + 1))
+    return total / math.factorial(d)
+
+
+def _interior_count(sfan, m):
+    """#{v in N cap |Sigma| : psi(v) < m}, from the oracle's points."""
+    return sum(sum(n) < m * den
+               for _, den, points in _oracle_points(sfan, m)
+               for n in points.values())
+
+
 @criterion(7, "Ehrhart structure")
 def test_criterion_7_ehrhart_structure():
     rng = random.Random(107)
@@ -199,6 +215,33 @@ def test_criterion_7_ehrhart_structure():
         assert vol == sum(
             determinant_abs([f.b(i) for i in sigma.ray_indices])
             for sigma in f.fan.maximal_cones if sigma.dim == f.rank)
+        # reciprocity on complete fans: f(-m) = (-1)^d #{v : psi(v) < m}
+        if f.fan.support_kind == "complete":
+            for m in (1, 2, 3):
+                assert _ehrhart_polynomial(v, f.rank, -m) == \
+                    (-1) ** f.rank * _interior_count(f, m), (f.fan.rays, m)
+    # delta is palindromic exactly when every box element has integer age
+    # (psi is integral on N), on a slice rich in such Gorenstein fans.  The
+    # weighted delta-vector at lambda = 0 is palindromic, so delta read
+    # backwards is its terms c t^e moved to t^floor(e); a floor in place of
+    # the ceiling would pass the palindromy alone
+    gorenstein = [*fans, *(random_stellar_chain(rng, rank, rng.randint(
+        rank + 2, 10)) for rank in (2, 2, 3, 3))]
+    gorenstein += [random_complete_rank2(rng, max_weight=1) for _ in range(8)]
+    gorenstein += [random_complete_rank3(rng, max_weight=1) for _ in range(4)]
+    seen = set()
+    for f in gorenstein:
+        if f.fan.support_kind != "complete":
+            continue
+        coeffs = [ehrhart_delta(f).num.coeff(j) for j in range(f.rank + 1)]
+        closed = weighted_delta_closed(f, zero_functional(f)).num.terms
+        assert coeffs[::-1] == [sum(c for e, c in closed.items()
+                                    if math.floor(e) == j)
+                                for j in range(f.rank + 1)]
+        integral = all(age(f, e).denominator == 1 for e in box_all(f))
+        assert (coeffs == coeffs[::-1]) == integral, (f.fan.rays, f.weights)
+        seen.add(integral)
+    assert seen == {True, False}
     # bucketing vs the mu-series needs lambda integer-valued on all lattice
     # points: any non-negative integer values on smooth fans, and the frozen
     # lattice-integral triples on the fans with nontrivial box elements

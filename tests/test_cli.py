@@ -337,6 +337,49 @@ def test_large_box_groups_exit_1_at_once(tmp_path, command, document,
                               "elements in all, over the limit of 100000\n")
 
 
+DENSE_GRID_DOCUMENTS = {
+    # box orders summing to 3,495, on a grid n of 33 digits
+    "dense24": ({"rank": 2, "rays": [
+        [-17, -4], [-29, -7], [-23, -7], [-30, -17], [-17, -19], [-13, -19],
+        [-6, -11], [11, -27], [9, -14], [21, -26], [19, -17], [27, -20],
+        [29, -21], [17, -8], [19, -6], [9, -2], [29, 3], [17, 11], [30, 23],
+        [13, 10], [28, 25], [-1, 19], [-29, 23], [-22, 9]],
+        "weights": [1] * 24,
+        "cones": [[0, 1], [0, 23]] + [[i, i + 1] for i in range(1, 23)]},
+        427929000083474494807346061918001, 1.0),
+    # box orders summing to 94,679, whose scan alone takes some 1.3 s
+    "prime_p2": ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+                  "weights": [173, 179, 181],
+                  "cones": [[0, 1], [1, 2], [0, 2]]}, 11210055, 3.0)}
+
+
+@pytest.mark.parametrize("command", [
+    ["betti"], ["delta"], ["weighted-delta", "--lambda", "zero"],
+    ["gamma", "--divisor", "zero"]])
+@pytest.mark.parametrize("name", sorted(DENSE_GRID_DOCUMENTS))
+def test_dense_grid_over_budget_exits_1_at_once(tmp_path, command, name):
+    # the dense coefficient list on the grid s = t^{1/n} had no budget:
+    # dense24 escaped with an OverflowError traceback, and `betti` on
+    # prime_p2 ran 29 s in 1.2 GB
+    document, length, seconds = DENSE_GRID_DOCUMENTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(_minimal(**document))
+    start = time.perf_counter()
+    code, out = run_command([command[0], str(path), *command[1:]])
+    assert time.perf_counter() - start < seconds
+    assert (code, out) == (1, f"error: a coefficient list of length {length} "
+                              "is over the limit of 4000000\n")
+
+
+def test_dense_grid_symmetry_is_decided_on_the_sparse_parts(tmp_path):
+    path = tmp_path / "dense24.json"
+    path.write_text(_minimal(**DENSE_GRID_DOCUMENTS["dense24"][0]))
+    start = time.perf_counter()
+    assert run_command(["symmetry", str(path), "--lambda", "zero"]) == \
+        (0, "symmetric: true\n")
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("n, expected", [
     (5, "1 + 20t + 75t^2 + 96t^3 + 45t^4 + 6t^5"),
     (6, "1 + 27t + 140t^2 + 267t^3 + 216t^4 + 71t^5 + 7t^6")])

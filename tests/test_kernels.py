@@ -12,6 +12,7 @@ Gamma) against their definitions."""
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ import pytest
 from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
-                      random_klt_divisor, random_rank1)
+                      random_klt_divisor, random_rank1, random_stellar_chain)
 from stackyfan import core, deltainv, stacky
 from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
@@ -35,7 +36,7 @@ from stackyfan.deltainv import (check_symmetry, count_lattice_points,
                                 delta_mu_series, ehrhart_counts,
                                 weighted_delta_closed, weighted_delta_series)
 from stackyfan.errors import OutsideSupport
-from stackyfan.qseries import FracPoly, TruncatedSeries
+from stackyfan.qseries import FracPoly, FracRational, TruncatedSeries
 from stackyfan.refine import is_stacky_refinement, stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan,
                               _scan_parallelepiped, box_all, box_elements,
@@ -211,6 +212,26 @@ def weighted_delta_parts_reference(sfan, lam):
     return n, total, binom
 
 
+def assert_parts_match_reference(sfan, lam):
+    """The assembled triple has the reference's grid and value, compared by
+    cross-multiplying each numerator with the other side's binomials, and
+    its binomials are a sub-multiset of the reference's, one per ray."""
+    n, num, binom = deltainv._weighted_delta_parts(sfan, lam)
+    ref_n, ref_num, ref_binom = weighted_delta_parts_reference(sfan, lam)
+    assert n == ref_n
+    assert not Counter(binom) - Counter(ref_binom)
+    assert all(num.values())
+    cross = []
+    for p, others in ((num, ref_binom), (ref_num, binom)):
+        for c in others:
+            out = Counter(p)
+            for e, v in p.items():
+                out[e + c] -= v
+            p = {e: v for e, v in out.items() if v}
+        cross.append(p)
+    assert cross[0] == cross[1]
+
+
 @pytest.mark.parametrize("seed", [8, 9])
 def test_weighted_delta_parts_match_fraction_reference(seed):
     # lambda on the grids 1/den, den = 1..6, and zero
@@ -222,8 +243,45 @@ def test_weighted_delta_parts_match_fraction_reference(seed):
             Fraction(rng.randint(1 - den, 2 * den), den) for _ in range(rays)])
             for den in range(1, 7)]
         for lam in lams:
-            assert deltainv._weighted_delta_parts(sfan, lam) == \
-                weighted_delta_parts_reference(sfan, lam)
+            assert_parts_match_reference(sfan, lam)
+
+
+def test_zero_lambda_assembles_a_polynomial():
+    # every cone's binomials at lambda = 0 are 1 - s^n, which the (1 - t)^d
+    # of each summand cancels: nothing is left over the numerator
+    from test_acceptance import fan_suite
+    rng = random.Random(12)
+    fans = [*named_fans().values(), *fan_suite(), *random_fans(12, 2),
+            random_stellar_chain(rng, 2, 24), random_stellar_chain(rng, 3, 12)]
+    for sfan in fans:
+        n, num, binom = deltainv._weighted_delta_parts(
+            sfan, zero_functional(sfan))
+        assert binom == []
+        assert weighted_delta_closed(sfan, zero_functional(sfan)) == \
+            FracRational(FracPoly({Fraction(e, n): v for e, v in num.items()}))
+
+
+@pytest.mark.parametrize("rank, rays", [(2, 96), (3, 80)])
+def test_assembly_scales_with_the_rays(rank, rays):
+    # many rays with lambda on the grid 1/7 share few binomials; the every-
+    # ray assembly took 2.5-4.4 s on each of these, at lambda = 0 0.3-0.5 s
+    rng = random.Random(rays)
+    sfan = random_stellar_chain(rng, rank, rays)
+    lam = PiecewiseQLinear(sfan, [Fraction(rng.randint(-6, 14), 7)
+                                  for _ in range(rays)])
+    for lam in (lam, zero_functional(sfan)):
+        for check in (weighted_delta_closed, check_symmetry):
+            start = time.perf_counter()
+            check(sfan, lam)
+            assert time.perf_counter() - start < 1, (check.__name__, lam)
+
+
+def test_many_ray_assembly_matches_every_ray_reference():
+    rng = random.Random(24)
+    sfan = random_stellar_chain(rng, 2, 24)
+    for den in (1, 3, 7):
+        assert_parts_match_reference(sfan, PiecewiseQLinear(sfan, [
+            Fraction(rng.randint(1 - den, 2 * den), den) for _ in range(24)]))
 
 
 def test_box_table_builds_no_fraction(monkeypatch):

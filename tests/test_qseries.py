@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stackyfan.errors import DivisionByZero, NoExpansionAtZero
+from stackyfan.errors import BudgetExceeded, DivisionByZero, NoExpansionAtZero
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_laurent, expand_series, format_poly,
                                format_rational, format_series, series_equal,
@@ -17,6 +17,19 @@ def P(terms):
 
 def test_poly_mul_difference_of_squares():
     assert P({0: 1, 1: 1}) * P({0: 1, 1: -1}) == P({0: 1, 2: -1})
+
+
+def test_dense_lists_over_the_budget_raise_before_they_are_built():
+    # the sum moves 1 + t to the grid t^{1/5000000}, and the expansion of
+    # 1/(1 - t) up to t^4000001 runs over that many coefficients
+    fine = FracRational(P({Fraction(1, 5 * 10 ** 6): 1}))
+    with pytest.raises(BudgetExceeded, match="length 5000001 is over the "
+                                             "limit of 4000000"):
+        FracRational(P({0: 1, 1: 1})) + fine
+    with pytest.raises(BudgetExceeded, match="length 4000001 "):
+        expand_series(FracRational(1, P({0: 1, 1: -1})), 4 * 10 ** 6 + 1)
+    with pytest.raises(BudgetExceeded, match="length 4000001 "):
+        FracRational(P({0: 1, 4 * 10 ** 6: 1}))
 
 
 def test_poly_fractional_exponents():
