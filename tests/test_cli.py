@@ -360,7 +360,7 @@ DENSE_GRID_DOCUMENTS = {
 def test_dense_grid_over_budget_exits_1_at_once(tmp_path, command, name):
     # the dense coefficient list on the grid s = t^{1/n} had no budget:
     # dense24 escaped with an OverflowError traceback, and `betti` on
-    # prime_p2 ran 29 s in 1.2 GB
+    # prime_p2 ran 31 s in 1.2 GB
     document, length, seconds = DENSE_GRID_DOCUMENTS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(_minimal(**document))
