@@ -13,15 +13,15 @@ from . import stacky
 from .errors import BudgetExceeded, InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
-                     age, fractional_decompose, iota, psi)
+                     age, fractional_decompose, iota)
 
 # the most pairs of labels that orbit_poset may compare, by _walk_size
 # squared, since it compares every pair; on P2 bound 30, the largest under
 # it, takes some 5 s (2 vCPU, Python 3.11)
 ORBIT_PAIR_BUDGET = 25 * 10 ** 5
 # the most points that gamma_truncated_direct may walk, by _walk_size; each
-# costs an orbit label and a measure, so on P2 bound 139, the largest under
-# it, takes some 5 s on the same machine
+# costs an orbit label and its routes on the integer grid, so on P2 bound
+# 139, the largest under it, takes some 2 s on the same machine
 DIRECT_SCAN_BUDGET = 3 * 10 ** 4
 
 
@@ -55,10 +55,15 @@ class StackDivisor:
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           tuple(Fraction(b) for b in self.coefficients))
-        if len(self.coefficients) != len(self.sfan.fan.rays):
+        beta = tuple(Fraction(b) for b in self.coefficients)
+        object.__setattr__(self, "coefficients", beta)
+        if len(beta) != len(self.sfan.fan.rays):
             raise ValueError("one coefficient per ray required")
+        # beta_i = numerators[i] / scale over their least common denominator
+        scale = math.lcm(*(b.denominator for b in beta))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "numerators", tuple(
+            b.numerator * (scale // b.denominator) for b in beta))
 
     @property
     def is_klt(self) -> bool:
@@ -89,12 +94,13 @@ def divisor_to_pl(e: StackDivisor) -> PiecewiseQLinear:
 def contact_order(e: StackDivisor, w: FractionalDecomposition) -> Fraction:
     """Contact order of the orbit of w along the divisor: -lambda(w) with
     lambda(b_i) = -beta_i, read from the label's decomposition
-    w = sum q_i b_i + sum s_i b_i as sum beta_i (q_i + s_i)."""
+    w = sum q_i b_i + sum s_i b_i as sum beta_i (q_i + s_i), on the integer
+    numerators of the q_i and the beta_i."""
     box = w.box_part
-    beta = e.coefficients
-    return (sum((n * beta[i] for n, i in zip(box.nums, box.cone.ray_indices)),
-                Fraction(0)) / box.order
-            + sum(s * beta[i] for i, s in w.shifts))
+    beta = e.numerators
+    top = (sum(n * beta[i] for n, i in zip(box.nums, box.cone.ray_indices))
+           + box.order * sum(s * beta[i] for i, s in w.shifts))
+    return Fraction(top, box.order * e.scale)
 
 
 def shift_function(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
@@ -108,11 +114,20 @@ def shift_function(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
     return value
 
 
+def measure_exponent(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
+    """-psi(w) + psi({w}) - dim sigma({w}), the q-exponent that shifts
+    (q-1)^d to the orbit's cylinder measure.  psi(w) comes from locating
+    the label's point afresh, not from the enumerator that found it."""
+    _, nums, den = sfan.solvers.locate(w.w)
+    box = w.box_part
+    return Fraction((sum(box.nums) - box.cone.dim * box.order) * den
+                    - sum(nums) * box.order, den * box.order)
+
+
 def orbit_measure(sfan: StackyFan, w: FractionalDecomposition) -> FracPoly:
     """Cylinder measure of the orbit: (q-1)^d q^{-psi(w)+psi({w})-dim},
-    the terms of (q-1)^d shifted by the exponent."""
-    box = w.box_part
-    exponent = -psi(sfan, w.w) + age(sfan, box) - box.cone.dim
+    the terms of (q-1)^d shifted by measure_exponent."""
+    exponent = measure_exponent(sfan, w)
     return FracPoly({qe + exponent: c
                      for qe, c in _q_minus_1_power(sfan.rank).terms.items()})
 
@@ -198,16 +213,31 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     return OrbitPoset(labels, strict, covers)
 
 
+def _on_grid(x: Fraction, grid: int, point) -> int:
+    """x * grid, which must be an integer: a value off the grid raises,
+    rather than being truncated onto it."""
+    q, r = divmod(grid, x.denominator)
+    if r:
+        raise InvariantViolation(
+            f"{x} at {list(point)} is off the grid of step 1/{grid}")
+    return x.numerator * q
+
+
 def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> TruncatedSeries:
     """Partial sum (q-1)^d sum_w q^{-psi(w)-lambda(w)} over labels with
     psi(w) + lambda(w) <= bound.
 
-    Every term is computed twice: directly, as (q-1)^d q^{-psi(w)-lambda(w)},
-    and as orbit_measure(w) * q^{shift(w) + contact_order(w)}; the two must
-    agree.  Multiplying by a power of q is a bijection, so this is checked
-    as orbit_measure(w) == (q-1)^d q^{-psi(w)-lambda(w)-shift(w)-contact(w)}
-    term by term, and the direct terms are summed as a count per exponent
-    -psi(w)-lambda(w), multiplied by (q-1)^d once at the end.
+    Every term is computed twice: directly, as (q-1)^d q^{-psi(w)-lambda(w)}
+    with psi and lambda from the enumerator, and as orbit_measure(w) *
+    q^{shift(w) + contact_order(w)}; the two must agree.  Multiplying by a
+    power of q is a bijection, so this is checked on the exponents,
+    measure_exponent(w) + shift(w) + contact_order(w) == -psi(w) -
+    lambda(w).  Every exponent lies on one integer grid of step 1/G, G the
+    lcm of the maximal cones' solver denominators times the common
+    denominator of the beta_i, and is compared there as an integer; a
+    value off the grid raises InvariantViolation.  The direct terms are
+    summed as a count per level (psi + lambda) * G, and multiplied by
+    (q-1)^d once at the end.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
     below d - bound.  Over DIRECT_SCAN_BUDGET by _walk_size, a
@@ -227,25 +257,29 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
         raise BudgetExceeded(
             f"the direct sum up to {bound} may walk more than "
             f"{DIRECT_SCAN_BUDGET} lattice points")
-    qm1 = _q_minus_1_power(d).terms
-    counts = {}   # q-exponent -psi(w)-lambda(w) -> number of labels
+    grid = math.lcm(*(sfan.solvers[sigma].denominator
+                      for sigma in sfan.fan.maximal_cones)) * e.scale
+    # an integer level exceeds bound * grid exactly when it exceeds its floor
+    top = bound.numerator * grid // bound.denominator
+    counts = {}   # level (psi(w) + lambda(w)) * grid -> number of labels
     for point, psi_w, lam_w in stacky.enumerate_support_points(
             sfan, bound / slack, lam.values_on_b):
-        if psi_w + lam_w > bound:
+        level = _on_grid(psi_w, grid, point) + _on_grid(lam_w, grid, point)
+        if level > top:
             continue
-        exponent = -psi_w - lam_w
         label = orbit_label(sfan, point)
-        shift = (exponent - shift_function(sfan, label)
-                 - contact_order(e, label))
-        if orbit_measure(sfan, label).terms != {
-                qe + shift: c for qe, c in qm1.items()}:
+        if (_on_grid(measure_exponent(sfan, label), grid, point)
+                + _on_grid(shift_function(sfan, label), grid, point)
+                + _on_grid(contact_order(e, label), grid, point) != -level):
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")
-        counts[exponent] = counts.get(exponent, 0) + 1
-    total = {}   # q-exponent -> coefficient
-    for base, n in counts.items():
-        for qe, c in qm1.items():
-            total[base + qe] = total.get(base + qe, 0) + n * c
-    # series in q^{-1}: exponent of q^{-1} is minus the q-exponent
-    return TruncatedSeries({-qe: c for qe, c in total.items()
-                            if -qe <= bound - d}, bound - d)
+        counts[level] = counts.get(level, 0) + 1
+    # the q^{-1}-exponent of q^j q^{-level / grid} is (level - j grid) / grid
+    qm1 = _q_minus_1_power(d).terms
+    total = {}
+    for level, n in counts.items():
+        for j, c in qm1.items():
+            key = level - int(j) * grid
+            total[key] = total.get(key, 0) + n * c
+    return TruncatedSeries({Fraction(k, grid): c for k, c in total.items()},
+                           bound - d)

@@ -252,7 +252,8 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
         for j, x in enumerate(sfan.b_vectors[i]):
             point[j] -= s * x
     frac = [(i, n % den) for i, n in zip(cone.ray_indices, nums) if n % den]
-    tau = Cone(tuple(i for i, _ in frac))
+    # a located cone's indices ascend, and so do those of its face
+    tau = Cone._sorted(tuple(i for i, _ in frac))
     box = BoxElement(tuple(point), tau,
                      *_reduce_numerators([r for _, r in frac], den))
     return FractionalDecomposition(w, box, shifts)
@@ -270,8 +271,9 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     """All lattice points w in |Sigma| with psi(w) <= bound.
 
-    Yields (point, psi(w), lam(w)) where lam is the piecewise Q-linear
-    functional with the given values on the b_i (None -> lam(w) = None).
+    Returns a list of (point, psi(w), lam(w)) where lam is the piecewise
+    Q-linear functional with the given values on the b_i (None -> lam(w) =
+    None).
     Deterministic order: ascending psi, ties broken lexicographically.
     """
     bound = Fraction(bound)

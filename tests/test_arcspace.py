@@ -213,11 +213,40 @@ def test_orbit_poset_not_transitive_raises(monkeypatch):
 
 def test_gamma_truncated_orbit_measure_disagreement_raises(monkeypatch):
     f = fan_p12()
-    measure = arcspace.orbit_measure
-    monkeypatch.setattr(arcspace, "orbit_measure", lambda sfan, w:
-                        measure(sfan, w) * FracPoly.t_power(1))
+    exponent = arcspace.measure_exponent
+    monkeypatch.setattr(arcspace, "measure_exponent", lambda sfan, w:
+                        exponent(sfan, w) + 1)
     with pytest.raises(InvariantViolation, match="orbit-measure"):
         gamma_truncated_direct(f, zero_divisor(f), 1)
+
+
+@pytest.mark.parametrize("route", ["shift_function", "contact_order"])
+def test_gamma_truncated_route_off_by_one_raises(monkeypatch, route):
+    f = fan_p12()
+    original = getattr(arcspace, route)
+    monkeypatch.setattr(arcspace, route, lambda x, w: original(x, w) + 1)
+    with pytest.raises(InvariantViolation, match="orbit-measure"):
+        gamma_truncated_direct(f, zero_divisor(f), 1)
+
+
+def test_gamma_truncated_off_grid_value_raises(monkeypatch):
+    # 1/p lies off the grid of P(1,2) with a zero divisor; truncated onto
+    # it, the check would pass
+    f = fan_p12()
+    original = arcspace.contact_order
+    monkeypatch.setattr(arcspace, "contact_order", lambda e, w:
+                        original(e, w) + Fraction(1, 10 ** 9 + 7))
+    with pytest.raises(InvariantViolation, match="off the grid"):
+        gamma_truncated_direct(f, zero_divisor(f), 1)
+
+
+def test_orbit_measure_is_q_minus_1_power_shifted_by_measure_exponent():
+    for f in named_fans().values():
+        qm1 = FracPoly({0: -1, 1: 1}) ** f.rank
+        for p, _, _ in enumerate_support_points(f, 3):
+            lab = orbit_label(f, p)
+            assert orbit_measure(f, lab) == qm1 * FracPoly.t_power(
+                arcspace.measure_exponent(f, lab)), p
 
 
 def test_poset_and_direct_sum_over_budget_raise_before_enumerating(

@@ -23,10 +23,10 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1, random_stellar_chain)
 from stackyfan import core, deltainv, stacky
-from stackyfan.arcspace import (closure_leq, contact_order, divisor_to_pl,
-                                gamma_truncated_direct, orbit_label,
-                                orbit_measure, orbit_poset, shift_function,
-                                zero_divisor)
+from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
+                                divisor_to_pl, gamma_truncated_direct,
+                                orbit_label, orbit_measure, orbit_poset,
+                                shift_function, zero_divisor)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
                             _fm_feasible, determinant, independent_rows,
                             minimal_containing_cone, solve_rational_system,
@@ -1180,3 +1180,30 @@ def test_gamma_truncated_direct_matches_per_point_products(seed):
             expected = gamma_direct_reference(sfan, e, bound)
             assert got.cutoff == expected.cutoff
             assert got.terms == expected.terms
+
+
+def divisor_over(rng, sfan, den):
+    """A klt divisor whose every beta_i has denominator den, at most 1/2."""
+    return StackDivisor(sfan, tuple(
+        Fraction(rng.choice([n for n in range(-2 * den, den // 2 + 1)
+                             if n % den]), den) for _ in sfan.fan.rays))
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_gamma_truncated_direct_on_a_grid_with_the_divisor_denominator(seed):
+    # beta_i over 5 and 7 put psi + lambda off the grid of the solver
+    # denominators alone, unless the fan's box orders share the prime
+    rng = random.Random(seed)
+    coprime = 0
+    for sfan in oracle_fans(seed, 1):
+        solver_grid = math.lcm(*(sfan.solvers[sigma].denominator
+                                 for sigma in sfan.fan.maximal_cones))
+        for den in (5, 7):
+            coprime += math.gcd(den, solver_grid) == 1
+            e = divisor_over(rng, sfan, den)
+            for bound in (Fraction(5, 3), Fraction(7, 4)):
+                got = gamma_truncated_direct(sfan, e, bound)
+                expected = gamma_direct_reference(sfan, e, bound)
+                assert got.cutoff == expected.cutoff
+                assert got.terms == expected.terms
+    assert coprime

@@ -228,6 +228,17 @@ def test_fractional_decompose_box_part_is_a_box_element():
                     if e.point == box.point] == [box]
 
 
+def test_fractional_decompose_box_cone_is_built_sorted():
+    # the box cone is built without the sort of Cone(...); it must still
+    # be the cone Cone(...) builds, a face of the point's minimal cone
+    for f in named_fans().values():
+        for w, _, _ in enumerate_support_points(f, 3):
+            d = fractional_decompose(f, w)
+            cone = d.box_part.cone
+            assert cone == Cone(cone.ray_indices), w
+            assert cone.is_face_of(stacky.locate(f, w)[0]), w
+
+
 def test_fractional_decompose_on_b():
     for f in named_fans().values():
         for i in range(len(f.fan.rays)):
