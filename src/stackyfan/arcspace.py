@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stacky
-from .errors import BudgetExceeded, InvariantViolation, NotKLT
+from .errors import InvariantViolation, NotKLT, admit
 from .qseries import FracPoly, TruncatedSeries
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      age, fractional_decompose, iota)
@@ -174,10 +174,8 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     """The orbit labels with psi <= bound and their closure order.  Over
     ORBIT_PAIR_BUDGET by _walk_size squared, a BudgetExceeded is raised
     before any label is made."""
-    if _walk_size(sfan, Fraction(bound)) ** 2 > ORBIT_PAIR_BUDGET:
-        raise BudgetExceeded(
-            f"the orbit poset up to {bound} may compare more than "
-            f"{ORBIT_PAIR_BUDGET} pairs of labels")
+    admit(_walk_size(sfan, Fraction(bound)) ** 2, ORBIT_PAIR_BUDGET,
+          f"the orbit poset up to {bound} may compare", "pairs of labels,")
     pts = stacky.enumerate_support_points(sfan, bound)
     labels = [orbit_label(sfan, p) for p, _, _ in pts]
     psis = {lab.w: ps for lab, (_, ps, _) in zip(labels, pts)}
@@ -253,10 +251,8 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    if _walk_size(sfan, bound / slack) > DIRECT_SCAN_BUDGET:
-        raise BudgetExceeded(
-            f"the direct sum up to {bound} may walk more than "
-            f"{DIRECT_SCAN_BUDGET} lattice points")
+    admit(_walk_size(sfan, bound / slack), DIRECT_SCAN_BUDGET,
+          f"the direct sum up to {bound} may walk", "lattice points,")
     grid = math.lcm(*(sfan.solvers[sigma].denominator
                       for sigma in sfan.fan.maximal_cones)) * e.scale
     # an integer level exceeds bound * grid exactly when it exceeds its floor

@@ -11,15 +11,15 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arcspace, core, deltainv, refine, stacky
 from .core import Fan
-from .errors import (BudgetExceeded, NotARefinement, ParseError,
-                     StackyFanError, ValidationError)
-from .qseries import (FracPoly, expand_laurent, format_poly, format_rational,
-                      format_series, series_equal, substitute_reciprocal)
+from .errors import (NotARefinement, ParseError, StackyFanError,
+                     ValidationError, admit)
+from .qseries import (expand_laurent, format_rational, format_series,
+                      series_equal, substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan
 
 DOCUMENT_FIELDS = ("rank", "rays", "weights", "cones", "support",
@@ -115,8 +115,7 @@ def parse_fan_document(text: str) -> FanDocument:
     rank = _integer(data["rank"], "rank")
     if rank < 1:
         raise ParseError("rank: must be positive")
-    if rank > MAX_RANK:
-        raise BudgetExceeded(f"rank {rank} is over the limit of {MAX_RANK}")
+    admit(rank, MAX_RANK, "rank", "is")
     if not isinstance(data["rays"], list):
         raise ParseError("rays: expected a list")
     rays = tuple(_int_list(r, f"rays[{i}]")
@@ -142,10 +141,8 @@ def parse_fan_document(text: str) -> FanDocument:
             raise ParseError(f"cones[{i}]: more than {rank} ray indices")
         if len(set(c)) != len(c):
             raise ParseError(f"cones[{i}]: repeated ray index")
-    faces = sum(2 ** len(c) for c in cones)
-    if faces > MAX_FACES:
-        raise BudgetExceeded(
-            f"the cones have {faces} faces, over the limit of {MAX_FACES}")
+    admit(sum(2 ** len(c) for c in cones), MAX_FACES, "the cones have",
+          "faces,")
     support = data["support"]
     if support not in SUPPORT_KINDS:
         raise ParseError(f"support: expected one of {', '.join(SUPPORT_KINDS)}")
@@ -384,10 +381,10 @@ def _lattice_point(text):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on first use and shared by every call of
-    run_command (parsing leaves it unchanged)."""
-    parser = _Parser(prog="stackyfan", description=__doc__)
+def _build_parser() -> tuple:
+    """The argument parser and its options that take a value, built on
+    first use and shared by every run_command (parsing leaves it unchanged)."""
+    parser, values = _Parser(prog="stackyfan", description=__doc__), set()
     parser.add_argument("--uv", action="store_true",
                         help="render the motivic variable as uv instead of q")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,41 +395,44 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    def option(p, flag, **kwargs):
+        values.add(flag)
+        p.add_argument(flag, **kwargs)
+
     add("validate", _cmd_validate, help="structural validation report")
     add("box", _cmd_box, help="box elements of every cone")
     add("ages", _cmd_ages, help="ages of all box elements")
     p = add("ehrhart", _cmd_ehrhart, help="lattice-point counts f(0..K)")
-    p.add_argument("--max-m", type=_at_least(int, 0, "non-negative"),
-                   required=True, metavar="K")
+    option(p, "--max-m", type=_at_least(int, 0, "non-negative"), required=True,
+           metavar="K")
     add("delta", _cmd_delta, help="Ehrhart delta-polynomial")
     p = add("weighted-delta", _cmd_weighted_delta,
             help="weighted delta-vector (closed form)")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
-    p.add_argument("--series-cutoff", metavar="C",
-                   type=_at_least(rational, 0, "non-negative"))
+    option(p, "--lambda", dest="lam", required=True, metavar="NAME")
+    option(p, "--series-cutoff", metavar="C",
+           type=_at_least(rational, 0, "non-negative"))
     p = add("gamma", _cmd_gamma, help="motivic integral Gamma(X, E)")
-    p.add_argument("--divisor", required=True, metavar="NAME")
-    p.add_argument("--check-direct", metavar="BOUND",
-                   type=_at_least(rational, 0, "non-negative"))
+    option(p, "--divisor", required=True, metavar="NAME")
+    option(p, "--check-direct", metavar="BOUND",
+           type=_at_least(rational, 0, "non-negative"))
     add("betti", _cmd_betti, help="orbifold Betti numbers")
     p = add("symmetry", _cmd_symmetry, help="palindromy of the delta-vector")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="NAME")
+    option(p, "--lambda", dest="lam", required=True, metavar="NAME")
     p = add("orbit-poset", _cmd_orbit_poset, help="twisted-arc orbit poset")
-    p.add_argument("--bound", type=_at_least(rational, 0, "non-negative"),
-                   required=True, metavar="B")
+    option(p, "--bound", type=_at_least(rational, 0, "non-negative"),
+           required=True, metavar="B")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--json", action="store_true")
     p = add("refine-check", _cmd_refine_check,
             help="refinement predicate and invariance check")
-    p.add_argument("--fine", required=True, metavar="FILE")
-    p.add_argument("--lambda", dest="lam", metavar="NAME")
+    option(p, "--fine", required=True, metavar="FILE")
+    option(p, "--lambda", dest="lam", metavar="NAME")
     p = add("subdivide", _cmd_subdivide, help="stellar subdivision at a point")
-    p.add_argument("--at", type=_lattice_point, required=True,
-                   metavar="x,y,..")
-    p.add_argument("--weight", type=_at_least(int, 1, "positive"), default=1,
-                   metavar="a")
-    return parser
+    option(p, "--at", type=_lattice_point, required=True, metavar="x,y,..")
+    option(p, "--weight", type=_at_least(int, 1, "positive"), default=1,
+           metavar="a")
+    return parser, frozenset(values)
 
 
 def _read(path) -> str:
@@ -446,12 +446,17 @@ def _read(path) -> str:
 
 def run_command(argv) -> tuple:
     """Execute a CLI invocation; returns (exit code, rendered output)."""
-    parser = _build_parser()
+    parser, values = _build_parser()
+    # argparse reads a token that begins with '-' as an option unless it looks
+    # like a negative number, so a value is joined to its option: --at=-1,0
+    tokens = []
+    for token in argv:
+        if tokens and tokens[-1] in values:
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return 2, f"usage error: {exc}\n"
-    try:
+        args = parser.parse_args(tokens)
         text = _read(args.fan)
         if args.func is _cmd_validate:
             return _cmd_validate(text, args)

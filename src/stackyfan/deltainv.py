@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from . import arcspace
 from .core import Cone, Fan
-from .errors import (BudgetExceeded, InvariantViolation, LambdaNotKLT,
-                     NegativeMu, NotComplete, NotKLT)
+from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
+                     NotComplete, NotKLT, admit)
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       substitute_reciprocal)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements,
@@ -52,10 +52,8 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
     is raised before anything is allocated."""
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
-    if _scan_size(sfan, max_m) > EHRHART_SCAN_BUDGET:
-        raise BudgetExceeded(
-            f"Ehrhart counts up to {max_m} may walk more than "
-            f"{EHRHART_SCAN_BUDGET} lattice points")
+    admit(_scan_size(sfan, max_m), EHRHART_SCAN_BUDGET,
+          f"Ehrhart counts up to {max_m} may walk", "lattice points,")
     per_level = [0] * (max_m + 1)
     for _, den, points in _oracle_points(sfan, max_m):
         for n in points.values():
@@ -212,10 +210,8 @@ def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
     ceil(psi(v)) D S if ceil_psi.
     """
     # the scan up to a rational bound walks no more than up to its ceiling
-    if _scan_size(sfan, math.ceil(bound)) > EHRHART_SCAN_BUDGET:
-        raise BudgetExceeded(
-            f"the series up to {cutoff} may walk more than "
-            f"{EHRHART_SCAN_BUDGET} lattice points")
+    admit(_scan_size(sfan, math.ceil(bound)), EHRHART_SCAN_BUDGET,
+          f"the series up to {cutoff} may walk", "lattice points,")
     scale = math.lcm(*(x.denominator for x in values))
     ints = [int(x * scale) for x in values]
     raw = {}

@@ -65,6 +65,15 @@ class BudgetExceeded(StackyFanError):
     """An a-priori count puts a computation over its fixed size budget."""
 
 
+def admit(count: int, limit: int, before: str, after: str) -> int:
+    """The a-priori count if it is within limit, else a BudgetExceeded that
+    reads '<before> <count> <after> over the limit of <limit>'."""
+    if count > limit:
+        raise BudgetExceeded(f"{before} {count} {after} over the limit of "
+                             f"{limit}")
+    return count
+
+
 class ParseError(StackyFanError):
     """Malformed fan document."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import lowest_terms
-from .errors import BudgetExceeded, DivisionByZero, NoExpansionAtZero
+from .errors import DivisionByZero, NoExpansionAtZero, admit
 
 # the longest coefficient list on the grid s = t^{1/n} that qseries may
 # build, from the span of its exponents: it grows with n, which the box
@@ -267,11 +267,8 @@ def _reduce(a, b):
 
 def _dense_length(length: int) -> int:
     """The length, or a BudgetExceeded if it is over DENSE_LENGTH_BUDGET."""
-    if length > DENSE_LENGTH_BUDGET:
-        raise BudgetExceeded(
-            f"a coefficient list of length {length} is over the limit of "
-            f"{DENSE_LENGTH_BUDGET}")
-    return length
+    return admit(length, DENSE_LENGTH_BUDGET, "a coefficient list of length",
+                 "is")
 
 
 def _coefficient_list(p: dict):

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from . import core
 from .core import Cone, Fan, ZERO_CONE
-from .errors import BudgetExceeded, NotMaximalCone
+from .errors import NotMaximalCone, admit
 
 # the most box-group elements, summed over the maximal cones, that
 # box_table may scan; the scan takes some 15 us per element (2 vCPU,
@@ -59,12 +59,8 @@ class StackyFan:
         q_i lie on the rays of tau.  Each face is filed, by its index tuple,
         from the first maximal cone that reaches it.  Over BOX_SCAN_BUDGET
         group elements in all, a BudgetExceeded is raised before any scan."""
-        orders = sum(self.solvers[sigma].order
-                     for sigma in self.fan.maximal_cones)
-        if orders > BOX_SCAN_BUDGET:
-            raise BudgetExceeded(
-                f"the box groups have {orders} elements in all, over the "
-                f"limit of {BOX_SCAN_BUDGET}")
+        admit(sum(self.solvers[s].order for s in self.fan.maximal_cones),
+              BOX_SCAN_BUDGET, "the box groups have", "elements in all,")
         found = {}
         for sigma in self.fan.maximal_cones:
             den = self.solvers[sigma].denominator

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyfan import refine
+from stackyfan import arcspace, deltainv, refine
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -227,6 +227,17 @@ def test_exit_code_out_of_range_argument(argv):
     assert code == 2 and out.startswith("usage error: argument --"), out
 
 
+def test_option_values_may_begin_with_a_minus_sign():
+    # argparse read "--at -1,0" and "--bound -1/2" as an option with no
+    # value, so only the "--at=-1,0" form could pass such a value
+    fan = str(DATA / "fan_p2.json")
+    spaced = run_command(["subdivide", fan, "--at", "-1,0"])
+    assert spaced[0] == 0
+    assert spaced == run_command(["subdivide", fan, "--at=-1,0"])
+    assert run_command(["orbit-poset", fan, "--bound", "-1/2"]) == \
+        (2, "usage error: argument --bound: must be non-negative, got -1/2\n")
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
 @pytest.mark.parametrize("role", ["fan", "fine"])
 def test_exit_code_unreadable_document(tmp_path, role, kind):
@@ -245,16 +256,19 @@ def test_ehrhart_over_budget_exits_1_at_once():
     # traceback), and the series oracle scanned with no budget: cutoff 1000
     # took 5 s, and the time grows with the square of the cutoff
     fan = str(DATA / "fan_p2.json")
-    for argv, message in [
+    sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
+    for argv, message, bound in [
             (["ehrhart", fan, "--max-m", "10000000000000"],
-             "Ehrhart counts up to 10000000000000"),
+             "Ehrhart counts up to 10000000000000", 10000000000000),
             (["weighted-delta", fan, "--lambda", "zero",
-              "--series-cutoff", "2000"], "the series up to 2000")]:
+              "--series-cutoff", "2000"], "the series up to 2000", 2000)]:
         start = time.perf_counter()
         code, out = run_command(argv)
         assert time.perf_counter() - start < 2.0
-        assert (code, out) == (1, f"error: {message} may walk more than "
-                                  "10000000 lattice points\n")
+        assert (code, out) == (1, f"error: {message} may walk "
+                                  f"{deltainv._scan_size(sfan, bound)} "
+                                  "lattice points, over the limit of "
+                                  "10000000\n")
 
 
 @pytest.mark.parametrize("command", [["weighted-delta", "--lambda", "zero"],
@@ -306,13 +320,16 @@ def test_faces_at_the_limit_parse(tmp_path):
 def test_poset_and_direct_check_over_budget_exit_1_at_once():
     # both enumerated with no bound, and were still running after 20 s
     fan = str(DATA / "fan_p2.json")
+    sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
+    pairs = arcspace._walk_size(sfan, Fraction(60)) ** 2
+    points = arcspace._walk_size(sfan, Fraction(400))
     for argv, message in [
             (["orbit-poset", fan, "--bound", "60"],
-             "the orbit poset up to 60 may compare more than 2500000 "
-             "pairs of labels"),
+             f"the orbit poset up to 60 may compare {pairs} pairs of labels, "
+             "over the limit of 2500000"),
             (["gamma", fan, "--divisor", "zero", "--check-direct", "400"],
-             "the direct sum up to 400 may walk more than 30000 lattice "
-             "points")]:
+             f"the direct sum up to 400 may walk {points} lattice points, "
+             "over the limit of 30000")]:
         start = time.perf_counter()
         code, out = run_command(argv)
         assert time.perf_counter() - start < 1.0

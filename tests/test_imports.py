@@ -86,3 +86,37 @@ def test_delta_is_read_from_the_closed_form(module, function):
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute) else None)
         assert name not in banned, f"{module}:{node.lineno} names {name}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    # __init__.py imports to re-export; a future import is a compiler switch
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{path.name}:{node.lineno} {name}"
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              for name in (a.asname or a.name.split(".")[0]
+                           for a in node.names)
+              if name not in used]
+    assert unused == []
+
+
+def test_only_errors_constructs_budget_exceeded():
+    # every size budget refuses through errors.admit, which names the count
+    sites = []
+    for path in SOURCES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            name = (target.id if isinstance(target, ast.Name)
+                    else target.attr if isinstance(target, ast.Attribute)
+                    else None)
+            if name == "BudgetExceeded":
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
