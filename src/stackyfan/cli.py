@@ -382,9 +382,9 @@ def _lattice_point(text):
 
 @functools.cache
 def _build_parser() -> tuple:
-    """The argument parser and its options that take a value, built on
-    first use and shared by every run_command (parsing leaves it unchanged)."""
-    parser, values = _Parser(prog="stackyfan", description=__doc__), set()
+    """The argument parser and each subcommand's options that take a value,
+    built once and shared by every run_command (parsing leaves it unchanged)."""
+    parser, values = _Parser(prog="stackyfan", description=__doc__), {}
     parser.add_argument("--uv", action="store_true",
                         help="render the motivic variable as uv instead of q")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -396,7 +396,7 @@ def _build_parser() -> tuple:
         return p
 
     def option(p, flag, **kwargs):
-        values.add(flag)
+        values.setdefault(p, set()).add(flag)
         p.add_argument(flag, **kwargs)
 
     add("validate", _cmd_validate, help="structural validation report")
@@ -432,7 +432,8 @@ def _build_parser() -> tuple:
     option(p, "--at", type=_lattice_point, required=True, metavar="x,y,..")
     option(p, "--weight", type=_at_least(int, 1, "positive"), default=1,
            metavar="a")
-    return parser, frozenset(values)
+    return parser, {name: values.get(p, set()) for name, p in
+                    sub.choices.items()}
 
 
 def _read(path) -> str:
@@ -444,16 +445,23 @@ def _read(path) -> str:
         raise ParseError(str(exc)) from exc
 
 
+def _takes_value(token, values) -> bool:
+    """Whether argparse reads token as one of values, in full or abbreviated."""
+    return token in values or token != "--" and token.startswith("--") and \
+        len([o for o in values if o.startswith(token)]) == 1
+
+
 def run_command(argv) -> tuple:
     """Execute a CLI invocation; returns (exit code, rendered output)."""
-    parser, values = _build_parser()
+    parser, options = _build_parser()
     # argparse reads a token that begins with '-' as an option unless it looks
     # like a negative number, so a value is joined to its option: --at=-1,0
-    tokens = []
+    tokens, values = [], None  # the value options of the subcommand
     for token in argv:
-        if tokens and tokens[-1] in values:
+        if values and _takes_value(tokens[-1], values):
             tokens[-1] += "=" + token
         else:
+            values = options.get(token) if values is None else values
             tokens.append(token)
     try:
         args = parser.parse_args(tokens)

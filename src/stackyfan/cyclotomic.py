@@ -28,8 +28,16 @@ def lowest_terms(a, b):
     if exps is None:
         g = _prs_gcd(a, b)
         return (_quotient(a, g), _quotient(b, g)) if len(g) > 1 else (a, b)
+    return reduce_binomials(a, b[0], exps)
+
+
+def reduce_binomials(a, c, exps, fit=int):
+    """a / (c prod_d (1 - s^d)^{exps[d]}) in lowest terms; the denominator is
+    built from exps - net, once fit has seen (and may refuse) its length."""
     net = _cyclotomic_gcd(a, exps)
-    return _apply(a, net), _apply(b, net)
+    rest = {d: net.get(d, 0) - exps.get(d, 0) for d in net.keys() | exps}
+    fit(1 + sum(-e * d for d, e in rest.items() if e < 0))
+    return _apply(a, net), _apply([c], rest)
 
 
 # bound on sum |e_d| before a denominator counts as not cyclotomic: the

@@ -24,7 +24,7 @@ from .core import Cone, Fan
 from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
                      NotComplete, NotKLT, admit)
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
-                      substitute_reciprocal)
+                      over_binomials, substitute_reciprocal)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements,
                      zero_functional)
 
@@ -256,11 +256,11 @@ def h_tau_lambda(sfan: StackyFan, tau: Cone, lam: PiecewiseQLinear) -> FracRatio
 def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRational:
     """The weighted delta-vector as an exact rational function in canonical
     form: sum over cones of h_tau^lambda times the box contributions, over
-    the cones' least common denominator (_weighted_delta_parts).  Agrees
-    with the naive sum of h_tau_lambda * box factors (tested)."""
+    the cones' least common denominator (_weighted_delta_parts), reduced
+    over its known binomials.  Agrees with the naive sum of h_tau_lambda *
+    box factors (tested)."""
     n, total, binom = _weighted_delta_parts(sfan, lam)
-    denominator = functools.reduce(_times_binomial, binom, {0: 1})
-    return FracRational(total, denominator, grid=n)
+    return over_binomials(n, total, Counter(binom))
 
 
 def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):

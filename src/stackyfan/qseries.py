@@ -3,8 +3,8 @@ exponents, plus ascending power-series expansion.
 
 `FracPoly` maps Fraction exponents to Fraction coefficients.  `FracRational`
 keeps only its canonical form on one integer grid s = t^{1/N}: coprime lists
-of ints, so products, quotients, sums, t -> 1/t, comparison and expansion
-run on ints; common factors are removed by `cyclotomic.lowest_terms`.
+of ints, so products, quotients, sums, t -> 1/t, comparison, expansion and
+text run on ints; common factors are removed by `cyclotomic`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import lowest_terms
+from .cyclotomic import lowest_terms, reduce_binomials
 from .errors import DivisionByZero, NoExpansionAtZero, admit
 
 # the longest coefficient list on the grid s = t^{1/n} that qseries may
@@ -260,6 +260,15 @@ def _rational(n, shift, a, b) -> FracRational:
     return object.__new__(FracRational)._set(n, shift, a, b)
 
 
+def over_binomials(n, num: dict, exps: dict) -> FracRational:
+    """num(s) / prod_d (1 - s^d)^{exps[d]}, s = t^{1/n}, num without zeros,
+    reduced over those binomials, whose product is admitted but not built."""
+    lo, a = _coefficient_list(num)
+    _dense_length(1 + sum(d * e for d, e in exps.items()))
+    a, b = reduce_binomials(a, 1, exps, _dense_length) if a else (a, [1])
+    return _rational(n, lo, a, b)
+
+
 def _reduce(a, b):
     """a/b in lowest terms, for lists with nonzero constant terms."""
     return lowest_terms(a, b) if len(a) > 1 and len(b) > 1 else (a, b)
@@ -286,11 +295,8 @@ def _sparse(p, lo=0) -> dict:
 
 
 def _grid_poly(p, lo, n) -> FracPoly:
-    """The FracPoly s^lo p(s) for s = t^{1/n}, built without re-checking."""
-    poly = object.__new__(FracPoly)
-    poly.terms = {Fraction(i + lo, n): Fraction(c)
-                  for i, c in enumerate(p) if c}
-    return poly
+    """The FracPoly s^lo p(s) for s = t^{1/n}."""
+    return FracPoly({Fraction(i + lo, n): c for i, c in enumerate(p) if c})
 
 
 def _times(a, b):
@@ -361,41 +367,41 @@ def expand_laurent(f: FracRational, cutoff) -> TruncatedSeries:
 # Canonical text rendering: the bit-exact contract for CLI output and
 # test fixtures.
 
-def _format_exponent(var, e: Fraction) -> str:
-    if e == 1:
-        return var
-    if e.denominator == 1:
-        return f"{var}^{e.numerator}"
-    return f"{var}^{{{e}}}"
+def _power(var, i: int, n: int = 1) -> str:
+    """var^{i/n}, with the exponent in lowest terms."""
+    g = math.gcd(i, n)
+    return var if i == n else f"{var}^{i // n}" if g == n else \
+        f"{var}^{{{i // g}/{n // g}}}"
 
 
-def format_poly(poly: FracPoly, var: str = "t") -> str:
-    if poly.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(poly.terms):
-        c = poly.terms[e]
+def _text(var, terms) -> str:
+    """The text of the sum of c var^{i/n} over (i, n, c) in ascending order,
+    c a nonzero int or Fraction: the one place that spells a term."""
+    out = ""
+    for i, n, c in terms:
         mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif mag == 1:
-            body = _format_exponent(var, e)
-        elif mag.denominator == 1:
-            body = f"{mag.numerator}{_format_exponent(var, e)}"
-        else:
-            body = f"({mag}){_format_exponent(var, e)}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+        body = str(mag) if mag != 1 or not i else ""
+        if i:
+            body = (body if mag.denominator == 1 else f"({body})") + \
+                _power(var, i, n)
+        out += (" + " if c > 0 else " - ") + body
+    return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def format_poly(poly, var: str = "t") -> str:
+    """The text of a FracPoly or TruncatedSeries, from its terms."""
+    return _text(var, ((e.numerator, e.denominator, c)
+                       for e, c in sorted(poly.terms.items())))
 
 
 def format_rational(f: FracRational, var: str = "t") -> str:
-    if f.is_polynomial():
-        return format_poly(f.num, var)
-    return f"({format_poly(f.num, var)})/({format_poly(f.den, var)})"
+    """Read from the grid: s^shift a(s)/b(s) with s = t^{1/n}, ascending."""
+    num, den = (_text(var, ((i + max(h, 0), f.n, c)
+                            for i, c in enumerate(p) if c))
+                for p, h in ((f.a, f.shift), (f.b, -f.shift)))
+    return num if f.is_polynomial() else f"({num})/({den})"
 
 
 def format_series(s: TruncatedSeries, var: str = "t") -> str:
-    return format_poly(FracPoly(s.terms), var) + f" + O({_format_exponent(var, s.cutoff)})"
+    cutoff = _power(var, s.cutoff.numerator, s.cutoff.denominator)
+    return f"{format_poly(s, var)} + O({cutoff})"

@@ -7,6 +7,8 @@ and review the diff before committing.
 """
 
 import itertools
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -236,6 +238,40 @@ def test_option_values_may_begin_with_a_minus_sign():
     assert spaced == run_command(["subdivide", fan, "--at=-1,0"])
     assert run_command(["orbit-poset", fan, "--bound", "-1/2"]) == \
         (2, "usage error: argument --bound: must be non-negative, got -1/2\n")
+
+
+@pytest.mark.parametrize("value", ["-1/2", "1"])
+def test_abbreviated_options_take_the_same_values(value):
+    # argparse accepts a unique abbreviation such as --bou; only the full
+    # spelling was joined to its value, so "--bou -1/2" exited 2 with
+    # "argument --bound: expected one argument"
+    fan = str(DATA / "fan_p2.json")
+    full = run_command(["orbit-poset", fan, "--bound", value])
+    assert run_command(["orbit-poset", fan, "--bou", value]) == full
+    assert full[0] == (0 if value == "1" else 2)
+    assert run_command(["subdivide", fan, "--a", "-1,0"]) == \
+        run_command(["subdivide", fan, "--at", "-1,0"])
+    # a flag is never joined, though another subcommand has --divisor, nor
+    # the end of the options, though ehrhart has one option only
+    assert run_command(["orbit-poset", fan, "--d", "--bou", value]) == \
+        run_command(["orbit-poset", fan, "--dot", "--bound", value])
+    assert run_command(["ehrhart", "--max", "1", "--", fan]) == \
+        run_command(["ehrhart", fan, "--max-m", "1"])
+
+
+def test_python_m_stackyfan_runs_the_cli_without_warnings():
+    # "python -m stackyfan.cli" warned on stderr that stackyfan.cli was
+    # imported before it ran as __main__
+    env = dict(os.environ)
+    src = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "stackyfan", "betti", str(DATA / "fan_p2.json")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_command(
+        ["betti", str(DATA / "fan_p2.json")])[1]
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])

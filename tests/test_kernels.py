@@ -9,6 +9,7 @@ cyclotomic lowest-terms kernels against naive loops and sympy, and of the
 oracle kernels (Ehrhart counts, the series oracles, closure order, direct
 Gamma) against their definitions."""
 
+import functools
 import itertools
 import math
 import random
@@ -22,7 +23,7 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1, random_stellar_chain)
-from stackyfan import core, deltainv, stacky
+from stackyfan import core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 divisor_to_pl, gamma_truncated_direct,
                                 orbit_label, orbit_measure, orbit_poset,
@@ -31,7 +32,8 @@ from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
                             _fm_feasible, determinant, independent_rows,
                             minimal_containing_cone, solve_rational_system,
                             validate_fan)
-from stackyfan.cyclotomic import _div_binomial, _fold, lowest_terms
+from stackyfan.cyclotomic import (_div_binomial, _fold, lowest_terms,
+                                  reduce_binomials)
 from stackyfan.deltainv import (check_symmetry, count_lattice_points,
                                 delta_mu_series, ehrhart_counts,
                                 weighted_delta_closed, weighted_delta_series)
@@ -985,6 +987,73 @@ def test_lowest_terms_random_quotients_coprime(seed):
         assert len(den) <= len(b) and den[0] and num[0]
         g = sympy.gcd(_sympy_poly(sympy, s, num), _sympy_poly(sympy, s, den))
         assert g.degree() == 0
+
+
+def random_binomial_quotients(seed, count):
+    """(a, c, exps) for c prod_d (1 - s^d)^{exps[d]} with a random multiset
+    of binomials, and a a random polynomial times none, some or all of them
+    (in turn), with 1 - s^k for a proper divisor k of a binomial's d in
+    some, so that a shares only part of its cyclotomic factors."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        binom = [rng.randint(2, 30) for _ in range(rng.randint(1, 5))]
+        shared = {0: [], 1: rng.sample(binom, rng.randint(0, len(binom))),
+                  2: binom}[i % 3]
+        if i % 3 == 1:
+            d = rng.choice(binom)
+            shared = shared + [rng.choice([k for k in range(1, d)
+                                           if d % k == 0])]
+        a = [rng.choice((-1, 1)) * rng.randint(1, 5)] + \
+            [rng.randint(-4, 4) for _ in range(rng.randint(0, 30))]
+        for d in shared:
+            a = poly_mul(a, binomial(d))
+        while not a[-1]:
+            a.pop()
+        out.append((a, rng.choice([1, -2, 3]), Counter(binom)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+def test_reduction_over_known_binomials_matches_lowest_terms(seed):
+    shortened = 0
+    for a, c, exps in random_binomial_quotients(seed, 30):
+        dense = functools.reduce(poly_mul, map(binomial, exps.elements()),
+                                 [c])
+        lengths = []
+        num, den = reduce_binomials(list(a), c, exps, lengths.append)
+        assert (num, den) == lowest_terms(list(a), dense)
+        # fit sees the longest list the denominator grows to
+        assert len(lengths) == 1 and lengths[0] >= len(den)
+        shortened += len(den) < len(dense)
+    assert shortened >= 20
+
+
+def test_closed_form_never_seeks_its_denominator_factors(monkeypatch):
+    # the closed form knows its binomials: the greedy peel of a dense
+    # denominator (_cyclotomic_exponents) must not run, and the value is
+    # the one canonicalised from that dense denominator
+    rng = random.Random(20)
+    cases, reduced = [], []
+    for sfan in [*named_fans().values(), *random_fans(20, 2)]:
+        lam = random_admissible_lambda(rng, sfan)
+        n, total, binom = deltainv._weighted_delta_parts(sfan, lam)
+        dense = functools.reduce(deltainv._times_binomial, binom, {0: 1})
+        expected = FracRational(total, dense, grid=n)
+        if len(expected.b) < 1 + sum(binom):
+            reduced.append((total, dense, n))
+        cases.append((sfan, lam, expected))
+    assert len(reduced) >= 5
+
+    def forbidden(*args):
+        raise AssertionError("_cyclotomic_exponents called")
+
+    monkeypatch.setattr(cyclotomic, "_cyclotomic_exponents", forbidden)
+    for sfan, lam, expected in cases:
+        assert weighted_delta_closed(sfan, lam) == expected
+    total, dense, n = reduced[0]
+    with pytest.raises(AssertionError, match="_cyclotomic_exponents"):
+        FracRational(total, dense, grid=n)
 
 
 # oracle kernels

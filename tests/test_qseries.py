@@ -1,9 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from stackyfan import qseries
 from stackyfan.errors import BudgetExceeded, DivisionByZero, NoExpansionAtZero
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
                                expand_laurent, expand_series, format_poly,
@@ -184,6 +186,111 @@ def test_canonical_form_in_lowest_terms_on_a_fine_grid():
     r = FracRational(binom * P({0: 1, Fraction(1, 3): 1}), binom)
     assert r.is_polynomial()
     assert format_rational(r) == "1 + t^{1/3}"
+
+
+# ---------------------------------------------------------------------------
+# Rendering from the grid: seeded comparison with the FracPoly route
+
+
+def _reference_power(var, e):
+    if e == 1:
+        return var
+    return f"{var}^{e.numerator}" if e.denominator == 1 else f"{var}^{{{e}}}"
+
+
+def _reference_format_poly(poly, var="t"):
+    """The text of a FracPoly read term by term from its Fraction exponents
+    and coefficients: the route format_rational took through num and den."""
+    power = functools.partial(_reference_power, var)
+    parts = []
+    for e in sorted(poly.terms):
+        c = poly.terms[e]
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = power(e)
+        elif mag.denominator == 1:
+            body = f"{mag.numerator}{power(e)}"
+        else:
+            body = f"({mag}){power(e)}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts) or "0"
+
+
+def _reference_format_rational(f, var="t"):
+    if f.is_polynomial():
+        return _reference_format_poly(f.num, var)
+    return (f"({_reference_format_poly(f.num, var)})/"
+            f"({_reference_format_poly(f.den, var)})")
+
+
+def _random_canonical(rng):
+    """A canonical form on a grid n | 12, of value zero in about one case
+    in ten; the denominator is 1 or a random polynomial, in one case in
+    three times a power of t that leaves a negative shift."""
+    n = rng.choice([1, 2, 4, 6, 12])
+
+    def poly():
+        return P({Fraction(rng.randint(0, 3 * n), n):
+                  rng.choice([-1, 1, -1, 1, 2, -3, 7, -12])
+                  for _ in range(rng.randint(1, 6))})
+
+    num = P({}) if rng.random() < 0.1 else poly()
+    den = P({0: 1}) if rng.random() < 0.3 else poly()
+    if rng.random() < 0.3:
+        den = den * P({Fraction(rng.randint(1, 2 * n), n): 1})
+    return FracRational(num, den)
+
+
+def _grid_terms(f):
+    """(exponent numerator on the grid, n, coefficient) of every term."""
+    return [(i + max(s, 0), f.n, c) for p, s in ((f.a, f.shift),
+                                                 (f.b, -f.shift))
+            for i, c in enumerate(p) if c]
+
+
+def test_format_rational_matches_the_fracpoly_route(monkeypatch):
+    rng = random.Random(2008)
+    forms = [_random_canonical(rng) for _ in range(300)]
+    terms = [t for f in forms for t in _grid_terms(f)]
+    # the sample reaches every case of the text contract
+    assert any(f.is_zero() for f in forms)
+    assert any(f.shift < 0 for f in forms)
+    assert any(n > 1 and 1 < math.gcd(i, n) < n for i, n, _ in terms)
+    assert any(n > 1 and i == n for i, n, _ in terms)
+    assert {-1, 1} <= {c for *_, c in terms}
+    assert any(abs(c) > 1 for *_, c in terms)
+    cases = [(f, var) for f in forms for var in ("t", "q", "uv")]
+    expected = [_reference_format_rational(f, var) for f, var in cases]
+    assert [format_rational(f, var) for f, var in cases] == expected
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(qseries, "Fraction", forbidden)
+    assert [format_rational(f, var) for f, var in cases] == expected
+
+
+def test_format_poly_and_series_match_the_fracpoly_route():
+    # Fraction coefficients and negative exponents, which no canonical
+    # form has, go through the same per-term text
+    rng = random.Random(437)
+    for _ in range(100):
+        terms = {Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 6])):
+                 Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5]))
+                 for _ in range(rng.randint(0, 6))}
+        var = rng.choice(["t", "q", "uv"])
+        poly = P(terms)
+        assert format_poly(poly, var) == _reference_format_poly(poly, var)
+        cutoff = Fraction(rng.randint(-4, 9), rng.choice([1, 2, 3]))
+        series = TruncatedSeries(terms, cutoff)
+        assert format_series(series, var) == \
+            f"{_reference_format_poly(P(series.terms), var)} + " \
+            f"O({_reference_power(var, cutoff)})"
 
 
 # ---------------------------------------------------------------------------
