@@ -4,14 +4,13 @@ direct motivic integral used as an oracle."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stacky
 from .errors import InvariantViolation, NotKLT, admit
-from .qseries import FracPoly, TruncatedSeries
+from .qseries import FracPoly, TruncatedSeries, times_one_minus_t
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      age, fractional_decompose, iota)
 
@@ -104,14 +103,16 @@ def contact_order(e: StackDivisor, w: FractionalDecomposition) -> Fraction:
 
 
 def shift_function(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
-    """dim sigma({w}) - psi({w}); equal to psi(iota({w}))."""
+    """dim sigma({w}) - psi({w}); equal to psi(iota({w})).  The two are
+    compared on their numerators over the box element's order."""
     box = w.box_part
-    value = box.cone.dim - age(sfan, box)
-    alt = age(sfan, iota(sfan, box))
+    value = box.cone.dim * box.order - sum(box.nums)
+    alt = sum(iota(sfan, box).nums)
     if value != alt:
         raise InvariantViolation(
-            f"shift-function formulas disagree at {list(w.w)}: {value} != {alt}")
-    return value
+            f"shift-function formulas disagree at {list(w.w)}: "
+            f"{value}/{box.order} != {alt}/{box.order}")
+    return Fraction(value, box.order)
 
 
 def measure_exponent(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
@@ -126,16 +127,11 @@ def measure_exponent(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
 
 def orbit_measure(sfan: StackyFan, w: FractionalDecomposition) -> FracPoly:
     """Cylinder measure of the orbit: (q-1)^d q^{-psi(w)+psi({w})-dim},
-    the terms of (q-1)^d shifted by measure_exponent."""
-    exponent = measure_exponent(sfan, w)
-    return FracPoly({qe + exponent: c
-                     for qe, c in _q_minus_1_power(sfan.rank).terms.items()})
-
-
-@functools.cache
-def _q_minus_1_power(d: int) -> FracPoly:
-    """(q-1)^d, shared by every orbit of a rank-d fan; never mutated."""
-    return FracPoly({0: -1, 1: 1}) ** d
+    the terms C(d, j) (-1)^{d-j} q^j of (q-1)^d shifted by
+    measure_exponent."""
+    exponent, d = measure_exponent(sfan, w), sfan.rank
+    return FracPoly({j + exponent: math.comb(d, j) * (-1) ** (d - j)
+                     for j in range(d + 1)})
 
 
 def closure_leq(sfan: StackyFan, v: FractionalDecomposition,
@@ -235,7 +231,8 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     denominator of the beta_i, and is compared there as an integer; a
     value off the grid raises InvariantViolation.  The direct terms are
     summed as a count per level (psi + lambda) * G, and multiplied by
-    (q-1)^d once at the end.
+    (q-1)^d once at the end: in x = q^{-1}, (q-1)^d q^{-L} = x^{L-d} (1-x)^d,
+    so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
     below d - bound.  Over DIRECT_SCAN_BUDGET by _walk_size, a
@@ -257,7 +254,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
                       for sigma in sfan.fan.maximal_cones)) * e.scale
     # an integer level exceeds bound * grid exactly when it exceeds its floor
     top = bound.numerator * grid // bound.denominator
-    counts = {}   # level (psi(w) + lambda(w)) * grid -> number of labels
+    counts = {}   # (psi(w) + lambda(w) - d) * grid -> number of labels
     for point, psi_w, lam_w in stacky.enumerate_support_points(
             sfan, bound / slack, lam.values_on_b):
         level = _on_grid(psi_w, grid, point) + _on_grid(lam_w, grid, point)
@@ -269,13 +266,5 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
                 + _on_grid(contact_order(e, label), grid, point) != -level):
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")
-        counts[level] = counts.get(level, 0) + 1
-    # the q^{-1}-exponent of q^j q^{-level / grid} is (level - j grid) / grid
-    qm1 = _q_minus_1_power(d).terms
-    total = {}
-    for level, n in counts.items():
-        for j, c in qm1.items():
-            key = level - int(j) * grid
-            total[key] = total.get(key, 0) + n * c
-    return TruncatedSeries({Fraction(k, grid): c for k, c in total.items()},
-                           bound - d)
+        counts[level - d * grid] = counts.get(level - d * grid, 0) + 1
+    return times_one_minus_t(grid, counts, d, bound - d)

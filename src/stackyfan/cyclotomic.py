@@ -96,7 +96,7 @@ def _mul_binomial(a, c):
 
 
 def _cyclotomic_gcd(a, exps):
-    """{d: E_d} with prod_d (1 - s^d)^{E_d} = +-gcd(a, b) for
+    """{d: E_d}, no E_d zero, with prod_d (1 - s^d)^{E_d} = +-gcd(a, b) for
     b = prod_d (1 - s^d)^{exps[d]}.
 
     The multiplicity of Phi_k in a is the number of leading derivatives
@@ -138,7 +138,7 @@ def _cyclotomic_gcd(a, exps):
         if e:
             for d in _divisors(k, factors):
                 net[d] = net.get(d, 0) + e * _mobius(k // d, factors)
-    return net
+    return {d: e for d, e in net.items() if e}
 
 
 def _fold(a, k):

@@ -24,7 +24,7 @@ from .core import Cone, Fan
 from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
                      NotComplete, NotKLT, admit)
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
-                      over_binomials, substitute_reciprocal)
+                      over_binomials, substitute_reciprocal, times_one_minus_t)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements,
                      zero_functional)
 
@@ -171,12 +171,13 @@ def ehrhart_delta(sfan: StackyFan) -> FracRational:
     level where the counts f(m) of ehrhart_counts record it."""
     d = sfan.rank
     closed = weighted_delta_closed(sfan, zero_functional(sfan))
-    if not closed.is_polynomial() or any(e > d for e in closed.num.terms):
+    n, shift, a = closed.n, closed.shift, closed.a
+    if not closed.is_polynomial() or shift + len(a) - 1 > d * n:
         raise InvariantViolation(
             f"the delta-vector at lambda = 0 is not a polynomial of degree "
             f"at most {d}")
-    return FracRational(FracPoly(
-        bucket_series(TruncatedSeries(closed.num.terms, d)).terms))
+    bucketed = bucket_series(TruncatedSeries(n, dict(enumerate(a, shift)), d))
+    return FracRational(bucketed.coeffs, {0: 1}, grid=1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +208,15 @@ def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
     t^{e(v) - ceil(psi(v)) + m} with the sum over m taken as a geometric
     series.  Each exponent is read from the integer numerators n: with the
     values on their common denominator S, e(v) D S is sum n_i S f(b_i), plus
-    ceil(psi(v)) D S if ceil_psi.
+    ceil(psi(v)) D S if ceil_psi.  The points are counted per cone on its
+    grid D S, and the counts are lifted once onto the lcm of those grids.
     """
     # the scan up to a rational bound walks no more than up to its ceiling
     admit(_scan_size(sfan, math.ceil(bound)), EHRHART_SCAN_BUDGET,
           f"the series up to {cutoff} may walk", "lattice points,")
     scale = math.lcm(*(x.denominator for x in values))
     ints = [int(x * scale) for x in values]
-    raw = {}
+    per_cone = []   # (grid D S, {exponent on that grid: points})
     for idx, den, points in _oracle_points(sfan, bound):
         weights = [ints[i] for i in idx]
         top = math.floor(cutoff * den * scale)
@@ -225,11 +227,12 @@ def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
                 e += -(-sum(n) // den) * den * scale
             if e <= top:
                 counts[e] = counts.get(e, 0) + 1
-        for e, c in counts.items():
-            key = Fraction(e, den * scale)
-            raw[key] = raw.get(key, 0) + c
-    product = FracPoly(raw) * (FracPoly({0: 1, 1: -1}) ** sfan.rank)
-    return product.truncate(cutoff)
+        per_cone.append((den * scale, counts))
+    grid = math.lcm(*(g for g, _ in per_cone))
+    raw = Counter()
+    for g, counts in per_cone:
+        raw.update({e * (grid // g): c for e, c in counts.items()})
+    return times_one_minus_t(grid, raw, sfan.rank, cutoff)
 
 
 def h_tau_lambda(sfan: StackyFan, tau: Cone, lam: PiecewiseQLinear) -> FracRational:
@@ -372,12 +375,13 @@ def delta_mu_series(sfan: StackyFan, mu: PiecewiseQLinear, cutoff) -> TruncatedS
 
 
 def bucket_series(a: TruncatedSeries) -> TruncatedSeries:
-    """Collect the coefficient at integer i from exponents i-1 < j <= i."""
+    """Collect the coefficient at integer i from exponents i-1 < j <= i:
+    the term c t^{k/n} goes to t^ceil(k/n)."""
     out = {}
-    for e, c in a.terms.items():
-        i = Fraction(math.ceil(e))
-        out[i] = out.get(i, Fraction(0)) + c
-    return TruncatedSeries(out, Fraction(math.floor(a.cutoff)))
+    for k, c in a.coeffs.items():
+        i = -(-k // a.n)
+        out[i] = out.get(i, 0) + c
+    return TruncatedSeries(1, out, math.floor(a.cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +409,8 @@ def gamma(sfan: StackyFan, e: "arcspace.StackDivisor") -> FracRational:
     if not e.is_klt:
         raise NotKLT("divisor is not Kawamata log terminal")
     lam = arcspace.divisor_to_pl(e)
-    delta = weighted_delta_closed(sfan, lam)
-    return FracRational(FracPoly.t_power(sfan.rank)) * substitute_reciprocal(delta)
+    g = substitute_reciprocal(weighted_delta_closed(sfan, lam))
+    return g * FracRational({sfan.rank: 1}, {0: 1}, grid=1)
 
 
 def orbifold_betti(sfan: StackyFan) -> dict:
@@ -415,10 +419,9 @@ def orbifold_betti(sfan: StackyFan) -> dict:
     g = gamma(sfan, arcspace.zero_divisor(sfan))
     if not g.is_polynomial():
         raise InvariantViolation("Gamma(X, 0) is not a polynomial")
-    out = {}
-    for exp, c in sorted(g.num.terms.items()):
-        if c.denominator != 1 or c <= 0:
+    out = {Fraction(i, g.n): c for i, c in enumerate(g.a, g.shift) if c}
+    for exp, c in out.items():
+        if c < 0:
             raise InvariantViolation(
                 f"orbifold Betti number {c} at {exp} is not a positive integer")
-        out[exp] = int(c)
     return out

@@ -1,16 +1,17 @@
 """Exact algebra of polynomials and rational functions in t with rational
 exponents, plus ascending power-series expansion.
 
-`FracPoly` maps Fraction exponents to Fraction coefficients.  `FracRational`
-keeps only its canonical form on one integer grid s = t^{1/N}: coprime lists
-of ints, so products, quotients, sums, t -> 1/t, comparison, expansion and
-text run on ints; common factors are removed by `cyclotomic`.
+`FracPoly` maps Fraction exponents to Fraction coefficients, a convenience
+for building values.  `FracRational` keeps only its canonical form on one
+integer grid s = t^{1/N}: coprime lists of ints, so products, quotients,
+sums, t -> 1/t, comparison, expansion and text run on ints; common factors
+are removed by `cyclotomic`.  A `TruncatedSeries` is stored on its grid
+too, as {int k: c} for the terms c t^{k/n}.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import lowest_terms, reduce_binomials
@@ -111,19 +112,8 @@ class FracPoly:
             g = g * e.denominator // math.gcd(g, e.denominator)
         return g
 
-    def min_exp(self):
-        return min(self.terms) if self.terms else Fraction(0)
-
-    def max_exp(self):
-        return max(self.terms) if self.terms else Fraction(0)
-
     def coeff(self, e):
         return self.terms.get(Fraction(e), Fraction(0))
-
-    def truncate(self, cutoff) -> "TruncatedSeries":
-        cutoff = Fraction(cutoff)
-        return TruncatedSeries(
-            {e: c for e, c in self.terms.items() if e <= cutoff}, cutoff)
 
     def __repr__(self):
         return f"FracPoly({format_poly(self)})"
@@ -304,34 +294,49 @@ def _times(a, b):
     return _coefficient_list(_sparse_product(_sparse(a), _sparse(b)))[1]
 
 
-@dataclass
 class TruncatedSeries:
-    """Ascending series with exact coefficients, valid up to a cutoff
-    exponent; exponents may be negative (Laurent tails)."""
+    """Ascending series sum c_k t^{k/n} with exact coefficients, valid up to
+    a cutoff exponent, stored like a FracRational on its grid: n, and
+    coeffs {int k: int or Fraction c_k} holding no zero and no k/n over the
+    cutoff; k may be negative (Laurent tails).  `terms` is a read-only view
+    {Fraction exponent: coefficient}."""
 
-    terms: dict = field(default_factory=dict)
-    cutoff: Fraction = Fraction(0)
+    __slots__ = ("n", "coeffs", "cutoff")
 
-    def __post_init__(self):
-        self.cutoff = Fraction(self.cutoff)
-        self.terms = {Fraction(e): Fraction(c) for e, c in self.terms.items()
-                      if c != 0 and Fraction(e) <= self.cutoff}
+    def __init__(self, n: int, coeffs: dict, cutoff):
+        self.n, self.cutoff = n, Fraction(cutoff)
+        top = self.cutoff.numerator * n // self.cutoff.denominator
+        self.coeffs = {k: c for k, c in coeffs.items() if c and k <= top}
 
-    def coeff(self, e):
-        return self.terms.get(Fraction(e), Fraction(0))
+    terms = property(lambda s: {Fraction(k, s.n): c
+                                for k, c in s.coeffs.items()})
+
+
+def times_one_minus_t(n: int, counts: dict, d: int, cutoff) -> TruncatedSeries:
+    """(1 - t)^d sum_k counts[k] s^k, s = t^{1/n}, truncated at the cutoff:
+    the oracles' product, with the coefficients (-1)^j C(d, j) of s^{jn}."""
+    out = {}
+    for j in range(d + 1):
+        c, step = (-1) ** j * math.comb(d, j), j * n
+        for k, v in counts.items():
+            out[k + step] = out.get(k + step, 0) + c * v
+    return TruncatedSeries(n, out, cutoff)
 
 
 def series_equal(a: TruncatedSeries, b: TruncatedSeries) -> bool:
-    """Exact coefficient agreement at all exponents <= min(cutoffs)."""
-    bound = min(a.cutoff, b.cutoff)
-    exps = {e for e in a.terms if e <= bound} | {e for e in b.terms if e <= bound}
-    return all(a.coeff(e) == b.coeff(e) for e in exps)
+    """Exact coefficient agreement at all exponents <= min(cutoffs), read
+    on the lcm of the two grids."""
+    n, bound = math.lcm(a.n, b.n), min(a.cutoff, b.cutoff)
+    lifted = [TruncatedSeries(n, {k * (n // s.n): c
+                                  for k, c in s.coeffs.items()}, bound).coeffs
+              for s in (a, b)]
+    return lifted[0] == lifted[1]
 
 
 def _expand(f: FracRational, cutoff, laurent: bool) -> TruncatedSeries:
     cutoff = Fraction(cutoff)
     if not f.a:
-        return TruncatedSeries({}, cutoff)
+        return TruncatedSeries(1, {}, cutoff)
     n, shift, a, b = f.n, f.shift, f.a, f.b
     if shift < 0 and not laurent:
         raise NoExpansionAtZero("denominator vanishes at t = 0")
@@ -349,8 +354,7 @@ def _expand(f: FracRational, cutoff, laurent: bool) -> TruncatedSeries:
                 if k + j > top:
                     break
                 q[k + j] -= c * bj
-    return TruncatedSeries(
-        {Fraction(k + shift, n): c for k, c in enumerate(q) if c}, cutoff)
+    return TruncatedSeries(n, dict(enumerate(q, shift)), cutoff)
 
 
 def expand_series(f: FracRational, cutoff) -> TruncatedSeries:
@@ -389,7 +393,7 @@ def _text(var, terms) -> str:
 
 
 def format_poly(poly, var: str = "t") -> str:
-    """The text of a FracPoly or TruncatedSeries, from its terms."""
+    """The text of a FracPoly, from its terms."""
     return _text(var, ((e.numerator, e.denominator, c)
                        for e, c in sorted(poly.terms.items())))
 
@@ -403,5 +407,7 @@ def format_rational(f: FracRational, var: str = "t") -> str:
 
 
 def format_series(s: TruncatedSeries, var: str = "t") -> str:
+    """Read from the grid: the terms c_k t^{k/n} ascending, then O(cutoff)."""
     cutoff = _power(var, s.cutoff.numerator, s.cutoff.denominator)
-    return f"{format_poly(s, var)} + O({cutoff})"
+    terms = _text(var, ((k, s.n, c) for k, c in sorted(s.coeffs.items())))
+    return f"{terms} + O({cutoff})"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from stackyfan.core import Fan, validate_fan
 from stackyfan.deltainv import ehrhart_counts
-from stackyfan.qseries import FracPoly, FracRational
+from stackyfan.qseries import FracPoly, FracRational, TruncatedSeries
 from stackyfan.stacky import PiecewiseQLinear, StackyFan
 from stackyfan.arcspace import StackDivisor
 
@@ -59,6 +59,15 @@ def fan_p12323():
             (0, 0, 0, 1)]
     return mk_sfan(4, rays, (1,) * 5,
                    list(itertools.combinations(range(5), 4)), "complete")
+
+
+def series_of(terms, cutoff):
+    """The TruncatedSeries of {exponent: coefficient} truncated at the
+    cutoff, on the lcm of the exponents' denominators."""
+    terms = {Fraction(e): c for e, c in terms.items()}
+    n = math.lcm(*(e.denominator for e in terms))
+    return TruncatedSeries(n, {e.numerator * (n // e.denominator): c
+                               for e, c in terms.items()}, cutoff)
 
 
 def ehrhart_delta_reference(sfan):

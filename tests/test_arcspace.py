@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -178,10 +179,13 @@ def test_orbit_label_outside_support():
 
 
 def test_shift_function_disagreement_raises(monkeypatch):
+    # the formulas compare numerators: an involution that drops them breaks
+    # psi(iota({w})) at a point with a non-zero box part
     f = fan_p12()
-    monkeypatch.setattr(arcspace, "age", lambda sfan, e: Fraction(1))
+    monkeypatch.setattr(arcspace, "iota",
+                        lambda sfan, e: dataclasses.replace(e, nums=()))
     with pytest.raises(InvariantViolation, match="shift-function"):
-        shift_function(f, orbit_label(f, (0,)))
+        shift_function(f, orbit_label(f, (-1,)))
 
 
 def _fake_closure(holds):

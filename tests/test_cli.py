@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyfan import arcspace, deltainv, refine
+from stackyfan import arcspace, deltainv, qseries, refine
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -587,6 +587,18 @@ def test_golden(name, expected_code, argv):
     code, out = run_command(_with_paths(argv))
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_goldens_build_no_fracpoly(monkeypatch):
+    # every command reads its series and closed forms on the integer grid;
+    # FracPoly is only a construction convenience of the API
+    def forbidden(self, terms=None):
+        raise AssertionError("a FracPoly was built")
+
+    monkeypatch.setattr(qseries.FracPoly, "__init__", forbidden)
+    for name, expected_code, argv in GOLDEN_CASES:
+        assert run_command(_with_paths(argv)) == \
+            (expected_code, (GOLDEN / f"{name}.txt").read_text()), name
 
 
 def regenerate():

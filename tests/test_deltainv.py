@@ -7,7 +7,7 @@ from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
                       fan_p12, fan_p112, fan_p12323, mk_sfan, named_fans,
                       random_admissible_lambda, random_complete_rank2,
                       random_complete_rank3, random_convex_rank2,
-                      random_convex_rank3, random_rank1)
+                      random_convex_rank3, random_rank1, series_of)
 from stackyfan.arcspace import StackDivisor, zero_divisor
 from stackyfan.core import Cone, ZERO_CONE, determinant_abs
 from stackyfan import core, deltainv, stacky
@@ -19,8 +19,8 @@ from stackyfan.deltainv import (_oracle_points, bucket_series,
                                 weighted_delta_closed, weighted_delta_series)
 from stackyfan.errors import (BudgetExceeded, InvariantViolation,
                               LambdaNotKLT, NegativeMu, NotComplete, NotKLT)
-from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
-                               expand_series, series_equal)
+from stackyfan.qseries import (FracPoly, FracRational, expand_series,
+                               series_equal)
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_elements,
                               zero_functional)
 
@@ -296,8 +296,8 @@ def test_check_symmetry_requires_complete():
 
 
 def test_bucket_series_example():
-    s = TruncatedSeries({Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): 1},
-                        Fraction(1))
+    s = series_of({Fraction(0): 1, Fraction(1, 2): 1, Fraction(1): 1},
+                  Fraction(1))
     assert bucket_series(s).terms == {Fraction(0): 1, Fraction(1): 2}
 
 

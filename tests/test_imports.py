@@ -12,6 +12,21 @@ PACKAGE = Path(__file__).parent.parent / "src" / "stackyfan"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
+def _name(node):
+    """The name a node spells: a Name's id, an Attribute's attr or an
+    import alias's name; None for any other node."""
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias) else None)
+
+
+def _function(module, function):
+    """The definition of a module-level function of the package."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_imports_are_standard_library_or_package_relative(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -41,9 +56,7 @@ def test_oracles_name_no_checked_enumerator():
     banned = {"enumerate_support_points", "_scan_parallelepiped",
               "box_table", "ConeSolver", "solvers", "solve_rational_system"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
+        name = _name(node)
         assert name not in banned, f"deltainv.py:{node.lineno} names {name}"
 
 
@@ -53,9 +66,7 @@ def test_refine_decides_invariance_without_canonical_forms():
     path = PACKAGE / "refine.py"
     banned = {"weighted_delta_closed", "FracRational"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
+        name = _name(node)
         assert name not in banned, f"refine.py:{node.lineno} names {name}"
 
 
@@ -67,9 +78,7 @@ def test_point_location_goes_through_cone_solvers_locate(module):
     path = PACKAGE / module
     banned = {"minimal_containing_cone", "solve"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name if isinstance(node, ast.alias) else None)
+        name = _name(node)
         assert name not in banned, f"{module}:{node.lineno} names {name}"
 
 
@@ -78,13 +87,39 @@ def test_point_location_goes_through_cone_solvers_locate(module):
 def test_delta_is_read_from_the_closed_form(module, function):
     # the delta-polynomial is the bucketed closed form at lambda = 0; the
     # lattice-point scan stays with the oracles that check it
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    body = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == function)
     banned = {"ehrhart_counts", "count_lattice_points", "_oracle_points"}
-    for node in ast.walk(body):
-        name = (node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute) else None)
+    for node in ast.walk(_function(module, function)):
+        name = _name(node)
+        assert name not in banned, f"{module}:{node.lineno} names {name}"
+
+
+SERIES_FUNCTIONS = [
+    ("deltainv.py", "_level_sum"), ("deltainv.py", "bucket_series"),
+    ("deltainv.py", "ehrhart_delta"), ("deltainv.py", "orbifold_betti"),
+    ("deltainv.py", "gamma"), ("arcspace.py", "gamma_truncated_direct"),
+    ("qseries.py", "times_one_minus_t"), ("qseries.py", "_expand"),
+    ("qseries.py", "series_equal"), ("qseries.py", "format_series")]
+
+
+@pytest.mark.parametrize("module, function", SERIES_FUNCTIONS)
+def test_series_run_on_the_integer_grid(module, function):
+    # series are read and built as {int k: c} on a grid t^{1/n}; FracPoly,
+    # with its Fraction exponents, is only a construction convenience
+    for node in ast.walk(_function(module, function)):
+        assert _name(node) != "FracPoly", \
+            f"{module}:{node.lineno} names FracPoly"
+
+
+@pytest.mark.parametrize("module, function",
+                         [("deltainv.py", "_level_sum"),
+                          ("arcspace.py", "gamma_truncated_direct"),
+                          ("qseries.py", "times_one_minus_t")])
+def test_oracle_sums_take_nothing_from_the_closed_form(module, function):
+    # the oracles multiply by (1 - t)^d on their own, so that a fault in
+    # the closed form's assembly cannot show on both sides
+    banned = {"_times_binomial", "_weighted_delta_parts", "over_binomials"}
+    for node in ast.walk(_function(module, function)):
+        name = _name(node)
         assert name not in banned, f"{module}:{node.lineno} names {name}"
 
 
@@ -114,9 +149,6 @@ def test_only_errors_constructs_budget_exceeded():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             target = (node.func if isinstance(node, ast.Call)
                       else node.exc if isinstance(node, ast.Raise) else None)
-            name = (target.id if isinstance(target, ast.Name)
-                    else target.attr if isinstance(target, ast.Attribute)
-                    else None)
-            if name == "BudgetExceeded":
+            if _name(target) == "BudgetExceeded":
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []

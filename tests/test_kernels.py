@@ -22,7 +22,8 @@ import pytest
 from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
-                      random_klt_divisor, random_rank1, random_stellar_chain)
+                      random_klt_divisor, random_rank1, random_stellar_chain,
+                      series_of)
 from stackyfan import core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 divisor_to_pl, gamma_truncated_direct,
@@ -38,7 +39,7 @@ from stackyfan.deltainv import (check_symmetry, count_lattice_points,
                                 delta_mu_series, ehrhart_counts,
                                 weighted_delta_closed, weighted_delta_series)
 from stackyfan.errors import OutsideSupport
-from stackyfan.qseries import FracPoly, FracRational, TruncatedSeries
+from stackyfan.qseries import FracPoly, FracRational
 from stackyfan.refine import is_stacky_refinement, stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan,
                               _scan_parallelepiped, box_all, box_elements,
@@ -1023,6 +1024,7 @@ def test_reduction_over_known_binomials_matches_lowest_terms(seed):
         lengths = []
         num, den = reduce_binomials(list(a), c, exps, lengths.append)
         assert (num, den) == lowest_terms(list(a), dense)
+        assert 0 not in cyclotomic._cyclotomic_gcd(list(a), exps).values()
         # fit sees the longest list the denominator grows to
         assert len(lengths) == 1 and lengths[0] >= len(den)
         shortened += len(den) < len(dense)
@@ -1144,7 +1146,8 @@ def level_sum_reference(sfan, values, cutoff, mu):
         for m in range(max(1, math.ceil(psi_v)), top + 1):
             raw[base + m] = raw.get(base + m, 0) + 1
     one_minus_t = FracPoly({0: 1, 1: -1})
-    return (FracPoly(raw) * one_minus_t ** (sfan.rank + 1)).truncate(cutoff)
+    return series_of((FracPoly(raw) * one_minus_t ** (sfan.rank + 1)).terms,
+                     cutoff)
 
 
 @pytest.mark.parametrize("seed", [19, 20])
@@ -1235,8 +1238,7 @@ def gamma_direct_reference(sfan, e, bound):
         assert direct == orbit_measure(sfan, label) * FracPoly.t_power(
             shift_function(sfan, label) + contact_order(e, label))
         total = total + direct
-    return TruncatedSeries({-qe: c for qe, c in total.terms.items()},
-                           bound - d)
+    return series_of({-qe: c for qe, c in total.terms.items()}, bound - d)
 
 
 @pytest.mark.parametrize("seed", [17, 18])

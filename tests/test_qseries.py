@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import series_of
 from stackyfan import qseries
 from stackyfan.errors import BudgetExceeded, DivisionByZero, NoExpansionAtZero
 from stackyfan.qseries import (FracPoly, FracRational, TruncatedSeries,
-                               expand_laurent, expand_series, format_poly,
-                               format_rational, format_series, series_equal,
+                               expand_laurent,
+                               expand_series, format_poly, format_rational,
+                               format_series, series_equal,
                                substitute_reciprocal)
 
 
@@ -155,12 +157,49 @@ def test_expand_laurent_pole():
 
 
 def test_series_equal_cutoff_semantics():
-    a = TruncatedSeries({0: 1, 1: 1}, 1)
-    b = TruncatedSeries({0: 1, 1: 1, 2: 9}, 2)
-    c = TruncatedSeries({0: 1, 1: 2}, 1)
+    a = series_of({0: 1, 1: 1}, 1)
+    b = series_of({0: 1, 1: 1, 2: 9}, 2)
+    c = series_of({0: 1, 1: 2}, 1)
     assert series_equal(a, b)
     assert not series_equal(a, c)
-    assert series_equal(TruncatedSeries({}, 3), TruncatedSeries({}, 5))
+    assert series_equal(series_of({}, 3), series_of({}, 5))
+
+
+def test_series_holds_no_zero_and_nothing_past_its_cutoff():
+    s = TruncatedSeries(2, {0: 0, 1: 5, 2: 1, 3: 1}, 1)
+    assert s.coeffs == {1: 5, 2: 1}
+    assert s.terms == {Fraction(1, 2): 5, Fraction(1): 1}
+    # the top index is floor(cutoff * n), also for a negative cutoff
+    s = TruncatedSeries(3, {-4: 1, -3: 2, -2: 3}, Fraction(-5, 6))
+    assert s.coeffs == {-4: 1, -3: 2}
+
+
+def test_series_equal_on_the_lcm_of_two_grids():
+    # 1 + t + t^2 on the grids 2 and 3 meet on the grid 6
+    a = TruncatedSeries(2, {0: 1, 2: 1, 4: 1}, 2)
+    b = TruncatedSeries(3, {0: 1, 3: 1, 6: 1}, 2)
+    assert series_equal(a, b) and series_equal(b, a)
+    # the same indices on the two grids are not the same terms
+    assert not series_equal(TruncatedSeries(2, {0: 1, 1: 1}, 2),
+                            TruncatedSeries(3, {0: 1, 1: 1}, 2))
+    # unequal cutoffs: a term past one cutoff only is not compared, one
+    # within both is
+    c = TruncatedSeries(3, {0: 1, 3: 1, 5: 7}, 2)
+    assert series_equal(TruncatedSeries(2, {0: 1, 2: 1}, Fraction(3, 2)), c)
+    assert not series_equal(TruncatedSeries(2, {0: 1, 2: 1}, 2), c)
+    # negative (Laurent) exponents
+    laurent = TruncatedSeries(2, {-1: 1, 0: 2}, 1)
+    assert series_equal(laurent, TruncatedSeries(6, {-3: 1, 0: 2}, 1))
+    assert not series_equal(laurent, TruncatedSeries(3, {-1: 1, 0: 2}, 1))
+    # Fraction coefficients, as from a denominator with b[0] != 1:
+    # 1/(2 - t) = 1/2 + t/4 + t^2/8 + ...
+    f = expand_series(FracRational(1, P({0: 2, 1: -1})), 2)
+    assert f.terms == {0: Fraction(1, 2), 1: Fraction(1, 4),
+                       2: Fraction(1, 8)}
+    assert series_equal(f, TruncatedSeries(
+        3, {0: Fraction(1, 2), 3: Fraction(1, 4), 6: Fraction(1, 8)}, 2))
+    assert not series_equal(f, TruncatedSeries(
+        3, {0: Fraction(1, 2), 3: Fraction(1, 4), 6: Fraction(1, 7)}, 2))
 
 
 def test_format_poly():
@@ -176,7 +215,7 @@ def test_format_poly():
 def test_format_rational_and_series():
     r = FracRational(P({0: 1, 1: 1, 2: 1}), P({0: 1, 1: 1}))
     assert format_rational(r) == "(1 + t + t^2)/(1 + t)"
-    s = TruncatedSeries({0: 1, Fraction(1, 2): 1}, Fraction(3, 2))
+    s = series_of({0: 1, Fraction(1, 2): 1}, Fraction(3, 2))
     assert format_series(s) == "1 + t^{1/2} + O(t^{3/2})"
 
 
@@ -287,7 +326,7 @@ def test_format_poly_and_series_match_the_fracpoly_route():
         poly = P(terms)
         assert format_poly(poly, var) == _reference_format_poly(poly, var)
         cutoff = Fraction(rng.randint(-4, 9), rng.choice([1, 2, 3]))
-        series = TruncatedSeries(terms, cutoff)
+        series = series_of(terms, cutoff)
         assert format_series(series, var) == \
             f"{_reference_format_poly(P(series.terms), var)} + " \
             f"O({_reference_power(var, cutoff)})"
@@ -353,13 +392,13 @@ def test_canonical_forms_random():
         num, den, extra = _random_fraction(rng, grid)
         f = FracRational(num, den)
         if grid > 3:
-            assert den.grid() * den.max_exp() > 1200
+            assert den.grid() * max(den.terms) > 1200
         # canonical forms are fixed points of canonicalisation
         again = FracRational(f.num, f.den)
         assert (again.num, again.den) == (f.num, f.den)
         for p in (f.num, f.den):
             assert all(c.denominator == 1 for c in p.terms.values())
-            assert p.min_exp() >= 0
+            assert min(p.terms) >= 0
         # == agrees with exact cross-multiplication; equal values hash equal
         same = FracRational(num * extra, den * extra)
         assert same == f and hash(same) == hash(f)
