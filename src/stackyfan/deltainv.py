@@ -172,11 +172,12 @@ def ehrhart_delta(sfan: StackyFan) -> FracRational:
     d = sfan.rank
     closed = weighted_delta_closed(sfan, zero_functional(sfan))
     n, shift, a = closed.n, closed.shift, closed.a
-    if not closed.is_polynomial() or shift + len(a) - 1 > d * n:
+    if not closed.is_polynomial() or shift + max(a, default=0) > d * n:
         raise InvariantViolation(
             f"the delta-vector at lambda = 0 is not a polynomial of degree "
             f"at most {d}")
-    bucketed = bucket_series(TruncatedSeries(n, dict(enumerate(a, shift)), d))
+    bucketed = bucket_series(
+        TruncatedSeries(n, {e + shift: c for e, c in a.items()}, d))
     return FracRational(bucketed.coeffs, {0: 1}, grid=1)
 
 
@@ -419,7 +420,7 @@ def orbifold_betti(sfan: StackyFan) -> dict:
     g = gamma(sfan, arcspace.zero_divisor(sfan))
     if not g.is_polynomial():
         raise InvariantViolation("Gamma(X, 0) is not a polynomial")
-    out = {Fraction(i, g.n): c for i, c in enumerate(g.a, g.shift) if c}
+    out = {Fraction(e + g.shift, g.n): c for e, c in g.a.items()}
     for exp, c in out.items():
         if c < 0:
             raise InvariantViolation(

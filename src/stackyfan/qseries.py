@@ -3,10 +3,10 @@ exponents, plus ascending power-series expansion.
 
 `FracPoly` maps Fraction exponents to Fraction coefficients, a convenience
 for building values.  `FracRational` keeps only its canonical form on one
-integer grid s = t^{1/N}: coprime lists of ints, so products, quotients,
-sums, t -> 1/t, comparison, expansion and text run on ints; common factors
-are removed by `cyclotomic`.  A `TruncatedSeries` is stored on its grid
-too, as {int k: c} for the terms c t^{k/n}.
+integer grid s = t^{1/N}, as coprime {int exponent: int coefficient} dicts,
+and a `TruncatedSeries` keeps {int k: c} for the terms c t^{k/n}.  Lists
+of coefficients are built only where `cyclotomic` folds them to remove
+common factors, and for the long division of an expansion.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from .cyclotomic import lowest_terms, reduce_binomials
 from .errors import DivisionByZero, NoExpansionAtZero, admit
 
 # the longest coefficient list on the grid s = t^{1/n} that qseries may
-# build, from the span of its exponents: it grows with n, which the box
-# budget bounds only through the group orders.  P2 with weights (113, 127,
-# 139), lists of 3,989,579, runs `betti` in some 3 s and 230 MB (2 vCPU,
-# Python 3.11)
+# build for a fold or a long division, from the span of its exponents: it
+# grows with n, which the box budget bounds only through the group orders.
+# P2 with weights (29, 31, 37) and lambda = (1/2, 1/3, -1/5) asks for a
+# numerator list of 5,621,448
 DENSE_LENGTH_BUDGET = 4 * 10 ** 6
 
 
@@ -34,13 +34,13 @@ def _sparse_sum(p: dict, q: dict) -> dict:
 
 
 def _sparse_product(p: dict, q: dict) -> dict:
-    """Product of {exponent: coefficient} polynomials; may hold zeros."""
+    """Product of {exponent: coefficient} polynomials, without zeros."""
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
             e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
-    return out
+    return {e: c for e, c in out.items() if c}
 
 
 class FracPoly:
@@ -59,10 +59,6 @@ class FracPoly:
         self.terms = clean
 
     @classmethod
-    def constant(cls, c):
-        return cls({Fraction(0): Fraction(c)})
-
-    @classmethod
     def t_power(cls, e, c=1):
         return cls({Fraction(e): Fraction(c)})
 
@@ -72,7 +68,7 @@ class FracPoly:
 
     @classmethod
     def one(cls):
-        return cls.constant(1)
+        return cls.t_power(0)
 
     def is_zero(self):
         return not self.terms
@@ -105,27 +101,17 @@ class FracPoly:
             n >>= 1
         return result
 
-    def grid(self) -> int:
-        """lcm of the exponent denominators."""
-        g = 1
-        for e in self.terms:
-            g = g * e.denominator // math.gcd(g, e.denominator)
-        return g
-
-    def coeff(self, e):
-        return self.terms.get(Fraction(e), Fraction(0))
-
     def __repr__(self):
         return f"FracPoly({format_poly(self)})"
 
 
 class FracRational:
     """Rational function stored only in canonical form (n, shift, a, b):
-    s^shift * a(s)/b(s) with s = t^{1/n}, for lists of ints a, b indexed by
-    exponent with nonzero constant terms, no common factor or content and
-    b[0] > 0, on the least grid: gcd(n, shift, every exponent of a nonzero
-    coefficient) = 1.  Zero is (1, 0, [], [1]).  Equal values have equal
-    forms at every size, so `==` compares the four slots.
+    s^shift * a(s)/b(s) with s = t^{1/n}, for {int exponent: int} dicts a, b
+    with no zero and with nonzero constant terms, no common factor or content
+    and b[0] > 0, on the least grid: gcd(n, shift, every exponent) = 1.  Zero
+    is (1, 0, {}, {0: 1}).  Equal values have equal forms at every size, so
+    `==` compares the four slots.
 
     Built from FracPolys or rational scalars num and den or, with `grid=n`,
     from {int exponent: int coefficient} dicts on the grid s = t^{1/n};
@@ -148,25 +134,24 @@ class FracRational:
         num, den = ({e: c for e, c in p.items() if c} for p in (num, den))
         if not den:
             raise DivisionByZero("zero denominator")
-        (lo_a, a), (lo_b, b) = _coefficient_list(num), _coefficient_list(den)
+        lo_a, lo_b = min(num, default=0), min(den)
+        a, b = ({e - lo: c for e, c in p.items()}
+                for p, lo in ((num, lo_a), (den, lo_b)))
         self._set(grid, lo_a - lo_b, *_reduce(a, b))
 
     def _set(self, n, shift, a, b):
-        """Store s^shift a/b on the grid t^{1/n} (a, b coprime lists with
+        """Store s^shift a/b on the grid t^{1/n} (a, b coprime dicts with
         nonzero constant terms, a empty for 0) without content or sign, on
         the least grid."""
         if not a:
-            n, shift, b = 1, 0, [1]
-        g = math.gcd(*a, *b) if b[0] > 0 else -math.gcd(*a, *b)
+            n, shift, b = 1, 0, {0: 1}
+        g = math.gcd(*a.values(), *b.values()) * (1 if b[0] > 0 else -1)
         if g != 1:
-            a, b = [c // g for c in a], [c // g for c in b]
-        k = math.gcd(n, shift)
-        for i in (i for p in (a, b) for i, c in enumerate(p) if c):
-            if k == 1:
-                break
-            k = math.gcd(k, i)
+            a, b = ({e: c // g for e, c in p.items()} for p in (a, b))
+        k = math.gcd(n, shift, *a, *b)
         if k > 1:
-            n, shift, a, b = n // k, shift // k, a[::k], b[::k]
+            n, shift = n // k, shift // k
+            a, b = ({e // k: c for e, c in p.items()} for p in (a, b))
         self.n, self.shift, self.a, self.b = n, shift, a, b
         return self
 
@@ -177,7 +162,7 @@ class FracRational:
         return not self.a
 
     def is_polynomial(self):
-        return self.b == [1] and self.shift >= 0
+        return self.b == {0: 1} and self.shift >= 0
 
     def __eq__(self, other):
         if not isinstance(other, FracRational):
@@ -186,31 +171,31 @@ class FracRational:
                 and self.a == other.a and self.b == other.b)
 
     def __hash__(self):
-        return hash((self.n, self.shift, tuple(self.a), tuple(self.b)))
+        return hash((self.n, self.shift, frozenset(self.a.items()),
+                     frozenset(self.b.items())))
 
     def _on(self, n):
         """(shift, a, b) on the grid t^{1/n}, a multiple of self.n."""
         k = n // self.n
-        a, b = ([0] * _dense_length((len(p) - 1) * k + 1)
-                for p in (self.a, self.b))
-        a[::k], b[::k] = self.a, self.b
+        a, b = ({e * k: c for e, c in p.items()} for p in (self.a, self.b))
         return self.shift * k, a, b
 
     def __add__(self, other):
         other = _coerce(other)
         n = math.lcm(self.n, other.n)
         (h1, a1, b1), (h2, a2, b2) = self._on(n), other._on(n)
-        b1, b2 = _sparse(b1), _sparse(b2)
+        a1, a2 = ({e + h: c for e, c in p.items()}
+                  for p, h in ((a1, h1), (a2, h2)))
         return FracRational(
-            _sparse_sum(_sparse_product(_sparse(a1, h1), b2),
-                        _sparse_product(_sparse(a2, h2), b1)),
+            _sparse_sum(_sparse_product(a1, b2), _sparse_product(a2, b1)),
             _sparse_product(b1, b2), grid=n)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __neg__(self):
-        return _rational(self.n, self.shift, [-c for c in self.a], self.b)
+        return _rational(self.n, self.shift,
+                         {e: -c for e, c in self.a.items()}, self.b)
 
     def __mul__(self, other):
         # (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))):
@@ -220,7 +205,8 @@ class FracRational:
         (h1, a1, b1), (h2, a2, b2) = self._on(n), other._on(n)
         a1, b2 = _reduce(a1, b2)
         a2, b1 = _reduce(a2, b1)
-        return _rational(n, h1 + h2, _times(a1, a2), _times(b1, b2))
+        return _rational(n, h1 + h2, _sparse_product(a1, a2),
+                         _sparse_product(b1, b2))
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -238,12 +224,15 @@ def _coerce(x) -> FracRational:
 
 def substitute_reciprocal(f: FracRational) -> FracRational:
     """Replace t by 1/t: s^shift a(s)/b(s) becomes s^(deg b - deg a - shift)
-    times the quotient of the reversed lists, still in lowest terms."""
-    return _rational(f.n, len(f.b) - len(f.a) - f.shift, f.a[::-1], f.b[::-1])
+    times the quotient of the reflected terms, still in lowest terms."""
+    da, db = max(f.a, default=0), max(f.b)
+    return _rational(f.n, db - da - f.shift,
+                     {da - e: c for e, c in f.a.items()},
+                     {db - e: c for e, c in f.b.items()})
 
 
 # ---------------------------------------------------------------------------
-# Canonicalisation: integer coefficient lists on the grid s = t^{1/N}
+# Canonicalisation: {exponent: coefficient} dicts on the grid s = t^{1/N}
 
 
 def _rational(n, shift, a, b) -> FracRational:
@@ -252,16 +241,24 @@ def _rational(n, shift, a, b) -> FracRational:
 
 def over_binomials(n, num: dict, exps: dict) -> FracRational:
     """num(s) / prod_d (1 - s^d)^{exps[d]}, s = t^{1/n}, num without zeros,
-    reduced over those binomials, whose product is admitted but not built."""
-    lo, a = _coefficient_list(num)
-    _dense_length(1 + sum(d * e for d, e in exps.items()))
-    a, b = reduce_binomials(a, 1, exps, _dense_length) if a else (a, [1])
+    reduced over those binomials, whose product is admitted but not built.
+    With no binomial the terms of num are the form, and no list is built."""
+    lo = min(num, default=0)
+    a, b = {e - lo: c for e, c in num.items()}, {0: 1}
+    if exps and a:
+        a = _coefficient_list(a)
+        _dense_length(1 + sum(d * e for d, e in exps.items()))
+        a, b = map(_sparse, reduce_binomials(a, 1, exps, _dense_length))
     return _rational(n, lo, a, b)
 
 
-def _reduce(a, b):
-    """a/b in lowest terms, for lists with nonzero constant terms."""
-    return lowest_terms(a, b) if len(a) > 1 and len(b) > 1 else (a, b)
+def _reduce(a: dict, b: dict):
+    """a/b in lowest terms, for dicts with nonzero constant terms; folded as
+    coefficient lists only when both have more than one term."""
+    if len(a) < 2 or len(b) < 2:
+        return a, b
+    a, b = lowest_terms(_coefficient_list(a), _coefficient_list(b))
+    return _sparse(a), _sparse(b)
 
 
 def _dense_length(length: int) -> int:
@@ -270,28 +267,22 @@ def _dense_length(length: int) -> int:
                  "is")
 
 
-def _coefficient_list(p: dict):
-    """(lowest exponent, list of coefficients from it); (0, []) for {}."""
-    lo = min(p, default=0)
-    out = [0] * _dense_length(max(p, default=lo - 1) - lo + 1)
+def _coefficient_list(p: dict) -> list:
+    """The coefficients of p, whose exponents are >= 0, by exponent."""
+    out = [0] * _dense_length(max(p, default=-1) + 1)
     for e, c in p.items():
-        out[e - lo] = c
-    return lo, out
+        out[e] = c
+    return out
 
 
-def _sparse(p, lo=0) -> dict:
-    """{exponent: coefficient} of s^lo * p for a coefficient list p."""
-    return {i + lo: c for i, c in enumerate(p) if c}
+def _sparse(p: list) -> dict:
+    """{exponent: coefficient} of a coefficient list, without zeros."""
+    return {i: c for i, c in enumerate(p) if c}
 
 
-def _grid_poly(p, lo, n) -> FracPoly:
+def _grid_poly(p: dict, lo, n) -> FracPoly:
     """The FracPoly s^lo p(s) for s = t^{1/n}."""
-    return FracPoly({Fraction(i + lo, n): c for i, c in enumerate(p) if c})
-
-
-def _times(a, b):
-    """Product of coefficient lists with nonzero constant terms."""
-    return _coefficient_list(_sparse_product(_sparse(a), _sparse(b)))[1]
+    return FracPoly({Fraction(e + lo, n): c for e, c in p.items()})
 
 
 class TruncatedSeries:
@@ -345,8 +336,8 @@ def _expand(f: FracRational, cutoff, laurent: bool) -> TruncatedSeries:
     # every denominator the invariant formulas build
     top = _dense_length(cutoff.numerator * n // cutoff.denominator - shift)
     inv0 = 1 if b[0] == 1 else Fraction(1, b[0])
-    tail = [(j, bj) for j, bj in enumerate(b) if j and bj]
-    q = (a + [0] * top)[:max(top + 1, 0)]
+    tail = sorted((j, bj) for j, bj in b.items() if j)
+    q = [a.get(k, 0) for k in range(top + 1)]
     for k in range(len(q)):
         c = q[k] = q[k] * inv0
         if c:
@@ -400,8 +391,8 @@ def format_poly(poly, var: str = "t") -> str:
 
 def format_rational(f: FracRational, var: str = "t") -> str:
     """Read from the grid: s^shift a(s)/b(s) with s = t^{1/n}, ascending."""
-    num, den = (_text(var, ((i + max(h, 0), f.n, c)
-                            for i, c in enumerate(p) if c))
+    num, den = (_text(var, ((e + max(h, 0), f.n, c)
+                            for e, c in sorted(p.items())))
                 for p, h in ((f.a, f.shift), (f.b, -f.shift)))
     return num if f.is_polynomial() else f"({num})/({den})"
 

@@ -399,11 +399,12 @@ DENSE_GRID_DOCUMENTS = {
         [13, 10], [28, 25], [-1, 19], [-29, 23], [-22, 9]],
         "weights": [1] * 24,
         "cones": [[0, 1], [0, 23]] + [[i, i + 1] for i in range(1, 23)]},
-        427929000083474494807346061918001, 1.0),
+        3495, "1 + 1784t + 1710t^2", 1.0),
     # box orders summing to 94,679, whose scan alone takes some 1.3 s
     "prime_p2": ({"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
                   "weights": [173, 179, 181],
-                  "cones": [[0, 1], [1, 2], [0, 2]]}, 11210055, 3.0)}
+                  "cones": [[0, 1], [1, 2], [0, 2]]},
+                 94679, "1 + 47339t + 47339t^2", 5.0)}
 
 
 @pytest.mark.parametrize("command", [
@@ -411,16 +412,36 @@ DENSE_GRID_DOCUMENTS = {
     ["gamma", "--divisor", "zero"]])
 @pytest.mark.parametrize("name", sorted(DENSE_GRID_DOCUMENTS))
 def test_dense_grid_over_budget_exits_1_at_once(tmp_path, command, name):
-    # the dense coefficient list on the grid s = t^{1/n} had no budget:
-    # dense24 escaped with an OverflowError traceback, and `betti` on
-    # prime_p2 ran 31 s in 1.2 GB
-    document, length, seconds = DENSE_GRID_DOCUMENTS[name]
+    # a coefficient list on these grids s = t^{1/n} is over the dense-list
+    # budget (11,210,055 entries on prime_p2), but at lambda = 0 the closed
+    # form is a polynomial with one term per box element, which is stored
+    # and read as {exponent: coefficient}: every command answers, in about
+    # the time of its box scan
+    document, total, delta, seconds = DENSE_GRID_DOCUMENTS[name]
     path = tmp_path / f"{name}.json"
     path.write_text(_minimal(**document))
     start = time.perf_counter()
     code, out = run_command([command[0], str(path), *command[1:]])
     assert time.perf_counter() - start < seconds
-    assert (code, out) == (1, f"error: a coefficient list of length {length} "
+    assert code == 0, out
+    if command[0] == "betti":
+        numbers = [int(line.split(": ")[1]) for line in out.splitlines()]
+        assert min(numbers) > 0 and sum(numbers) == total
+    elif command[0] == "delta":
+        assert out == delta + "\n"
+
+
+def test_dense_list_over_budget_exits_1_at_once(tmp_path):
+    # a nonzero functional leaves binomials to reduce over, which are
+    # folded as coefficient lists: the numerator's list is refused before
+    # it is built
+    path = tmp_path / "prime_p2.json"
+    path.write_text(_minimal(**DENSE_GRID_DOCUMENTS["prime_p2"][0],
+                             functionals={"half": ["1/2", 0, 0]}))
+    start = time.perf_counter()
+    code, out = run_command(["weighted-delta", str(path), "--lambda", "half"])
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "error: a coefficient list of length 39235190 "
                               "is over the limit of 4000000\n")
 
 
@@ -597,6 +618,22 @@ def test_goldens_build_no_fracpoly(monkeypatch):
 
     monkeypatch.setattr(qseries.FracPoly, "__init__", forbidden)
     for name, expected_code, argv in GOLDEN_CASES:
+        assert run_command(_with_paths(argv)) == \
+            (expected_code, (GOLDEN / f"{name}.txt").read_text()), name
+
+
+def test_lambda_zero_goldens_build_no_coefficient_list(monkeypatch):
+    # at lambda = 0 the closed form has no binomial to reduce over, so its
+    # canonical form is read and written as {exponent: coefficient} only
+    def forbidden(p):
+        raise AssertionError("a coefficient list was built")
+
+    monkeypatch.setattr(qseries, "_coefficient_list", forbidden)
+    names = {"delta_p112", "weighted_delta_p12_zero", "gamma_p12_zero",
+             "gamma_p2_uv", "betti_p12"}
+    cases = [case for case in GOLDEN_CASES if case[0] in names]
+    assert len(cases) == len(names)
+    for name, expected_code, argv in cases:
         assert run_command(_with_paths(argv)) == \
             (expected_code, (GOLDEN / f"{name}.txt").read_text()), name
 
