@@ -4,15 +4,17 @@ given as coefficient lists indexed by exponent.
 Every denominator the invariant formulas build is c * prod_d (1 - s^d), and
 every reduced form of one is c * prod_d (1 - s^d)^{e_d} with exponents of
 either sign; so every common factor is a product of cyclotomic polynomials
-Phi_k(s).  They are found by folding modulo s^k - 1 and removed by
-multiplying and dividing by binomials, each an O(length) pass.  The folds
-run down the divisor lattice: the numerator is folded in full only modulo
-s^d - 1 for the binomial exponents d of the denominator, and each divisor
-k from the fold of a multiple, so a test costs O(multiple), not O(length).
-A pass over residue classes mod c runs as c slices, or as length/c
-blocks when c^2 >= length, so it makes at most sqrt(length) Python steps.
-Any other denominator (only arbitrary input such as 1 + 2s) is reduced by
-an integer primitive remainder sequence.
+Phi_k(s).  They are divided out round by round.  A round tests each Phi_k
+by folding the numerator modulo s^k - 1, and divides at once by the product
+of those that divide, multiplying and dividing by binomials, each an
+O(length) pass.  The folds run down the divisor lattice: the numerator is
+folded in full only modulo s^d - 1 for the binomial exponents d of the
+denominator, and each divisor k from the fold of a multiple.  So a round
+costs one full-length fold per top d, plus one division of the numerator,
+which gets shorter each round.  A pass over residue classes mod c runs as c
+slices, or as length/c blocks when c^2 >= length, so it makes at most
+sqrt(length) Python steps.  Any other denominator (only arbitrary input
+such as 1 + 2s) is reduced by an integer primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ def lowest_terms(a, b):
 def reduce_binomials(a, c, exps, fit=int):
     """a / (c prod_d (1 - s^d)^{exps[d]}) in lowest terms; the denominator is
     built from exps - net, once fit has seen (and may refuse) its length."""
-    net = _cyclotomic_gcd(a, exps)
+    a, net = _divide_gcd(a, exps)
     rest = {d: net.get(d, 0) - exps.get(d, 0) for d in net.keys() | exps}
     fit(1 + sum(-e * d for d, e in rest.items() if e < 0))
-    return _apply(a, net), _apply([c], rest)
+    return a, _apply([c], rest)
 
 
 # bound on sum |e_d| before a denominator counts as not cyclotomic: the
@@ -95,36 +97,24 @@ def _mul_binomial(a, c):
     return out
 
 
-def _cyclotomic_gcd(a, exps):
-    """{d: E_d}, no E_d zero, with prod_d (1 - s^d)^{E_d} = +-gcd(a, b) for
-    b = prod_d (1 - s^d)^{exps[d]}.
+def _divide_gcd(a, exps):
+    """(a / g, {d: E_d}), no E_d zero, for g = prod_d (1 - s^d)^{E_d} =
+    +-gcd(a, b) and b = prod_d (1 - s^d)^{exps[d]}.
 
-    The multiplicity of Phi_k in a is the number of leading derivatives
-    a, a', ... that Phi_k divides.  At each derivative, a is folded in
-    full only mod s^d - 1 for the tops d (exps[d] > 0) that some live k
-    divides; each live k, in descending order, is folded from the fold of
-    its least multiple m already made, which is exact because s^k - 1
-    divides s^m - 1.  So a level costs one full-length pass per top and
-    one pass of length m per other k, not one full-length pass per k.
-    The result is inverted with Phi_k = prod_{d | k} (1 - s^d)^{mu(k/d)},
-    which holds up to sign.  Each n is factored once per call."""
+    A round tests each live k: Phi_k divided a in every round so far, and
+    b holds it more often than it was divided out.  Each is folded, in
+    descending order, from the fold of its least multiple m already made
+    (exact, as s^k - 1 divides s^m - 1) or of a top.  The round divides by
+    Phi_k = +-prod_{d | k} (1 - s^d)^{mu(k/d)} for each k that passed."""
     factors = {}              # n -> {prime: exponent}, for this call only
     tops = sorted(d for d, e in exps.items() if e > 0)
-    need = {}                 # k -> multiplicity of Phi_k in b
+    need, net = {}, {}        # k -> times Phi_k is in b and not yet out
     for d, e in exps.items():
         for k in _divisors(d, factors):
             need[k] = need.get(k, 0) + e
-    need = {k: m for k, m in need.items() if m > 0}
-    found = dict.fromkeys(need, 0)
-    for i in range(max(need.values(), default=0)):
-        live = sorted((k for k in need if found[k] == i < need[k]),
-                      reverse=True)
-        if not live:
-            break
-        if i:
-            a = [j * x for j, x in enumerate(a)][1:]
-        folds = {}            # m -> a mod s^m - 1, for this derivative only
-        for k in live:
+    while True:
+        folds, step = {}, {}  # m -> a mod s^m - 1; this round's exponents
+        for k in sorted((k for k, m in need.items() if m > 0), reverse=True):
             m = min((n for n in folds if n % k == 0), default=None)
             if m is None:
                 m = next(d for d in tops if d % k == 0)
@@ -132,13 +122,16 @@ def _cyclotomic_gcd(a, exps):
             if m != k:
                 folds[k] = _fold(folds[m], k)
             if _phi_divides(folds[k], k, factors):
-                found[k] += 1
-    net = {}
-    for k, e in found.items():
-        if e:
-            for d in _divisors(k, factors):
-                net[d] = net.get(d, 0) + e * _mobius(k // d, factors)
-    return {d: e for d, e in net.items() if e}
+                need[k] -= 1
+                for d in _divisors(k, factors):
+                    step[d] = step.get(d, 0) + _mobius(k // d, factors)
+            else:             # then Phi_k divides no quotient of a either
+                need[k] = 0
+        if not step:
+            return a, {d: e for d, e in net.items() if e}
+        a = _apply(a, step)
+        for d, e in step.items():
+            net[d] = net.get(d, 0) + e
 
 
 def _fold(a, k):

@@ -411,7 +411,7 @@ DENSE_GRID_DOCUMENTS = {
     ["betti"], ["delta"], ["weighted-delta", "--lambda", "zero"],
     ["gamma", "--divisor", "zero"]])
 @pytest.mark.parametrize("name", sorted(DENSE_GRID_DOCUMENTS))
-def test_dense_grid_over_budget_exits_1_at_once(tmp_path, command, name):
+def test_dense_grid_lambda_zero_answers(tmp_path, command, name):
     # a coefficient list on these grids s = t^{1/n} is over the dense-list
     # budget (11,210,055 entries on prime_p2), but at lambda = 0 the closed
     # form is a polynomial with one term per box element, which is stored

@@ -4,6 +4,7 @@ its oracles apart from the enumerators they check."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,43 @@ def test_every_imported_name_is_used(path):
                            for a in node.names)
               if name not in used]
     assert unused == []
+
+
+def _private_definitions(node):
+    """The module-level private names (_x, not __x__) a statement
+    defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    else:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names = [n.id for t in targets for n in ast.walk(t)
+                 if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def _reads(tree):
+    """How often each name is read in a tree: loaded names, attributes
+    and imported aliases."""
+    return Counter(_name(node) for node in ast.walk(tree)
+                   if isinstance(node, (ast.Attribute, ast.alias))
+                   or isinstance(node, ast.Name)
+                   and not isinstance(node.ctx, ast.Store))
+
+
+def test_every_private_helper_is_read():
+    # a private helper that no code of the package reads, other than its
+    # own definition, is dead
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    reads = sum(map(_reads, trees.values()), Counter())
+    dead = [f"{module}:{node.lineno} {name}"
+            for module, tree in trees.items() for node in tree.body
+            for name in _private_definitions(node)
+            if reads[name] <= _reads(node)[name]]
+    assert dead == []
 
 
 def test_only_errors_constructs_budget_exceeded():

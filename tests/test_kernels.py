@@ -958,7 +958,7 @@ def random_quotients(seed, count):
 
 def test_lowest_terms_divisor_lattice_cases():
     # Phi_1 and Phi_2 twice in each: common factors found again on the
-    # first derivative
+    # second round
     a = poly_mul(binomial(2), binomial(6))
     b = poly_mul(binomial(4), binomial(4))
     num, den = lowest_terms(a, b)
@@ -972,6 +972,12 @@ def test_lowest_terms_divisor_lattice_cases():
     num, den = lowest_terms(a, b)
     assert num == poly_mul([3, 1], binomial(5))
     assert den == div_binomial_reference(binomial(12), 2)
+    # Phi_1 four times in a and three times in b: found in three rounds,
+    # and the fourth copy stays in the numerator
+    a = functools.reduce(poly_mul, [binomial(1)] * 4, [1, 2])
+    b = functools.reduce(poly_mul, [binomial(2)] * 3)
+    assert lowest_terms(a, b) == reduce_binomials(a, 1, {2: 3}) \
+        == ([1, 1, -2], [1, 3, 3, 1])
 
 
 def _sympy_poly(sympy, s, coefficients):
@@ -1024,7 +1030,14 @@ def test_reduction_over_known_binomials_matches_lowest_terms(seed):
         lengths = []
         num, den = reduce_binomials(list(a), c, exps, lengths.append)
         assert (num, den) == lowest_terms(list(a), dense)
-        assert 0 not in cyclotomic._cyclotomic_gcd(list(a), exps).values()
+        q, net = cyclotomic._divide_gcd(list(a), exps)
+        assert 0 not in net.values()
+        # the quotient times prod_d (1 - s^d)^{E_d} is +-a
+        times, over = [q], [list(a)]
+        for d, e in net.items():
+            (times if e > 0 else over).extend([binomial(d)] * abs(e))
+        lhs, rhs = (functools.reduce(poly_mul, p) for p in (times, over))
+        assert lhs in (rhs, [-x for x in rhs])
         # fit sees the longest list the denominator grows to
         assert len(lengths) == 1 and lengths[0] >= len(den)
         shortened += len(den) < len(dense)
