@@ -12,15 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import OutsideSupport
+from .errors import OutsideSupport, admit
 
 Vec = tuple  # integer or Fraction coordinates
+
+# the most pairs of maximal cones that validate_fan gives the pairwise
+# overlap test before it raises BudgetExceeded, up to 100 maximal cones:
+# 4,950 pairs of rank-2 cones take some 0.4 s, of rank-3 cones some 1 s
+# (2 vCPU, Python 3.11)
+OVERLAP_PAIR_BUDGET = 5 * 10 ** 3
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -300,11 +305,6 @@ class Cone:
             for sub in itertools.combinations(self.ray_indices, k):
                 yield Cone._sorted(sub)
 
-    def facets(self):
-        """The faces with one ray fewer."""
-        idx = self.ray_indices
-        return [Cone._sorted(idx[:j] + idx[j + 1:]) for j in range(len(idx))]
-
     def is_face_of(self, other: "Cone") -> bool:
         return set(self.ray_indices) <= set(other.ray_indices)
 
@@ -325,11 +325,13 @@ class Fan:
     @classmethod
     def from_maximal(cls, rank, rays, maximal_cones, support_kind="general"):
         rays = tuple(tuple(int(a) for a in r) for r in rays)
-        cones = set()
+        faces = set()
         for c in maximal_cones:
-            cone = c if isinstance(c, Cone) else Cone(tuple(c))
-            cones.update(cone.faces())
-        return cls(rank, rays, frozenset(cones), support_kind)
+            idx = tuple(sorted(c.ray_indices if isinstance(c, Cone) else c))
+            for k in range(len(idx) + 1):
+                faces.update(itertools.combinations(idx, k))
+        return cls(rank, rays, frozenset(map(Cone._sorted, faces)),
+                   support_kind)
 
     @cached_property
     def sorted_cones(self) -> tuple:
@@ -337,12 +339,18 @@ class Fan:
         return tuple(sorted(self.cones, key=lambda c: c.ray_indices))
 
     @cached_property
+    def facet_indices(self) -> frozenset:
+        """The ray indices of the faces with one ray fewer of every cone."""
+        return frozenset(c.ray_indices[:j] + c.ray_indices[j + 1:]
+                         for c in self.cones for j in range(c.dim))
+
+    @cached_property
     def maximal_cones(self) -> tuple:
         """The cones that no one more ray extends to a cone of the fan: the
         cones are closed under faces, so these are the faces of no other
         cone."""
-        extended = {facet for c in self.cones for facet in c.facets()}
-        return tuple(c for c in self.sorted_cones if c not in extended)
+        return tuple(c for c in self.sorted_cones
+                     if c.ray_indices not in self.facet_indices)
 
     def ray_vectors(self, cone: Cone):
         return tuple(self.rays[i] for i in cone.ray_indices)
@@ -386,12 +394,13 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     return _fm_feasible(ineqs, eqs, n)
 
 
-def _complete_fan_certified(fan: Fan, maximal) -> bool:
+def _complete_fan_certified(fan: Fan, maximal, sides: dict) -> Optional[bool]:
     """A certificate, linear in the cones, that the maximal cones of a fan
     declared complete meet only in common faces, so that no pair overlaps
-    improperly.  The cones must have passed the ray, independence and
-    face-closure checks.  It holds when
-      (1) every maximal cone has dimension d = rank;
+    improperly.  The cones must have passed the ray and face-closure
+    checks; a maximal cone with a missing, wrong-length or dependent ray,
+    checked by the same elimination, gives None.  It holds when
+      (1) every maximal cone has dimension d;
       (2) every (d-1)-cone lies on exactly two maximal cones, whose other
           rays lie strictly on opposite sides of its hyperplane;
       (3) the sum p of the rays of the first maximal cone lies in no other
@@ -414,29 +423,36 @@ def _complete_fan_certified(fan: Fan, maximal) -> bool:
     Taking x in the relative interior of the convex set sigma cap tau, the
     set lies in F, a face of both cones, so it is F: a common face.
 
-    Signs and the point test come from one elimination per maximal cone,
-    of the d x (d + 1) matrix with the cone's rays S as columns and p last:
-    it gives the cone's determinant, sign * delta, and delta * S^{-1} p in
-    its last column.  Moving ray j last multiplies the determinant by
-    (-1)^(d-1-j), which gives the side of the apex j of each facet, and p
+    One elimination per maximal cone, of the d x (k + 1) matrix with the
+    cone's k rays S as columns and p last, has k pivots exactly when the
+    rays are independent; for k = d it gives the cone's determinant,
+    sign * delta, and delta * S^{-1} p in its last column.  Moving ray j
+    last multiplies the determinant by (-1)^(d-1-j), which gives the side
+    of the apex j of each facet, filed in `sides` for every fan, and p
     lies in the closed cone exactly when S^{-1} p >= 0, that is, when every
     entry of the last column times delta is >= 0.
     """
     d = fan.rank
-    if any(c.dim != d for c in maximal):
-        return False
-    p = [sum(x) for x in zip(*fan.ray_vectors(maximal[0]))]
-    sides = {}
+    usable = {i for i, r in enumerate(fan.rays) if len(r) == d}
+    inside = False
     for n, c in enumerate(maximal):
-        _, rows, delta, sign = _eliminate(
-            [list(x) + [y] for x, y in zip(zip(*fan.ray_vectors(c)), p)], d)
-        if n and all(row[d] * delta >= 0 for row in rows):
-            return False
         idx = c.ray_indices
-        for j in range(d):
-            sides.setdefault(idx[:j] + idx[j + 1:], []).append(
-                (sign * delta > 0) ^ ((d - 1 - j) % 2 == 1))
-    return all(len(s) == 2 and s[0] != s[1] for s in sides.values())
+        if not usable.issuperset(idx):
+            return None
+        columns = list(zip(*[fan.rays[i] for i in idx])) or [()] * d
+        if not n:
+            p = [sum(x) for x in columns]
+        pivots, rows, delta, sign = _eliminate(
+            [x + (y,) for x, y in zip(columns, p)], len(idx))
+        if len(pivots) < len(idx):
+            return None
+        if len(idx) == d:
+            inside = inside or n and all(row[d] * delta >= 0 for row in rows)
+            for j in range(d):
+                sides.setdefault(idx[:j] + idx[j + 1:], []).append(
+                    (sign * delta > 0) ^ ((d - 1 - j) % 2 == 1))
+    return (not inside and all(c.dim == d for c in maximal)
+            and all(len(s) == 2 and s[0] != s[1] for s in sides.values()))
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
@@ -455,19 +471,18 @@ def validate_fan(fan: Fan) -> ValidationReport:
             rep.add(f"ray {i} not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         rep.add("duplicate rays")
-    used = {i for c in fan.cones for i in c.ray_indices}
+    maximal = fan.maximal_cones
+    used = {i for c in maximal for i in c.ray_indices}
     for i in sorted(set(range(len(fan.rays))) - used):
         rep.add(f"ray {i} lies in no cone")
     # every cone is a face of a maximal one, and a face of a cone whose
     # rays exist, have the right length and are independent is such a cone
     # too: when the maximal cones pass, every cone does
-    n = len(fan.rays)
-    if not all(all(0 <= i < n and len(fan.rays[i]) == fan.rank
-                   for i in c.ray_indices)
-               and independent_rows(fan.ray_vectors(c), fan.rank) is not None
-               for c in fan.maximal_cones):
+    sides = {}
+    certified = _complete_fan_certified(fan, maximal, sides)
+    if certified is None:
         for c in fan.sorted_cones:
-            if any(i < 0 or i >= n for i in c.ray_indices):
+            if any(i < 0 or i >= len(fan.rays) for i in c.ray_indices):
                 rep.add(f"cone {list(c.ray_indices)} references missing ray")
                 continue
             vecs = fan.ray_vectors(c)
@@ -475,12 +490,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
                     and independent_rows(vecs, fan.rank) is None):
                 rep.add(f"cone {list(c.ray_indices)} rays not linearly "
                         "independent")
-    if ZERO_CONE not in fan.cones:
+    indices = {c.ray_indices for c in fan.cones}
+    if () not in indices:
         rep.add("zero cone missing")
     # cones closed under facets are closed under faces
-    indices = {c.ray_indices for c in fan.cones}
-    if not all(idx[:j] + idx[j + 1:] in indices
-               for idx in indices for j in range(len(idx))):
+    if not fan.facet_indices <= indices:
         for c in fan.cones:
             for f in c.faces():
                 if f not in fan.cones:
@@ -488,41 +502,40 @@ def validate_fan(fan: Fan) -> ValidationReport:
                             f"{list(c.ray_indices)} missing from fan")
     if not rep.ok:
         return rep
-    maximal = fan.maximal_cones
-    pairs = itertools.combinations(maximal, 2)
-    if fan.support_kind == "complete" and _complete_fan_certified(fan, maximal):
-        pairs = ()
+    pairs = ()
+    if fan.support_kind != "complete" or not certified:
+        pairs = itertools.combinations(maximal, 2)
+        admit(len(maximal) * (len(maximal) - 1) // 2, OVERLAP_PAIR_BUDGET,
+              "the overlap test may compare", "pairs of maximal cones,")
     for a, b in pairs:
         if _cones_overlap_improperly(fan, a, b):
             rep.add(f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
                     "intersect outside their common face")
     # each codimension-one cone with the number of top-dimensional cones
     # holding it
-    top = [c for c in maximal if c.dim == fan.rank]
-    on_top = Counter(facet for c in top for facet in c.facets())
-    facets = [(f, on_top[f]) for f in fan.sorted_cones
-              if f.dim == fan.rank - 1]
+    facets = [(f, len(sides.get(f, ())))
+              for f in sorted(f for f in indices if len(f) == fan.rank - 1)]
     if fan.support_kind == "complete":
-        if not top:
+        if not any(c.dim == fan.rank for c in maximal):
             rep.add("complete fan has no maximal-dimensional cone")
         if any(c.dim != fan.rank for c in maximal):
             rep.add("complete fan has a maximal cone of lower dimension")
         for facet, count in facets:
             if count != 2:
-                rep.add(f"facet {list(facet.ray_indices)} on {count} maximal "
-                        "cone" + ("" if count == 1 else "s"))
+                rep.add(f"facet {list(facet)} on {count} maximal cone"
+                        + ("" if count == 1 else "s"))
     elif fan.support_kind == "convex":
         for facet, count in facets:
             if count != 1:
                 continue
             # the facet's rays are independent, so its normal is the
             # vector of signed maximal minors
-            rows = fan.ray_vectors(facet)
+            rows = [fan.rays[i] for i in facet]
             normal = [(-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows])
                       for j in range(fan.rank)]
             dots = [sum(n * x for n, x in zip(normal, r)) for r in fan.rays]
             if any(d > 0 for d in dots) and any(d < 0 for d in dots):
-                rep.add(f"boundary facet {list(facet.ray_indices)} admits no "
+                rep.add(f"boundary facet {list(facet)} admits no "
                         "supporting hyperplane (support not convex)")
     return rep
 

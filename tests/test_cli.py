@@ -353,6 +353,27 @@ def test_faces_at_the_limit_parse(tmp_path):
     assert sum(2 ** len(c) for c in doc.cones) == MAX_FACES
 
 
+@pytest.mark.parametrize("support", ["general", "complete"])
+def test_overlap_pairs_over_the_limit_exit_1_at_once(tmp_path, support):
+    # the pairwise overlap test compared every pair of maximal cones with
+    # no budget: this 15 KB document of 400 disjoint rank-2 cones took
+    # some 4 s to validate, and the time grows with the square of the
+    # cones; declared complete, it fails the certificate and takes the
+    # same test
+    m = 400
+    path = tmp_path / "disjoint.json"
+    path.write_text(_minimal(
+        rank=2, rays=[[1, k - m] for k in range(2 * m)],
+        weights=[1] * (2 * m), cones=[[2 * j, 2 * j + 1] for j in range(m)],
+        support=support))
+    start = time.perf_counter()
+    code, out = run_command(["validate", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "error: the overlap test may compare 79800 "
+                              "pairs of maximal cones, over the limit of "
+                              "5000\n")
+
+
 def test_poset_and_direct_check_over_budget_exit_1_at_once():
     # both enumerated with no bound, and were still running after 20 s
     fan = str(DATA / "fan_p2.json")

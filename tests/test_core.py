@@ -254,6 +254,9 @@ def test_faces_and_facets_match_sorted_cones():
                 for sub in itertools.combinations(idx, k)}
             assert all(list(f.ray_indices) == sorted(f.ray_indices)
                        for f in faces)
-            assert c.facets() == [
-                Cone(tuple(sorted(set(c.ray_indices) - {i})))
-                for i in c.ray_indices]
+        assert fan.facet_indices == {
+            tuple(sorted(set(c.ray_indices) - {i}))
+            for c in fan.cones for i in c.ray_indices}
+        assert fan.maximal_cones == tuple(
+            c for c in fan.sorted_cones
+            if not any(c != o and c.is_face_of(o) for o in fan.cones))

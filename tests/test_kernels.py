@@ -586,7 +586,7 @@ def ray_mutants(fan):
 def test_complete_fan_certificate_agrees_with_pairwise_reference():
     valid = complete_fans(31)
     for fan in valid:
-        assert core._complete_fan_certified(fan, fan.maximal_cones)
+        assert core._complete_fan_certified(fan, fan.maximal_cones, {})
         assert validate_fan(fan).violations == validate_reference(fan) == []
     mutants = [m for fan in valid for m in ray_mutants(fan)]
     mutants += [cycle_fan(PENTAGRAM), cycle_fan(PENTAGRAM_THROUGH_A_RAY),
@@ -602,13 +602,13 @@ def test_complete_fan_certificate_agrees_with_pairwise_reference():
         overlap = any(_cones_overlap_improperly(fan, a, b)
                       for a, b in itertools.combinations(maximal, 2))
         overlapping += overlap
-        certified = core._complete_fan_certified(fan, maximal)
+        certified = core._complete_fan_certified(fan, maximal, {})
         assert not (certified and overlap)
         assert certified or expected != []
     assert overlapping > len(mutants) // 2
     for fan, overlaps in ((cycle_fan(PENTAGRAM), 5),
                           (double_cover_rank3(), 20)):
-        assert not core._complete_fan_certified(fan, fan.maximal_cones)
+        assert not core._complete_fan_certified(fan, fan.maximal_cones, {})
         violations = validate_fan(fan).violations
         assert len(violations) == overlaps
         assert all("intersect outside their common face" in v
@@ -648,6 +648,23 @@ def test_validate_matches_reference_beyond_valid_complete_fans():
                          "convex"),
         Fan.from_maximal(3, [r + (0,) for r in p2], [(0, 1), (1, 2), (0, 2)],
                          "complete"),
+        # complete fans that the one elimination per maximal cone hands on
+        # to the long way: a full-size cone on collinear rays, first among
+        # the maximal cones and later
+        Fan.from_maximal(2, ((1, 0), (-1, 0), (0, 1), (0, -1)),
+                         [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)],
+                         "complete"),
+        Fan.from_maximal(2, quadrants, [(0, 1), (1, 2), (2, 3), (0, 3),
+                                        (1, 3)], "complete"),
+        # a lower-dimensional maximal cone, after the full ones and first
+        Fan.from_maximal(2, p2 + ((1, 1),), [(0, 1), (1, 2), (0, 2), (3,)],
+                         "complete"),
+        Fan.from_maximal(2, ((1, 1),) + p2, [(0,), (1, 2), (2, 3), (1, 3)],
+                         "complete"),
+        # the ray (1, 0) on three cones
+        Fan.from_maximal(2, quadrants + ((1, -1),),
+                         [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)],
+                         "complete"),
     ]
     for fan in broken:
         assert validate_fan(fan).violations == validate_reference(fan)
@@ -673,6 +690,32 @@ def test_complete_fans_skip_pairwise_overlap(monkeypatch):
             assert validate_fan(fine.fan).ok
     for rank in range(1, 5):
         assert validate_fan(orthant_fan(rank)).ok
+
+
+def test_validation_eliminates_once_per_maximal_cone(monkeypatch):
+    # the same elimination of [rays^T | p] decides each maximal cone's
+    # independence and its part of the complete-fan certificate
+    rng = random.Random(34)
+    sfans = [f for f in named_fans().values()
+             if f.fan.support_kind == "complete"]
+    sfans += [make(rng) for make in (random_complete_rank2,
+                                     random_complete_rank3)
+              for _ in range(4)]
+    fans = complete_fans(34)
+    fans += [stellar_subdivide(sfan, w, core.content(w)).fan
+             for sfan in sfans for w in cone_sums(sfan)[len(sfan.fan.rays):]]
+    calls = []
+    original = core._eliminate
+
+    def counting(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(core, "_eliminate", counting)
+    for fan in fans:
+        calls.clear()
+        assert validate_fan(fan).ok
+        assert calls == [c.dim for c in fan.maximal_cones]
 
 
 def cone_solver_reference(columns, dim):
@@ -856,11 +899,11 @@ def test_solvers_and_the_certificate_eliminate_once(monkeypatch):
             for i in solver.others)
     for fan in valid:
         calls.clear()
-        assert core._complete_fan_certified(fan, fan.maximal_cones)
+        assert core._complete_fan_certified(fan, fan.maximal_cones, {})
         assert len(calls) == len(fan.maximal_cones)
     calls.clear()
     assert not core._complete_fan_certified(through_a_ray,
-                                            through_a_ray.maximal_cones)
+                                            through_a_ray.maximal_cones, {})
     assert len(calls) <= len(through_a_ray.maximal_cones)
 
 
