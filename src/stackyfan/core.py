@@ -26,6 +26,12 @@ Vec = tuple  # integer or Fraction coordinates
 # 4,950 pairs of rank-2 cones take some 0.4 s, of rank-3 cones some 1 s
 # (2 vCPU, Python 3.11)
 OVERLAP_PAIR_BUDGET = 5 * 10 ** 3
+# the most rows that one Fourier-Motzkin elimination of the overlap test
+# builds before it raises BudgetExceeded: the rows grow doubly
+# exponentially with the rank, and 20,000 take some 0.07 s (2 vCPU,
+# Python 3.11); the fans the tests and the benchmark validate build at
+# most 70
+FM_ROW_BUDGET = 2 * 10 ** 4
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -238,7 +244,9 @@ def _fm_feasible(ineqs, eqs, nvars) -> bool:
     """Is there a rational x with a.x >= c for all (a, c) in ineqs and
     a.x == c for all (a, c) in eqs?  Integer rows: every combination uses
     positive multipliers on the inequalities, and each row is divided by
-    the content of its coefficients and right-hand side together."""
+    the content of its coefficients and right-hand side together.  Over
+    FM_ROW_BUDGET rows built in all, a BudgetExceeded is raised before the
+    step that would pass it."""
     # solve the equalities, delta x_p = c_p - sum_f m_pf x_f for each pivot
     # p over the free variables f, and substitute them into each inequality
     # times |delta|: subtracting a_p times row p clears column p
@@ -256,10 +264,13 @@ def _fm_feasible(ineqs, eqs, nvars) -> bool:
     ineqs = subst
     live = [j for j in range(nvars) if j not in pivots]
     # Fourier-Motzkin on the remaining variables
+    built = 0
     for j in live:
         pos = [(r, c) for r, c in ineqs if r[j] > 0]
         neg = [(r, c) for r, c in ineqs if r[j] < 0]
         rest = {(r, c) for r, c in ineqs if r[j] == 0}
+        built = admit(built + len(pos) * len(neg), FM_ROW_BUDGET,
+                      "the overlap test may build", "Fourier-Motzkin rows,")
         for (rp, cp), (rn, cn) in itertools.product(pos, neg):
             # rp.x >= cp with rp[j] > 0, rn.x >= cn with rn[j] < 0
             fp, fn = -rn[j], rp[j]

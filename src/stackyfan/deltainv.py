@@ -267,13 +267,18 @@ def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRationa
     return over_binomials(n, total, Counter(binom))
 
 
-def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
+def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
+                          cones=None):
     """(n, numerator, binom) with delta = numerator(s) / prod_{c in binom}
     (1 - s^c), s = t^{1/n}, not reduced: n is the lcm of the denominators
     of the lambda(b_i) and of the box exponents, binom the least multiset
     holding each cone's c_i = n (lambda(b_i) + 1), less the 1 - s^n that
     (1 - t)^d = (1 - s^n)^d cancels (so empty at lambda = 0), and numerator
     a sparse {int exponent: int} dict without zeros.
+
+    Given a list of cones, the parts are those of (1 - t)^d times the sum
+    of those cones' terms alone, and only their faces are asked for their
+    box elements; by default every cone of the fan is summed.
 
     With lambda(b_i) = l_i / L over a common denominator, the box element
     q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
@@ -282,9 +287,12 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear):
     lams = lam.values_on_b
     scale = math.lcm(*(x.denominator for x in lams))
     plus = [scale + x.numerator * (scale // x.denominator) for x in lams]
-    cones = sfan.fan.sorted_cones
+    if cones is None:
+        cones = faces = sfan.fan.sorted_cones
+    else:
+        faces = {tau for sigma in cones for tau in sigma.faces()}
     boxes = {}   # tau -> [(a, D)], exponents a / D
-    for tau in cones:
+    for tau in faces:
         weights = [plus[i] for i in tau.ray_indices]
         boxes[tau] = [(sum(map(operator.mul, e.nums, weights)),
                        scale * e.order) for e in box_elements(sfan, tau)]
@@ -330,9 +338,25 @@ def _times_binomial(p: dict, c: int) -> dict:
 def weighted_delta_equal(sfan1: StackyFan, lam1: PiecewiseQLinear,
                          sfan2: StackyFan, lam2: PiecewiseQLinear) -> bool:
     """Whether two weighted delta-vectors are equal, decided exactly on
-    their assembled parts (_parts_equal) without reducing either."""
-    return _parts_equal(_weighted_delta_parts(sfan1, lam1),
-                        _weighted_delta_parts(sfan2, lam2))
+    their assembled parts (_parts_equal) without reducing either.
+
+    The cones the two sides share cancel before anything is assembled.
+    A cone's term, its box elements and their ages shifted by lambda over
+    (1 - s^c) per ray, reads only the b-vectors of its rays and lambda at
+    them, and both sides carry the same (1 - t)^d.  So the cones with one
+    key (d, {(b_i, lambda(b_i))}), as many on each side, add the same sum
+    to both, and only the other cones are summed.  The rank is in the key:
+    the zero cones of a rank-1 and a rank-2 fan differ by 1 - t."""
+    sides = ((sfan1, lam1), (sfan2, lam2))
+    keys = [{tau: (sfan.rank, frozenset((sfan.b_vectors[i], lam.values_on_b[i])
+                                        for i in tau.ray_indices))
+             for tau in sfan.fan.sorted_cones} for sfan, lam in sides]
+    counts = [Counter(k.values()) for k in keys]
+    shared = {key for key, m in counts[0].items() if counts[1][key] == m}
+    return _parts_equal(*(
+        _weighted_delta_parts(sfan, lam, [tau for tau, key in k.items()
+                                          if key not in shared])
+        for (sfan, lam), k in zip(sides, keys)))
 
 
 def _parts_equal(parts1, parts2) -> bool:

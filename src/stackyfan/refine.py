@@ -145,6 +145,9 @@ def check_invariance(coarse: StackyFan, lam: PiecewiseQLinear,
                      fine: StackyFan) -> bool:
     """The weighted delta-vector is unchanged by refinement once lambda is
     transferred; decided exactly by `weighted_delta_equal` on the two
-    assembled closed forms, neither of them reduced to lowest terms."""
+    assembled closed forms, neither of them reduced to lowest terms.  The
+    cones the two fans share cancel first (a cone's term reads only its
+    own b-vectors and lambda values, and both sides carry (1 - t)^d), so a
+    stellar subdivision assembles only the cones it changed and made."""
     lam_fine = transfer_lambda(coarse, lam, fine)
     return weighted_delta_equal(coarse, lam, fine, lam_fine)

@@ -8,6 +8,7 @@ and review the diff before committing.
 
 import itertools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -372,6 +373,36 @@ def test_overlap_pairs_over_the_limit_exit_1_at_once(tmp_path, support):
     assert (code, out) == (1, "error: the overlap test may compare 79800 "
                               "pairs of maximal cones, over the limit of "
                               "5000\n")
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("validate still running after 1 s")
+
+
+def test_fourier_motzkin_rows_over_the_limit_exit_1_at_once(tmp_path):
+    # the overlap test's elimination builds pos x neg rows per variable,
+    # doubly exponential in the rank: on these two rank-6 cones the fifth
+    # step alone would build 59,679,354 rows, after 32,495 in the first
+    # four; the timer stops a run that starts building them
+    rays = [[3, 1, 3, -3, 0, 3], [-1, -3, -3, -2, 2, 1], [0, 3, 2, -1, -1, 3],
+            [-3, -1, 0, 3, -2, 2], [3, 0, 1, 1, 2, -3], [-2, 1, 1, 2, 3, 2],
+            [-1, 2, 3, 1, 2, -3], [3, 0, -1, -3, -1, 3], [0, 3, -1, 0, 2, -3],
+            [3, -2, 2, 2, 3, -1], [-3, -3, 1, -2, 3, 2], [-1, 0, 3, -2, 1, 1]]
+    path = tmp_path / "rank6.json"
+    path.write_text(_minimal(rank=6, rays=rays, weights=[1] * 12,
+                             cones=[list(range(6)), list(range(6, 12))],
+                             support="general"))
+    assert len(path.read_bytes()) < 500
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        code, out = run_command(["validate", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (1, "error: the overlap test may build 32495 "
+                              "Fourier-Motzkin rows, over the limit of "
+                              "20000\n")
 
 
 def test_poset_and_direct_check_over_budget_exit_1_at_once():

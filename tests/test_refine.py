@@ -431,3 +431,102 @@ def test_predicates_do_not_canonicalise(monkeypatch):
     assert check_symmetry(fan_p112(), zero_functional(fan_p112()))
     with pytest.raises(AssertionError, match="lowest_terms"):
         weighted_delta_closed(coarse, lam)
+
+
+# ---------------------------------------------------------------------------
+# Equality cancels the cones the two sides share before it assembles
+
+
+def test_invariance_assembles_only_the_cones_the_fans_do_not_share(
+        monkeypatch):
+    # the (fan, cone indices) pairs deltainv asks box elements for
+    asked = []
+    box_elements = deltainv.box_elements
+
+    def recorded(sfan, tau):
+        asked.append((sfan, tau.ray_indices))
+        return box_elements(sfan, tau)
+
+    monkeypatch.setattr(deltainv, "box_elements", recorded)
+    coarse = fan_p2()
+    fine = stellar_subdivide(coarse, (1, 1))
+    assert fine.fan.rays[3] == (1, 1)
+    assert check_invariance(coarse, zero_functional(coarse), fine)
+    # the subdivided cone (0, 1) and its faces; the new cones (3,), (0, 3)
+    # and (1, 3) and their faces
+    assert {t for f, t in asked if f is coarse} == \
+        {(), (0,), (1,), (0, 1)}
+    assert {t for f, t in asked if f is fine} == \
+        {(), (0,), (1,), (3,), (0, 3), (1, 3)}
+    asked.clear()
+    for f in named_fans().values():
+        assert check_invariance(f, zero_functional(f), f)
+        assert check_invariance(f, random_admissible_lambda(
+            random.Random(7), f), f)
+    assert asked == []
+
+
+def judged_pair(a, b):
+    """weighted_delta_equal on a pair in both orders, each equal to the
+    canonical forms' verdict; that verdict."""
+    equal = weighted_delta_closed(*a) == weighted_delta_closed(*b)
+    assert weighted_delta_equal(*a, *b) == equal
+    assert weighted_delta_equal(*b, *a) == equal
+    return equal
+
+
+def test_targeted_decisions_agree_with_canonical_forms():
+    coarse = fan_p2()
+    lam = PiecewiseQLinear(coarse, (Fraction(1, 2), Fraction(-1, 3), 1))
+    fine = stellar_subdivide(coarse, (1, 1))
+    lam_fine = transfer_lambda(coarse, lam, fine)
+    assert judged_pair((coarse, lam), (fine, lam_fine))
+    # lambda changed at the shared ray (-1, -1): its cones no longer cancel
+    values = list(lam_fine.values_on_b)
+    values[2] += Fraction(1, 4)
+    assert not judged_pair((coarse, lam),
+                           (fine, PiecewiseQLinear(fine, values)))
+    # the weight of the shared ray (-1, -1) changed, lambda kept
+    heavier = mk_sfan(2, fine.fan.rays, (1, 1, 2, 1),
+                      [c.ray_indices for c in fine.fan.maximal_cones],
+                      "complete")
+    assert not judged_pair(
+        (coarse, lam), (heavier, PiecewiseQLinear(heavier,
+                                                  lam_fine.values_on_b)))
+    # the same fan twice
+    assert judged_pair((fine, lam_fine), (fine, lam_fine))
+    # the zero cones of ranks 1 and 2 differ by 1 - t: the half-line and
+    # the orthant both have delta = 1, which cancelling the zero cones
+    # would turn into t against 2t - t^2
+    orthant = mk_sfan(2, [(1, 0), (0, 1)], (1, 1), [(0, 1)], "convex")
+    assert judged_pair((fan_a1(), zero_functional(fan_a1())),
+                       (orthant, zero_functional(orthant)))
+    assert not judged_pair((fan_p1(), zero_functional(fan_p1())),
+                           (coarse, zero_functional(coarse)))
+    # lambda left untransferred: its old values and 0 at the new ray
+    assert lam_fine.values_on_b[3] != 0
+    assert not judged_pair(
+        (coarse, lam), (fine, PiecewiseQLinear(fine, (*lam.values_on_b, 0))))
+    assert not judged_pair((coarse, zero_functional(coarse)),
+                           (fine, zero_functional(fine)))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 3),
+       perturb=st.sampled_from([None, "shared", "new"]),
+       amount=st.sampled_from([Fraction(1, 4), Fraction(1, 3), 1]))
+def test_equality_after_subdivision_agrees_with_canonical_forms(
+        seed, steps, perturb, amount):
+    # weights up to 2 keep the canonical reference forms small
+    rng = random.Random(seed)
+    coarse = random_complete_rank2(rng, max_weight=2)
+    lam = random_admissible_lambda(rng, coarse)
+    fine = subdivision_chain(rng, coarse, steps)
+    values = list(transfer_lambda(coarse, lam, fine).values_on_b)
+    old = len(coarse.fan.rays)
+    rays = {"shared": range(old), "new": range(old, len(values))}
+    if perturb and rays[perturb]:
+        values[rng.choice(rays[perturb])] += amount
+    equal = judged_pair((coarse, lam), (fine, PiecewiseQLinear(fine, values)))
+    assert equal or perturb
