@@ -14,14 +14,11 @@ from .qseries import FracPoly, TruncatedSeries, times_one_minus_t
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      age, fractional_decompose, iota)
 
-# the most pairs of labels that orbit_poset may compare, by _walk_size
-# squared, since it compares every pair; on P2 bound 30, the largest under
-# it, takes some 5 s (2 vCPU, Python 3.11)
-ORBIT_PAIR_BUDGET = 25 * 10 ** 5
-# the most points that gamma_truncated_direct may walk, by _walk_size; each
-# costs an orbit label and its routes on the integer grid, so on P2 bound
-# 139, the largest under it, takes some 2 s on the same machine
-DIRECT_SCAN_BUDGET = 3 * 10 ** 4
+# the most points that orbit_poset and gamma_truncated_direct may walk, by
+# _walk_size; each costs an orbit label, so on P2 bound 139, the largest
+# under it, the poset takes some 1.3 s and the direct sum some 2 s (2 vCPU,
+# Python 3.11)
+LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 
 def _walk_size(sfan: StackyFan, bound) -> int:
@@ -156,55 +153,42 @@ def closure_leq(sfan: StackyFan, v: FractionalDecomposition,
 
 @dataclass
 class OrbitPoset:
-    """Orbit labels with psi <= bound and their closure order.
-
-    relations holds every strict pair (v, w) with orbit(w) in the closure
-    of orbit(v); covers is its transitive reduction, for rendering."""
+    """Orbit labels with psi <= bound and the covers of their closure
+    order, as ordered pairs of label points (v, w), w covering v."""
 
     labels: list
-    relations: set  # ordered pairs of label points (v, w), v strictly below w
     covers: set
 
 
 def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
-    """The orbit labels with psi <= bound and their closure order.  Over
-    ORBIT_PAIR_BUDGET by _walk_size squared, a BudgetExceeded is raised
-    before any label is made."""
-    admit(_walk_size(sfan, Fraction(bound)) ** 2, ORBIT_PAIR_BUDGET,
-          f"the orbit poset up to {bound} may compare", "pairs of labels,")
+    """The orbit labels with psi <= bound and the covers of their closure
+    order, read from each label's shifts.
+
+    If v < w, then w - v = sum n_i b_i over sigma(w) with n_i >= 0, and for
+    any n_i > 0 the point w - b_i is a label with v <= w - b_i < w, of psi
+    psi(w) - 1 <= bound.  So w covers exactly the w - b_i with shift
+    s_i(w) >= 1.  Each cover is checked: w - b_i must be a label, of psi
+    psi(w) - 1, below w by closure_leq; else InvariantViolation.  Over
+    LABEL_WALK_BUDGET by _walk_size, a BudgetExceeded is raised before any
+    label is made."""
+    admit(_walk_size(sfan, Fraction(bound)), LABEL_WALK_BUDGET,
+          f"the orbit poset up to {bound} may walk", "lattice points,")
     pts = stacky.enumerate_support_points(sfan, bound)
-    labels = [orbit_label(sfan, p) for p, _, _ in pts]
-    psis = {lab.w: ps for lab, (_, ps, _) in zip(labels, pts)}
-    strict = set()
-    for v in labels:
-        for w in labels:
-            if v.w != w.w and closure_leq(sfan, v, w):
-                strict.add((v.w, w.w))
-    # partial-order axioms before reduction
-    for (a, b) in strict:
-        if (b, a) in strict:
-            raise InvariantViolation(
-                f"closure order not antisymmetric at {list(a)}, {list(b)}")
-        if psis[a] >= psis[b]:
-            raise InvariantViolation(
-                f"psi not strictly increasing along closure from {list(a)} "
-                f"to {list(b)}")
-    succ = {lab.w: set() for lab in labels}
-    for (a, b) in strict:
-        succ[a].add(b)
-    for (a, b) in strict:
-        if not succ[b] <= succ[a]:
-            d = next(iter(succ[b] - succ[a]))
-            raise InvariantViolation(
-                f"closure order not transitive at {list(a)}, {list(b)}, "
-                f"{list(d)}")
-    # by transitivity, b covers a when b is above a and above nothing
-    # else that is above a
+    labels = {p: orbit_label(sfan, p) for p, _, _ in pts}
+    psis = {p: ps for p, ps, _ in pts}
     covers = set()
-    for a, above in succ.items():
-        covered = above.difference(*(succ[c] for c in above))
-        covers.update((a, b) for b in covered)
-    return OrbitPoset(labels, strict, covers)
+    for w, label in labels.items():
+        for i, s in label.shifts:
+            if s < 1:
+                continue
+            v = tuple(x - y for x, y in zip(w, sfan.b_vectors[i]))
+            if (v not in labels or psis[v] != psis[w] - 1
+                    or not closure_leq(sfan, labels[v], label)):
+                raise InvariantViolation(
+                    f"{list(v)} = w - b_{i} is not a label one psi below "
+                    f"w = {list(w)} in the closure order")
+            covers.add((v, w))
+    return OrbitPoset(list(labels.values()), covers)
 
 
 def _on_grid(x: Fraction, grid: int, point) -> int:
@@ -235,7 +219,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
-    below d - bound.  Over DIRECT_SCAN_BUDGET by _walk_size, a
+    below d - bound.  Over LABEL_WALK_BUDGET by _walk_size, a
     BudgetExceeded is raised before any point is enumerated.
     """
     bound = Fraction(bound)
@@ -248,7 +232,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    admit(_walk_size(sfan, bound / slack), DIRECT_SCAN_BUDGET,
+    admit(_walk_size(sfan, bound / slack), LABEL_WALK_BUDGET,
           f"the direct sum up to {bound} may walk", "lattice points,")
     grid = math.lcm(*(sfan.solvers[sigma].denominator
                       for sigma in sfan.fan.maximal_cones)) * e.scale

@@ -6,10 +6,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+from stackyfan import arcspace
 from stackyfan.core import Fan, validate_fan
 from stackyfan.deltainv import ehrhart_counts
+from stackyfan.errors import InvariantViolation
 from stackyfan.qseries import FracPoly, FracRational, TruncatedSeries
-from stackyfan.stacky import PiecewiseQLinear, StackyFan
+from stackyfan.stacky import PiecewiseQLinear, StackyFan, psi
 from stackyfan.arcspace import StackDivisor
 
 DATA = Path(__file__).parent / "data"
@@ -59,6 +61,84 @@ def fan_p12323():
             (0, 0, 0, 1)]
     return mk_sfan(4, rays, (1,) * 5,
                    list(itertools.combinations(range(5), 4)), "complete")
+
+
+def weighted_projective(weights):
+    """The weighted projective stack P(w) for w = (w_0, ..., w_n) with gcd
+    1: N = Z^{n+1} / Z w, b_i the image of e_i, every n-subset of the rays
+    a maximal cone.  Integer row operations, tracked in a unimodular U,
+    reduce w to +-e_p; the other rows of U map Z^{n+1} onto N, so b_i is
+    column i of U without row p, with weight a_i its content and ray
+    b_i / a_i."""
+    n = len(weights) - 1
+    x = list(weights)
+    u = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    while sum(1 for v in x if v) > 1:
+        p = min((j for j in range(n + 1) if x[j]), key=lambda j: x[j])
+        for j in range(n + 1):
+            if j != p and x[j]:
+                q = x[j] // x[p]
+                x[j] -= q * x[p]
+                u[j] = [a - q * b for a, b in zip(u[j], u[p])]
+    rows = [row for row, v in zip(u, x) if not v]
+    b = [tuple(row[i] for row in rows) for i in range(n + 1)]
+    a = [math.gcd(*bi) for bi in b]
+    return mk_sfan(n, [tuple(c // ai for c in bi) for bi, ai in zip(b, a)],
+                   a, list(itertools.combinations(range(n + 1), n)),
+                   "complete")
+
+
+def sector_betti(weights):
+    """The orbifold Betti numbers of P(w) as a sum over sectors (Chen-Ruan):
+    over f in F = {k / w_i : 0 <= k < w_i}, q^{age(f)} (1 + q + ... +
+    q^{|I_f| - 1}), with I_f = {i : f w_i in Z} and age(f) the sum of the
+    fractional parts {f w_i}.  As {exponent: count}; it reads no box
+    element and no lattice point."""
+    out = {}
+    for f in {Fraction(k, w) for w in weights for k in range(w)}:
+        fixed = sum(1 for w in weights if (f * w).denominator == 1)
+        age = sum(f * w - math.floor(f * w) for w in weights)
+        for j in range(fixed):
+            out[age + j] = out.get(age + j, 0) + 1
+    return out
+
+
+def closure_order(sfan, labels):
+    """The strict closure order on the labels, compared pair by pair with
+    arcspace.closure_leq: the set of pairs of label points (v, w) with v
+    strictly below w.  Raises InvariantViolation unless it is
+    antisymmetric, psi rises strictly along it, and it is transitive.  The
+    reference for arcspace.orbit_poset, which reads only the covers."""
+    strict = {(v.w, w.w) for v in labels for w in labels
+              if v.w != w.w and arcspace.closure_leq(sfan, v, w)}
+    for (a, b) in strict:
+        if (b, a) in strict:
+            raise InvariantViolation(
+                f"closure order not antisymmetric at {list(a)}, {list(b)}")
+        if psi(sfan, a) >= psi(sfan, b):
+            raise InvariantViolation(
+                f"psi not strictly increasing along closure from {list(a)} "
+                f"to {list(b)}")
+    succ = {lab.w: set() for lab in labels}
+    for (a, b) in strict:
+        succ[a].add(b)
+    for (a, b) in strict:
+        if not succ[b] <= succ[a]:
+            d = next(iter(succ[b] - succ[a]))
+            raise InvariantViolation(
+                f"closure order not transitive at {list(a)}, {list(b)}, "
+                f"{list(d)}")
+    return strict
+
+
+def transitive_reduction(strict):
+    """The covers of a transitive strict order given as its pairs: b covers
+    a when b is above a and above nothing else that is above a."""
+    succ = {}
+    for (a, b) in strict:
+        succ.setdefault(a, set()).add(b)
+    return {(a, b) for a, above in succ.items()
+            for b in above.difference(*(succ.get(c, ()) for c in above))}
 
 
 def series_of(terms, cutoff):

@@ -10,19 +10,21 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
-                      fan_p12, fan_p112, fan_p12323, named_fans,
-                      random_admissible_lambda, random_complete_rank2,
-                      random_complete_rank3, random_convex_rank2,
-                      random_convex_rank3, random_klt_divisor,
-                      random_stellar_chain)
+from conftest import (closure_order, ehrhart_delta_reference, fan_a1,
+                      fan_p1, fan_p2, fan_p12, fan_p112, fan_p12323,
+                      named_fans, random_admissible_lambda,
+                      random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3,
+                      random_klt_divisor, random_stellar_chain, sector_betti,
+                      transitive_reduction, weighted_projective)
 from stackyfan.arcspace import (gamma_truncated_direct, orbit_poset,
                                 zero_divisor)
 from stackyfan.cli import parse_fan_document, render_document, run_command
 from stackyfan.core import determinant_abs
 from stackyfan.deltainv import (_oracle_points, bucket_series, check_symmetry,
                                 delta_mu_series, ehrhart_delta, gamma,
-                                weighted_delta_closed, weighted_delta_series)
+                                orbifold_betti, weighted_delta_closed,
+                                weighted_delta_series)
 from stackyfan.qseries import (FracPoly, FracRational, expand_laurent,
                                expand_series, series_equal,
                                substitute_reciprocal)
@@ -262,13 +264,14 @@ def test_criterion_7_ehrhart_structure():
 def test_criterion_8_orbit_poset():
     a1 = orbit_poset(fan_a1(), 2)
     assert sorted(l.w for l in a1.labels) == [(0,), (1,), (2,)]
-    assert a1.relations == {((0,), (1,)), ((0,), (2,)), ((1,), (2,))}
+    assert closure_order(fan_a1(), a1.labels) == {
+        ((0,), (1,)), ((0,), (2,)), ((1,), (2,))}
     p12 = orbit_poset(fan_p12(), 2)
-    assert p12.relations == {
+    assert closure_order(fan_p12(), p12.labels) == {
         ((-2,), (-4,)), ((-1,), (-3,)), ((0,), (-4,)), ((0,), (-2,)),
         ((0,), (1,)), ((0,), (2,)), ((1,), (2,))}
     for f, poset in [(fan_a1(), a1), (fan_p12(), p12)]:
-        rel = poset.relations
+        rel = closure_order(f, poset.labels)
         for a, b in rel:
             assert a != b
             assert (b, a) not in rel
@@ -277,6 +280,7 @@ def test_criterion_8_orbit_poset():
                 if b == c:
                     assert (a, d) in rel
         assert poset.covers <= rel
+        assert poset.covers == transitive_reduction(rel)
 
 
 @criterion(9, "CLI golden outputs and round-trip")
@@ -290,3 +294,27 @@ def test_criterion_9_cli_golden():
         text = (DATA / f"{name}.json").read_text()
         doc = parse_fan_document(text)
         assert parse_fan_document(render_document(doc)) == doc
+
+
+@criterion(10, "weighted projective stacks against the sector sum")
+def test_criterion_10_weighted_projective_stacks():
+    # P(w) of ranks 1-8 with weights 3-9, so that every maximal cone, of
+    # box-group order w_i, holds 3 or more box elements
+    rng = random.Random(110)
+    for rank in range(1, 9):
+        for _ in range(4):
+            weights = [0]
+            while math.gcd(*weights) != 1:
+                weights = [rng.randint(3, 9) for _ in range(rank + 1)]
+            f = weighted_projective(weights)
+            reference = sector_betti(weights)
+            assert sum(reference.values()) == sum(weights)
+            assert orbifold_betti(f) == reference, weights
+            # the delta-vector at lambda = 0 is q^d Gamma(1/q), each term
+            # bucketed to t^ceil(d - e)
+            bucketed = {}
+            for e, c in reference.items():
+                k = math.ceil(rank - e)
+                bucketed[k] = bucketed.get(k, 0) + c
+            assert ehrhart_delta(f) == FracRational(FracPoly(bucketed)), \
+                weights

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
-                      named_fans, random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2, random_convex_rank3,
-                      random_klt_divisor)
+from conftest import (closure_order, fan_a1, fan_p1, fan_p2, fan_p12,
+                      fan_p112, mk_sfan, named_fans, random_complete_rank2,
+                      random_complete_rank3, random_convex_rank2,
+                      random_convex_rank3, random_klt_divisor,
+                      transitive_reduction)
 from stackyfan.arcspace import (StackDivisor, canonical_divisor, closure_leq,
                                 contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
@@ -114,7 +115,7 @@ def test_orbit_poset_a1():
 def test_orbit_poset_p12_bound1():
     p = orbit_poset(fan_p12(), 1)
     assert sorted(lab.w for lab in p.labels) == [(-2,), (-1,), (0,), (1,)]
-    assert p.relations == {((0,), (1,)), ((0,), (-2,))}
+    assert closure_order(fan_p12(), p.labels) == {((0,), (1,)), ((0,), (-2,))}
 
 
 def test_orbit_poset_p12_bound2():
@@ -127,13 +128,13 @@ def test_orbit_poset_bound_zero():
     for f in named_fans().values():
         p = orbit_poset(f, 0)
         assert [lab.w for lab in p.labels] == [(0,) * f.rank]
-        assert p.relations == set() and p.covers == set()
+        assert closure_order(f, p.labels) == set() and p.covers == set()
 
 
 def test_orbit_poset_psi_monotone():
     f = fan_p112()
     p = orbit_poset(f, 2)
-    for a, b in p.relations:
+    for a, b in closure_order(f, p.labels):
         assert psi(f, a) < psi(f, b)
 
 
@@ -194,25 +195,49 @@ def _fake_closure(holds):
     return closure
 
 
-def test_orbit_poset_not_antisymmetric_raises(monkeypatch):
+def test_closure_order_not_antisymmetric_raises(monkeypatch):
+    labels = orbit_poset(fan_a1(), 2).labels
     monkeypatch.setattr(arcspace, "closure_leq", lambda sfan, v, w: True)
     with pytest.raises(InvariantViolation, match="antisymmetric"):
-        orbit_poset(fan_a1(), 2)
+        closure_order(fan_a1(), labels)
 
 
-def test_orbit_poset_psi_not_increasing_raises(monkeypatch):
+def test_closure_order_psi_not_increasing_raises(monkeypatch):
+    labels = orbit_poset(fan_a1(), 2).labels
     monkeypatch.setattr(arcspace, "closure_leq",
                         _fake_closure(lambda pv, pw: pv > pw))
     with pytest.raises(InvariantViolation, match="psi not strictly"):
-        orbit_poset(fan_a1(), 2)
+        closure_order(fan_a1(), labels)
 
 
-def test_orbit_poset_not_transitive_raises(monkeypatch):
+def test_closure_order_not_transitive_raises(monkeypatch):
     # psi 0 < 1 < 2 related step by step only
+    labels = orbit_poset(fan_a1(), 2).labels
     monkeypatch.setattr(arcspace, "closure_leq",
                         _fake_closure(lambda pv, pw: pw - pv == 1))
     with pytest.raises(InvariantViolation, match="transitive"):
+        closure_order(fan_a1(), labels)
+
+
+def test_orbit_poset_cover_outside_the_closure_order_raises(monkeypatch):
+    # every cover w - b_i -> w is checked with closure_leq
+    monkeypatch.setattr(arcspace, "closure_leq", lambda sfan, v, w: False)
+    with pytest.raises(InvariantViolation, match="closure order"):
         orbit_poset(fan_a1(), 2)
+
+
+def test_orbit_poset_covers_are_the_reduction_of_the_closure_order():
+    # the covers read from the shifts against the transitive reduction of
+    # the pairwise order, on the named fans and 20 seeded rank-2/3 fans
+    rng = random.Random(53)
+    makers = [random_complete_rank2, random_convex_rank2,
+              random_complete_rank3, random_convex_rank3]
+    fans = [*named_fans().values(), *(m(rng) for m in makers * 5)]
+    for f in fans:
+        for bound in (0, 1, Fraction(3, 2), 2, 3):
+            p = orbit_poset(f, bound)
+            assert p.covers == transitive_reduction(
+                closure_order(f, p.labels)), (f.fan.rays, f.weights, bound)
 
 
 def test_gamma_truncated_orbit_measure_disagreement_raises(monkeypatch):
@@ -255,15 +280,15 @@ def test_orbit_measure_is_q_minus_1_power_shifted_by_measure_exponent():
 
 def test_poset_and_direct_sum_over_budget_raise_before_enumerating(
         monkeypatch):
-    # both enumerated with no bound: on P2, orbit_poset at bound 60 and the
-    # direct sum at bound 400 still ran after 20 s
+    # both enumerated with no bound: on P2, the direct sum at bound 400
+    # still ran after 20 s
     def forbidden(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
     monkeypatch.setattr(stacky, "enumerate_support_points", forbidden)
     f = fan_p2()
-    with pytest.raises(BudgetExceeded, match="pairs of labels"):
-        orbit_poset(f, 60)
+    with pytest.raises(BudgetExceeded, match="lattice points"):
+        orbit_poset(f, 400)
     with pytest.raises(BudgetExceeded, match="lattice points"):
         gamma_truncated_direct(f, zero_divisor(f), 400)
     # a coefficient near 1 widens the direct scan to bound / (1 - 99/100)
@@ -274,14 +299,13 @@ def test_poset_and_direct_sum_over_budget_raise_before_enumerating(
 
 def test_small_bounds_stay_far_below_the_budgets():
     # the benchmark asks for the poset at bound 1 and the direct sum at
-    # bound 2
+    # bound 2, under one budget
     rng = random.Random(47)
     makers = [random_complete_rank2, random_convex_rank2,
               random_complete_rank3, random_convex_rank3]
     for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
-        assert 10 * arcspace._walk_size(f, 1) ** 2 <= \
-            arcspace.ORBIT_PAIR_BUDGET
-        assert 10 * arcspace._walk_size(f, 2) <= arcspace.DIRECT_SCAN_BUDGET
+        assert 10 * arcspace._walk_size(f, 1) <= arcspace.LABEL_WALK_BUDGET
+        assert 10 * arcspace._walk_size(f, 2) <= arcspace.LABEL_WALK_BUDGET
 
 
 def test_walk_size_counts_the_shift_tuples_enumerated(monkeypatch):

@@ -409,12 +409,11 @@ def test_poset_and_direct_check_over_budget_exit_1_at_once():
     # both enumerated with no bound, and were still running after 20 s
     fan = str(DATA / "fan_p2.json")
     sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
-    pairs = arcspace._walk_size(sfan, Fraction(60)) ** 2
     points = arcspace._walk_size(sfan, Fraction(400))
     for argv, message in [
-            (["orbit-poset", fan, "--bound", "60"],
-             f"the orbit poset up to 60 may compare {pairs} pairs of labels, "
-             "over the limit of 2500000"),
+            (["orbit-poset", fan, "--bound", "400"],
+             f"the orbit poset up to 400 may walk {points} lattice points, "
+             "over the limit of 30000"),
             (["gamma", fan, "--divisor", "zero", "--check-direct", "400"],
              f"the direct sum up to 400 may walk {points} lattice points, "
              "over the limit of 30000")]:
@@ -422,6 +421,19 @@ def test_poset_and_direct_check_over_budget_exit_1_at_once():
         code, out = run_command(argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, f"error: {message}\n")
+
+
+def test_orbit_poset_p2_bound_60_answers_at_once():
+    # the covers are read from each label's shifts, so the poset costs one
+    # walk over its 5,491 labels
+    start = time.perf_counter()
+    code, out = run_command(["orbit-poset", str(DATA / "fan_p2.json"),
+                             "--bound", "60"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    lines = out.splitlines()
+    assert sum(line.startswith("label ") for line in lines) == 5491
+    assert sum(line.startswith("cover ") for line in lines) == 10800
 
 
 @pytest.mark.parametrize("command", ["delta", "box", "betti"])

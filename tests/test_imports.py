@@ -3,6 +3,7 @@ in the test environment, keeps every check under `python -O`, and keeps
 its oracles apart from the enumerators they check."""
 
 import ast
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "stackyfan"
+README = Path(__file__).parent.parent / "README.md"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -190,3 +192,20 @@ def test_only_errors_constructs_budget_exceeded():
             if _name(target) == "BudgetExceeded":
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+def test_readme_lists_every_budget_and_no_other():
+    # every module-level *_BUDGET constant is named as module.NAME in the
+    # README's list of refusals, and the README names no budget that the
+    # package does not define
+    defined = {f"{path.stem}.{target.id}" for path in SOURCES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.Assign) for target in node.targets
+               if isinstance(target, ast.Name)
+               and target.id.endswith("_BUDGET")}
+    text = README.read_text(encoding="utf-8")
+    refusals = text[text.index("These budgets also exit 1"):
+                    text.index("Every budget is checked by one function")]
+    assert set(re.findall(r"\w+\.\w+_BUDGET\b", refusals)) == defined
+    assert set(re.findall(r"\b[A-Z_]+_BUDGET\b", text)) <= \
+        {name.split(".")[1] for name in defined}
