@@ -23,15 +23,10 @@ Vec = tuple  # integer or Fraction coordinates
 
 # the most pairs of maximal cones that validate_fan gives the pairwise
 # overlap test before it raises BudgetExceeded, up to 100 maximal cones:
-# 4,950 pairs of rank-2 cones take some 0.4 s, of rank-3 cones some 1 s
-# (2 vCPU, Python 3.11)
+# 4,950 pairs of rank-2 cones take some 0.3 s, of rank-3 cones some 0.5 s;
+# a pair costs one elimination of its rank + 1 equalities, so 100 disjoint
+# 7-ray cones of rank 64 take some 10 s (2 vCPU, Python 3.11)
 OVERLAP_PAIR_BUDGET = 5 * 10 ** 3
-# the most rows that one Fourier-Motzkin elimination of the overlap test
-# builds before it raises BudgetExceeded: the rows grow doubly
-# exponentially with the rank, and 20,000 take some 0.07 s (2 vCPU,
-# Python 3.11); the fans the tests and the benchmark validate build at
-# most 70
-FM_ROW_BUDGET = 2 * 10 ** 4
 
 
 def is_zero_vec(v: Vec) -> bool:
@@ -124,15 +119,24 @@ def _eliminate(rows: Sequence[Vec], width: int) -> tuple:
         if piv != t:
             m[t], m[piv] = m[piv], m[t]
             sign = -sign
-        top = m[t]
-        p = top[c]
-        for r in range(len(m)):
-            if r != t:
-                f = m[r][c]
-                m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
-        prev = p
+        prev = _pivot(m, t, c, prev)
         pivots.append(c)
     return tuple(pivots), m, prev, sign
+
+
+def _pivot(m: list, t: int, c: int, prev: int) -> int:
+    """One fraction-free (Bareiss) pivot on p = m[t][c], in place: every
+    other row r becomes (p * m[r] - m[r][c] * m[t]) / prev, and row t stays.
+    When prev is the previous pivot (1 at the start), the rows are the
+    adjugate of the pivoted columns times the input, so every division is
+    exact.  Returns p, the next pivot's prev."""
+    top = m[t]
+    p = top[c]
+    for r in range(len(m)):
+        if r != t:
+            f = m[r][c]
+            m[r] = [(p * a - f * b) // prev for a, b in zip(m[r], top)]
+    return p
 
 
 def determinant(vectors: Sequence[Vec]) -> int:
@@ -237,53 +241,46 @@ class ConeSolvers(dict):
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin feasibility (exact), used for pairwise cone-intersection
-# validation at desk scale.
+# Nonnegative solutions of integer equalities (exact), used for pairwise
+# cone-intersection validation.
 
-def _fm_feasible(ineqs, eqs, nvars) -> bool:
-    """Is there a rational x with a.x >= c for all (a, c) in ineqs and
-    a.x == c for all (a, c) in eqs?  Integer rows: every combination uses
-    positive multipliers on the inequalities, and each row is divided by
-    the content of its coefficients and right-hand side together.  Over
-    FM_ROW_BUDGET rows built in all, a BudgetExceeded is raised before the
-    step that would pass it."""
-    # solve the equalities, delta x_p = c_p - sum_f m_pf x_f for each pivot
-    # p over the free variables f, and substitute them into each inequality
-    # times |delta|: subtracting a_p times row p clears column p
-    pivots, rows, delta, _ = _eliminate(
-        [list(row) + [c] for row, c in eqs], nvars)
+def _nonnegative_solution(eqs, nvars) -> bool:
+    """Is there a rational x >= 0 with a.x == c for all (a, c) in eqs?
+
+    `_eliminate` reduces the equalities; a row below its pivots with a
+    nonzero right side makes them inconsistent.  The pivot rows, each
+    signed so that its right side is >= 0, start phase I of the simplex
+    method with one artificial variable per row as the basis, minimising
+    the artificials' sum.  Bland's rule: the lowest-index x_j with a
+    negative reduced cost enters, and the least ratio leaves, compared by
+    cross-multiplication, ties going to the lowest-index basic variable
+    (the artificials come after x, and one that leaves never returns); so
+    no basis repeats and the loop ends.  Each step is one `_pivot` on a
+    positive entry, so the tableau stays integral over the positive scale
+    prev: its last column is prev times the basic solution.  The system is
+    feasible exactly when the artificials' sum reaches 0."""
+    pivots, rows, _, _ = _eliminate([list(a) + [c] for a, c in eqs], nvars)
     if any(row[nvars] for row in rows[len(pivots):]):
         return False
-    sign = 1 if delta > 0 else -1
-    subst = set()
-    for row, c in ineqs:
-        v = [sign * delta * a for a in (*row, c)]
-        for p, m in zip(pivots, rows):
-            v = [x - sign * row[p] * y for x, y in zip(v, m)]
-        subst.add(_primitive_row(v[:nvars], v[nvars]))
-    ineqs = subst
-    live = [j for j in range(nvars) if j not in pivots]
-    # Fourier-Motzkin on the remaining variables
-    built = 0
-    for j in live:
-        pos = [(r, c) for r, c in ineqs if r[j] > 0]
-        neg = [(r, c) for r, c in ineqs if r[j] < 0]
-        rest = {(r, c) for r, c in ineqs if r[j] == 0}
-        built = admit(built + len(pos) * len(neg), FM_ROW_BUDGET,
-                      "the overlap test may build", "Fourier-Motzkin rows,")
-        for (rp, cp), (rn, cn) in itertools.product(pos, neg):
-            # rp.x >= cp with rp[j] > 0, rn.x >= cn with rn[j] < 0
-            fp, fn = -rn[j], rp[j]
-            rest.add(_primitive_row([fp * x + fn * y for x, y in zip(rp, rn)],
-                                    fp * cp + fn * cn))
-        ineqs = rest
-    return all(c <= 0 for _, c in ineqs)
-
-
-def _primitive_row(row, c) -> tuple:
-    """(row, c) divided by the gcd of its entries (unchanged if all zero)."""
-    g = math.gcd(*row, c) or 1
-    return tuple(a // g for a in row), c // g
+    m = [row if row[nvars] >= 0 else [-a for a in row]
+         for row in rows[:len(pivots)]]
+    basis = list(range(nvars, nvars + len(m)))
+    # the cost row, times prev: each x_j's reduced cost, then minus the
+    # artificials' sum
+    m.append([-sum(row[j] for row in m) for j in range(nvars + 1)])
+    prev = 1
+    while m[-1][nvars]:
+        c = next((j for j in range(nvars) if m[-1][j] < 0), None)
+        if c is None:
+            return False
+        t = None
+        for i, b in enumerate(basis):
+            if m[i][c] > 0 and (t is None or (m[i][nvars] * m[t][c], b)
+                                < (m[t][nvars] * m[i][c], basis[t])):
+                t = i
+        prev = _pivot(m, t, c, prev)
+        basis[t] = c
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +380,7 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     """True iff cone(a) and cone(b) share a point outside their common face.
 
     Feasibility of: A p = B q, p >= 0, q >= 0, sum of p over non-shared
-    rays of a equals 1.  Exact Fourier-Motzkin at desk scale.  With
+    rays of a equals 1, decided exactly by `_nonnegative_solution`.  With
     linearly independent rays the coordinates of a point are unique, so it
     lies outside the common face iff its coordinates over a (equally, over
     b) put weight on a non-shared ray: the test is symmetric in a and b.
@@ -401,8 +398,7 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
         eqs.append((row, 0))
     norm = [int(k < ka and a.ray_indices[k] in extra) for k in range(n)]
     eqs.append((norm, 1))
-    ineqs = [([int(i == k) for i in range(n)], 0) for k in range(n)]
-    return _fm_feasible(ineqs, eqs, n)
+    return _nonnegative_solution(eqs, n)
 
 
 def _complete_fan_certified(fan: Fan, maximal, sides: dict) -> Optional[bool]:

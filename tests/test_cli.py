@@ -379,11 +379,11 @@ def _too_slow(signum, frame):
     raise TimeoutError("validate still running after 1 s")
 
 
-def test_fourier_motzkin_rows_over_the_limit_exit_1_at_once(tmp_path):
-    # the overlap test's elimination builds pos x neg rows per variable,
-    # doubly exponential in the rank: on these two rank-6 cones the fifth
-    # step alone would build 59,679,354 rows, after 32,495 in the first
-    # four; the timer stops a run that starts building them
+def test_rank6_overlap_is_decided_at_once(tmp_path):
+    # a Fourier-Motzkin elimination of this pair would build 59,679,354
+    # rows in its fifth step alone, after 32,495 in the first four; the
+    # simplex decides it, and the timer stops a run that starts building
+    # rows like that
     rays = [[3, 1, 3, -3, 0, 3], [-1, -3, -3, -2, 2, 1], [0, 3, 2, -1, -1, 3],
             [-3, -1, 0, 3, -2, 2], [3, 0, 1, 1, 2, -3], [-2, 1, 1, 2, 3, 2],
             [-1, 2, 3, 1, 2, -3], [3, 0, -1, -3, -1, 3], [0, 3, -1, 0, 2, -3],
@@ -400,9 +400,18 @@ def test_fourier_motzkin_rows_over_the_limit_exit_1_at_once(tmp_path):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (1, "error: the overlap test may build 32495 "
-                              "Fourier-Motzkin rows, over the limit of "
-                              "20000\n")
+    assert (code, out) == (1, "cones [0, 1, 2, 3, 4, 5] and "
+                              "[6, 7, 8, 9, 10, 11] intersect outside their "
+                              "common face\n")
+    # the certificate: the cones share no ray, so their common face is the
+    # origin, and these nonnegative coordinates give one nonzero point
+    p = [Fraction(n, 4403) for n in (1108, 610, 820, 0, 1865, 0)]
+    q = [Fraction(1831, 4403), Fraction(2418, 4403), 0, Fraction(26, 119),
+         0, 0]
+    point = [sum(x * r[k] for x, r in zip(p, rays[:6])) for k in range(6)]
+    assert point == [sum(x * r[k] for x, r in zip(q, rays[6:]))
+                     for k in range(6)]
+    assert any(point)
 
 
 def test_poset_and_direct_check_over_budget_exit_1_at_once():

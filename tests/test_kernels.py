@@ -1,10 +1,10 @@
 """Seeded random checks of the integer cone kernels (the one elimination
 routine behind determinants, independent coordinates, per-cone solvers, the
-Fourier-Motzkin test and the complete-fan certificate; box-group
+overlap test's simplex and the complete-fan certificate; box-group
 enumeration and the integer closed-form assembly) against references
 written here from solve_rational_system, the Fraction assembly,
 Leibniz sums, minor searches, adjugates, one-at-a-time substitution,
-bounding-box scans and the pairwise overlap test, of the
+Fourier-Motzkin, bounding-box scans and the pairwise overlap test, of the
 cyclotomic lowest-terms kernels against naive loops and sympy, and of the
 oracle kernels (Ehrhart counts, the series oracles, closure order, direct
 Gamma) against their definitions."""
@@ -30,7 +30,8 @@ from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 orbit_label, orbit_measure, orbit_poset,
                                 shift_function, zero_divisor)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
-                            _fm_feasible, determinant, independent_rows,
+                            _nonnegative_solution, determinant,
+                            independent_rows,
                             minimal_containing_cone, solve_rational_system,
                             validate_fan)
 from stackyfan.cyclotomic import (_div_binomial, _fold, lowest_terms,
@@ -409,23 +410,32 @@ def test_validate_rank3_pairs(rays, cones, overlap):
     assert report.ok == (not overlap)
 
 
-def test_fourier_motzkin_decides_rational_feasibility():
-    # x = 2y with x >= 1: feasible with y = 1/2, not with y <= 0; dividing
-    # 2y >= 1 by its coefficients' content alone would round 1/2 away
-    eq = [((1, -2), 0)]
-    assert _fm_feasible([((1, 0), 1), ((0, -2), -1)], eq, 2)
-    assert not _fm_feasible([((1, 0), 1), ((0, -1), 0)], eq, 2)
-    assert not _fm_feasible([((2, 0), 1), ((-2, 0), 0)], [], 2)
-    assert _fm_feasible([((2, 0), 1), ((-4, 0), -2)], [], 2)
+def test_nonnegative_solution_decides_rational_feasibility():
+    # x = 2y with x + y = 3 at (2, 1), but not with x + y = -3; 2x = 1 only
+    # at x = 1/2, which no integer test would find
+    assert _nonnegative_solution([((1, -2), 0), ((1, 1), 3)], 2)
+    assert not _nonnegative_solution([((1, -2), 0), ((1, 1), -3)], 2)
+    assert _nonnegative_solution([((2,), 1)], 1)
+    assert not _nonnegative_solution([((2,), -1)], 1)
+    # x + y = 0 only at the origin, which is x >= 0; with x = 1 nowhere
+    assert _nonnegative_solution([((1, 1), 0)], 2)
+    assert not _nonnegative_solution([((1, 1), 0), ((1, 0), 1)], 2)
+    # inconsistent: x + y = 1 and 2x + 2y = 3; no rows, or zero rows
+    assert not _nonnegative_solution([((1, 1), 1), ((2, 2), 3)], 2)
+    assert _nonnegative_solution([], 3)
+    assert _nonnegative_solution([((0, 0), 0)], 2)
+    assert not _nonnegative_solution([((0, 0), 1)], 2)
 
 
-@pytest.mark.parametrize("seed", [8, 9])
-def test_overlap_test_is_symmetric(seed):
+@pytest.mark.parametrize("seed, ranks", [(8, (2, 3)), (9, (2, 3)),
+                                         (10, (2, 3, 4, 5, 6))],
+                         ids=["8", "9", "10"])
+def test_overlap_test_is_symmetric(seed, ranks):
     # validate_fan tests each pair of maximal cones in one direction only
     rng = random.Random(seed)
     checked = 0
     while checked < 40:
-        rank = rng.choice((2, 3))
+        rank = rng.choice(ranks)
         rays = []
         while len(rays) < 2 * rank:
             r = tuple(rng.randint(-2, 2) for _ in range(rank))
@@ -447,7 +457,7 @@ def test_overlap_test_is_symmetric(seed):
 def validate_reference(fan):
     """The violations of `validate_fan` found the long way: every cone and
     every face of every cone checked, and every pair of maximal cones given
-    the Fourier-Motzkin overlap test."""
+    the overlap test."""
     out = []
     for i, r in enumerate(fan.rays):
         if len(r) != fan.rank:
@@ -792,9 +802,10 @@ def test_independent_rows_match_minor_search(seed):
     assert dependent > 40
 
 
-def fm_feasible_reference(ineqs, eqs, nvars):
+def fm_feasible_reference(ineqs, eqs, nvars, cap=None):
     """Exact Fourier-Motzkin feasibility, the equalities substituted out
-    one at a time, each made primitive with its right-hand side."""
+    one at a time, each made primitive with its right-hand side; None once
+    the eliminations would have built more than `cap` rows in all."""
     def primitive(row, c):
         g = math.gcd(*row, c) or 1
         return tuple(a // g for a in row), c // g
@@ -823,10 +834,14 @@ def fm_feasible_reference(ineqs, eqs, nvars):
         eqs = [subst(r, cc) for r, cc in eqs]
         ineqs = {subst(r, cc) for r, cc in ineqs}
         live.remove(piv)
+    built = 0
     for j in live:
         pos = [(r, c) for r, c in ineqs if r[j] > 0]
         neg = [(r, c) for r, c in ineqs if r[j] < 0]
         rest = {(r, c) for r, c in ineqs if r[j] == 0}
+        built += len(pos) * len(neg)
+        if cap is not None and built > cap:
+            return None
         for (rp, cp), (rn, cn) in itertools.product(pos, neg):
             fp, fn = -rn[j], rp[j]
             rest.add(primitive([fp * x + fn * y for x, y in zip(rp, rn)],
@@ -835,31 +850,121 @@ def fm_feasible_reference(ineqs, eqs, nvars):
     return all(c <= 0 for _, c in ineqs)
 
 
+def nonnegative_reference(eqs, nvars, cap=None):
+    """fm_feasible_reference with one x_k >= 0 row per variable."""
+    return fm_feasible_reference(
+        [([int(j == k) for j in range(nvars)], 0) for k in range(nvars)],
+        eqs, nvars, cap)
+
+
 @pytest.mark.parametrize("seed", [45, 46])
-def test_fourier_motzkin_matches_substitution_reference(seed):
+def test_nonnegative_solution_matches_substitution_reference(seed):
+    # most right-hand sides are 0, which makes the degenerate tableaux in
+    # which the simplex needs its tie-break
     rng = random.Random(seed)
     verdicts = Counter()
     for _ in range(1500):
-        nvars = rng.randint(1, 5)
-
-        def rows(count):
-            return [([rng.randint(-3, 3) for _ in range(nvars)],
-                     rng.randint(-3, 3)) for _ in range(count)]
-
-        eqs = rows(rng.randint(0, 3))
-        inconsistent = bool(eqs) and rng.random() < 0.2
+        nvars = rng.randint(1, 6)
+        eqs = [([rng.randint(-3, 3) for _ in range(nvars)],
+                rng.randint(-3, 3) if rng.random() < 0.4 else 0)
+               for _ in range(rng.randint(1, 4))]
+        inconsistent = rng.random() < 0.2
         if inconsistent:
             # twice the first equality, with an odd right-hand side
             row, c = eqs[0]
             eqs.insert(rng.randint(0, len(eqs)),
                        ([2 * a for a in row], 2 * c + 1))
-        ineqs = rows(rng.randint(0, 5))
-        expected = fm_feasible_reference(ineqs, eqs, nvars)
+        expected = nonnegative_reference(eqs, nvars)
         assert not (inconsistent and expected)
         verdicts[inconsistent, expected] += 1
-        assert _fm_feasible(ineqs, eqs, nvars) == expected, (ineqs, eqs)
+        assert _nonnegative_solution(eqs, nvars) == expected, eqs
     assert min(verdicts[False, True], verdicts[False, False],
                verdicts[True, False]) > 100
+
+
+def test_simplex_pivots_follow_blands_rule(monkeypatch):
+    # each pivot of the simplex, checked on the tableau it is made on: the
+    # lowest-index x_j with a negative reduced cost enters, on a positive
+    # entry of least ratio, the tie going to the row of the lowest-index
+    # basic variable; Bland's proof that no basis repeats needs both.
+    # Entries in [-1, 1] and zero right sides make ties, over 40 of which
+    # the basic variables decide against the order of the rows
+    rng = random.Random(50)
+    calls = []
+    original = core._pivot
+
+    def recording(m, t, c, prev):
+        calls.append(([list(row) for row in m], t, c, prev))
+        return original(m, t, c, prev)
+
+    monkeypatch.setattr(core, "_pivot", recording)
+    decided_by_the_tie = 0
+    for _ in range(1000):
+        nvars = rng.randint(5, 10)
+        eqs = [([rng.randint(-1, 1) for _ in range(nvars)],
+                rng.randint(0, 2) if rng.random() < 0.5 else 0)
+               for _ in range(rng.randint(3, 6))]
+        rank = len(core._eliminate([a + [c] for a, c in eqs], nvars)[0])
+        calls.clear()
+        _nonnegative_solution(eqs, nvars)
+        basis = list(range(nvars, nvars + rank))
+        for m, t, c, prev in calls[rank:]:
+            assert prev > 0
+            assert c == min(j for j in range(nvars) if m[-1][j] < 0)
+            ratios = {i: Fraction(m[i][-1], m[i][c])
+                      for i in range(rank) if m[i][c] > 0}
+            assert t in ratios and ratios[t] == min(ratios.values())
+            ties = [i for i in ratios if ratios[i] == ratios[t]]
+            assert basis[t] == min(basis[i] for i in ties)
+            decided_by_the_tie += t != min(ties)
+            basis[t] = c
+    assert decided_by_the_tie > 40
+
+
+def overlap_reference(fan, a, b, cap):
+    """The overlap system of `_cones_overlap_improperly` written out again:
+    A p - B q = 0 and the weight of p on the rays of a that b lacks equal
+    to 1, decided by Fourier-Motzkin (None past `cap` rows)."""
+    extra = [int(i not in b.ray_indices) for i in a.ray_indices]
+    if not any(extra):
+        return False
+    eqs = [([fan.rays[i][k] for i in a.ray_indices]
+            + [-fan.rays[j][k] for j in b.ray_indices], 0)
+           for k in range(fan.rank)]
+    eqs.append((extra + [0] * b.dim, 1))
+    return nonnegative_reference(eqs, a.dim + b.dim, cap)
+
+
+def test_overlap_test_matches_the_capped_reference_at_ranks_2_to_6():
+    # pairs of maximal cones of general fans that share 0 to d - 1 rays,
+    # full-dimensional or not; past rank 4 Fourier-Motzkin gives up on some
+    rng = random.Random(49)
+    for rank in range(2, 7):
+        verdicts = Counter()
+        while sum(verdicts.values()) < 80:
+            rays = []
+            while len(rays) < 2 * rank:
+                r = tuple(rng.randint(-3, 3) for _ in range(rank))
+                if math.gcd(*r) == 1 and r not in rays:
+                    rays.append(r)
+            ka, kb = (rank if rng.random() < 0.7 else rng.randint(1, rank)
+                      for _ in range(2))
+            shared = rng.sample(range(ka), rng.randint(0, min(ka, kb) - 1))
+            a = Cone(tuple(range(ka)))
+            b = Cone(tuple(shared) + tuple(range(rank, rank + kb
+                                                 - len(shared))))
+            fan = Fan.from_maximal(rank, rays, [a.ray_indices,
+                                                b.ray_indices], "general")
+            if any(independent_rows_reference(fan.ray_vectors(c), rank)
+                   is None for c in (a, b)):
+                continue
+            expected = overlap_reference(fan, a, b, cap=2000)
+            verdicts[expected] += 1
+            if expected is not None:
+                assert _cones_overlap_improperly(fan, a, b) == expected, \
+                    (rays, a, b)
+        assert min(verdicts[True], verdicts[False]) >= 10, (rank, verdicts)
+        assert verdicts[None] <= 30, (rank, verdicts)
 
 
 def test_solvers_and_the_certificate_eliminate_once(monkeypatch):
