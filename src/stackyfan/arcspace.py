@@ -12,7 +12,7 @@ from . import stacky
 from .errors import InvariantViolation, NotKLT, admit
 from .qseries import FracPoly, TruncatedSeries, times_one_minus_t
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
-                     age, fractional_decompose, iota)
+                     fractional_decompose, iota)
 
 # the most points that orbit_poset and gamma_truncated_direct may walk, by
 # _walk_size; each costs an orbit label, so on P2 bound 139, the largest
@@ -30,8 +30,8 @@ def _walk_size(sfan: StackyFan, bound) -> int:
     for sigma in sfan.fan.maximal_cones:
         k = len(sigma.ray_indices)
         for tau in sigma.faces():
-            for u in sfan.box_table[tau]:
-                m = math.floor(bound - age(sfan, u))
+            for _, nums, order in sfan.box_table[tau.ray_indices]:
+                m = math.floor(bound - Fraction(sum(nums), order))
                 if m >= 0:
                     total += math.comb(m + k, k)
     return total

@@ -299,8 +299,8 @@ def _cmd_gamma(doc, sfan, args):
 
 def _cmd_betti(doc, sfan, args):
     var = "uv" if args.uv else "q"
-    betti = deltainv.orbifold_betti(sfan)
-    lines = [f"{_power(var, e)}: {betti[e]}" for e in sorted(betti)]
+    lines = [f"{_power(var, e)}: {c}"
+             for e, c in deltainv.orbifold_betti(sfan).items()]
     return 0, "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
                      NotComplete, NotKLT, admit)
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       over_binomials, substitute_reciprocal, times_one_minus_t)
-from .stacky import (PiecewiseQLinear, StackyFan, box_elements,
+from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
                      zero_functional)
 
 
@@ -278,7 +278,9 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
 
     Given a list of cones, the parts are those of (1 - t)^d times the sum
     of those cones' terms alone, and only their faces are asked for their
-    box elements; by default every cone of the fan is summed.
+    box elements, in the order of stacky.box_reads, which admits and scans
+    only the box groups of the maximal cones they are read through; by
+    default every cone of the fan is summed.
 
     With lambda(b_i) = l_i / L over a common denominator, the box element
     q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
@@ -288,11 +290,9 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
     scale = math.lcm(*(x.denominator for x in lams))
     plus = [scale + x.numerator * (scale // x.denominator) for x in lams]
     if cones is None:
-        cones = faces = sfan.fan.sorted_cones
-    else:
-        faces = {tau for sigma in cones for tau in sigma.faces()}
+        cones = sfan.fan.sorted_cones
     boxes = {}   # tau -> [(a, D)], exponents a / D
-    for tau in faces:
+    for tau in box_reads(sfan, cones):
         weights = [plus[i] for i in tau.ray_indices]
         boxes[tau] = [(sum(map(operator.mul, e.nums, weights)),
                        scale * e.order) for e in box_elements(sfan, tau)]
@@ -440,11 +440,13 @@ def gamma(sfan: StackyFan, e: "arcspace.StackDivisor") -> FracRational:
 
 def orbifold_betti(sfan: StackyFan) -> dict:
     """Coefficients of Gamma(X, 0); dimensions of the orbifold cohomology
-    groups with compact support."""
+    groups with compact support, by exponent in ascending order (read from
+    the sorted integer exponents of the canonical form, so no Fraction is
+    sorted)."""
     g = gamma(sfan, arcspace.zero_divisor(sfan))
     if not g.is_polynomial():
         raise InvariantViolation("Gamma(X, 0) is not a polynomial")
-    out = {Fraction(e + g.shift, g.n): c for e, c in g.a.items()}
+    out = {Fraction(e + g.shift, g.n): g.a[e] for e in sorted(g.a)}
     for exp, c in out.items():
         if c < 0:
             raise InvariantViolation(

@@ -14,8 +14,10 @@ from . import core
 from .core import Cone, Fan, ZERO_CONE
 from .errors import NotMaximalCone, admit
 
-# the most box-group elements, summed over the maximal cones, that
-# box_table may scan; the scan takes some 15 us per element (2 vCPU,
+# the most box-group elements, summed over the maximal cones whose groups
+# one read may scan (every maximal cone for box_table, box_all and
+# enumerate_support_points, those box_reads picks for a list of cones),
+# admitted before any scan; the scan takes some 15 us per element (2 vCPU,
 # Python 3.11), so about 1.5 s at the limit
 BOX_SCAN_BUDGET = 10 ** 5
 
@@ -52,29 +54,20 @@ class StackyFan:
         return core.ConeSolvers(self.fan, self.b_vectors)
 
     @cached_property
+    def box_scans(self) -> dict:
+        """{support: [(point, nums, order)]}: BOX(tau) of every face tau of
+        the maximal cones scanned so far, by the index tuple of tau, sorted
+        by point, with q_i = nums_i / order in lowest terms.  Filled by
+        _scan_box_groups, one scan per maximal cone at most."""
+        return {}
+
+    @cached_property
     def box_table(self) -> dict:
-        """BOX(tau) of every cone tau, sorted by point, from one scan per
-        maximal cone: the fan is simplicial, so BOX(tau) is the part of the
-        parallelepiped of any maximal sigma containing tau whose non-zero
-        q_i lie on the rays of tau.  Each face is filed, by its index tuple,
-        from the first maximal cone that reaches it.  Over BOX_SCAN_BUDGET
-        group elements in all, a BudgetExceeded is raised before any scan."""
-        admit(sum(self.solvers[s].order for s in self.fan.maximal_cones),
-              BOX_SCAN_BUDGET, "the box groups have", "elements in all,")
-        found = {}
-        for sigma in self.fan.maximal_cones:
-            den = self.solvers[sigma].denominator
-            new = {}
-            for point, n in _scan_parallelepiped(self, sigma):
-                support = tuple(i for i, ni in zip(sigma.ray_indices, n) if ni)
-                if support not in found:
-                    nums = [ni for ni in n if ni]
-                    new.setdefault(support, []).append(
-                        (point, *_reduce_numerators(nums, den)))
-            found.update(new)
-        return {tau: [BoxElement(point, tau, nums, order)
-                      for point, nums, order in found.get(tau.ray_indices, ())]
-                for tau in self.fan.sorted_cones}
+        """box_scans once every maximal cone is scanned: BOX(tau) of every
+        cone tau, by its index tuple.  Over BOX_SCAN_BUDGET group elements
+        in all, a BudgetExceeded is raised before any scan."""
+        _scan_box_groups(self, self.fan.maximal_cones)
+        return self.box_scans
 
 
 @dataclass(frozen=True)
@@ -193,10 +186,86 @@ def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
     return out
 
 
+def _admit_box_groups(sfan: StackyFan, sigmas) -> None:
+    admit(sum(sfan.solvers[s].order for s in sigmas), BOX_SCAN_BUDGET,
+          "the box groups have", "elements in all,")
+
+
+def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
+    """File into sfan.box_scans BOX of every face of the given maximal cones,
+    with one parallelepiped scan of each cone not scanned before.  The fan
+    is simplicial, so BOX(tau) is the part of the parallelepiped of any
+    maximal sigma containing tau whose non-zero q_i lie on the rays of tau;
+    a face already filed from another cone is not filed again.  Over
+    BOX_SCAN_BUDGET elements in the given groups, a BudgetExceeded is
+    raised before any scan."""
+    _admit_box_groups(sfan, sigmas)
+    table = sfan.box_scans
+    for sigma in sigmas:
+        idx = sigma.ray_indices
+        if idx in table:
+            continue
+        den = sfan.solvers[sigma].denominator
+        new = {face: [] for k in range(len(idx) + 1)
+               for face in itertools.combinations(idx, k) if face not in table}
+        for point, n in _scan_parallelepiped(sfan, sigma):
+            found = new.get(tuple(i for i, ni in zip(idx, n) if ni))
+            if found is not None:
+                found.append((point, *_reduce_numerators(
+                    [ni for ni in n if ni], den)))
+        table.update(new)
+
+
+def _holder(sfan: StackyFan, tau: Cone) -> Cone:
+    """The maximal cone whose scan box_elements reads BOX(tau) from when no
+    scanned cone holds tau: tau itself if it is maximal, else the first
+    maximal cone of the fan that holds it."""
+    if tau.ray_indices not in sfan.fan.facet_indices:
+        return tau
+    return next(s for s in sfan.fan.maximal_cones if tau.is_face_of(s))
+
+
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
     """All of BOX(tau) for a cone tau of the fan, sorted lexicographically
-    by point coordinates, as a new list."""
-    return list(sfan.box_table[tau])
+    by point coordinates, as new BoxElements.  They are read from the scan
+    of a maximal cone that holds tau: one scanned before, or else
+    _holder(sfan, tau), whose group order is admitted and which is scanned
+    now."""
+    found = sfan.box_scans.get(tau.ray_indices)
+    if found is None:
+        _scan_box_groups(sfan, [_holder(sfan, tau)])
+        found = sfan.box_scans[tau.ray_indices]
+    return [BoxElement(point, tau, nums, order) for point, nums, order in found]
+
+
+def box_reads(sfan: StackyFan, cones) -> list:
+    """The given cones of the fan and all their faces, each once, in an
+    order whose box_elements reads scan only the box groups admitted here.
+
+    The maximal cones among the given ones come first, then the others;
+    each is followed by its faces.  A cone is read through a maximal cone
+    read before that holds it, else through _holder: a given maximal cone
+    through itself, so on a stellar subdivision only the cones it removed
+    or made are scanned.  The summed order of those maximal cones is
+    admitted against BOX_SCAN_BUDGET before any scan; for all the cones of
+    the fan it is that of every maximal cone, as for box_table."""
+    facets = sfan.fan.facet_indices
+    sigmas = [s for s in cones if s.ray_indices not in facets]
+    reads = {}   # ray indices -> cone, in the order to read them
+    for tau in (*sigmas, *cones):
+        idx = tau.ray_indices
+        if idx in reads:
+            continue
+        if idx in facets and not any(tau.is_face_of(s) for s in sigmas):
+            sigmas.append(_holder(sfan, tau))
+        # tau before its faces: reading it makes the scan they are read from
+        reads[idx] = tau
+        for k in range(len(idx) - 1, -1, -1):
+            for face in itertools.combinations(idx, k):
+                if face not in reads:
+                    reads[face] = Cone._sorted(face)
+    _admit_box_groups(sfan, sigmas)
+    return list(reads.values())
 
 
 def _reduce_numerators(nums, den) -> tuple:
@@ -208,11 +277,11 @@ def _reduce_numerators(nums, den) -> tuple:
 
 def box_all(sfan: StackyFan) -> list:
     """BOX(Sigma): concatenation over all cones in canonical order; the zero
-    element appears exactly once (from the zero cone)."""
-    out = []
-    for tau in sfan.fan.sorted_cones:
-        out.extend(box_elements(sfan, tau))
-    return out
+    element appears exactly once (from the zero cone).  Every box group is
+    admitted, as for box_table, before any scan."""
+    boxes = {tau.ray_indices: box_elements(sfan, tau)
+             for tau in box_reads(sfan, sfan.fan.sorted_cones)}
+    return [e for tau in sfan.fan.sorted_cones for e in boxes[tau.ray_indices]]
 
 
 def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
@@ -280,39 +349,39 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
         lam = [Fraction(x) for x in lam_values]
         scale = math.lcm(*(x.denominator for x in lam))
         lam_int = [x.numerator * (scale // x.denominator) for x in lam]
+    table = sfan.box_table
     found = {}   # point -> (psi * order, order, lam or None)
     for sigma in sfan.fan.maximal_cones:
         idx = sigma.ray_indices
         bvecs = [sfan.b(i) for i in idx]
         # the box elements of the faces of sigma are its parallelepiped
-        for e in itertools.chain.from_iterable(
-                sfan.box_table[tau] for tau in sigma.faces()):
-            order = e.order
-            psi_u = sum(e.nums)    # psi(u) * order
-            slack = bound.numerator * order - psi_u * bound.denominator
-            if slack < 0:
-                continue
-            if lam_values is not None:
-                lam_u = sum(n * lam_int[i]
-                            for n, i in zip(e.nums, e.cone.ray_indices))
-            for shifts in _bounded_tuples(
-                    len(bvecs), slack // (bound.denominator * order)):
-                point = list(e.point)
-                for k, s in enumerate(shifts):
-                    if s:
-                        bk = bvecs[k]
-                        for j in range(len(point)):
-                            point[j] += s * bk[j]
-                point = tuple(point)
-                if point in found:
+        for tau in sigma.faces():
+            for u, nums, order in table[tau.ray_indices]:
+                psi_u = sum(nums)    # psi(u) * order
+                slack = bound.numerator * order - psi_u * bound.denominator
+                if slack < 0:
                     continue
-                lam_w = None
                 if lam_values is not None:
-                    lam_w = Fraction(
-                        lam_u + order * sum(s * lam_int[i]
-                                            for s, i in zip(shifts, idx)),
-                        order * scale)
-                found[point] = (psi_u + order * sum(shifts), order, lam_w)
+                    lam_u = sum(n * lam_int[i]
+                                for n, i in zip(nums, tau.ray_indices))
+                for shifts in _bounded_tuples(
+                        len(bvecs), slack // (bound.denominator * order)):
+                    point = list(u)
+                    for k, s in enumerate(shifts):
+                        if s:
+                            bk = bvecs[k]
+                            for j in range(len(point)):
+                                point[j] += s * bk[j]
+                    point = tuple(point)
+                    if point in found:
+                        continue
+                    lam_w = None
+                    if lam_values is not None:
+                        lam_w = Fraction(
+                            lam_u + order * sum(s * lam_int[i]
+                                                for s, i in zip(shifts, idx)),
+                            order * scale)
+                    found[point] = (psi_u + order * sum(shifts), order, lam_w)
     # psi times a common denominator orders the points as psi does, with
     # integer comparisons
     den = math.lcm(*{order for _, order, _ in found.values()})

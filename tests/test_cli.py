@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from stackyfan import arcspace, deltainv, qseries, refine
+from stackyfan import arcspace, deltainv, qseries, refine, stacky
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -461,6 +461,43 @@ def test_large_box_groups_exit_1_at_once(tmp_path, command, document,
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, f"error: the box groups have {orders} "
                               "elements in all, over the limit of 100000\n")
+
+
+def test_refine_check_admits_only_the_box_groups_it_reads(tmp_path,
+                                                         monkeypatch):
+    # P2 with weights (1000, 1000, 1): the cone (0, 1) has a box group of
+    # 10^6 elements, the cones (1, 2) and (0, 2) of 1,000 each; the new
+    # b-vectors are b_1 + b_2 = (-1, 999) and b_0 + b_1 = 1000 (1, 1)
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(_minimal(rank=2, rays=[[1, 0], [0, 1], [-1, -1]],
+                               weights=[1000, 1000, 1],
+                               cones=[[0, 1], [1, 2], [0, 2]]))
+    code, out = run_command(["box", str(coarse)])
+    assert (code, out) == (1, "error: the box groups have 1002000 elements "
+                              "in all, over the limit of 100000\n")
+    fines = {}
+    for at, weight in (("-1,999", "1"), ("1,1", "1000")):
+        code, out = run_command(["subdivide", str(coarse), "--at", at,
+                                 "--weight", weight])
+        assert code == 0, out
+        fines[at] = tmp_path / f"fine{at}.json"
+        fines[at].write_text(out)
+    # subdivided in (1, 2): the shared cone (0, 1) is never scanned
+    start = time.perf_counter()
+    code, out = run_command(["refine-check", str(coarse), "--fine",
+                             str(fines["-1,999"]), "--lambda", "zero"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "refinement: yes\ninvariance: true\n")
+
+    # subdivided in (0, 1): refused before any scan
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", forbidden)
+    code, out = run_command(["refine-check", str(coarse), "--fine",
+                             str(fines["1,1"]), "--lambda", "zero"])
+    assert (code, out) == (1, "error: the box groups have 1000000 elements "
+                              "in all, over the limit of 100000\n")
 
 
 DENSE_GRID_DOCUMENTS = {

@@ -466,6 +466,17 @@ def test_orbifold_betti_palindromic():
             assert b[Fraction(f.rank) - e] == c
 
 
+def test_orbifold_betti_lists_its_exponents_in_ascending_order():
+    # the CLI renders the dict in this order and does not sort it again
+    rng = random.Random(28)
+    fans = [*named_fans().values(), _defect_fan(),
+            *(random_complete_rank2(rng) for _ in range(5))]
+    for f in fans:
+        if f.fan.support_kind == "complete":
+            exponents = list(orbifold_betti(f))
+            assert exponents == sorted(exponents)
+
+
 def _defect_fan():
     """Complete rank-2 fan on the exponent grid N = 462 whose Gamma(X, 0)
     has a dense length above 1200."""

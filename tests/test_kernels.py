@@ -159,8 +159,8 @@ def assert_canonical_box_element(sfan, e):
 def test_box_elements_are_canonical_integer_numerators(seed):
     rng = random.Random(seed)
     for sfan in [*named_fans().values(), *random_fans(seed, 2)]:
-        for tau, elements in sfan.box_table.items():
-            for e in elements:
+        for tau in sfan.fan.sorted_cones:
+            for e in box_elements(sfan, tau):
                 assert e.cone == tau
                 assert_canonical_box_element(sfan, e)
         for w in sample_points(rng, sfan) + cone_sums(sfan):
@@ -298,6 +298,37 @@ def test_box_table_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(stacky, "Fraction", forbidden)
     assert [StackyFan(sfan.fan, sfan.weights).box_table
             for sfan in fans] == expected
+
+
+def box_reference(sfan):
+    """{cone indices: [(point, nums, order)]} from one _scan_parallelepiped
+    per maximal cone, each point filed under its support and reduced by
+    Fractions."""
+    table = {tau.ray_indices: set() for tau in sfan.fan.sorted_cones}
+    for sigma in sfan.fan.maximal_cones:
+        den = sfan.solvers[sigma].denominator
+        for point, n in _scan_parallelepiped(sfan, sigma):
+            q = [(i, Fraction(x, den)) for i, x in zip(sigma.ray_indices, n)
+                 if x]
+            order = math.lcm(*(x.denominator for _, x in q))
+            table[tuple(i for i, _ in q)].add(
+                (point, tuple(int(x * order) for _, x in q), order))
+    return {t: sorted(found) for t, found in table.items()}
+
+
+def test_box_elements_do_not_depend_on_the_read_order():
+    rng = random.Random(28)
+    fans = [*named_fans().values(), *random_fans(28, 5)]
+    assert len(fans) == 5 + 20
+    for sfan in fans:
+        expected = box_reference(sfan)
+        cones = list(sfan.fan.sorted_cones)
+        rng.shuffle(cones)
+        fresh = StackyFan(sfan.fan, sfan.weights)
+        got = {tau.ray_indices: [(e.point, e.nums, e.order)
+                                 for e in box_elements(fresh, tau)]
+               for tau in cones}
+        assert got == expected
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -466,6 +466,42 @@ def test_invariance_assembles_only_the_cones_the_fans_do_not_share(
     assert asked == []
 
 
+def test_each_box_group_is_scanned_once_and_only_where_read(monkeypatch):
+    # the (fan, maximal cone indices) pairs whose box group is scanned
+    scans = []
+    original = stacky._scan_parallelepiped
+
+    def counting(sfan, sigma):
+        scans.append((sfan, sigma.ray_indices))
+        return original(sfan, sigma)
+
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", counting)
+    coarse = fan_p2()
+    fine = stellar_subdivide(coarse, (1, 1))
+    assert check_invariance(coarse, zero_functional(coarse), fine)
+    # the subdivided cone of the coarse fan, the two new cones of the fine
+    assert [t for f, t in scans if f is coarse] == [(0, 1)]
+    assert sorted(t for f, t in scans if f is fine) == [(0, 3), (1, 3)]
+    scans.clear()
+    assert check_invariance(coarse, zero_functional(coarse), fine)
+    assert scans == []
+    # box_table scans the rest, so every maximal cone once in all
+    for sfan, before in ((coarse, [(0, 1)]), (fine, [(0, 3), (1, 3)])):
+        sfan.box_table
+        assert sorted(before + [t for f, t in scans if f is sfan]) == \
+            sorted(s.ray_indices for s in sfan.fan.maximal_cones)
+    scans.clear()
+    for sfan in (coarse, fine):
+        sfan.box_table
+        stacky.box_all(sfan)
+        weighted_delta_closed(sfan, zero_functional(sfan))
+    assert scans == []
+    for sfan in named_fans().values():
+        sfan.box_table
+        assert [t for f, t in scans if f is sfan] == \
+            [s.ray_indices for s in sfan.fan.maximal_cones]
+
+
 def judged_pair(a, b):
     """weighted_delta_equal on a pair in both orders, each equal to the
     canonical forms' verdict; that verdict."""
