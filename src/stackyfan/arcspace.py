@@ -25,13 +25,15 @@ def _walk_size(sfan: StackyFan, bound) -> int:
     """The points stacky.enumerate_support_points(sfan, bound) walks before
     it drops repeats, read from the box table: for each maximal cone with k
     rays and each box element u of its faces with age(u) <= bound, the
-    C(m + k, k) shift tuples of sum m = floor(bound - age(u)) or less."""
+    C(m + k, k) shift tuples of sum m = floor(bound - age(u)) or less,
+    with age(u) = sum(nums) / order, in integers."""
+    top, den = bound.numerator, bound.denominator
     total = 0
     for sigma in sfan.fan.maximal_cones:
         k = len(sigma.ray_indices)
         for tau in sigma.faces():
             for _, nums, order in sfan.box_table[tau.ray_indices]:
-                m = math.floor(bound - Fraction(sum(nums), order))
+                m = (top * order - sum(nums) * den) // (den * order)
                 if m >= 0:
                     total += math.comb(m + k, k)
     return total

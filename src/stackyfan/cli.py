@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -244,20 +245,26 @@ def _cmd_validate(doc_text, args):
     return 0, "ok\n"
 
 
+def _quotient(num: int, den: int) -> str:
+    """num / den written as str(Fraction(num, den)), for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def _cmd_box(doc, sfan, args):
     lines = []
     for e in stacky.box_all(sfan):
+        q = ", ".join([_quotient(n, e.order) for n in e.nums])
         lines.append(f"cone {_fmt_vec(e.cone.ray_indices)}: "
-                     f"point {_fmt_vec(e.point)}, "
-                     f"q = {_fmt_vec(e.q)}, order {e.order}")
+                     f"point {_fmt_vec(e.point)}, q = [{q}], order {e.order}")
     return 0, "\n".join(lines) + "\n"
 
 
 def _cmd_ages(doc, sfan, args):
-    lines = []
-    for e in stacky.box_all(sfan):
-        lines.append(f"point {_fmt_vec(e.point)}: "
-                     f"age {stacky.age(sfan, e)}")
+    # the age sum(nums) / order, as stacky.age gives it
+    lines = [f"point {_fmt_vec(e.point)}: "
+             f"age {_quotient(sum(e.nums), e.order)}"
+             for e in stacky.box_all(sfan)]
     return 0, "\n".join(lines) + "\n"
 
 

@@ -105,7 +105,8 @@ def _divide_gcd(a, exps):
     b holds it more often than it was divided out.  Each is folded, in
     descending order, from the fold of its least multiple m already made
     (exact, as s^k - 1 divides s^m - 1) or of a top.  The round divides by
-    Phi_k = +-prod_{d | k} (1 - s^d)^{mu(k/d)} for each k that passed."""
+    Phi_k = +-prod_{d | k} (1 - s^d)^{mu(k/d)} for each k that passed,
+    over the squarefree quotients k/d alone."""
     factors = {}              # n -> {prime: exponent}, for this call only
     tops = sorted(d for d, e in exps.items() if e > 0)
     need, net = {}, {}        # k -> times Phi_k is in b and not yet out
@@ -123,8 +124,13 @@ def _divide_gcd(a, exps):
                 folds[k] = _fold(folds[m], k)
             if _phi_divides(folds[k], k, factors):
                 need[k] -= 1
-                for d in _divisors(k, factors):
-                    step[d] = step.get(d, 0) + _mobius(k // d, factors)
+                # mu(k/d) is (-1)^|S| at d = k / prod S, S a set of the
+                # primes of k, and 0 at every other divisor d
+                primes = list(_factor(k, factors))
+                for r in range(len(primes) + 1):
+                    for chosen in itertools.combinations(primes, r):
+                        d = k // math.prod(chosen)
+                        step[d] = step.get(d, 0) + (-1) ** r
             else:             # then Phi_k divides no quotient of a either
                 need[k] = 0
         if not step:
@@ -188,11 +194,6 @@ def _divisors(n, factors):
     for p, e in _factor(n, factors).items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return divs
-
-
-def _mobius(n, factors):
-    f = _factor(n, factors)
-    return 0 if any(e > 1 for e in f.values()) else (-1) ** len(f)
 
 
 def _prs_gcd(a, b):

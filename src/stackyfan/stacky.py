@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,8 +18,9 @@ from .errors import NotMaximalCone, admit
 # the most box-group elements, summed over the maximal cones whose groups
 # one read may scan (every maximal cone for box_table, box_all and
 # enumerate_support_points, those box_reads picks for a list of cones),
-# admitted before any scan; the scan takes some 15 us per element (2 vCPU,
-# Python 3.11), so about 1.5 s at the limit
+# admitted before any scan; scanning and filing take some 5 us per element
+# (box_table on P2 with weights 173, 179, 181: 94,679 elements in 0.39-0.58
+# s, 2 vCPU shared, Python 3.11), so about 0.5 s at the limit
 BOX_SCAN_BUDGET = 10 ** 5
 
 
@@ -156,34 +158,45 @@ def _scan_parallelepiped(sfan: StackyFan, tau: Cone) -> list:
 
     With the b-solver x = A . v[rows] / D of tau, the coordinates of lattice
     points, times D and taken mod D, form the subgroup of (Z/D)^k generated
-    by the columns of A.  It is enumerated coset by coset, so the work is
-    proportional to its order, the |det| of the chosen minor of the b_i; an
-    element n is kept when sum n_i b_i / D is integral, which only discards
-    anything for lower-dimensional cones.
+    by the columns of A.  It is built as k integer columns, one list per
+    coordinate: each generator g adds the cosets H + j g, 0 < j < m, of the
+    group H built so far, where m, the least j > 0 with j g in H, divides
+    the order of g.  D u is formed column by column, so the work is a few
+    C-level passes per coordinate over the group, whose order is the |det|
+    of the chosen minor of the b_i; an element is kept when D u is
+    divisible by D, which only discards anything for lower-dimensional
+    cones.
     """
     solver = sfan.solvers[tau]
     den = solver.denominator
     k = len(tau.ray_indices)
-    group = [(0,) * k]
+    cols = [[0] for _ in range(k)]
     for r in range(k):
-        gen = tuple(row[r] % den for row in solver.matrix)
-        members = set(group)
-        shift = gen
-        cosets = []
-        while shift not in members:
-            cosets.extend(tuple((a + s) % den for a, s in zip(n, shift))
-                          for n in group)
-            shift = tuple((a + s) % den for a, s in zip(shift, gen))
-        group += cosets
-    bvecs = [sfan.b(i) for i in tau.ray_indices]
-    out = []
-    for n in group:
-        point = [sum(ni * b[j] for ni, b in zip(n, bvecs))
-                 for j in range(sfan.rank)]
-        if all(x % den == 0 for x in point):
-            out.append((tuple(x // den for x in point), n))
-    out.sort(key=lambda pq: pq[0])
-    return out
+        gen = [row[r] % den for row in solver.matrix]
+        members = set(zip(*cols))
+        order = den // math.gcd(den, *gen)
+        m = next(j for j in range(1, order + 1) if order % j == 0
+                 and tuple(j * g % den for g in gen) in members)
+        cols = [[(a + s) % den for s in range(0, m * g, g) for a in col]
+                if g else col * m for col, g in zip(cols, gen)]
+    size = len(cols[0]) if cols else 1
+    scaled = []   # D u, one column per coordinate
+    for j in range(sfan.rank):
+        total = [0] * size
+        for col, i in zip(cols, tau.ray_indices):
+            c = sfan.b_vectors[i][j]
+            if c:
+                total = list(map(operator.add, total,
+                                 map(operator.mul, col, itertools.repeat(c))))
+        scaled.append(total)
+    keep = list(map(operator.not_, map(any, zip(*(
+        map(operator.mod, x, itertools.repeat(den)) for x in scaled)))))
+    points = zip(*(itertools.compress(
+        map(operator.floordiv, x, itertools.repeat(den)), keep)
+        for x in scaled))
+    # n as tuples; the zero cone's group is the empty tuple alone
+    nums = list(zip(*(itertools.compress(col, keep) for col in cols))) or [()]
+    return sorted(zip(points, nums))
 
 
 def _admit_box_groups(sfan: StackyFan, sigmas) -> None:
@@ -196,9 +209,10 @@ def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
     with one parallelepiped scan of each cone not scanned before.  The fan
     is simplicial, so BOX(tau) is the part of the parallelepiped of any
     maximal sigma containing tau whose non-zero q_i lie on the rays of tau;
-    a face already filed from another cone is not filed again.  Over
-    BOX_SCAN_BUDGET elements in the given groups, a BudgetExceeded is
-    raised before any scan."""
+    a face already filed from another cone is not filed again.  Each
+    element n goes to the face of its non-zero n_i, looked up by its zero
+    pattern, reduced by one gcd.  Over BOX_SCAN_BUDGET elements in the
+    given groups, a BudgetExceeded is raised before any scan."""
     _admit_box_groups(sfan, sigmas)
     table = sfan.box_scans
     for sigma in sigmas:
@@ -206,13 +220,19 @@ def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
         if idx in table:
             continue
         den = sfan.solvers[sigma].denominator
-        new = {face: [] for k in range(len(idx) + 1)
-               for face in itertools.combinations(idx, k) if face not in table}
+        # the list of each face by the zero pattern of n, None if filed
+        new, files = {}, {}
+        for pattern in itertools.product((False, True), repeat=len(idx)):
+            face = tuple(itertools.compress(idx, pattern))
+            if face not in table:
+                new[face] = []
+            files[pattern] = new.get(face)
         for point, n in _scan_parallelepiped(sfan, sigma):
-            found = new.get(tuple(i for i, ni in zip(idx, n) if ni))
+            found = files[tuple(map(bool, n))]
             if found is not None:
-                found.append((point, *_reduce_numerators(
-                    [ni for ni in n if ni], den)))
+                g = math.gcd(den, *n)
+                found.append((point, tuple([x // g for x in n if x]),
+                              den // g))
         table.update(new)
 
 
@@ -247,8 +267,8 @@ def box_reads(sfan: StackyFan, cones) -> list:
     read before that holds it, else through _holder: a given maximal cone
     through itself, so on a stellar subdivision only the cones it removed
     or made are scanned.  The summed order of those maximal cones is
-    admitted against BOX_SCAN_BUDGET before any scan; for all the cones of
-    the fan it is that of every maximal cone, as for box_table."""
+    admitted against BOX_SCAN_BUDGET before any scan.  Reads of every cone
+    of the fan go through full_box_reads instead."""
     facets = sfan.fan.facet_indices
     sigmas = [s for s in cones if s.ray_indices not in facets]
     reads = {}   # ray indices -> cone, in the order to read them
@@ -275,13 +295,20 @@ def _reduce_numerators(nums, den) -> tuple:
     return tuple(n // g for n in nums), den // g
 
 
+def full_box_reads(sfan: StackyFan) -> tuple:
+    """Every cone of the fan in canonical order, once the box groups of all
+    its maximal cones are admitted against BOX_SCAN_BUDGET, as for
+    box_table: box_elements reads in this order scan each maximal cone
+    once, with no read plan."""
+    _admit_box_groups(sfan, sfan.fan.maximal_cones)
+    return sfan.fan.sorted_cones
+
+
 def box_all(sfan: StackyFan) -> list:
     """BOX(Sigma): concatenation over all cones in canonical order; the zero
     element appears exactly once (from the zero cone).  Every box group is
     admitted, as for box_table, before any scan."""
-    boxes = {tau.ray_indices: box_elements(sfan, tau)
-             for tau in box_reads(sfan, sfan.fan.sorted_cones)}
-    return [e for tau in sfan.fan.sorted_cones for e in boxes[tau.ray_indices]]
+    return [e for tau in full_box_reads(sfan) for e in box_elements(sfan, tau)]
 
 
 def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:

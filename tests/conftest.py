@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,19 @@ def weighted_projective(weights):
     return mk_sfan(n, [tuple(c // ai for c in bi) for bi, ai in zip(b, a)],
                    a, list(itertools.combinations(range(n + 1), n)),
                    "complete")
+
+
+def weighted_projective_stacks(seed):
+    """Seeded P(w) of ranks 1 to 6, three per rank, with weights 1 to 9 of
+    gcd 1."""
+    rng = random.Random(seed)
+    fans = []
+    for rank in range(1, 7):
+        while len(fans) < 3 * rank:
+            weights = [rng.randint(1, 9) for _ in range(rank + 1)]
+            if math.gcd(*weights) == 1:
+                fans.append(weighted_projective(weights))
+    return fans
 
 
 def sector_betti(weights):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import weighted_projective_stacks
 from stackyfan import arcspace, deltainv, qseries, refine, stacky
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
@@ -168,6 +169,31 @@ def test_document_of_matches_source():
     again = document_of(doc.to_stacky_fan())
     assert again.rays == doc.rays and again.weights == doc.weights
     assert sorted(again.cones) == sorted(doc.cones)
+
+
+def _box_and_ages_reference(sfan):
+    """The box and ages outputs written through BoxElement.q and
+    stacky.age, one Fraction per coordinate."""
+    elements = stacky.box_all(stacky.StackyFan(sfan.fan, sfan.weights))
+    box = [f"cone {list(e.cone.ray_indices)}: point {list(e.point)}, "
+           f"q = [{', '.join(map(str, e.q))}], order {e.order}"
+           for e in elements]
+    ages = [f"point {list(e.point)}: age {stacky.age(sfan, e)}"
+            for e in elements]
+    return "\n".join(box) + "\n", "\n".join(ages) + "\n"
+
+
+def test_box_and_ages_match_lines_written_through_fractions(tmp_path):
+    fans = [parse_fan_document((DATA / f"{name}.json").read_text())
+            .to_stacky_fan() for name in ("fan_a1", "fan_p1", "fan_p2",
+                                          "fan_p12", "fan_p112")]
+    fans += weighted_projective_stacks(30)
+    for k, sfan in enumerate(fans):
+        path = tmp_path / f"fan{k}.json"
+        path.write_text(render_document(document_of(sfan)))
+        box, ages = _box_and_ages_reference(sfan)
+        assert run_command(["box", str(path)]) == (0, box)
+        assert run_command(["ages", str(path)]) == (0, ages)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ overlap test's simplex and the complete-fan certificate; box-group
 enumeration and the integer closed-form assembly) against references
 written here from solve_rational_system, the Fraction assembly,
 Leibniz sums, minor searches, adjugates, one-at-a-time substitution,
-Fourier-Motzkin, bounding-box scans and the pairwise overlap test, of the
-cyclotomic lowest-terms kernels against naive loops and sympy, and of the
-oracle kernels (Ehrhart counts, the series oracles, closure order, direct
-Gamma) against their definitions."""
+Fourier-Motzkin, bounding-box scans, an element-by-element group closure
+and the pairwise overlap test, of the cyclotomic lowest-terms kernels
+against naive loops and sympy, and of the oracle kernels (Ehrhart counts,
+the series oracles, closure order, direct Gamma) against their
+definitions."""
 
 import functools
 import itertools
@@ -23,7 +24,7 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1, random_stellar_chain,
-                      series_of)
+                      series_of, weighted_projective_stacks)
 from stackyfan import core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 divisor_to_pl, gamma_truncated_direct,
@@ -329,6 +330,74 @@ def test_box_elements_do_not_depend_on_the_read_order():
                                  for e in box_elements(fresh, tau)]
                for tau in cones}
         assert got == expected
+
+
+def parallelepiped_reference(sfan, tau):
+    """The box-group scan element by element over tuples: the subgroup of
+    (Z/D)^k generated by the columns of the b-solver of tau, closed coset
+    by coset, each element n kept when sum n_i b_i / D is integral; (u, n)
+    sorted by u."""
+    solver = sfan.solvers[tau]
+    den = solver.denominator
+    k = len(tau.ray_indices)
+    group = [(0,) * k]
+    for r in range(k):
+        gen = tuple(row[r] % den for row in solver.matrix)
+        members = set(group)
+        shift = gen
+        cosets = []
+        while shift not in members:
+            cosets.extend(tuple((a + s) % den for a, s in zip(n, shift))
+                          for n in group)
+            shift = tuple((a + s) % den for a, s in zip(shift, gen))
+        group += cosets
+    bvecs = [sfan.b(i) for i in tau.ray_indices]
+    out = []
+    for n in group:
+        point = [sum(ni * b[j] for ni, b in zip(n, bvecs))
+                 for j in range(sfan.rank)]
+        if all(x % den == 0 for x in point):
+            out.append((tuple(x // den for x in point), n))
+    out.sort(key=lambda pq: pq[0])
+    return out
+
+
+def box_scans_reference(sfan):
+    """{face: [(point, nums, order)]} of every maximal cone's scan, each
+    element filed under its support and reduced on its own, a face filed
+    from the first maximal cone that holds it."""
+    table = {}
+    for sigma in sfan.fan.maximal_cones:
+        idx = sigma.ray_indices
+        den = sfan.solvers[sigma].denominator
+        new = {face: [] for k in range(len(idx) + 1)
+               for face in itertools.combinations(idx, k) if face not in table}
+        for point, n in parallelepiped_reference(sfan, sigma):
+            found = new.get(tuple(i for i, ni in zip(idx, n) if ni))
+            if found is not None:
+                nums = [ni for ni in n if ni]
+                g = math.gcd(den, *nums)
+                found.append((point, tuple(x // g for x in nums), den // g))
+        table.update(new)
+    return table
+
+
+def test_box_group_scan_matches_the_element_by_element_reference():
+    rng = random.Random(29)
+    makers = MAKERS + (random_mixed_dimension, random_skew_lower_dimension)
+    seeded = [rng.choice(makers)(rng) for _ in range(40)]
+    assert sum(any(len(s.ray_indices) < f.rank for s in f.fan.maximal_cones)
+               for f in seeded) >= 8
+    fans = [*named_fans().values(), *seeded, *weighted_projective_stacks(29)]
+    assert {f.rank for f in fans} == set(range(1, 7))
+    for sfan in fans:
+        for tau in sfan.fan.sorted_cones:
+            assert _scan_parallelepiped(sfan, tau) == \
+                parallelepiped_reference(sfan, tau)
+        expected = box_scans_reference(sfan)
+        fresh = StackyFan(sfan.fan, sfan.weights)
+        assert fresh.box_table == expected
+        assert fresh.box_scans is fresh.box_table
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
