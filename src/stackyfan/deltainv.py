@@ -26,7 +26,7 @@ from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       over_binomials, substitute_reciprocal, times_one_minus_t)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
-                     full_box_reads, zero_functional)
+                     zero_functional)
 
 
 # the most lattice points that one oracle scan may walk, by _scan_size
@@ -276,12 +276,11 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
     (1 - t)^d = (1 - s^n)^d cancels (so empty at lambda = 0), and numerator
     a sparse {int exponent: int} dict without zeros.
 
-    Given a list of cones, the parts are those of (1 - t)^d times the sum
-    of those cones' terms alone, and only their faces are asked for their
+    Given a list of cones, closed upwards in the fan, the parts are those
+    of (1 - t)^d times the sum of those cones' terms alone; by default
+    every cone of the fan is summed.  Only their faces are asked for their
     box elements, in the order of stacky.box_reads, which admits and scans
-    only the box groups of the maximal cones they are read through; by
-    default every cone of the fan is summed, read in the order of
-    stacky.full_box_reads, which admits every maximal cone.
+    only the box groups of the given maximal cones.
 
     With lambda(b_i) = l_i / L over a common denominator, the box element
     q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
@@ -290,12 +289,9 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
     lams = lam.values_on_b
     scale = math.lcm(*(x.denominator for x in lams))
     plus = [scale + x.numerator * (scale // x.denominator) for x in lams]
-    if cones is None:
-        cones = reads = full_box_reads(sfan)
-    else:
-        reads = box_reads(sfan, cones)
+    cones = sfan.fan.sorted_cones if cones is None else cones
     boxes = {}   # tau -> [(a, D)], exponents a / D
-    for tau in reads:
+    for tau in box_reads(sfan, cones):
         weights = [plus[i] for i in tau.ray_indices]
         boxes[tau] = [(sum(map(operator.mul, e.nums, weights)),
                        scale * e.order) for e in box_elements(sfan, tau)]

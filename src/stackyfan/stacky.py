@@ -13,14 +13,15 @@ from functools import cached_property
 
 from . import core
 from .core import Cone, Fan, ZERO_CONE
-from .errors import NotMaximalCone, admit
+from .errors import InvariantViolation, NotMaximalCone, admit
 
 # the most box-group elements, summed over the maximal cones whose groups
-# one read may scan (every maximal cone for box_table, box_all and
-# enumerate_support_points, those box_reads picks for a list of cones),
-# admitted before any scan; scanning and filing take some 5 us per element
-# (box_table on P2 with weights 173, 179, 181: 94,679 elements in 0.39-0.58
-# s, 2 vCPU shared, Python 3.11), so about 0.5 s at the limit
+# one read may scan (every maximal cone for box_table and
+# enumerate_support_points, the listed ones for box_reads, which plans
+# box_all and every closed-form read), admitted before any scan; scanning
+# and filing take some 5 us per element (box_table on P2 with weights 173,
+# 179, 181: 94,679 elements in 0.39-0.58 s, 2 vCPU shared, Python 3.11),
+# so about 0.5 s at the limit
 BOX_SCAN_BUDGET = 10 ** 5
 
 
@@ -236,79 +237,64 @@ def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
         table.update(new)
 
 
-def _holder(sfan: StackyFan, tau: Cone) -> Cone:
-    """The maximal cone whose scan box_elements reads BOX(tau) from when no
-    scanned cone holds tau: tau itself if it is maximal, else the first
-    maximal cone of the fan that holds it."""
-    if tau.ray_indices not in sfan.fan.facet_indices:
-        return tau
-    return next(s for s in sfan.fan.maximal_cones if tau.is_face_of(s))
-
-
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
     """All of BOX(tau) for a cone tau of the fan, sorted lexicographically
     by point coordinates, as new BoxElements.  They are read from the scan
-    of a maximal cone that holds tau: one scanned before, or else
-    _holder(sfan, tau), whose group order is admitted and which is scanned
-    now."""
+    of a maximal cone that holds tau: one scanned before, or else tau
+    itself if it is maximal, or the first maximal cone of the fan that
+    holds it, whose group order is admitted and which is scanned now.  A
+    cone outside the fan raises a ValueError before any scan."""
     found = sfan.box_scans.get(tau.ray_indices)
     if found is None:
-        _scan_box_groups(sfan, [_holder(sfan, tau)])
+        fan = sfan.fan
+        if tau not in fan.cones:
+            raise ValueError(f"cone {list(tau.ray_indices)} is not a cone "
+                             "of the fan")
+        holder = tau if tau.ray_indices not in fan.facet_indices else next(
+            s for s in fan.maximal_cones if tau.is_face_of(s))
+        _scan_box_groups(sfan, [holder])
         found = sfan.box_scans[tau.ray_indices]
     return [BoxElement(point, tau, nums, order) for point, nums, order in found]
 
 
 def box_reads(sfan: StackyFan, cones) -> list:
-    """The given cones of the fan and all their faces, each once, in an
-    order whose box_elements reads scan only the box groups admitted here.
+    """The faces of the given cones of the fan, each once, in an order
+    whose box_elements reads scan only the box groups admitted here.
 
-    The maximal cones among the given ones come first, then the others;
-    each is followed by its faces.  A cone is read through a maximal cone
-    read before that holds it, else through _holder: a given maximal cone
-    through itself, so on a stellar subdivision only the cones it removed
-    or made are scanned.  The summed order of those maximal cones is
-    admitted against BOX_SCAN_BUDGET before any scan.  Reads of every cone
-    of the fan go through full_box_reads instead."""
-    facets = sfan.fan.facet_indices
-    sigmas = [s for s in cones if s.ray_indices not in facets]
-    reads = {}   # ray indices -> cone, in the order to read them
-    for tau in (*sigmas, *cones):
-        idx = tau.ray_indices
-        if idx in reads:
-            continue
-        if idx in facets and not any(tau.is_face_of(s) for s in sigmas):
-            sigmas.append(_holder(sfan, tau))
-        # tau before its faces: reading it makes the scan they are read from
-        reads[idx] = tau
+    The given cones, every cone of the fan or the cones two fans do not
+    share, are closed upwards: a cone of the fan that holds one of them is
+    given too, so each is a face of a given maximal cone.  A list that is
+    not raises an InvariantViolation before anything is admitted.  The
+    summed order of the given maximal cones is admitted against
+    BOX_SCAN_BUDGET; they come first, each read through its own scan, and
+    then their faces."""
+    fan = sfan.fan
+    given = {c.ray_indices: c for c in cones}
+    # closed upwards: no cone left out has a given facet
+    if any(c.ray_indices[:j] + c.ray_indices[j + 1:] in given
+           for c in fan.cones if c.ray_indices not in given
+           for j in range(c.dim)):
+        raise InvariantViolation("the cones to read are not closed upwards "
+                                 "in the fan")
+    sigmas = [s for s in cones if s.ray_indices not in fan.facet_indices]
+    reads = {s.ray_indices: s for s in sigmas}   # in the order to read them
+    for sigma in sigmas:
+        idx = sigma.ray_indices
         for k in range(len(idx) - 1, -1, -1):
             for face in itertools.combinations(idx, k):
                 if face not in reads:
-                    reads[face] = Cone._sorted(face)
+                    reads[face] = given.get(face) or Cone._sorted(face)
     _admit_box_groups(sfan, sigmas)
     return list(reads.values())
-
-
-def _reduce_numerators(nums, den) -> tuple:
-    """(nums', order): the fractions nums_i / den over their least common
-    denominator, order = den / gcd(den, *nums)."""
-    g = math.gcd(den, *nums)
-    return tuple(n // g for n in nums), den // g
-
-
-def full_box_reads(sfan: StackyFan) -> tuple:
-    """Every cone of the fan in canonical order, once the box groups of all
-    its maximal cones are admitted against BOX_SCAN_BUDGET, as for
-    box_table: box_elements reads in this order scan each maximal cone
-    once, with no read plan."""
-    _admit_box_groups(sfan, sfan.fan.maximal_cones)
-    return sfan.fan.sorted_cones
 
 
 def box_all(sfan: StackyFan) -> list:
     """BOX(Sigma): concatenation over all cones in canonical order; the zero
     element appears exactly once (from the zero cone).  Every box group is
     admitted, as for box_table, before any scan."""
-    return [e for tau in full_box_reads(sfan) for e in box_elements(sfan, tau)]
+    boxes = {tau: box_elements(sfan, tau)
+             for tau in box_reads(sfan, sfan.fan.sorted_cones)}
+    return [e for tau in sfan.fan.sorted_cones for e in boxes[tau]]
 
 
 def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
@@ -346,8 +332,9 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
     frac = [(i, n % den) for i, n in zip(cone.ray_indices, nums) if n % den]
     # a located cone's indices ascend, and so do those of its face
     tau = Cone._sorted(tuple(i for i, _ in frac))
-    box = BoxElement(tuple(point), tau,
-                     *_reduce_numerators([r for _, r in frac], den))
+    g = math.gcd(den, *(r for _, r in frac))
+    box = BoxElement(tuple(point), tau, tuple(r // g for _, r in frac),
+                     den // g)
     return FractionalDecomposition(w, box, shifts)
 
 

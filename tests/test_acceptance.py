@@ -10,7 +10,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import (closure_order, ehrhart_delta_reference, fan_a1,
+from conftest import (_angle_cmp, closure_order, ehrhart_delta_reference,
+                      fan_a1,
                       fan_p1, fan_p2, fan_p12, fan_p112, fan_p12323,
                       named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
@@ -20,11 +21,11 @@ from conftest import (closure_order, ehrhart_delta_reference, fan_a1,
 from stackyfan.arcspace import (gamma_truncated_direct, orbit_poset,
                                 zero_divisor)
 from stackyfan.cli import parse_fan_document, render_document, run_command
-from stackyfan.core import determinant_abs
+from stackyfan.core import Fan, determinant_abs, validate_fan
 from stackyfan.deltainv import (_oracle_points, bucket_series, check_symmetry,
                                 delta_mu_series, ehrhart_delta, gamma,
-                                orbifold_betti, weighted_delta_closed,
-                                weighted_delta_series)
+                                hodge_polynomial_toric, orbifold_betti,
+                                weighted_delta_closed, weighted_delta_series)
 from stackyfan.qseries import (FracPoly, FracRational, expand_laurent,
                                expand_series, series_equal,
                                substitute_reciprocal)
@@ -318,3 +319,37 @@ def test_criterion_10_weighted_projective_stacks():
                 bucketed[k] = bucketed.get(k, 0) + c
             assert ehrhart_delta(f) == FracRational(FracPoly(bucketed)), \
                 weights
+
+
+@criterion(11, "McKay correspondence in rank 2")
+def test_criterion_11_mckay_rank2():
+    # a Gorenstein complete rank-2 fan X with weights 1 (every box element
+    # of integer age) against its crepant resolution Y: X's rays plus the
+    # junior (age-1) box points, which in a unit-weight Gorenstein 2-cone
+    # are the lattice points inside the segment between its rays, found
+    # here without the box enumerator; every cone of Y is unimodular, and
+    # E(Y) reads only its face counts
+    rng = random.Random(16)
+    gorenstein = resolved = 0
+    for _ in range(400):
+        x = random_complete_rank2(rng, max_weight=1)
+        if any(age(x, e).denominator != 1 for e in box_all(x)):
+            continue
+        rays = list(x.fan.rays)
+        for sigma in x.fan.maximal_cones:
+            u, v = (x.fan.rays[i] for i in sigma.ray_indices)
+            g = math.gcd(v[0] - u[0], v[1] - u[1])
+            rays += [(u[0] + k * (v[0] - u[0]) // g,
+                      u[1] + k * (v[1] - u[1]) // g) for k in range(1, g)]
+        rays.sort(key=functools.cmp_to_key(_angle_cmp))
+        n = len(rays)
+        y = Fan.from_maximal(2, rays, [(i, (i + 1) % n) for i in range(n)],
+                             "complete")
+        assert validate_fan(y).ok
+        assert all(determinant_abs([y.rays[i] for i in c.ray_indices]) == 1
+                   for c in y.maximal_cones)
+        assert orbifold_betti(x) == hodge_polynomial_toric(y).terms, rays
+        gorenstein += 1
+        resolved += n > len(x.fan.rays)
+    # 26 Gorenstein fans, 20 of them not smooth
+    assert (gorenstein, resolved) == (26, 20)

@@ -1,16 +1,21 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_complete_rank2, random_complete_rank3,
-                      random_convex_rank2, random_convex_rank3)
+                      random_convex_rank2, random_convex_rank3,
+                      random_stellar_chain)
 from stackyfan import stacky
 from stackyfan.core import Cone
-from stackyfan.errors import BudgetExceeded, NotMaximalCone, OutsideSupport
+from stackyfan.errors import (BudgetExceeded, InvariantViolation,
+                              NotMaximalCone, OutsideSupport)
+from stackyfan.refine import stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
-                              box_elements, enumerate_support_points,
+                              box_elements, box_reads,
+                              enumerate_support_points,
                               eval_pl, fractional_decompose, group_order,
                               iota, psi, zero_functional)
 
@@ -84,6 +89,97 @@ def test_box_elements_unit_weight_ray_empty():
     f = fan_p2()
     for i in range(3):
         assert box_elements(f, Cone((i,))) == []
+
+
+def test_box_elements_rejects_a_cone_outside_the_fan(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", forbidden)
+    # (0, 2) spans a cone of the plane, but not one of this fan's
+    f = mk_sfan(2, [(1, 0), (0, 1), (-1, -1)], (1, 2, 3), [(0, 1), (1, 2)],
+                "general")
+    for idx in [(0, 2), (3,), (0, 1, 2), (1, 3)]:
+        message = re.escape(f"cone {list(idx)} is not a cone of the fan")
+        with pytest.raises(ValueError, match=message):
+            box_elements(f, Cone(idx))
+    assert f.box_scans == {}
+
+
+def _unshared_lists(a, b):
+    """The cones of each of two unit-weight fans whose b-vectors the other
+    fan has on no cone, as weighted_delta_equal finds them at lambda = 0."""
+    keys = [{tau: frozenset(f.b_vectors[i] for i in tau.ray_indices)
+             for tau in f.fan.sorted_cones} for f in (a, b)]
+    found = [set(k.values()) for k in keys]
+    return [[tau for tau, key in k.items() if key not in other]
+            for k, other in zip(keys, found[::-1])]
+
+
+def planner_cases():
+    """(stacky fan, cone list) pairs: the full fan of the named fans and of
+    20 seeded fans, and both lists of cones that a stellar subdivision of
+    20 seeded chains of rank 2 and 3 does not share with its chain."""
+    rng = random.Random(54)
+    makers = [random_complete_rank2, random_convex_rank2,
+              random_complete_rank3, random_convex_rank3]
+    fans = [*named_fans().values(), *(m(rng) for m in makers * 5)]
+    cases = [(f, list(f.fan.sorted_cones)) for f in fans]
+    for k in range(20):
+        rank = 2 + k % 2
+        coarse = random_stellar_chain(rng, rank, rng.randint(rank + 1, 8))
+        i, j = rng.sample(rng.choice(coarse.fan.maximal_cones).ray_indices, 2)
+        fine = stellar_subdivide(
+            coarse, tuple(map(sum, zip(coarse.b(i), coarse.b(j)))))
+        cases += zip((coarse, fine), _unshared_lists(coarse, fine))
+    return cases
+
+
+def test_box_reads_admits_and_scans_exactly_the_given_maximal_cones(
+        monkeypatch):
+    admitted, scanned = [], []
+    admit, scan = stacky._admit_box_groups, stacky._scan_parallelepiped
+
+    def recorded_admit(sfan, sigmas):
+        admitted.append([s.ray_indices for s in sigmas])
+        return admit(sfan, sigmas)
+
+    def recorded_scan(sfan, sigma):
+        scanned.append(sigma.ray_indices)
+        return scan(sfan, sigma)
+
+    monkeypatch.setattr(stacky, "_admit_box_groups", recorded_admit)
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", recorded_scan)
+    for f, cones in planner_cases():
+        assert cones
+        f = StackyFan(f.fan, f.weights)
+        maximal = [c.ray_indices for c in cones
+                   if c in f.fan.maximal_cones]
+        admitted.clear()
+        reads = box_reads(f, cones)
+        assert admitted == [maximal]
+        # the given maximal cones first, then each of their faces once
+        faces = {t.ray_indices for c in cones for t in c.faces()}
+        assert [t.ray_indices for t in reads[:len(maximal)]] == maximal
+        assert sorted(t.ray_indices for t in reads) == sorted(faces)
+        scanned.clear()
+        for tau in reads:
+            box_elements(f, tau)
+        assert scanned == maximal
+
+
+def test_box_reads_refuses_cones_not_closed_upwards(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("admitted or scanned")
+
+    monkeypatch.setattr(stacky, "_admit_box_groups", forbidden)
+    monkeypatch.setattr(stacky, "_scan_parallelepiped", forbidden)
+    f = fan_p2()
+    # (0, 1) and (0, 2) hold the ray (0,); (1, 2) holds (1, 2)'s faces
+    for idx in [[(0,)], [(0, 1), (0,)], [()], [(1, 2), (1,), (2,)]]:
+        with pytest.raises(InvariantViolation, match="closed upwards"):
+            box_reads(f, [Cone(t) for t in idx])
+    assert f.box_scans == {}
 
 
 def test_box_all_fixtures():
