@@ -32,7 +32,7 @@ def _walk_size(sfan: StackyFan, bound) -> int:
     for sigma in sfan.fan.maximal_cones:
         k = len(sigma.ray_indices)
         for tau in sigma.faces():
-            for _, nums, order in sfan.box_table[tau.ray_indices]:
+            for _, _, nums, order in sfan.box_table[tau.ray_indices]:
                 m = (top * order - sum(nums) * den) // (den * order)
                 if m >= 0:
                     total += math.comb(m + k, k)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass
@@ -19,8 +18,9 @@ from . import arcspace, core, deltainv, refine, stacky
 from .core import Fan
 from .errors import (NotARefinement, ParseError, StackyFanError,
                      ValidationError, admit)
-from .qseries import (expand_laurent, format_rational, format_series,
-                      series_equal, substitute_reciprocal)
+from .qseries import (expand_laurent, format_power, format_ratio,
+                      format_rational, format_series, series_equal,
+                      substitute_reciprocal)
 from .stacky import PiecewiseQLinear, StackyFan
 
 DOCUMENT_FIELDS = ("rank", "rays", "weights", "cones", "support",
@@ -204,13 +204,6 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(map(str, v)) + "]"
 
 
-def _power(var: str, e: Fraction) -> str:
-    e = Fraction(e)
-    if e.denominator == 1:
-        return f"{var}^{e.numerator}"
-    return f"{var}^{{{e}}}"
-
-
 def _resolve_functional(doc: FanDocument, sfan: StackyFan,
                         name: str) -> PiecewiseQLinear:
     if name == "zero":
@@ -245,16 +238,10 @@ def _cmd_validate(doc_text, args):
     return 0, "ok\n"
 
 
-def _quotient(num: int, den: int) -> str:
-    """num / den written as str(Fraction(num, den)), for den > 0."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
 def _cmd_box(doc, sfan, args):
     lines = []
     for e in stacky.box_all(sfan):
-        q = ", ".join([_quotient(n, e.order) for n in e.nums])
+        q = ", ".join([format_ratio(n, e.order) for n in e.nums])
         lines.append(f"cone {_fmt_vec(e.cone.ray_indices)}: "
                      f"point {_fmt_vec(e.point)}, q = [{q}], order {e.order}")
     return 0, "\n".join(lines) + "\n"
@@ -263,7 +250,7 @@ def _cmd_box(doc, sfan, args):
 def _cmd_ages(doc, sfan, args):
     # the age sum(nums) / order, as stacky.age gives it
     lines = [f"point {_fmt_vec(e.point)}: "
-             f"age {_quotient(sum(e.nums), e.order)}"
+             f"age {format_ratio(sum(e.nums), e.order)}"
              for e in stacky.box_all(sfan)]
     return 0, "\n".join(lines) + "\n"
 
@@ -306,7 +293,7 @@ def _cmd_gamma(doc, sfan, args):
 
 def _cmd_betti(doc, sfan, args):
     var = "uv" if args.uv else "q"
-    lines = [f"{_power(var, e)}: {c}"
+    lines = [f"{format_power(var, e.numerator, e.denominator)}: {c}"
              for e, c in deltainv.orbifold_betti(sfan).items()]
     return 0, "\n".join(lines) + "\n"
 

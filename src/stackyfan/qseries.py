@@ -362,11 +362,23 @@ def expand_laurent(f: FracRational, cutoff) -> TruncatedSeries:
 # Canonical text rendering: the bit-exact contract for CLI output and
 # test fixtures.
 
-def _power(var, i: int, n: int = 1) -> str:
-    """var^{i/n}, with the exponent in lowest terms."""
+def format_ratio(i: int, n: int) -> str:
+    """i / n in lowest terms, for n > 0, as str(Fraction(i, n)) writes it:
+    the one writer of a quotient in the output."""
     g = math.gcd(i, n)
-    return var if i == n else f"{var}^{i // n}" if g == n else \
-        f"{var}^{{{i // g}/{n // g}}}"
+    return str(i // g) if g == n else f"{i // g}/{n // g}"
+
+
+def format_power(var, i: int, n: int = 1) -> str:
+    """var^{i/n}, the exponent written by format_ratio and braced unless it
+    is an integer: q^1, q^{1/2}."""
+    e = format_ratio(i, n)
+    return f"{var}^{{{e}}}" if "/" in e else f"{var}^{e}"
+
+
+def _power(var, i: int, n: int = 1) -> str:
+    """var^{i/n} as a term or a cutoff spells it: var alone for i/n = 1."""
+    return var if i == n else format_power(var, i, n)
 
 
 def _text(var, terms) -> str:

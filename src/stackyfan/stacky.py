@@ -10,18 +10,19 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import core
 from .core import Cone, Fan, ZERO_CONE
 from .errors import InvariantViolation, NotMaximalCone, admit
 
 # the most box-group elements, summed over the maximal cones whose groups
-# one read may scan (every maximal cone for box_table and
-# enumerate_support_points, the listed ones for box_reads, which plans
-# box_all and every closed-form read), admitted before any scan; scanning
-# and filing take some 5 us per element (box_table on P2 with weights 173,
-# 179, 181: 94,679 elements in 0.39-0.58 s, 2 vCPU shared, Python 3.11),
-# so about 0.5 s at the limit
+# one read may scan, admitted before any scan (by box_reads, which plans
+# every multi-cone read, box_table's over every maximal cone included,
+# and by box_elements for the one cone it scans); scanning and filing
+# take some 4 us per element (box_table on P2 with weights 173, 179, 181:
+# 94,679 elements in 0.35-0.55 s, 2 vCPU shared, Python 3.11), so about
+# 0.5 s at the limit
 BOX_SCAN_BUDGET = 10 ** 5
 
 
@@ -58,19 +59,20 @@ class StackyFan:
 
     @cached_property
     def box_scans(self) -> dict:
-        """{support: [(point, nums, order)]}: BOX(tau) of every face tau of
-        the maximal cones scanned so far, by the index tuple of tau, sorted
-        by point, with q_i = nums_i / order in lowest terms.  Filled by
-        _scan_box_groups, one scan per maximal cone at most."""
+        """{support: [BoxElement]}: BOX(tau) of every face tau of the
+        maximal cones scanned so far, by the index tuple of tau, sorted by
+        point.  Filed by _scan_box_groups, one scan per maximal cone at
+        most, and read through box_elements."""
         return {}
 
     @cached_property
     def box_table(self) -> dict:
-        """box_scans once every maximal cone is scanned: BOX(tau) of every
-        cone tau, by its index tuple.  Over BOX_SCAN_BUDGET group elements
-        in all, a BudgetExceeded is raised before any scan."""
-        _scan_box_groups(self, self.fan.maximal_cones)
-        return self.box_scans
+        """BOX(tau) of every cone tau, by its index tuple: the lists of
+        box_scans, read through one box_reads plan over every cone, so
+        over BOX_SCAN_BUDGET group elements in all a BudgetExceeded is
+        raised before any scan."""
+        return {tau.ray_indices: box_elements(self, tau)
+                for tau in box_reads(self, self.fan.sorted_cones)}
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ def zero_functional(sfan: StackyFan) -> PiecewiseQLinear:
     return PiecewiseQLinear(sfan, (Fraction(0),) * len(sfan.fan.rays))
 
 
-@dataclass(frozen=True)
-class BoxElement:
+class BoxElement(NamedTuple):
     """A lattice point v = sum q_i b_i with all q_i in (0,1), together with
     its minimal cone and the order of the corresponding group element.
 
@@ -116,8 +117,7 @@ class BoxElement:
         return self.cone == ZERO_CONE
 
 
-@dataclass(frozen=True)
-class FractionalDecomposition:
+class FractionalDecomposition(NamedTuple):
     """w = {w} + sum lambda_i b_i over the rays of sigma(w)."""
 
     w: tuple
@@ -207,13 +207,14 @@ def _admit_box_groups(sfan: StackyFan, sigmas) -> None:
 
 def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
     """File into sfan.box_scans BOX of every face of the given maximal cones,
-    with one parallelepiped scan of each cone not scanned before.  The fan
-    is simplicial, so BOX(tau) is the part of the parallelepiped of any
-    maximal sigma containing tau whose non-zero q_i lie on the rays of tau;
-    a face already filed from another cone is not filed again.  Each
-    element n goes to the face of its non-zero n_i, looked up by its zero
-    pattern, reduced by one gcd.  Over BOX_SCAN_BUDGET elements in the
-    given groups, a BudgetExceeded is raised before any scan."""
+    as BoxElements, with one parallelepiped scan of each cone not scanned
+    before.  The fan is simplicial, so BOX(tau) is the part of the
+    parallelepiped of any maximal sigma containing tau whose non-zero q_i
+    lie on the rays of tau; a face already filed from another cone is not
+    filed again.  Each element n goes to the face of its non-zero n_i,
+    looked up by its zero pattern, reduced by one gcd; the face's Cone is
+    built once per scan.  Over BOX_SCAN_BUDGET elements in the given
+    groups, a BudgetExceeded is raised before any scan."""
     _admit_box_groups(sfan, sigmas)
     table = sfan.box_scans
     for sigma in sigmas:
@@ -221,29 +222,31 @@ def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
         if idx in table:
             continue
         den = sfan.solvers[sigma].denominator
-        # the list of each face by the zero pattern of n, None if filed
+        # the cone and list of each face not filed, by the zero pattern of n
         new, files = {}, {}
         for pattern in itertools.product((False, True), repeat=len(idx)):
             face = tuple(itertools.compress(idx, pattern))
             if face not in table:
                 new[face] = []
-            files[pattern] = new.get(face)
+                files[pattern] = Cone._sorted(face), new[face]
         for point, n in _scan_parallelepiped(sfan, sigma):
-            found = files[tuple(map(bool, n))]
+            found = files.get(tuple(map(bool, n)))
             if found is not None:
                 g = math.gcd(den, *n)
-                found.append((point, tuple([x // g for x in n if x]),
-                              den // g))
+                cone, records = found
+                records.append(BoxElement(
+                    point, cone, tuple([x // g for x in n if x]), den // g))
         table.update(new)
 
 
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
     """All of BOX(tau) for a cone tau of the fan, sorted lexicographically
-    by point coordinates, as new BoxElements.  They are read from the scan
-    of a maximal cone that holds tau: one scanned before, or else tau
-    itself if it is maximal, or the first maximal cone of the fan that
-    holds it, whose group order is admitted and which is scanned now.  A
-    cone outside the fan raises a ValueError before any scan."""
+    by point coordinates: the list of BoxElements filed in sfan.box_scans,
+    shared by every read and not to be changed.  It is filed by the scan of
+    a maximal cone that holds tau: one scanned before, or else tau itself
+    if it is maximal, or the first maximal cone of the fan that holds it,
+    whose group order is admitted and which is scanned now.  A cone outside
+    the fan raises a ValueError before any scan."""
     found = sfan.box_scans.get(tau.ray_indices)
     if found is None:
         fan = sfan.fan
@@ -254,7 +257,7 @@ def box_elements(sfan: StackyFan, tau: Cone) -> list:
             s for s in fan.maximal_cones if tau.is_face_of(s))
         _scan_box_groups(sfan, [holder])
         found = sfan.box_scans[tau.ray_indices]
-    return [BoxElement(point, tau, nums, order) for point, nums, order in found]
+    return found
 
 
 def box_reads(sfan: StackyFan, cones) -> list:
@@ -289,12 +292,10 @@ def box_reads(sfan: StackyFan, cones) -> list:
 
 
 def box_all(sfan: StackyFan) -> list:
-    """BOX(Sigma): concatenation over all cones in canonical order; the zero
-    element appears exactly once (from the zero cone).  Every box group is
-    admitted, as for box_table, before any scan."""
-    boxes = {tau: box_elements(sfan, tau)
-             for tau in box_reads(sfan, sfan.fan.sorted_cones)}
-    return [e for tau in sfan.fan.sorted_cones for e in boxes[tau]]
+    """BOX(Sigma): box_table concatenated over all cones in canonical order;
+    the zero element appears exactly once (from the zero cone)."""
+    table = sfan.box_table
+    return [e for tau in sfan.fan.sorted_cones for e in table[tau.ray_indices]]
 
 
 def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
@@ -303,8 +304,7 @@ def iota(sfan: StackyFan, e: BoxElement) -> BoxElement:
         return e
     bvecs = [sfan.b_vectors[i] for i in e.cone.ray_indices]
     point = tuple(sum(b[j] for b in bvecs) - x for j, x in enumerate(e.point))
-    return BoxElement(point, e.cone, tuple(e.order - n for n in e.nums),
-                      e.order)
+    return e._replace(point=point, nums=tuple(e.order - n for n in e.nums))
 
 
 def age(sfan: StackyFan, e: BoxElement) -> Fraction:
@@ -370,7 +370,7 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
         bvecs = [sfan.b(i) for i in idx]
         # the box elements of the faces of sigma are its parallelepiped
         for tau in sigma.faces():
-            for u, nums, order in table[tau.ray_indices]:
+            for u, _, nums, order in table[tau.ray_indices]:
                 psi_u = sum(nums)    # psi(u) * order
                 slack = bound.numerator * order - psi_u * bound.denominator
                 if slack < 0:

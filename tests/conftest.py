@@ -117,6 +117,24 @@ def sector_betti(weights):
     return out
 
 
+def product(f, g):
+    """The stacky fan F x G on N_F + N_G: the rays of F, then those of G,
+    each padded with zeros, the cones sigma x tau of a maximal cone of each,
+    and the weights of F, then G.  Its support |F| x |G| is complete when
+    both are, convex when each is complete or convex, and general else."""
+    n = len(f.fan.rays)
+    rays = [v + (0,) * g.rank for v in f.fan.rays]
+    rays += [(0,) * f.rank + v for v in g.fan.rays]
+    cones = [s.ray_indices + tuple(n + i for i in t.ray_indices)
+             for s in f.fan.maximal_cones for t in g.fan.maximal_cones]
+    kinds = {f.fan.support_kind, g.fan.support_kind}
+    support = ("complete" if kinds == {"complete"}
+               else "convex" if kinds <= {"complete", "convex"}
+               else "general")
+    return mk_sfan(f.rank + g.rank, rays, f.weights + g.weights, cones,
+                   support)
+
+
 def closure_order(sfan, labels):
     """The strict closure order on the labels, compared pair by pair with
     arcspace.closure_leq: the set of pairs of label points (v, w) with v

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -184,7 +183,7 @@ def test_shift_function_disagreement_raises(monkeypatch):
     # psi(iota({w})) at a point with a non-zero box part
     f = fan_p12()
     monkeypatch.setattr(arcspace, "iota",
-                        lambda sfan, e: dataclasses.replace(e, nums=()))
+                        lambda sfan, e: e._replace(nums=()))
     with pytest.raises(InvariantViolation, match="shift-function"):
         shift_function(f, orbit_label(f, (-1,)))
 

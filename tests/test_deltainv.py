@@ -5,11 +5,12 @@ import pytest
 
 from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
                       fan_p12, fan_p112, fan_p12323, mk_sfan, named_fans,
-                      random_admissible_lambda, random_complete_rank2,
-                      random_complete_rank3, random_convex_rank2,
-                      random_convex_rank3, random_rank1, series_of)
+                      product, random_admissible_lambda,
+                      random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3, random_rank1,
+                      series_of)
 from stackyfan.arcspace import StackDivisor, zero_divisor
-from stackyfan.core import Cone, ZERO_CONE, determinant_abs
+from stackyfan.core import Cone, ZERO_CONE, determinant_abs, validate_fan
 from stackyfan import core, deltainv, stacky
 from stackyfan.deltainv import (_oracle_points, bucket_series,
                                 check_symmetry, count_lattice_points,
@@ -504,3 +505,43 @@ def test_orbifold_betti_rejects_non_polynomial_gamma(monkeypatch):
     monkeypatch.setattr(deltainv, "gamma", lambda sfan, e: R({0: 1, 1: -2}))
     with pytest.raises(InvariantViolation):
         orbifold_betti(fan_p2())
+
+
+def _poly_product(p, q):
+    """The product of two polynomials given as {exponent: coefficient}."""
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            out[a + b] = out.get(a + b, 0) + x * y
+    return out
+
+
+def test_products_multiply_the_weighted_delta_vector_and_betti_numbers():
+    # F x G has the cones sigma x tau and the box elements (u, v), so
+    # delta^{lam + mu}(F x G) = delta^lam(F) delta^mu(G), and on complete
+    # fans the orbifold Betti numbers multiply; the elements on cones of 4
+    # or 5 rays are read from no factor's fan, so these are exact
+    # references above rank 3
+    rng = random.Random(60)
+    makers = [(random_complete_rank2, random_complete_rank2),
+              (random_complete_rank2, random_complete_rank3),
+              (random_complete_rank3, random_rank1),
+              (random_convex_rank2, random_convex_rank2),
+              (random_convex_rank3, random_rank1),
+              (random_convex_rank2, random_complete_rank2)] * 3
+    wide = 0
+    for make_f, make_g in makers:
+        f, g = make_f(rng), make_g(rng)
+        fg = product(f, g)
+        assert validate_fan(fg.fan).ok
+        # lambda on the half grid keeps the product's assembly small
+        lam, mu = (PiecewiseQLinear(x, [Fraction(rng.randint(-1, 2), 2)
+                                        for _ in x.fan.rays]) for x in (f, g))
+        joint = PiecewiseQLinear(fg, lam.values_on_b + mu.values_on_b)
+        assert weighted_delta_closed(fg, joint) == \
+            weighted_delta_closed(f, lam) * weighted_delta_closed(g, mu)
+        if fg.fan.support_kind == "complete":
+            assert orbifold_betti(fg) == _poly_product(orbifold_betti(f),
+                                                       orbifold_betti(g))
+        wide += any(found for t, found in fg.box_table.items() if len(t) >= 4)
+    assert wide >= len(makers) * 3 // 4

@@ -65,6 +65,16 @@ def test_oracles_name_no_checked_enumerator():
         assert name not in banned, f"deltainv.py:{node.lineno} names {name}"
 
 
+def test_only_box_elements_starts_a_box_scan():
+    # every box-group scan starts inside box_elements, so each multi-cone
+    # read is admitted and ordered by box_reads ahead of it
+    readers = [f"{path.name} {getattr(node, 'name', node.lineno)}"
+               for path in SOURCES
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if _reads(node)["_scan_box_groups"]]
+    assert readers == ["stacky.py box_elements"]
+
+
 def test_refine_decides_invariance_without_canonical_forms():
     # check_invariance compares assembled closed forms through
     # deltainv.weighted_delta_equal; it builds no canonical FracRational

@@ -396,8 +396,14 @@ def test_box_group_scan_matches_the_element_by_element_reference():
                 parallelepiped_reference(sfan, tau)
         expected = box_scans_reference(sfan)
         fresh = StackyFan(sfan.fan, sfan.weights)
-        assert fresh.box_table == expected
-        assert fresh.box_scans is fresh.box_table
+        table = fresh.box_table
+        assert {t: [(e.point, e.nums, e.order) for e in found]
+                for t, found in table.items()} == expected
+        assert all(e.cone.ray_indices == t
+                   for t, found in table.items() for e in found)
+        # box_scans holds the very records box_table reads
+        assert fresh.box_scans.keys() == table.keys()
+        assert all(fresh.box_scans[t] is found for t, found in table.items())
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_stellar_chain)
-from stackyfan import stacky
+from stackyfan import deltainv, stacky
 from stackyfan.core import Cone
 from stackyfan.errors import (BudgetExceeded, InvariantViolation,
                               NotMaximalCone, OutsideSupport)
@@ -180,6 +181,42 @@ def test_box_reads_refuses_cones_not_closed_upwards(monkeypatch):
         with pytest.raises(InvariantViolation, match="closed upwards"):
             box_reads(f, [Cone(t) for t in idx])
     assert f.box_scans == {}
+
+
+def _same_records(got, filed):
+    return len(got) == len(filed) and all(map(operator.is_, got, filed))
+
+
+def test_each_box_element_is_filed_once(monkeypatch):
+    # the scan files one BoxElement per element, and every reader hands out
+    # those very records: box_elements, box_table, box_all and the closed
+    # form's reads build none of their own
+    reads = []
+
+    def recorded(sfan, tau):
+        found = box_elements(sfan, tau)
+        reads.append((tau.ray_indices, found))
+        return found
+
+    monkeypatch.setattr(deltainv, "box_elements", recorded)
+    rng = random.Random(56)
+    makers = [random_complete_rank2, random_convex_rank2,
+              random_complete_rank3, random_convex_rank3]
+    for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
+        f = StackyFan(f.fan, f.weights)
+        reads.clear()
+        deltainv.weighted_delta_closed(f, zero_functional(f))
+        filed = f.box_scans
+        assert sorted(t for t, _ in reads) == sorted(filed)
+        assert all(_same_records(found, filed[t]) for t, found in reads)
+        assert all(_same_records(box_elements(f, tau),
+                                 filed[tau.ray_indices])
+                   for tau in f.fan.sorted_cones)
+        assert f.box_table.keys() == filed.keys()
+        assert all(_same_records(found, filed[t])
+                   for t, found in f.box_table.items())
+        assert _same_records(box_all(f), [
+            e for tau in f.fan.sorted_cones for e in filed[tau.ray_indices]])
 
 
 def test_box_all_fixtures():
