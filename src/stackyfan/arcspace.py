@@ -15,9 +15,9 @@ from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      fractional_decompose, iota)
 
 # the most points that orbit_poset and gamma_truncated_direct may walk, by
-# _walk_size; each costs an orbit label, so on P2 bound 139, the largest
-# under it, the poset takes some 1.3 s and the direct sum some 2 s (2 vCPU,
-# Python 3.11)
+# _walk_size; on P2 bound 139, the largest under it, the poset takes some
+# 0.5 s and the direct sum, which locates each point it keeps once, some
+# 0.65 s (2 vCPU shared, Python 3.11)
 LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 
@@ -41,7 +41,8 @@ def _walk_size(sfan: StackyFan, bound) -> int:
 
 def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
     """The label of the twisted-arc orbit of the lattice point w: its
-    fractional decomposition w = {w} + sum lambda_i b_i."""
+    fractional decomposition w = {w} + sum lambda_i b_i, w located afresh.
+    The API, and the tests' reference for the enumerator's labels."""
     return fractional_decompose(sfan, w)
 
 
@@ -176,8 +177,8 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     admit(_walk_size(sfan, Fraction(bound)), LABEL_WALK_BUDGET,
           f"the orbit poset up to {bound} may walk", "lattice points,")
     pts = stacky.enumerate_support_points(sfan, bound)
-    labels = {p: orbit_label(sfan, p) for p, _, _ in pts}
-    psis = {p: ps for p, ps, _ in pts}
+    labels = {p: label for p, _, _, label in pts}
+    psis = {p: ps for p, ps, _, _ in pts}
     covers = set()
     for w, label in labels.items():
         for i, s in label.shifts:
@@ -241,12 +242,11 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # an integer level exceeds bound * grid exactly when it exceeds its floor
     top = bound.numerator * grid // bound.denominator
     counts = {}   # (psi(w) + lambda(w) - d) * grid -> number of labels
-    for point, psi_w, lam_w in stacky.enumerate_support_points(
+    for point, psi_w, lam_w, label in stacky.enumerate_support_points(
             sfan, bound / slack, lam.values_on_b):
         level = _on_grid(psi_w, grid, point) + _on_grid(lam_w, grid, point)
         if level > top:
             continue
-        label = orbit_label(sfan, point)
         if (_on_grid(measure_exponent(sfan, label), grid, point)
                 + _on_grid(shift_function(sfan, label), grid, point)
                 + _on_grid(contact_order(e, label), grid, point) != -level):

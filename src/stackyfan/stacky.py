@@ -325,59 +325,57 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
     w = tuple(int(x) for x in w)
     cone, nums, den = sfan.solvers.locate(w)
     shifts = tuple((i, n // den) for i, n in zip(cone.ray_indices, nums))
-    point = list(w)
-    for i, s in shifts:
-        for j, x in enumerate(sfan.b_vectors[i]):
-            point[j] -= s * x
+    point = tuple(x - sum(s * sfan.b_vectors[i][j] for i, s in shifts)
+                  for j, x in enumerate(w))
     frac = [(i, n % den) for i, n in zip(cone.ray_indices, nums) if n % den]
     # a located cone's indices ascend, and so do those of its face
     tau = Cone._sorted(tuple(i for i, _ in frac))
     g = math.gcd(den, *(r for _, r in frac))
-    box = BoxElement(tuple(point), tau, tuple(r // g for _, r in frac),
-                     den // g)
+    box = BoxElement(point, tau, tuple(r // g for _, r in frac), den // g)
     return FractionalDecomposition(w, box, shifts)
 
 
 # ---------------------------------------------------------------------------
 # Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
-# w = u + sum lambda_i b_i within each maximal cone, yielding psi and lambda
-# exactly at every point, for orbit enumeration and the truncated motivic
-# integral (the refinement check decides coverage without it).  The oracles
-# in deltainv enumerate the same points by their own route; the two
-# cross-check each other in the tests.
+# w = u + sum s_i b_i within each maximal cone, yielding psi, lambda and the
+# orbit label exactly at every point with none located, for orbit posets and
+# the truncated motivic integral (the refinement check decides coverage
+# without it).  fractional_decompose, which locates w, is the API and the
+# tests' reference for the labels; the oracles in deltainv enumerate the
+# same points by their own route, and the tests cross-check the two.
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
-    """All lattice points w in |Sigma| with psi(w) <= bound.
-
-    Returns a list of (point, psi(w), lam(w)) where lam is the piecewise
-    Q-linear functional with the given values on the b_i (None -> lam(w) =
-    None).
-    Deterministic order: ascending psi, ties broken lexicographically.
-    """
+    """All lattice points w in |Sigma| with psi(w) <= bound, as a list of
+    (w, psi(w), lam(w), label), lam the piecewise Q-linear functional with
+    the given values on the b_i (None -> lam(w) = None) and label the
+    FractionalDecomposition of w = u + sum s_i b_i: u the BoxElement filed
+    in sfan.box_scans, the s_i over the rays of the minimal cone of w in
+    ascending order.  Ordered by ascending psi, then lexicographically."""
     bound = Fraction(bound)
     if bound < 0:
         return []
-    if lam_values is not None:
-        # lam(b_i) = lam_int[i] / scale over a common denominator
-        lam = [Fraction(x) for x in lam_values]
-        scale = math.lcm(*(x.denominator for x in lam))
-        lam_int = [x.numerator * (scale // x.denominator) for x in lam]
+    # lam(b_i) = lam_int[i] / scale over a common denominator
+    lam = [Fraction(x) for x in lam_values or [0] * len(sfan.fan.rays)]
+    scale = math.lcm(*(x.denominator for x in lam))
+    lam_int = [x.numerator * (scale // x.denominator) for x in lam]
     table = sfan.box_table
-    found = {}   # point -> (psi * order, order, lam or None)
+    found = {}   # point -> (psi * order, order, lam * order * scale, label)
     for sigma in sfan.fan.maximal_cones:
         idx = sigma.ray_indices
         bvecs = [sfan.b(i) for i in idx]
+        lam_sigma = [lam_int[i] for i in idx]
         # the box elements of the faces of sigma are its parallelepiped
         for tau in sigma.faces():
-            for u, _, nums, order in table[tau.ray_indices]:
+            in_tau = [i in tau.ray_indices for i in idx]
+            for e in table[tau.ray_indices]:
+                u, _, nums, order = e
                 psi_u = sum(nums)    # psi(u) * order
                 slack = bound.numerator * order - psi_u * bound.denominator
                 if slack < 0:
                     continue
-                if lam_values is not None:
-                    lam_u = sum(n * lam_int[i]
-                                for n, i in zip(nums, tau.ray_indices))
+                lam_u = sum(map(operator.mul, nums,
+                                (lam_int[i] for i in tau.ray_indices)))
                 for shifts in _bounded_tuples(
                         len(bvecs), slack // (bound.denominator * order)):
                     point = list(u)
@@ -387,21 +385,22 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
                             for j in range(len(point)):
                                 point[j] += s * bk[j]
                     point = tuple(point)
-                    if point in found:
-                        continue
-                    lam_w = None
-                    if lam_values is not None:
-                        lam_w = Fraction(
-                            lam_u + order * sum(s * lam_int[i]
-                                                for s, i in zip(shifts, idx)),
-                            order * scale)
-                    found[point] = (psi_u + order * sum(shifts), order, lam_w)
+                    if point not in found:
+                        found[point] = (
+                            psi_u + order * sum(shifts), order,
+                            lam_u + order * sum(map(operator.mul, shifts,
+                                                    lam_sigma)),
+                            FractionalDecomposition(point, e, tuple(
+                                (i, s) for i, s, t in zip(idx, shifts, in_tau)
+                                if s or t)))
     # psi times a common denominator orders the points as psi does, with
     # integer comparisons
-    den = math.lcm(*{order for _, order, _ in found.values()})
+    den = math.lcm(*{order for _, order, _, _ in found.values()})
     ordered = sorted(found.items(), key=lambda item: (
         item[1][0] * (den // item[1][1]), item[0]))
-    return [(p, Fraction(ps, order), lv) for p, (ps, order, lv) in ordered]
+    return [(p, Fraction(ps, order), None if lam_values is None
+             else Fraction(lv, order * scale), label)
+            for p, (ps, order, lv, label) in ordered]
 
 
 def _bounded_tuples(k: int, total_max: int):

@@ -14,7 +14,7 @@ from stackyfan.arcspace import (StackDivisor, canonical_divisor, closure_leq,
                                 gamma_truncated_direct, orbit_label,
                                 orbit_measure, orbit_poset, pullback_divisor,
                                 shift_function, zero_divisor)
-from stackyfan import arcspace, stacky
+from stackyfan import arcspace, core, stacky
 from stackyfan.errors import (BudgetExceeded, InvariantViolation, NotKLT,
                               OutsideSupport)
 from stackyfan.qseries import (FracPoly, expand_laurent, series_equal,
@@ -62,7 +62,7 @@ def test_contact_order_matches_lambda_at_the_point():
         for _ in range(3):
             e = random_klt_divisor(rng, f)
             lam = divisor_to_pl(e)
-            for w, _, _ in enumerate_support_points(f, 3):
+            for w, _, _, _ in enumerate_support_points(f, 3):
                 assert contact_order(e, orbit_label(f, w)) == \
                     -eval_pl(lam, w), w
 
@@ -78,7 +78,7 @@ def test_shift_function():
 def test_shift_plus_age_is_dim():
     for f in named_fans().values():
         from stackyfan.stacky import enumerate_support_points, age
-        for p, _, _ in enumerate_support_points(f, 3):
+        for p, _, _, _ in enumerate_support_points(f, 3):
             lab = orbit_label(f, p)
             box = lab.box_part
             assert shift_function(f, lab) + age(f, box) == box.cone.dim
@@ -271,10 +271,36 @@ def test_gamma_truncated_off_grid_value_raises(monkeypatch):
 def test_orbit_measure_is_q_minus_1_power_shifted_by_measure_exponent():
     for f in named_fans().values():
         qm1 = FracPoly({0: -1, 1: 1}) ** f.rank
-        for p, _, _ in enumerate_support_points(f, 3):
+        for p, _, _, _ in enumerate_support_points(f, 3):
             lab = orbit_label(f, p)
             assert orbit_measure(f, lab) == qm1 * FracPoly.t_power(
                 arcspace.measure_exponent(f, lab)), p
+
+
+def test_labels_are_read_from_the_enumerator_not_located(monkeypatch):
+    # the poset locates no point; the direct sum locates each point it keeps
+    # once, in measure_exponent's own route to psi
+    located = []
+    plain = core.ConeSolvers.locate
+
+    def counting(self, v):
+        located.append(v)
+        return plain(self, v)
+
+    monkeypatch.setattr(core.ConeSolvers, "locate", counting)
+    rng = random.Random(49)
+    for f in [*named_fans().values(), random_complete_rank2(rng),
+              random_convex_rank3(rng)]:
+        located.clear()
+        orbit_poset(f, 2)
+        assert located == []
+        e = random_klt_divisor(rng, f)
+        lam = divisor_to_pl(e).values_on_b
+        kept = [p for p, ps, lv, _ in enumerate_support_points(f, 6, lam)
+                if ps + lv <= 2]
+        assert located == []
+        gamma_truncated_direct(f, e, 2)
+        assert sorted(located) == sorted(kept)
 
 
 def test_poset_and_direct_sum_over_budget_raise_before_enumerating(

@@ -24,7 +24,8 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1, random_stellar_chain,
-                      series_of, weighted_projective_stacks)
+                      series_of, weighted_projective,
+                      weighted_projective_stacks)
 from stackyfan import core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 divisor_to_pl, gamma_truncated_direct,
@@ -1130,6 +1131,32 @@ def test_support_points_come_in_psi_then_point_order(seed):
                                         key=lambda item: (item[1], item[0]))
 
 
+
+@pytest.mark.parametrize("seed", [27, 28])
+def test_support_point_labels_are_the_located_labels(seed):
+    # the enumerator reads each label off w = u + sum s_i b_i; orbit_label
+    # locates w afresh, and the box part is the record the scan filed
+    rng = random.Random(seed)
+    cases = [(sfan, 5) for sfan in named_fans().values()]
+    cases += [(sfan, 3) for sfan in random_fans(seed, 2)]
+    cases += [(weighted_projective(w), 2)
+              for w in ((1, 2, 3, 5), (2, 1, 3, 1, 4), (1, 2, 1, 3, 1, 2, 1))]
+    cases += [(random_stellar_chain(rng, 3, rng.randint(5, 8)), 3)
+              for _ in range(3)]
+    checked = 0
+    for sfan, bound in cases:
+        lam = random_admissible_lambda(rng, sfan).values_on_b
+        for values in (None, lam):
+            points = enumerate_support_points(sfan, bound, values)
+            filed = {(e.cone.ray_indices, e.point): e
+                     for records in sfan.box_scans.values() for e in records}
+            for point, _, _, label in points:
+                assert label == orbit_label(sfan, point), point
+                box = label.box_part
+                assert filed[box.cone.ray_indices, box.point] is box
+                checked += 1
+    assert checked > 1000
+
 # cyclotomic kernels: polynomials are integer coefficient lists in s
 
 def poly_mul(p, q):
@@ -1408,7 +1435,7 @@ def level_sum_reference(sfan, values, cutoff, mu):
     slack = 1 if mu else 1 + min([0, *values])
     top = math.floor((Fraction(cutoff) + 1) / slack) + 1
     raw = {Fraction(0): 1}
-    for _, psi_v, f_v in enumerate_support_points(sfan, top, values):
+    for _, psi_v, f_v, _ in enumerate_support_points(sfan, top, values):
         base = f_v if mu else psi_v - math.ceil(psi_v) + f_v
         for m in range(max(1, math.ceil(psi_v)), top + 1):
             raw[base + m] = raw.get(base + m, 0) + 1
@@ -1476,7 +1503,7 @@ def test_closure_leq_matches_cone_definition(seed):
     held = 0
     for sfan, bound in closure_cases(seed):
         labels = [(orbit_label(sfan, p), ps)
-                  for p, ps, _ in enumerate_support_points(sfan, bound)]
+                  for p, ps, _, _ in enumerate_support_points(sfan, bound)]
         for v, psi_v in labels:
             for w, psi_w in labels:
                 gap = psi_w - psi_v
@@ -1496,7 +1523,7 @@ def gamma_direct_reference(sfan, e, bound):
     slack = 1 - max(Fraction(0), max(e.coefficients))
     total = FracPoly.zero()
     qm1 = FracPoly({0: -1, 1: 1}) ** d
-    for point, psi_w, lam_w in enumerate_support_points(
+    for point, psi_w, lam_w, _ in enumerate_support_points(
             sfan, math.floor(bound / slack) + 1, lam.values_on_b):
         if psi_w + lam_w > bound:
             continue

@@ -339,7 +339,7 @@ def test_fractional_decompose_p12():
 def test_fractional_decompose_reassembles():
     rng = random.Random(17)
     for f in named_fans().values():
-        pts = [p for p, _, _ in enumerate_support_points(f, 4)]
+        pts = [p for p, _, _, _ in enumerate_support_points(f, 4)]
         for w in rng.sample(pts, min(10, len(pts))):
             d = fractional_decompose(f, w)
             rebuilt = list(d.box_part.point)
@@ -355,7 +355,7 @@ def test_fractional_decompose_box_part_is_a_box_element():
     fans = [(f, 4) for f in named_fans().values()]
     fans += [(random_complete_rank2(rng), 2), (random_convex_rank3(rng), 2)]
     for f, bound in fans:
-        for w, _, _ in enumerate_support_points(f, bound):
+        for w, _, _, _ in enumerate_support_points(f, bound):
             box = fractional_decompose(f, w).box_part
             assert [e for e in box_elements(f, box.cone)
                     if e.point == box.point] == [box]
@@ -365,7 +365,7 @@ def test_fractional_decompose_box_cone_is_built_sorted():
     # the box cone is built without the sort of Cone(...); it must still
     # be the cone Cone(...) builds, a face of the point's minimal cone
     for f in named_fans().values():
-        for w, _, _ in enumerate_support_points(f, 3):
+        for w, _, _, _ in enumerate_support_points(f, 3):
             d = fractional_decompose(f, w)
             cone = d.box_part.cone
             assert cone == Cone(cone.ray_indices), w
@@ -386,13 +386,13 @@ def test_enumerate_support_points_matches_brute_count():
         for m in range(4):
             pts = enumerate_support_points(f, m)
             assert len(pts) == count_lattice_points(f, m)
-            assert all(ps <= m for _, ps, _ in pts)
-            psis = [ps for _, ps, _ in pts]
+            assert all(ps <= m for _, ps, _, _ in pts)
+            psis = [ps for _, ps, _, _ in pts]
             assert psis == sorted(psis)
 
 
 def test_enumerate_support_points_lambda_values():
     f = fan_p1()
     lam = (Fraction(1), Fraction(0))
-    for p, ps, lv in enumerate_support_points(f, 3, lam):
+    for p, ps, lv, _ in enumerate_support_points(f, 3, lam):
         assert lv == (p[0] if p[0] >= 0 else 0)
