@@ -15,28 +15,10 @@ from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      fractional_decompose, iota)
 
 # the most points that orbit_poset and gamma_truncated_direct may walk, by
-# _walk_size; on P2 bound 139, the largest under it, the poset takes some
-# 0.5 s and the direct sum, which locates each point it keeps once, some
-# 0.65 s (2 vCPU shared, Python 3.11)
+# stacky.support_point_count; on P2 bound 140, the largest under it, the
+# poset takes some 0.5 s and the direct sum, which locates each point it
+# keeps once, some 0.65 s (2 vCPU shared, Python 3.11)
 LABEL_WALK_BUDGET = 3 * 10 ** 4
-
-
-def _walk_size(sfan: StackyFan, bound) -> int:
-    """The points stacky.enumerate_support_points(sfan, bound) walks before
-    it drops repeats, read from the box table: for each maximal cone with k
-    rays and each box element u of its faces with age(u) <= bound, the
-    C(m + k, k) shift tuples of sum m = floor(bound - age(u)) or less,
-    with age(u) = sum(nums) / order, in integers."""
-    top, den = bound.numerator, bound.denominator
-    total = 0
-    for sigma in sfan.fan.maximal_cones:
-        k = len(sigma.ray_indices)
-        for tau in sigma.faces():
-            for _, _, nums, order in sfan.box_table[tau.ray_indices]:
-                m = (top * order - sum(nums) * den) // (den * order)
-                if m >= 0:
-                    total += math.comb(m + k, k)
-    return total
 
 
 def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
@@ -172,9 +154,9 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     psi(w) - 1 <= bound.  So w covers exactly the w - b_i with shift
     s_i(w) >= 1.  Each cover is checked: w - b_i must be a label, of psi
     psi(w) - 1, below w by closure_leq; else InvariantViolation.  Over
-    LABEL_WALK_BUDGET by _walk_size, a BudgetExceeded is raised before any
-    label is made."""
-    admit(_walk_size(sfan, Fraction(bound)), LABEL_WALK_BUDGET,
+    LABEL_WALK_BUDGET labels by stacky.support_point_count, a
+    BudgetExceeded is raised before any label is made."""
+    admit(stacky.support_point_count(sfan, bound), LABEL_WALK_BUDGET,
           f"the orbit poset up to {bound} may walk", "lattice points,")
     pts = stacky.enumerate_support_points(sfan, bound)
     labels = {p: label for p, _, _, label in pts}
@@ -222,8 +204,8 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
-    below d - bound.  Over LABEL_WALK_BUDGET by _walk_size, a
-    BudgetExceeded is raised before any point is enumerated.
+    below d - bound.  Over LABEL_WALK_BUDGET points enumerated, by
+    stacky.support_point_count, a BudgetExceeded is raised before any is.
     """
     bound = Fraction(bound)
     if not e.is_klt:
@@ -235,7 +217,7 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    admit(_walk_size(sfan, bound / slack), LABEL_WALK_BUDGET,
+    admit(stacky.support_point_count(sfan, bound / slack), LABEL_WALK_BUDGET,
           f"the direct sum up to {bound} may walk", "lattice points,")
     grid = math.lcm(*(sfan.solvers[sigma].denominator
                       for sigma in sfan.fan.maximal_cones)) * e.scale

@@ -441,13 +441,18 @@ def orbifold_betti(sfan: StackyFan) -> dict:
     """Coefficients of Gamma(X, 0); dimensions of the orbifold cohomology
     groups with compact support, by exponent in ascending order (read from
     the sorted integer exponents of the canonical form, so no Fraction is
-    sorted)."""
+    sorted).  Answered on complete fans, and on others while no coefficient
+    is negative: a stack that is not proper may have one (the torus has
+    Gamma = 1 - 2q + q^2), which raises NotComplete."""
     g = gamma(sfan, arcspace.zero_divisor(sfan))
     if not g.is_polynomial():
         raise InvariantViolation("Gamma(X, 0) is not a polynomial")
     out = {Fraction(e + g.shift, g.n): g.a[e] for e in sorted(g.a)}
     for exp, c in out.items():
         if c < 0:
+            if sfan.fan.support_kind != "complete":
+                raise NotComplete(f"Gamma(X, 0) has coefficient {c} at {exp}"
+                                  " on a fan that is not complete")
             raise InvariantViolation(
                 f"orbifold Betti number {c} at {exp} is not a positive integer")
     return out

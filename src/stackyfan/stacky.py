@@ -336,13 +336,37 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of |Sigma| cap N by psi-sublevel, via the box decomposition
-# w = u + sum s_i b_i within each maximal cone, yielding psi, lambda and the
-# orbit label exactly at every point with none located, for orbit posets and
-# the truncated motivic integral (the refinement check decides coverage
-# without it).  fractional_decompose, which locates w, is the API and the
-# tests' reference for the labels; the oracles in deltainv enumerate the
-# same points by their own route, and the tests cross-check the two.
+# Enumeration of |Sigma| cap N by psi-sublevel, by the paper's decomposition
+# w = u + sum s_i b_i over the minimal cone C of w, u in BOX(tau) for a face
+# tau of C and s_i >= 1 exactly off tau: each point is built once, with psi,
+# lambda and its orbit label, none located.  The oracles in deltainv
+# enumerate the same points by their own route; the tests cross-check them.
+
+
+def _walk_cells(sfan: StackyFan, bound: Fraction):
+    """(C, tau, [(u, m), ...]) over the cones C, their faces tau and the u
+    in BOX(tau) with m = floor(bound - age(u)) - k >= 0, k the rays of C off
+    tau: w = u + sum s_i b_i has psi <= bound when sum s_i <= m + k.  Faces
+    of more than floor(bound) rays fewer than C hold no such u."""
+    top, den = bound.numerator, bound.denominator
+    table = sfan.box_table
+    for cone in sfan.fan.sorted_cones:
+        idx = cone.ray_indices
+        for j in range(max(0, len(idx) - top // den), len(idx) + 1):
+            for tau in itertools.combinations(idx, j):
+                cells = [(e, m) for e in table[tau] if (m := (
+                    top * e.order - sum(e.nums) * den) // (den * e.order)
+                    - len(idx) + j) >= 0]
+                if cells:
+                    yield cone, tau, cells
+
+
+def support_point_count(sfan: StackyFan, bound) -> int:
+    """len(enumerate_support_points(sfan, bound)) with no point built: the
+    C(m + dim C, dim C) shift tuples of each u and m of the walk."""
+    return sum(math.comb(m + cone.dim, cone.dim)
+               for cone, _, cells in _walk_cells(sfan, Fraction(bound))
+               for _, m in cells)
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
@@ -359,54 +383,43 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     lam = [Fraction(x) for x in lam_values or [0] * len(sfan.fan.rays)]
     scale = math.lcm(*(x.denominator for x in lam))
     lam_int = [x.numerator * (scale // x.denominator) for x in lam]
-    table = sfan.box_table
-    found = {}   # point -> (psi * order, order, lam * order * scale, label)
-    for sigma in sfan.fan.maximal_cones:
-        idx = sigma.ray_indices
-        bvecs = [sfan.b(i) for i in idx]
-        lam_sigma = [lam_int[i] for i in idx]
-        # the box elements of the faces of sigma are its parallelepiped
-        for tau in sigma.faces():
-            in_tau = [i in tau.ray_indices for i in idx]
-            for e in table[tau.ray_indices]:
-                u, _, nums, order = e
-                psi_u = sum(nums)    # psi(u) * order
-                slack = bound.numerator * order - psi_u * bound.denominator
-                if slack < 0:
-                    continue
-                lam_u = sum(map(operator.mul, nums,
-                                (lam_int[i] for i in tau.ray_indices)))
-                for shifts in _bounded_tuples(
-                        len(bvecs), slack // (bound.denominator * order)):
-                    point = list(u)
-                    for k, s in enumerate(shifts):
-                        if s:
-                            bk = bvecs[k]
-                            for j in range(len(point)):
-                                point[j] += s * bk[j]
-                    point = tuple(point)
-                    if point not in found:
-                        found[point] = (
-                            psi_u + order * sum(shifts), order,
-                            lam_u + order * sum(map(operator.mul, shifts,
-                                                    lam_sigma)),
-                            FractionalDecomposition(point, e, tuple(
-                                (i, s) for i, s, t in zip(idx, shifts, in_tau)
-                                if s or t)))
+    found = []   # (point, psi * order, order, lam * order * scale, label)
+    for cone, tau, cells in _walk_cells(sfan, bound):
+        idx = cone.ray_indices
+        bvecs = [sfan.b_vectors[i] for i in idx]
+        lam_cone = [lam_int[i] for i in idx]
+        lift = [int(i not in tau) for i in idx]    # s_i >= 1 off tau
+        offset = [sum(x) for x in zip(*itertools.compress(bvecs, lift),
+                                      [0] * sfan.rank)]   # sum lift_i b_i
+        for e, m in cells:
+            u, _, nums, order = e
+            base = list(map(operator.add, u, offset))
+            lam_u = sum(map(operator.mul, nums, (lam_int[i] for i in tau)))
+            for extra in _bounded_tuples(len(idx), m):
+                shifts = tuple(map(operator.add, extra, lift))
+                point = base[:]
+                for s, bk in zip(extra, bvecs):
+                    if s:
+                        for j in range(len(point)):
+                            point[j] += s * bk[j]
+                point = tuple(point)
+                found.append((
+                    point, sum(nums) + order * sum(shifts), order,
+                    lam_u + order * sum(map(operator.mul, shifts, lam_cone)),
+                    FractionalDecomposition(point, e, tuple(zip(idx, shifts)))))
     # psi times a common denominator orders the points as psi does, with
     # integer comparisons
-    den = math.lcm(*{order for _, order, _, _ in found.values()})
-    ordered = sorted(found.items(), key=lambda item: (
-        item[1][0] * (den // item[1][1]), item[0]))
+    den = math.lcm(*{order for _, _, order, _, _ in found})
+    found.sort(key=lambda item: (item[1] * (den // item[2]), item[0]))
     return [(p, Fraction(ps, order), None if lam_values is None
              else Fraction(lv, order * scale), label)
-            for p, (ps, order, lv, label) in ordered]
+            for p, ps, order, lv, label in found]
 
 
 def _bounded_tuples(k: int, total_max: int):
     """Non-negative integer k-tuples with coordinate sum <= total_max."""
-    if k == 0:
-        yield ()
+    if k == 0 or total_max == 0:
+        yield (0,) * k
         return
     for first in range(total_max + 1):
         for rest in _bounded_tuples(k - 1, total_max - first):

@@ -329,13 +329,17 @@ def test_small_bounds_stay_far_below_the_budgets():
     makers = [random_complete_rank2, random_convex_rank2,
               random_complete_rank3, random_convex_rank3]
     for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
-        assert 10 * arcspace._walk_size(f, 1) <= arcspace.LABEL_WALK_BUDGET
-        assert 10 * arcspace._walk_size(f, 2) <= arcspace.LABEL_WALK_BUDGET
+        assert 10 * stacky.support_point_count(f, 1) <= \
+            arcspace.LABEL_WALK_BUDGET
+        assert 10 * stacky.support_point_count(f, 2) <= \
+            arcspace.LABEL_WALK_BUDGET
 
 
-def test_walk_size_counts_the_shift_tuples_enumerated(monkeypatch):
+def test_support_point_count_is_the_shift_tuples_walked_and_the_points(
+        monkeypatch):
     # _bounded_tuples recurses through the module name, so the counting
-    # stand-in makes the tuples itself
+    # stand-in makes the tuples itself; every cone is walked from its own
+    # faces, so no point is built twice, on the degenerate general fans too
     walked = []
 
     def counting(k, total_max):
@@ -347,12 +351,13 @@ def test_walk_size_counts_the_shift_tuples_enumerated(monkeypatch):
     monkeypatch.setattr(stacky, "_bounded_tuples", counting)
     rng = random.Random(48)
     fans = [*named_fans().values(), random_complete_rank3(rng),
-            random_convex_rank3(rng)]
+            random_convex_rank3(rng), mk_sfan(2, [], (), [()], "general"),
+            mk_sfan(2, [(1, 0)], (3,), [(0,)], "general")]
     for f in fans:
         for bound in (0, Fraction(3, 2), 3):
             walked.clear()
             points = enumerate_support_points(f, bound)
-            assert arcspace._walk_size(f, bound) == len(walked) >= \
+            assert stacky.support_point_count(f, bound) == len(walked) == \
                 len(points)
 
 

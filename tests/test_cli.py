@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import weighted_projective_stacks
-from stackyfan import arcspace, deltainv, qseries, refine, stacky
+from stackyfan import deltainv, qseries, refine, stacky
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -444,7 +444,7 @@ def test_poset_and_direct_check_over_budget_exit_1_at_once():
     # both enumerated with no bound, and were still running after 20 s
     fan = str(DATA / "fan_p2.json")
     sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
-    points = arcspace._walk_size(sfan, Fraction(400))
+    points = stacky.support_point_count(sfan, Fraction(400))
     for argv, message in [
             (["orbit-poset", fan, "--bound", "400"],
              f"the orbit poset up to 400 may walk {points} lattice points, "

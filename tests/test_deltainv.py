@@ -507,6 +507,21 @@ def test_orbifold_betti_rejects_non_polynomial_gamma(monkeypatch):
         orbifold_betti(fan_p2())
 
 
+def test_orbifold_betti_of_a_fan_that_is_not_complete():
+    # Gamma(X, 0) of a stack that is not proper may have signed
+    # coefficients, as the torus's 1 - 2q + q^2 does: that is no broken
+    # invariant, but a fan outside what the Betti numbers answer
+    torus = mk_sfan(2, [], (), [()], "general")
+    ray = mk_sfan(2, [(1, 0)], (3,), [(0,)], "general")
+    for f, message in [(torus, "coefficient -2 at 1 on"),
+                       (ray, "coefficient -1 at 1/3 on")]:
+        with pytest.raises(NotComplete, match=message):
+            orbifold_betti(f)
+    assert deltainv.gamma(torus, zero_divisor(torus)) == R({0: 1, 1: -2,
+                                                           2: 1})
+    assert orbifold_betti(fan_a1()) == {1: 1}
+
+
 def _poly_product(p, q):
     """The product of two polynomials given as {exponent: coefficient}."""
     out = {}

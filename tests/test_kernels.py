@@ -1143,6 +1143,8 @@ def test_support_point_labels_are_the_located_labels(seed):
               for w in ((1, 2, 3, 5), (2, 1, 3, 1, 4), (1, 2, 1, 3, 1, 2, 1))]
     cases += [(random_stellar_chain(rng, 3, rng.randint(5, 8)), 3)
               for _ in range(3)]
+    cases += [(mk_sfan(2, [], (), [()], "general"), 5),
+              (mk_sfan(2, [(1, 0)], (3,), [(0,)], "general"), 5)]
     checked = 0
     for sfan, bound in cases:
         lam = random_admissible_lambda(rng, sfan).values_on_b
