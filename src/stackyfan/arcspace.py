@@ -9,16 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stacky
-from .errors import InvariantViolation, NotKLT, admit
+from .errors import InvariantViolation, NotKLT
 from .qseries import FracPoly, TruncatedSeries, times_one_minus_t
 from .stacky import (FractionalDecomposition, PiecewiseQLinear, StackyFan,
                      fractional_decompose, iota)
-
-# the most points that orbit_poset and gamma_truncated_direct may walk, by
-# stacky.support_point_count; on P2 bound 140, the largest under it, the
-# poset takes some 0.5 s and the direct sum, which locates each point it
-# keeps once, some 0.65 s (2 vCPU shared, Python 3.11)
-LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 
 def orbit_label(sfan: StackyFan, w) -> FractionalDecomposition:
@@ -153,11 +147,9 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     any n_i > 0 the point w - b_i is a label with v <= w - b_i < w, of psi
     psi(w) - 1 <= bound.  So w covers exactly the w - b_i with shift
     s_i(w) >= 1.  Each cover is checked: w - b_i must be a label, of psi
-    psi(w) - 1, below w by closure_leq; else InvariantViolation.  Over
-    LABEL_WALK_BUDGET labels by stacky.support_point_count, a
-    BudgetExceeded is raised before any label is made."""
-    admit(stacky.support_point_count(sfan, bound), LABEL_WALK_BUDGET,
-          f"the orbit poset up to {bound} may walk", "lattice points,")
+    psi(w) - 1, below w by closure_leq; else InvariantViolation.  The
+    enumerator refuses a walk over stacky.LABEL_WALK_BUDGET labels with a
+    BudgetExceeded before any label is made."""
     pts = stacky.enumerate_support_points(sfan, bound)
     labels = {p: label for p, _, _, label in pts}
     psis = {p: ps for p, ps, _, _ in pts}
@@ -204,8 +196,8 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
-    below d - bound.  Over LABEL_WALK_BUDGET points enumerated, by
-    stacky.support_point_count, a BudgetExceeded is raised before any is.
+    below d - bound.  The enumerator refuses a walk over
+    stacky.LABEL_WALK_BUDGET points with a BudgetExceeded before any is built.
     """
     bound = Fraction(bound)
     if not e.is_klt:
@@ -217,8 +209,6 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    admit(stacky.support_point_count(sfan, bound / slack), LABEL_WALK_BUDGET,
-          f"the direct sum up to {bound} may walk", "lattice points,")
     grid = math.lcm(*(sfan.solvers[sigma].denominator
                       for sigma in sfan.fan.maximal_cones)) * e.scale
     # an integer level exceeds bound * grid exactly when it exceeds its floor

@@ -32,6 +32,11 @@ MAX_RANK = 64
 # the fan is built and validated face by face, and a document at the limit
 # validates in about 0.2 s (2 vCPU, Python 3.11)
 MAX_FACES = 2 ** 14
+# the named divisors and functionals of every document, by block; a
+# document that defines one of these names again is refused
+BUILT_INS = {"divisors": {"zero": arcspace.zero_divisor,
+                          "canonical": arcspace.canonical_divisor},
+             "functionals": {"zero": stacky.zero_functional}}
 
 
 @dataclass(frozen=True)
@@ -96,11 +101,22 @@ def _int_list(value, path: str) -> tuple:
     return tuple(_integer(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key, whose last value json would
+    keep, is a ParseError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"repeated key {key!r}")
+        data[key] = value
+    return data
+
+
 def parse_fan_document(text: str) -> FanDocument:
-    """Strict parse of the JSON fan document; unknown fields are rejected
-    and the encoded fan is validated."""
+    """Strict parse of the JSON fan document; unknown fields, repeated keys
+    and the built-in names are rejected and the encoded fan is validated."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: line {exc.lineno}: {exc.msg}")
     except (ValueError, RecursionError) as exc:
@@ -156,6 +172,8 @@ def parse_fan_document(text: str) -> FanDocument:
             raise ParseError(f"{key}: expected an object")
         out = []
         for name in block:
+            if name in BUILT_INS[key]:
+                raise ParseError(f"{key}.{name}: {name!r} is a built-in name")
             values = block[name]
             if not isinstance(values, list) or len(values) != len(rays):
                 raise ParseError(f"{key}.{name}: expected one value per ray")
@@ -206,8 +224,8 @@ def _fmt_vec(v) -> str:
 
 def _resolve_functional(doc: FanDocument, sfan: StackyFan,
                         name: str) -> PiecewiseQLinear:
-    if name == "zero":
-        return stacky.zero_functional(sfan)
+    if name in BUILT_INS["functionals"]:
+        return BUILT_INS["functionals"][name](sfan)
     for n, values in doc.functionals:
         if n == name:
             return PiecewiseQLinear(sfan, values)
@@ -216,10 +234,8 @@ def _resolve_functional(doc: FanDocument, sfan: StackyFan,
 
 def _resolve_divisor(doc: FanDocument, sfan: StackyFan,
                      name: str) -> arcspace.StackDivisor:
-    if name == "zero":
-        return arcspace.zero_divisor(sfan)
-    if name == "canonical":
-        return arcspace.canonical_divisor(sfan)
+    if name in BUILT_INS["divisors"]:
+        return BUILT_INS["divisors"][name](sfan)
     for n, values in doc.divisors:
         if n == name:
             return arcspace.StackDivisor(sfan, values)

@@ -29,7 +29,7 @@ from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
                      zero_functional)
 
 
-# the most lattice points that one oracle scan may walk, by _scan_size
+# the most lattice points one _oracle_points scan may walk, by _scan_size
 EHRHART_SCAN_BUDGET = 10 ** 7
 
 
@@ -48,27 +48,24 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
     """The lattice-point counts f(m) = |{v in N cap |Sigma| : psi(v) <= m}|
     for m = 0..max_m: each oracle point with psi(v) <= max_m is recorded
     at its level ceil(psi(v)) = ceil(sum n_i / D), and f(m) counts the
-    levels <= m.  Over EHRHART_SCAN_BUDGET by _scan_size, a BudgetExceeded
-    is raised before anything is allocated."""
+    levels <= m.  The scan admits itself, so over EHRHART_SCAN_BUDGET a
+    BudgetExceeded is raised before the max_m + 1 counts are built."""
     if max_m < 0:
         raise ValueError("max_m must be non-negative")
-    admit(_scan_size(sfan, max_m), EHRHART_SCAN_BUDGET,
-          f"Ehrhart counts up to {max_m} may walk", "lattice points,")
-    per_level = [0] * (max_m + 1)
-    for _, den, points in _oracle_points(sfan, max_m):
-        for n in points.values():
-            per_level[-(-sum(n) // den)] += 1
-    return tuple(itertools.accumulate(per_level))
+    per_level = Counter(-(-sum(n) // den)
+                        for _, den, points in _oracle_points(sfan, max_m)
+                        for n in points.values())
+    return tuple(itertools.accumulate(per_level[m] for m in range(max_m + 1)))
 
 
 def _scan_size(sfan: StackyFan, bound: int) -> int:
     """An a-priori bound on the work of _oracle_points(sfan, bound), which
-    ehrhart_counts and the series oracles check against EHRHART_SCAN_BUDGET
-    before they scan: the bound + 1 levels of ehrhart_counts, and for each
-    maximal cone with k rays the product of the k largest side lengths, in
-    lattice points, of the bounding box of conv(0, bound * b_i).
-    _oracle_points walks, in that cone, at most the lattice points of the
-    box over the k coordinates of a minor, which this product bounds."""
+    it admits against EHRHART_SCAN_BUDGET before its first point: the
+    bound + 1 levels of ehrhart_counts, and for each maximal cone with k
+    rays the product of the k largest side lengths, in lattice points, of
+    the bounding box of conv(0, bound * b_i).  _oracle_points walks, in
+    that cone, at most the lattice points of the box over the k coordinates
+    of a minor, which this product bounds."""
     size = bound + 1
     for sigma in sfan.fan.maximal_cones:
         bvecs = [sfan.b(i) for i in sigma.ray_indices]
@@ -91,9 +88,14 @@ def _oracle_points(sfan: StackyFan, bound):
     the bounding box of the simplex conv(0, bound * b_i), the last over
     the integer interval that the k + 1 facets n_i >= 0, sum n_i <= bound * D
     leave; the other coordinates, sum n_i b_i / D, must be integers.  Full-
-    and lower-dimensional cones take this one path.
+    and lower-dimensional cones take this one path.  A scan up to a
+    rational bound walks no more than up to its ceiling, so over
+    EHRHART_SCAN_BUDGET by _scan_size(sfan, ceil(bound)) a BudgetExceeded
+    is raised before the first point.
     """
     bound = Fraction(bound)
+    admit(_scan_size(sfan, math.ceil(bound)), EHRHART_SCAN_BUDGET,
+          f"the oracle scan up to {bound} may walk", "lattice points,")
     if bound < 0:
         return
     d = sfan.rank
@@ -211,10 +213,8 @@ def _level_sum(sfan: StackyFan, bound, cutoff: Fraction, values,
     values on their common denominator S, e(v) D S is sum n_i S f(b_i), plus
     ceil(psi(v)) D S if ceil_psi.  The points are counted per cone on its
     grid D S, and the counts are lifted once onto the lcm of those grids.
+    The scan admits itself against EHRHART_SCAN_BUDGET before any point.
     """
-    # the scan up to a rational bound walks no more than up to its ceiling
-    admit(_scan_size(sfan, math.ceil(bound)), EHRHART_SCAN_BUDGET,
-          f"the series up to {cutoff} may walk", "lattice points,")
     scale = math.lcm(*(x.denominator for x in values))
     ints = [int(x * scale) for x in values]
     per_cone = []   # (grid D S, {exponent on that grid: points})

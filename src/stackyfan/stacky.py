@@ -25,6 +25,12 @@ from .errors import InvariantViolation, NotMaximalCone, admit
 # 0.5 s at the limit
 BOX_SCAN_BUDGET = 10 ** 5
 
+# the most points one enumerate_support_points walk may build, counted
+# from its cells before any is; on P2 bound 140, the largest under it,
+# the orbit poset takes some 0.5 s and the direct sum, which locates each
+# point it keeps once, some 0.65 s (2 vCPU shared, Python 3.11)
+LABEL_WALK_BUDGET = 3 * 10 ** 4
+
 
 @dataclass(frozen=True)
 class StackyFan:
@@ -361,30 +367,29 @@ def _walk_cells(sfan: StackyFan, bound: Fraction):
                     yield cone, tau, cells
 
 
-def support_point_count(sfan: StackyFan, bound) -> int:
-    """len(enumerate_support_points(sfan, bound)) with no point built: the
-    C(m + dim C, dim C) shift tuples of each u and m of the walk."""
-    return sum(math.comb(m + cone.dim, cone.dim)
-               for cone, _, cells in _walk_cells(sfan, Fraction(bound))
-               for _, m in cells)
-
-
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     """All lattice points w in |Sigma| with psi(w) <= bound, as a list of
     (w, psi(w), lam(w), label), lam the piecewise Q-linear functional with
     the given values on the b_i (None -> lam(w) = None) and label the
     FractionalDecomposition of w = u + sum s_i b_i: u the BoxElement filed
     in sfan.box_scans, the s_i over the rays of the minimal cone of w in
-    ascending order.  Ordered by ascending psi, then lexicographically."""
+    ascending order.  Ordered by ascending psi, then lexicographically.
+    Over LABEL_WALK_BUDGET points, C(m + dim C, dim C) per cell of the
+    walk, a BudgetExceeded is raised before any is built."""
     bound = Fraction(bound)
     if bound < 0:
         return []
+    walk = list(_walk_cells(sfan, bound))
+    admit(sum(math.comb(m + cone.dim, cone.dim)
+              for cone, _, cells in walk for _, m in cells),
+          LABEL_WALK_BUDGET, f"the support points up to {bound} may walk",
+          "lattice points,")
     # lam(b_i) = lam_int[i] / scale over a common denominator
     lam = [Fraction(x) for x in lam_values or [0] * len(sfan.fan.rays)]
     scale = math.lcm(*(x.denominator for x in lam))
     lam_int = [x.numerator * (scale // x.denominator) for x in lam]
     found = []   # (point, psi * order, order, lam * order * scale, label)
-    for cone, tau, cells in _walk_cells(sfan, bound):
+    for cone, tau, cells in walk:
         idx = cone.ray_indices
         bvecs = [sfan.b_vectors[i] for i in idx]
         lam_cone = [lam_int[i] for i in idx]

@@ -306,11 +306,12 @@ def test_labels_are_read_from_the_enumerator_not_located(monkeypatch):
 def test_poset_and_direct_sum_over_budget_raise_before_enumerating(
         monkeypatch):
     # both enumerated with no bound: on P2, the direct sum at bound 400
-    # still ran after 20 s
+    # still ran after 20 s; the enumerator admits its walk before it
+    # builds a point from any shift tuple
     def forbidden(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
-    monkeypatch.setattr(stacky, "enumerate_support_points", forbidden)
+    monkeypatch.setattr(stacky, "_bounded_tuples", forbidden)
     f = fan_p2()
     with pytest.raises(BudgetExceeded, match="lattice points"):
         orbit_poset(f, 400)
@@ -322,6 +323,27 @@ def test_poset_and_direct_sum_over_budget_raise_before_enumerating(
         gamma_truncated_direct(f, near_one, 5)
 
 
+def test_poset_and_direct_sum_walk_the_cells_once(monkeypatch):
+    # the budget was counted by a walk over the same cells as the
+    # enumerator's, before it walked them again
+    calls = []
+    walk = stacky._walk_cells
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(stacky, "_walk_cells", counting)
+    rng = random.Random(50)
+    for f in [*named_fans().values(), random_convex_rank3(rng)]:
+        calls.clear()
+        orbit_poset(f, 2)
+        assert len(calls) == 1
+        calls.clear()
+        gamma_truncated_direct(f, random_klt_divisor(rng, f), 2)
+        assert len(calls) == 1
+
+
 def test_small_bounds_stay_far_below_the_budgets():
     # the benchmark asks for the poset at bound 1 and the direct sum at
     # bound 2, under one budget
@@ -329,17 +351,18 @@ def test_small_bounds_stay_far_below_the_budgets():
     makers = [random_complete_rank2, random_convex_rank2,
               random_complete_rank3, random_convex_rank3]
     for f in [*named_fans().values(), *(m(rng) for m in makers * 5)]:
-        assert 10 * stacky.support_point_count(f, 1) <= \
-            arcspace.LABEL_WALK_BUDGET
-        assert 10 * stacky.support_point_count(f, 2) <= \
-            arcspace.LABEL_WALK_BUDGET
+        assert 10 * len(enumerate_support_points(f, 1)) <= \
+            stacky.LABEL_WALK_BUDGET
+        assert 10 * len(enumerate_support_points(f, 2)) <= \
+            stacky.LABEL_WALK_BUDGET
 
 
 def test_support_point_count_is_the_shift_tuples_walked_and_the_points(
         monkeypatch):
     # _bounded_tuples recurses through the module name, so the counting
     # stand-in makes the tuples itself; every cone is walked from its own
-    # faces, so no point is built twice, on the degenerate general fans too
+    # faces, so no point is built twice, on the degenerate general fans too,
+    # and the count the enumerator admits is exactly the points it returns
     walked = []
 
     def counting(k, total_max):
@@ -357,8 +380,16 @@ def test_support_point_count_is_the_shift_tuples_walked_and_the_points(
         for bound in (0, Fraction(3, 2), 3):
             walked.clear()
             points = enumerate_support_points(f, bound)
-            assert stacky.support_point_count(f, bound) == len(walked) == \
-                len(points)
+            assert len(walked) == len(points)
+            with monkeypatch.context() as m:
+                m.setattr(stacky, "LABEL_WALK_BUDGET", len(points))
+                assert enumerate_support_points(f, bound) == points
+                m.setattr(stacky, "LABEL_WALK_BUDGET", len(points) - 1)
+                walked.clear()
+                with pytest.raises(BudgetExceeded,
+                                   match=f"walk {len(points)} lattice"):
+                    enumerate_support_points(f, bound)
+                assert walked == []
 
 
 def test_a_skewed_rank_3_fan_is_admitted_at_small_bounds():

@@ -128,6 +128,41 @@ def test_parse_rejects_repeated_ray_index():
                                     cones=[[1, 1], [0]], support="general"))
 
 
+@pytest.mark.parametrize("block, name", [("divisors", "zero"),
+                                         ("divisors", "canonical"),
+                                         ("functionals", "zero")])
+def test_a_built_in_name_is_refused(tmp_path, block, name):
+    # the built-in was answered in place of the document's own: on P(1,2),
+    # gamma --divisor zero printed the zero divisor's 1 + q^{1/2} + q for a
+    # divisor zero of ["1/2", "-1/3"], and validate said ok
+    path = tmp_path / "named.json"
+    path.write_text(_minimal(weights=[1, 2],
+                             **{block: {name: ["1/2", "-1/3"]}}))
+    message = f"error: {block}.{name}: {name!r} is a built-in name\n"
+    command = (["gamma", str(path), "--divisor", name] if block == "divisors"
+               else ["symmetry", str(path), "--lambda", name])
+    assert run_command(["validate", str(path)]) == (2, message)
+    assert run_command(command) == (2, message)
+
+
+@pytest.mark.parametrize("text, key", [
+    (_minimal(weights=[1, 2]).replace('"weights": [1, 2]',
+                                      '"weights": [1, 2], "weights": [1, 3]'),
+     "weights"),
+    (_minimal(functionals={"L": [1, 0]}).replace(
+        '"L": [1, 0]', '"L": [1, 0], "L": [0, 1]'), "L")],
+    ids=["weights", "functionals.L"])
+def test_a_repeated_key_is_refused(tmp_path, text, key):
+    # json kept the last value: box ran on weights [1, 3] of a document
+    # that also gave [1, 2]
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+        parse_fan_document(text)
+    assert run_command(["box", str(path)]) == \
+        (2, f"error: repeated key '{key}'\n")
+
+
 def _long_cone_document(tmp_path, k):
     """A rank-2 document whose one cone lists k rays."""
     path = tmp_path / f"cone{k}.json"
@@ -320,18 +355,19 @@ def test_ehrhart_over_budget_exits_1_at_once():
     # took 5 s, and the time grows with the square of the cutoff
     fan = str(DATA / "fan_p2.json")
     sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
-    for argv, message, bound in [
-            (["ehrhart", fan, "--max-m", "10000000000000"],
-             "Ehrhart counts up to 10000000000000", 10000000000000),
+    for argv, bound in [
+            (["ehrhart", fan, "--max-m", "10000000000000"], 10000000000000),
             (["weighted-delta", fan, "--lambda", "zero",
-              "--series-cutoff", "2000"], "the series up to 2000", 2000)]:
+              "--series-cutoff", "2000"], 2000)]:
         start = time.perf_counter()
         code, out = run_command(argv)
         assert time.perf_counter() - start < 2.0
-        assert (code, out) == (1, f"error: {message} may walk "
+        assert (code, out) == (1, f"error: the oracle scan up to {bound} "
+                                  "may walk "
                                   f"{deltainv._scan_size(sfan, bound)} "
                                   "lattice points, over the limit of "
                                   "10000000\n")
+    assert deltainv._scan_size(sfan, 2000) == 20018004
 
 
 @pytest.mark.parametrize("command", [["weighted-delta", "--lambda", "zero"],
@@ -442,20 +478,18 @@ def test_rank6_overlap_is_decided_at_once(tmp_path):
 
 def test_poset_and_direct_check_over_budget_exit_1_at_once():
     # both enumerated with no bound, and were still running after 20 s
+    # P2 has 1 + 3m(m + 1)/2 lattice points up to psi m, its Ehrhart
+    # polynomial
     fan = str(DATA / "fan_p2.json")
-    sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
-    points = stacky.support_point_count(sfan, Fraction(400))
-    for argv, message in [
-            (["orbit-poset", fan, "--bound", "400"],
-             f"the orbit poset up to 400 may walk {points} lattice points, "
-             "over the limit of 30000"),
-            (["gamma", fan, "--divisor", "zero", "--check-direct", "400"],
-             f"the direct sum up to 400 may walk {points} lattice points, "
-             "over the limit of 30000")]:
+    points = 1 + 3 * 400 * 401 // 2
+    for argv in (["orbit-poset", fan, "--bound", "400"],
+                 ["gamma", fan, "--divisor", "zero", "--check-direct", "400"]):
         start = time.perf_counter()
         code, out = run_command(argv)
         assert time.perf_counter() - start < 1.0
-        assert (code, out) == (1, f"error: {message}\n")
+        assert (code, out) == (1, f"error: the support points up to 400 may "
+                                  f"walk {points} lattice points, over the "
+                                  "limit of 30000\n")
 
 
 def test_orbit_poset_p2_bound_60_answers_at_once():

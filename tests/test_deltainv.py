@@ -59,7 +59,7 @@ def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle scan started")
 
-    monkeypatch.setattr(deltainv, "_oracle_points", forbidden)
+    monkeypatch.setattr(deltainv, "_invert", forbidden)
     for f in fans:
         zero = zero_functional(f)
         near_minus_one = PiecewiseQLinear(
@@ -70,6 +70,19 @@ def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
                        lambda: delta_mu_series(f, zero, 2000)]:
             with pytest.raises(BudgetExceeded):
                 oracle()
+
+
+def test_oracle_scan_over_budget_raises_before_its_first_point(monkeypatch):
+    # only the oracles that called the scan admitted it, so a direct scan
+    # of P2 up to 10^13 started with no limit; now not even the origin is
+    # yielded
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle scan started")
+
+    monkeypatch.setattr(deltainv, "_invert", forbidden)
+    with pytest.raises(BudgetExceeded, match="the oracle scan up to "
+                       "10000000000000 may walk"):
+        next(_oracle_points(fan_p2(), 10 ** 13))
 
 
 def test_scan_size_bounds_the_points_scanned():

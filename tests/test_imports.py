@@ -206,18 +206,36 @@ def test_only_errors_constructs_budget_exceeded():
     assert sites == []
 
 
+def _budgets():
+    """Every module-level *_BUDGET constant of the package, as module.NAME."""
+    return {f"{path.stem}.{target.id}" for path in SOURCES
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name) and target.id.endswith("_BUDGET")}
+
+
 def test_readme_lists_every_budget_and_no_other():
     # every module-level *_BUDGET constant is named as module.NAME in the
     # README's list of refusals, and the README names no budget that the
     # package does not define
-    defined = {f"{path.stem}.{target.id}" for path in SOURCES
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(node, ast.Assign) for target in node.targets
-               if isinstance(target, ast.Name)
-               and target.id.endswith("_BUDGET")}
+    defined = _budgets()
     text = README.read_text(encoding="utf-8")
     refusals = text[text.index("These budgets also exit 1"):
                     text.index("Every budget is checked by one function")]
     assert set(re.findall(r"\w+\.\w+_BUDGET\b", refusals)) == defined
     assert set(re.findall(r"\b[A-Z_]+_BUDGET\b", text)) <= \
         {name.split(".")[1] for name in defined}
+
+
+def test_every_budget_is_read_by_one_function():
+    # each walk admits its own budget where it runs, once: a budget read by
+    # two functions was counted by callers ahead of a walk that did not
+    # admit itself, once per caller
+    readers = {name.split(".")[1]: [] for name in _budgets()}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                for name in readers.keys() & _reads(node).keys():
+                    readers[name].append(f"{path.stem}.{node.name}")
+    assert {name: found for name, found in readers.items()
+            if len(found) != 1} == {}

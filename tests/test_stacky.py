@@ -317,6 +317,19 @@ def test_test_fans_stay_far_below_the_box_budget():
         assert 10 * orders <= stacky.BOX_SCAN_BUDGET
 
 
+def test_enumerator_over_budget_raises_before_building(monkeypatch):
+    # only the enumerator's callers admitted its walk, so a direct call on
+    # P2 built its 1 + 3m(m + 1)/2 points up to psi m with no limit
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(stacky, "_bounded_tuples", forbidden)
+    with pytest.raises(BudgetExceeded, match="the support points up to 400 "
+                       "may walk 240601 lattice points, over the limit of "
+                       "30000"):
+        enumerate_support_points(fan_p2(), 400)
+
+
 def test_element_order():
     assert box_all(fan_p12())[0].order == 1
     e = box_elements(cone12(), Cone((0, 1)))[0]
