@@ -29,7 +29,8 @@ from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
                      zero_functional)
 
 
-# the most lattice points one _oracle_points scan may walk, by _scan_size
+# the most lattice points one _oracle_points scan may walk: its levels and
+# the lattice points of the box it walks in each cone
 EHRHART_SCAN_BUDGET = 10 ** 7
 
 
@@ -58,74 +59,57 @@ def ehrhart_counts(sfan: StackyFan, max_m: int) -> tuple:
     return tuple(itertools.accumulate(per_level[m] for m in range(max_m + 1)))
 
 
-def _scan_size(sfan: StackyFan, bound: int) -> int:
-    """An a-priori bound on the work of _oracle_points(sfan, bound), which
-    it admits against EHRHART_SCAN_BUDGET before its first point: the
-    bound + 1 levels of ehrhart_counts, and for each maximal cone with k
-    rays the product of the k largest side lengths, in lattice points, of
-    the bounding box of conv(0, bound * b_i).  _oracle_points walks, in
-    that cone, at most the lattice points of the box over the k coordinates
-    of a minor, which this product bounds."""
-    size = bound + 1
-    for sigma in sfan.fan.maximal_cones:
-        bvecs = [sfan.b(i) for i in sigma.ray_indices]
-        if not bvecs:
-            continue
-        sides = sorted((bound * (max(0, *col) - min(0, *col)) + 1
-                        for col in zip(*bvecs)), reverse=True)
-        size += math.prod(sides[:len(bvecs)])
-    return size
-
-
 def _oracle_points(sfan: StackyFan, bound):
     """The lattice points v of |Sigma| with psi(v) <= bound, each once, as
     (ray indices, D, {v: n}) per maximal cone: v = sum n_i b_i / D over the
     cone's rays with integers n_i >= 0 and D > 0, so psi(v) = sum n_i / D.
 
-    For a cone with k rays, k coordinates of v on which the b_i have a
-    non-zero minor give n = A . v[rows], with A and D the inverse of that
-    minor with its denominators cleared.  The first k - 1 of them run over
-    the bounding box of the simplex conv(0, bound * b_i), the last over
-    the integer interval that the k + 1 facets n_i >= 0, sum n_i <= bound * D
-    leave; the other coordinates, sum n_i b_i / D, must be integers.  Full-
-    and lower-dimensional cones take this one path.  A scan up to a
-    rational bound walks no more than up to its ceiling, so over
-    EHRHART_SCAN_BUDGET by _scan_size(sfan, ceil(bound)) a BudgetExceeded
-    is raised before the first point.
+    Each cone with k rays is set up once, before the first point: _invert
+    gives the first k coordinates of v on which the b_i have a non-zero
+    minor, and the inverse of that minor, whose denominators cleared give
+    n = A . v[rows] and D.  The first k - 1 of them run over the bounding
+    box of the simplex conv(0, bound * b_i), the last over the integer
+    interval that the k + 1 facets n_i >= 0, sum n_i <= bound * D leave;
+    the other coordinates, sum n_i b_i / D, must be integers.  Full- and
+    lower-dimensional cones take this one path.  The scan admits its
+    ceil(bound) + 1 levels and the lattice points of each cone's box over
+    its k coordinates against EHRHART_SCAN_BUDGET, so a BudgetExceeded is
+    raised before the first point; a negative bound yields nothing.
     """
     bound = Fraction(bound)
-    admit(_scan_size(sfan, math.ceil(bound)), EHRHART_SCAN_BUDGET,
-          f"the oracle scan up to {bound} may walk", "lattice points,")
     if bound < 0:
         return
     d = sfan.rank
-    seen = {(0,) * d}
-    yield (), 1, {(0,) * d: ()}
+    cones = []   # (ray indices, D, A, derived rows, place, box)
     for sigma in sfan.fan.maximal_cones:
-        idx = sigma.ray_indices
-        bvecs = [sfan.b(i) for i in idx]
+        bvecs = [sfan.b(i) for i in sigma.ray_indices]
         if not bvecs:
             continue
-        for rows in itertools.combinations(range(d), len(bvecs)):
-            minor = [[b[r] for b in bvecs] for r in rows]
-            inv = _invert(minor)
-            if inv is not None:
-                break
+        rows, inv = _invert(bvecs)
         den = math.lcm(*(x.denominator for row in inv for x in row))
-        matrix = [[int(x * den) for x in row] for row in inv]
         others = [j for j in range(d) if j not in rows]
-        derived = [[b[j] for b in bvecs] for j in others]
-        place = [(list(rows) + others).index(j) for j in range(d)]
-        outer_box = [range(math.ceil(bound * min(0, *row)),
-                           math.floor(bound * max(0, *row)) + 1)
-                     for row in minor[:-1]]
+        box = [range(math.ceil(bound * min(0, *(b[r] for b in bvecs))),
+                     math.floor(bound * max(0, *(b[r] for b in bvecs))) + 1)
+               for r in rows]
+        cones.append((sigma.ray_indices, den,
+                      [[int(x * den) for x in row] for row in inv],
+                      [[b[j] for b in bvecs] for j in others],
+                      [(rows + others).index(j) for j in range(d)], box))
+    # each side counted as stop - start: len() overflows past sys.maxsize
+    admit(math.ceil(bound) + 1 + sum(math.prod(r.stop - r.start for r in box)
+                                     for *_, box in cones),
+          EHRHART_SCAN_BUDGET, f"the oracle scan up to {bound} may walk",
+          "lattice points,")
+    seen = {(0,) * d}
+    yield (), 1, {(0,) * d: ()}
+    for idx, den, matrix, derived, place, box in cones:
         # facet i reads c_i + s_i x >= 0 in the last coordinate x: n_i for
         # i < k, and bound * D - sum n_i
         slopes = [row[-1] for row in matrix]
         slopes.append(-sum(slopes))
         top = math.floor(bound * den)
         found = {}
-        for outer in itertools.product(*outer_box):
+        for outer in itertools.product(*box[:-1]):
             base = [sum(map(operator.mul, row, outer)) for row in matrix]
             facets = list(zip(base + [top - sum(base)], slopes))
             if any(c < 0 for c, s in facets if s == 0):
@@ -147,23 +131,33 @@ def _oracle_points(sfan: StackyFan, bound):
         yield idx, den, found
 
 
-def _invert(matrix):
-    """The inverse of a square matrix over Q, or None if it is singular."""
-    d = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(d)]
-           for i, row in enumerate(matrix)]
+def _invert(vectors):
+    """(rows, inverse) for linearly independent b_1..b_k in Q^d: rows the
+    lexicographically first k coordinates on which the minor M, M[i][j] =
+    b_j[rows[i]], is non-zero, and inverse M^-1 over Q.  One Gauss-Jordan
+    elimination of [B^T | I_k], B^T with the b_j as rows, takes its pivots
+    left to right, so the pivot columns are those rows; it ends at E with
+    E M^T = I_k in the right block, and M^-1 is the transpose of E."""
+    k, d = len(vectors), len(vectors[0])
+    aug = [[Fraction(x) for x in b] + [Fraction(i == j) for j in range(k)]
+           for i, b in enumerate(vectors)]
+    rows = []
     for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
+        r = len(rows)
+        piv = next((i for i in range(r, k) if aug[i][col] != 0), None)
         if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [a / p for a in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        p = aug[r][col]
+        aug[r] = [a / p for a in aug[r]]
+        for i in range(k):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        rows.append(col)
+        if len(rows) == k:
+            return rows, [list(c) for c in zip(*(row[d:] for row in aug))]
+    raise InvariantViolation("the rays of a cone are linearly dependent")
 
 
 def ehrhart_delta(sfan: StackyFan) -> FracRational:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import weighted_projective_stacks
-from stackyfan import deltainv, qseries, refine, stacky
+from stackyfan import qseries, refine, stacky
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -349,12 +349,17 @@ def test_exit_code_unreadable_document(tmp_path, role, kind):
     assert code == 2 and out.startswith("error:"), out
 
 
+def _p2_scan(m):
+    """The count the oracle scan of P2 up to m admits: its m + 1 levels and
+    the boxes (m + 1)^2 and twice (m + 1)(2m + 1) of its three cones."""
+    return (m + 1) * (5 * m + 4)
+
+
 def test_ehrhart_over_budget_exits_1_at_once():
     # the Ehrhart counts were allocated before the scan (a MemoryError
     # traceback), and the series oracle scanned with no budget: cutoff 1000
     # took 5 s, and the time grows with the square of the cutoff
     fan = str(DATA / "fan_p2.json")
-    sfan = parse_fan_document(Path(fan).read_text()).to_stacky_fan()
     for argv, bound in [
             (["ehrhart", fan, "--max-m", "10000000000000"], 10000000000000),
             (["weighted-delta", fan, "--lambda", "zero",
@@ -363,11 +368,21 @@ def test_ehrhart_over_budget_exits_1_at_once():
         code, out = run_command(argv)
         assert time.perf_counter() - start < 2.0
         assert (code, out) == (1, f"error: the oracle scan up to {bound} "
-                                  "may walk "
-                                  f"{deltainv._scan_size(sfan, bound)} "
-                                  "lattice points, over the limit of "
-                                  "10000000\n")
-    assert deltainv._scan_size(sfan, 2000) == 20018004
+                                  f"may walk {_p2_scan(bound)} lattice "
+                                  "points, over the limit of 10000000\n")
+    assert _p2_scan(2000) == 20018004
+
+
+def test_ehrhart_count_past_sys_maxsize_exits_1():
+    # a box side of 10^20 + 1 lattice points overflows len(range), which
+    # would end in an OverflowError traceback instead of the refusal
+    code, out = run_command(["ehrhart", str(DATA / "fan_p2.json"),
+                             "--max-m", "100000000000000000000"])
+    assert _p2_scan(10 ** 20) == 50000000000000000000900000000000000000004
+    assert (code, out) == (1, "error: the oracle scan up to "
+                              "100000000000000000000 may walk "
+                              "50000000000000000000900000000000000000004 "
+                              "lattice points, over the limit of 10000000\n")
 
 
 @pytest.mark.parametrize("command", [["weighted-delta", "--lambda", "zero"],
@@ -438,7 +453,18 @@ def test_overlap_pairs_over_the_limit_exit_1_at_once(tmp_path, support):
 
 
 def _too_slow(signum, frame):
-    raise TimeoutError("validate still running after 1 s")
+    raise TimeoutError("still running after 1 s")
+
+
+def _run_for_one_second(argv):
+    """run_command(argv), stopped by a TimeoutError after 1 s."""
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        return run_command(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_rank6_overlap_is_decided_at_once(tmp_path):
@@ -455,13 +481,7 @@ def test_rank6_overlap_is_decided_at_once(tmp_path):
                              cones=[list(range(6)), list(range(6, 12))],
                              support="general"))
     assert len(path.read_bytes()) < 500
-    previous = signal.signal(signal.SIGALRM, _too_slow)
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 1.0)
-        code, out = run_command(["validate", str(path)])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, out = _run_for_one_second(["validate", str(path)])
     assert (code, out) == (1, "cones [0, 1, 2, 3, 4, 5] and "
                               "[6, 7, 8, 9, 10, 11] intersect outside their "
                               "common face\n")
@@ -474,6 +494,36 @@ def test_rank6_overlap_is_decided_at_once(tmp_path):
     assert point == [sum(x * r[k] for x, r in zip(q, rays[6:]))
                      for k in range(6)]
     assert any(point)
+
+
+RANK24_COMMANDS = [
+    ["validate"], ["box"], ["ages"], ["delta"], ["betti"],
+    ["gamma", "--divisor", "zero"],
+    ["gamma", "--divisor", "zero", "--check-direct", "2"],
+    ["weighted-delta", "--lambda", "zero"],
+    ["weighted-delta", "--lambda", "zero", "--series-cutoff", "2"],
+    ["ehrhart", "--max-m", "2"], ["symmetry", "--lambda", "zero"],
+    ["orbit-poset", "--bound", "2"],
+    ["subdivide", "--at", ",".join(["0"] * 22 + ["1", "1"])],
+    ["refine-check", "--fine", "FAN"]]
+
+
+@pytest.mark.parametrize("command", RANK24_COMMANDS,
+                         ids=[" ".join(c) for c in RANK24_COMMANDS])
+def test_rank24_cone_answers_at_once(tmp_path, command):
+    # the oracle scan found a cone's coordinates by inverting every k-subset
+    # of the d coordinates: on this one cone on the last seven unit vectors
+    # of Z^24, C(24, 7) = 346,104 minors, so `ehrhart --max-m 1` took 31 s
+    path = tmp_path / "rank24.json"
+    path.write_text(_minimal(
+        rank=24, rays=[[int(i == j) for j in range(24)]
+                       for i in range(17, 24)],
+        weights=[1] * 7, cones=[list(range(7))], support="general"))
+    assert len(path.read_bytes()) < 700
+    argv = [command[0], str(path)] + [str(path) if a == "FAN" else a
+                                      for a in command[1:]]
+    code, out = _run_for_one_second(argv)
+    assert code in (0, 1) and out, out
 
 
 def test_poset_and_direct_check_over_budget_exit_1_at_once():

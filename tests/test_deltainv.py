@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,16 +51,21 @@ def test_ehrhart_counts_p2():
     assert ehrhart_counts(fan_p2(), 2) == (1, 4, 10)
 
 
+def _forbid_the_walk(monkeypatch):
+    """Make the walk over a cone's box raise: the oracle scan's first
+    itertools.product, which comes after its admission and the origin."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle scan started")
+
+    monkeypatch.setattr(deltainv.itertools, "product", forbidden)
+
+
 def test_ehrhart_counts_over_budget_raise_before_scanning(monkeypatch):
     # the series oracles scanned with no budget: their time grew with the
     # square of the cutoff on a rank-2 fan
     rng = random.Random(41)
     fans = [fan_p2(), fan_p112(), random_complete_rank3(rng)]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle scan started")
-
-    monkeypatch.setattr(deltainv, "_invert", forbidden)
+    _forbid_the_walk(monkeypatch)
     for f in fans:
         zero = zero_functional(f)
         near_minus_one = PiecewiseQLinear(
@@ -76,24 +82,75 @@ def test_oracle_scan_over_budget_raises_before_its_first_point(monkeypatch):
     # only the oracles that called the scan admitted it, so a direct scan
     # of P2 up to 10^13 started with no limit; now not even the origin is
     # yielded
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle scan started")
-
-    monkeypatch.setattr(deltainv, "_invert", forbidden)
+    _forbid_the_walk(monkeypatch)
     with pytest.raises(BudgetExceeded, match="the oracle scan up to "
                        "10000000000000 may walk"):
         next(_oracle_points(fan_p2(), 10 ** 13))
 
 
-def test_scan_size_bounds_the_points_scanned():
+def _scan_at_budget(monkeypatch, budget, f, bound):
+    """The points of _oracle_points(f, bound) under the given budget."""
+    with monkeypatch.context() as m:
+        m.setattr(deltainv, "EHRHART_SCAN_BUDGET", budget)
+        return sum(len(points) for _, _, points in _oracle_points(f, bound))
+
+
+def test_scan_size_bounds_the_points_scanned(monkeypatch):
     rng = random.Random(43)
     fans = [*named_fans().values(), random_complete_rank2(rng),
             random_convex_rank3(rng)]
     for f in fans:
         for m in range(4):
+            # the admitted count, read from the refusal at a budget of 0
+            with pytest.raises(BudgetExceeded) as refusal:
+                _scan_at_budget(monkeypatch, 0, f, m)
+            count = int(re.search(r"may walk (\d+) lattice points",
+                                  str(refusal.value)).group(1))
             found = sum(len(points) for _, _, points in _oracle_points(f, m))
-            assert found <= deltainv._scan_size(f, m) - m - 1
-            assert deltainv._scan_size(f, m) <= deltainv.EHRHART_SCAN_BUDGET
+            assert found <= count - m - 1
+            assert count <= deltainv.EHRHART_SCAN_BUDGET
+            assert _scan_at_budget(monkeypatch, count, f, m) == found
+            with pytest.raises(BudgetExceeded, match=f"may walk {count} "):
+                _scan_at_budget(monkeypatch, count - 1, f, m)
+
+
+def test_oracle_setup_eliminates_once_per_cone(monkeypatch):
+    # each cone's coordinates were searched over every k-subset of the d
+    # coordinates, one inversion each: 495 inversions on this one cone,
+    # and C(24, 7) = 346,104 on a rank-24 cone with seven unit rays
+    calls, invert = [], deltainv._invert
+
+    def counting(vectors):
+        calls.append(vectors)
+        return invert(vectors)
+
+    monkeypatch.setattr(deltainv, "_invert", counting)
+    f = mk_sfan(12, [tuple(int(i == j) for j in range(12))
+                     for i in range(8, 12)], (1,) * 4, [(0, 1, 2, 3)],
+                "general")
+    assert ehrhart_counts(f, 2) == (1, 5, 15)
+    assert len(calls) == 1
+    for f in [*named_fans().values(), mk_sfan(
+            2, [(1, 0), (0, 1), (-2, -3)], (1, 1, 1), [(0, 1), (2,)],
+            "general")]:
+        calls.clear()
+        list(_oracle_points(f, 1))
+        assert len(calls) == sum(1 for sigma in f.fan.maximal_cones
+                                 if sigma.ray_indices)
+    # the search found no invertible minor of dependent rays: a TypeError
+    with pytest.raises(InvariantViolation, match="linearly dependent"):
+        invert([(1, 2, 0), (-2, -4, 0)])
+
+
+def test_negative_bounds_admit_nothing_and_answer_empty():
+    # the scan admitted its count before it returned, and the count of a
+    # negative bound multiplied negative sides: P2 at -2000 was refused
+    # with "may walk 19982004 lattice points"
+    f = fan_p2()
+    for series in [weighted_delta_series(f, zero_functional(f), -2000),
+                   delta_mu_series(f, zero_functional(f), -2000)]:
+        assert (series.coeffs, series.cutoff) == ({}, -2000)
+    assert list(_oracle_points(f, -10 ** 20)) == []
 
 
 def test_ehrhart_delta_fixtures():
