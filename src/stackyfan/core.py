@@ -347,10 +347,14 @@ class Fan:
         return tuple(sorted(self.cones, key=lambda c: c.ray_indices))
 
     @cached_property
-    def facet_indices(self) -> frozenset:
-        """The ray indices of the faces with one ray fewer of every cone."""
-        return frozenset(c.ray_indices[:j] + c.ray_indices[j + 1:]
-                         for c in self.cones for j in range(c.dim))
+    def facet_indices(self) -> dict:
+        """The coface map: {facet: [(ray, facet + ray)]}, by ascending ray."""
+        cofaces = {}
+        for c in self.sorted_cones:
+            for j, ray in enumerate(c.ray_indices):
+                facet = c.ray_indices[:j] + c.ray_indices[j + 1:]
+                cofaces.setdefault(facet, []).append((ray, c))
+        return cofaces
 
     @cached_property
     def maximal_cones(self) -> tuple:
@@ -501,7 +505,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     if () not in indices:
         rep.add("zero cone missing")
     # cones closed under facets are closed under faces
-    if not fan.facet_indices <= indices:
+    if not fan.facet_indices.keys() <= indices:
         for c in fan.cones:
             for f in c.faces():
                 if f not in fan.cones:

@@ -26,7 +26,7 @@ from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       over_binomials, substitute_reciprocal, times_one_minus_t)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
-                     zero_functional)
+                     walk_star, zero_functional)
 
 
 # the most lattice points one _oracle_points scan may walk: its levels and
@@ -272,9 +272,9 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
 
     Given a list of cones, closed upwards in the fan, the parts are those
     of (1 - t)^d times the sum of those cones' terms alone; by default
-    every cone of the fan is summed.  Only their faces are asked for their
-    box elements, in the order of stacky.box_reads, which admits and scans
-    only the box groups of the given maximal cones.
+    every cone of the fan is summed.  Their faces tau are read in one
+    stacky.box_reads plan, and each tau with a box is paired with the given
+    cones of its star, walked in the whole fan (stacky.walk_star).
 
     With lambda(b_i) = l_i / L over a common denominator, the box element
     q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
@@ -292,19 +292,19 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
     n = math.lcm(scale, *(den // math.gcd(a, den)
                           for pairs in boxes.values() for a, den in pairs))
     binom = [c * (n // scale) for c in plus]   # ray i gives 1 - s^binom[i]
-    exponents = {tau: [a * n // den for a, den in pairs]
-                 for tau, pairs in boxes.items()}
     groups = {}   # a cone's sorted binomials -> the sum of its cones' parts
-    for sigma in cones:
-        # faces tau of sigma: box exponents shifted by sum over the rays of
-        # sigma - tau of lam(b_i) + 1
-        part = groups.setdefault(
-            tuple(sorted(binom[i] for i in sigma.ray_indices)), {})
-        for tau in sigma.faces():
-            shift = sum(binom[i] for i in sigma.ray_indices
-                        if i not in tau.ray_indices)
-            for e in exponents[tau]:
-                part[e + shift] = part.get(e + shift, 0) + 1
+    parts = {s.ray_indices: groups.setdefault(tuple(sorted(
+        binom[i] for i in s.ray_indices)), {}) for s in cones}
+    for tau, pairs in boxes.items():
+        exps = [a * n // den for a, den in pairs]
+        # each given sigma on tau: exps shifted by binom of its rays off tau
+        for layer in walk_star(sfan.fan, tau, sfan.rank) if exps else ():
+            for sigma, rays in layer:
+                part = parts.get(sigma.ray_indices)
+                if part is not None:
+                    shift = sum(binom[i] for i in rays)
+                    for e in exps:
+                        part[e + shift] = part.get(e + shift, 0) + 1
     common = functools.reduce(operator.or_, map(Counter, groups), Counter())
     total = {}
     for key, part in groups.items():

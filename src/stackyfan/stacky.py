@@ -349,22 +349,32 @@ def fractional_decompose(sfan: StackyFan, w) -> FractionalDecomposition:
 # enumerate the same points by their own route; the tests cross-check them.
 
 
+def walk_star(fan: Fan, tau: Cone, depth: int):
+    """The star of tau by layers: for k = 0, 1, ... up to depth, the list of
+    (C, rays) over the cones C on tau with k rays off it in ascending order,
+    each reached once from tau through the coface map, adding larger rays."""
+    layer = [(tau, ())]
+    while layer:
+        yield layer
+        layer = [(up, off + (r,)) for c, off in layer if len(off) < depth
+                 for r, up in fan.facet_indices.get(c.ray_indices, ())
+                 if not off or r > off[-1]]
+
+
 def _walk_cells(sfan: StackyFan, bound: Fraction):
-    """(C, tau, [(u, m), ...]) over the cones C, their faces tau and the u
-    in BOX(tau) with m = floor(bound - age(u)) - k >= 0, k the rays of C off
-    tau: w = u + sum s_i b_i has psi <= bound when sum s_i <= m + k.  Faces
-    of more than floor(bound) rays fewer than C hold no such u."""
+    """(C, tau, [(u, m), ...]) over the u in BOX(tau) with m0 = floor(bound
+    - age(u)) >= 0 and the C in the star of tau with k <= m0 rays off tau,
+    as m = m0 - k: w = u + sum s_i b_i has psi <= bound if sum s_i <= m + k."""
     top, den = bound.numerator, bound.denominator
     table = sfan.box_table
-    for cone in sfan.fan.sorted_cones:
-        idx = cone.ray_indices
-        for j in range(max(0, len(idx) - top // den), len(idx) + 1):
-            for tau in itertools.combinations(idx, j):
-                cells = [(e, m) for e in table[tau] if (m := (
-                    top * e.order - sum(e.nums) * den) // (den * e.order)
-                    - len(idx) + j) >= 0]
-                if cells:
-                    yield cone, tau, cells
+    for tau in sfan.fan.sorted_cones:
+        cells = [(e, m) for e in table[tau.ray_indices] if (m := (
+            top * e.order - sum(e.nums) * den) // (den * e.order)) >= 0]
+        if cells:
+            for layer in walk_star(sfan.fan, tau, max(m for _, m in cells)):
+                for cone, _ in layer:
+                    yield cone, tau.ray_indices, cells
+                cells = [(e, m - 1) for e, m in cells if m]   # k + 1 rays
 
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):

@@ -254,9 +254,22 @@ def test_faces_and_facets_match_sorted_cones():
                 for sub in itertools.combinations(idx, k)}
             assert all(list(f.ray_indices) == sorted(f.ray_indices)
                        for f in faces)
-        assert fan.facet_indices == {
+        # the coface map: its keys are the facets of every cone, and each
+        # lists every (ray, cone) with the cone the facet plus that ray,
+        # by ascending ray
+        cofaces = fan.facet_indices
+        assert cofaces.keys() == {
             tuple(sorted(set(c.ray_indices) - {i}))
             for c in fan.cones for i in c.ray_indices}
+        assert sorted((facet, ray, c.ray_indices)
+                      for facet, pairs in cofaces.items()
+                      for ray, c in pairs) == sorted(
+            (tuple(sorted(set(c.ray_indices) - {i})), i, c.ray_indices)
+            for c in fan.cones for i in c.ray_indices)
+        assert all(c in fan.cones for pairs in cofaces.values()
+                   for _, c in pairs)
+        assert all([ray for ray, _ in pairs] == sorted(ray for ray, _ in pairs)
+                   for pairs in cofaces.values())
         assert fan.maximal_cones == tuple(
             c for c in fan.sorted_cones
             if not any(c != o and c.is_face_of(o) for o in fan.cones))

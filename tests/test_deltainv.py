@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 import re
 from fractions import Fraction
@@ -599,6 +601,24 @@ def _poly_product(p, q):
         for b, y in q.items():
             out[a + b] = out.get(a + b, 0) + x * y
     return out
+
+
+@pytest.mark.parametrize("factor, power",
+                         [(fan_a1, 14), (fan_p1, 8), (fan_p12, 6)],
+                         ids=["A1^14", "P1^8", "P(1,2)^6"])
+def test_wide_powers_are_the_powers_of_their_factor(factor, power):
+    # exact references at ranks 6 to 14: A1^14 is the one cone of C^14,
+    # whose 3^14 (cone, face) pairs took the assembly 20 s; only the 2^14
+    # pairs on the zero cone's box add anything
+    f = factor()
+    fn, betti, delta = f, orbifold_betti(f), weighted_delta_closed(
+        f, zero_functional(f))
+    for _ in range(power - 1):
+        fn = product(fn, f)
+    assert weighted_delta_closed(fn, zero_functional(fn)) == \
+        functools.reduce(operator.mul, [delta] * power)
+    assert orbifold_betti(fn) == functools.reduce(_poly_product,
+                                                  [betti] * power)
 
 
 def test_products_multiply_the_weighted_delta_vector_and_betti_numbers():

@@ -59,10 +59,23 @@ def test_oracles_name_no_checked_enumerator():
     path = PACKAGE / "deltainv.py"
     banned = {"enumerate_support_points", "_scan_parallelepiped",
               "_scan_box_groups", "box_table", "box_scans", "ConeSolver",
-              "solvers", "solve_rational_system", "support_point_count"}
+              "solvers", "solve_rational_system"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         name = _name(node)
         assert name not in banned, f"deltainv.py:{node.lineno} names {name}"
+
+
+@pytest.mark.parametrize("function", ["_oracle_points", "_level_sum",
+                                      "ehrhart_counts",
+                                      "weighted_delta_series",
+                                      "delta_mu_series"])
+def test_oracles_do_not_walk_the_star(function):
+    # the closed form in the same module pairs each box with the star of
+    # its face through stacky.walk_star; the oracles it is checked against
+    # scan the lattice points on their own
+    for node in ast.walk(_function("deltainv.py", function)):
+        name = _name(node)
+        assert name != "walk_star", f"deltainv.py:{node.lineno} names {name}"
 
 
 def test_only_box_elements_starts_a_box_scan():

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import re
@@ -13,7 +14,7 @@ from stackyfan import deltainv, stacky
 from stackyfan.core import Cone
 from stackyfan.errors import (BudgetExceeded, InvariantViolation,
                               NotMaximalCone, OutsideSupport)
-from stackyfan.refine import stellar_subdivide
+from stackyfan.refine import check_invariance, stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan, age, box_all,
                               box_elements, box_reads,
                               enumerate_support_points,
@@ -181,6 +182,111 @@ def test_box_reads_refuses_cones_not_closed_upwards(monkeypatch):
         with pytest.raises(InvariantViolation, match="closed upwards"):
             box_reads(f, [Cone(t) for t in idx])
     assert f.box_scans == {}
+
+
+def _orthant(rank):
+    """C^rank: one cone on the unit vectors, weights 1, with 2^rank faces."""
+    return mk_sfan(rank, [tuple(int(i == j) for j in range(rank))
+                          for i in range(rank)], (1,) * rank,
+                   [tuple(range(rank))], "convex")
+
+
+def _recording_walk(monkeypatch, module, pairs):
+    """Patch module.walk_star to record each (tau, C) pair it yields."""
+    walk = stacky.walk_star
+
+    def recording(fan, tau, depth):
+        for layer in walk(fan, tau, depth):
+            pairs.extend((tau.ray_indices, c.ray_indices) for c, _ in layer)
+            yield layer
+
+    monkeypatch.setattr(module, "walk_star", recording)
+
+
+def test_walk_star_reaches_each_cone_over_tau_once():
+    rng = random.Random(36)
+    for f in [*named_fans().values(), random_complete_rank3(rng),
+              random_convex_rank3(rng), _orthant(6)]:
+        for tau in f.fan.sorted_cones:
+            for depth in range(f.rank + 1):
+                layers = list(stacky.walk_star(f.fan, tau, depth))
+                got = [(c.ray_indices, rays) for k, layer in enumerate(layers)
+                       for c, rays in layer if len(rays) == k]
+                assert len(got) == sum(map(len, layers))
+                assert sorted(got) == sorted(
+                    (c.ray_indices, tuple(sorted(set(c.ray_indices)
+                                                 - set(tau.ray_indices))))
+                    for c in f.fan.sorted_cones if tau.is_face_of(c)
+                    and c.dim - tau.dim <= depth)
+
+
+def test_the_assembly_walks_only_the_pairs_that_add(monkeypatch):
+    # each face tau of a given cone with a box is paired once with every
+    # cone of its star in the whole fan, and with nothing else: the cones
+    # two fans do not share, which refine-check sums, list neither all the
+    # faces of a listed cone nor the cones between tau and it
+    pairs, visits = [], []
+    parts = deltainv._weighted_delta_parts
+
+    def checked(sfan, lam, cones=None):
+        pairs.clear()
+        found = parts(sfan, lam, cones)
+        listed = sfan.fan.sorted_cones if cones is None else cones
+        # a list closed upwards: its faces are those of its maximal cones
+        faces = {t for c in listed if c in sfan.fan.maximal_cones
+                 for t in c.faces()}
+        boxed = [t for t in faces if box_elements(sfan, t)]
+        expected = [(t.ray_indices, c.ray_indices)
+                    for c in sfan.fan.sorted_cones for t in boxed
+                    if t.is_face_of(c)]
+        assert sorted(pairs) == sorted(expected)
+        visits.append((list(pairs), {c.ray_indices for c in listed}))
+        return found
+
+    monkeypatch.setattr(deltainv, "_weighted_delta_parts", checked)
+    _recording_walk(monkeypatch, deltainv, pairs)
+    rng = random.Random(37)
+    for f in [*named_fans().values(), random_complete_rank3(rng),
+              random_convex_rank2(rng), _orthant(14)]:
+        deltainv.weighted_delta_closed(f, zero_functional(f))
+    # 3^14 (cone, face) pairs, of which only the zero cone's add anything
+    assert len(visits[-1][0]) == 2 ** 14
+    coarse = fan_p112()
+    for fine in (stellar_subdivide(coarse, (0, -1), 2),
+                 stellar_subdivide(coarse, (1, 1))):
+        visits.clear()
+        assert check_invariance(coarse, zero_functional(coarse), fine)
+        # the zero cone is never listed, and the walk from it reaches a
+        # listed cone through an unlisted ray
+        assert any(t == () and c in listed
+                   and any((i,) not in listed for i in c)
+                   for found, listed in visits for t, c in found)
+
+
+def test_walk_cells_visits_only_the_cells_with_points(monkeypatch):
+    # each (tau, C) the walk reaches has a u in BOX(tau) with m >= 0, and
+    # the cells are those of a brute-force pass over the cones and faces
+    pairs = []
+    _recording_walk(monkeypatch, stacky, pairs)
+    rng = random.Random(38)
+    for f in [*named_fans().values(), random_complete_rank3(rng),
+              random_convex_rank3(rng), _orthant(14)]:
+        boxed = [t for t in f.fan.sorted_cones if box_elements(f, t)]
+        for bound in map(Fraction, (0, 1, "3/2", 2, 3)):
+            pairs.clear()
+            walk = list(stacky._walk_cells(f, bound))
+            expected = {}
+            for c in f.fan.sorted_cones:
+                for t in (t for t in boxed if t.is_face_of(c)):
+                    cells = [(e, m) for e in box_elements(f, t)
+                             if (m := math.floor(bound - age(f, e))
+                                 - c.dim + t.dim) >= 0]
+                    if cells:
+                        expected[t.ray_indices, c.ray_indices] = cells
+            assert sorted(pairs) == sorted(expected)
+            assert len(walk) == len(expected)
+            assert {(t, c.ray_indices): cells
+                    for c, t, cells in walk} == expected
 
 
 def _same_records(got, filed):
