@@ -147,9 +147,10 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
     any n_i > 0 the point w - b_i is a label with v <= w - b_i < w, of psi
     psi(w) - 1 <= bound.  So w covers exactly the w - b_i with shift
     s_i(w) >= 1.  Each cover is checked: w - b_i must be a label, of psi
-    psi(w) - 1, below w by closure_leq; else InvariantViolation.  The
-    enumerator refuses a walk over stacky.LABEL_WALK_BUDGET labels with a
-    BudgetExceeded before any label is made."""
+    psi(w) - 1 (the enumerator's psi(w) * sfan.grid less sfan.grid), below
+    w by closure_leq; else InvariantViolation.  The enumerator refuses a
+    walk over stacky.LABEL_WALK_BUDGET labels with a BudgetExceeded before
+    any label is made."""
     pts = stacky.enumerate_support_points(sfan, bound)
     labels = {p: label for p, _, _, label in pts}
     psis = {p: ps for p, ps, _, _ in pts}
@@ -159,23 +160,13 @@ def orbit_poset(sfan: StackyFan, bound) -> OrbitPoset:
             if s < 1:
                 continue
             v = tuple(x - y for x, y in zip(w, sfan.b_vectors[i]))
-            if (v not in labels or psis[v] != psis[w] - 1
+            if (v not in labels or psis[v] != psis[w] - sfan.grid
                     or not closure_leq(sfan, labels[v], label)):
                 raise InvariantViolation(
                     f"{list(v)} = w - b_{i} is not a label one psi below "
                     f"w = {list(w)} in the closure order")
             covers.add((v, w))
     return OrbitPoset(list(labels.values()), covers)
-
-
-def _on_grid(x: Fraction, grid: int, point) -> int:
-    """x * grid, which must be an integer: a value off the grid raises,
-    rather than being truncated onto it."""
-    q, r = divmod(grid, x.denominator)
-    if r:
-        raise InvariantViolation(
-            f"{x} at {list(point)} is off the grid of step 1/{grid}")
-    return x.numerator * q
 
 
 def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> TruncatedSeries:
@@ -187,11 +178,11 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     q^{shift(w) + contact_order(w)}; the two must agree.  Multiplying by a
     power of q is a bijection, so this is checked on the exponents,
     measure_exponent(w) + shift(w) + contact_order(w) == -psi(w) -
-    lambda(w).  Every exponent lies on one integer grid of step 1/G, G the
-    lcm of the maximal cones' solver denominators times the common
-    denominator of the beta_i, and is compared there as an integer; a
-    value off the grid raises InvariantViolation.  The direct terms are
-    summed as a count per level (psi + lambda) * G, and multiplied by
+    lambda(w).  The enumerator gives psi and lambda as integers on one grid
+    of step 1/G, G = sfan.grid times the common denominator of the beta_i,
+    and the measure route's exact sum times G must equal -(psi + lambda) *
+    G, so a value off the grid raises InvariantViolation.  The direct terms
+    are summed as a count per level (psi + lambda) * G, and multiplied by
     (q-1)^d once at the end: in x = q^{-1}, (q-1)^d q^{-L} = x^{L-d} (1-x)^d,
     so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
@@ -209,19 +200,17 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # psi + lam >= psi (1 - L) with L = max(0, max beta_i) < 1, so every
     # label kept has psi <= bound / (1 - L)
     slack = Fraction(1) - max(Fraction(0), max(e.coefficients, default=Fraction(0)))
-    grid = math.lcm(*(sfan.solvers[sigma].denominator
-                      for sigma in sfan.fan.maximal_cones)) * e.scale
+    grid = sfan.grid * e.scale   # the enumerator's G for the -beta_i
     # an integer level exceeds bound * grid exactly when it exceeds its floor
     top = bound.numerator * grid // bound.denominator
     counts = {}   # (psi(w) + lambda(w) - d) * grid -> number of labels
     for point, psi_w, lam_w, label in stacky.enumerate_support_points(
             sfan, bound / slack, lam.values_on_b):
-        level = _on_grid(psi_w, grid, point) + _on_grid(lam_w, grid, point)
+        level = psi_w + lam_w
         if level > top:
             continue
-        if (_on_grid(measure_exponent(sfan, label), grid, point)
-                + _on_grid(shift_function(sfan, label), grid, point)
-                + _on_grid(contact_order(e, label), grid, point) != -level):
+        if (measure_exponent(sfan, label) + shift_function(sfan, label)
+                + contact_order(e, label)) * grid != -level:
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")
         counts[level - d * grid] = counts.get(level - d * grid, 0) + 1

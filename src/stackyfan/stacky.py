@@ -27,8 +27,8 @@ BOX_SCAN_BUDGET = 10 ** 5
 
 # the most points one enumerate_support_points walk may build, counted
 # from its cells before any is; on P2 bound 140, the largest under it,
-# the orbit poset takes some 0.5 s and the direct sum, which locates each
-# point it keeps once, some 0.65 s (2 vCPU shared, Python 3.11)
+# `orbit-poset` takes 0.5-0.6 s and `gamma --check-direct`, which locates
+# each point it keeps once, 0.65-0.85 s (2 vCPU shared, Python 3.11.7)
 LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 
@@ -62,6 +62,13 @@ class StackyFan:
         """The ConeSolver over the b-vectors of each cone, by cone; its
         `locate` finds a point's minimal cone and b-coordinates."""
         return core.ConeSolvers(self.fan, self.b_vectors)
+
+    @cached_property
+    def grid(self) -> int:
+        """The lcm of the maximal cones' solver denominators: the psi of
+        every lattice point of |Sigma| lies on the grid of step 1/grid."""
+        return math.lcm(*(self.solvers[sigma].denominator
+                          for sigma in self.fan.maximal_cones))
 
     @cached_property
     def box_scans(self) -> dict:
@@ -379,10 +386,12 @@ def _walk_cells(sfan: StackyFan, bound: Fraction):
 
 def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     """All lattice points w in |Sigma| with psi(w) <= bound, as a list of
-    (w, psi(w), lam(w), label), lam the piecewise Q-linear functional with
-    the given values on the b_i (None -> lam(w) = None) and label the
-    FractionalDecomposition of w = u + sum s_i b_i: u the BoxElement filed
-    in sfan.box_scans, the s_i over the rays of the minimal cone of w in
+    (w, psi(w) * G, lam(w) * G, label): integers on one grid, G = sfan.grid
+    times the common denominator of the values, with no Fraction per point.
+    lam is the piecewise Q-linear functional with the given values on the
+    b_i (None -> lam = 0), and label the FractionalDecomposition of w = u +
+    sum s_i b_i: u the BoxElement filed in sfan.box_scans, whose order
+    divides sfan.grid, the s_i over the rays of the minimal cone of w in
     ascending order.  Ordered by ascending psi, then lexicographically.
     Over LABEL_WALK_BUDGET points, C(m + dim C, dim C) per cell of the
     walk, a BudgetExceeded is raised before any is built."""
@@ -398,7 +407,8 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
     lam = [Fraction(x) for x in lam_values or [0] * len(sfan.fan.rays)]
     scale = math.lcm(*(x.denominator for x in lam))
     lam_int = [x.numerator * (scale // x.denominator) for x in lam]
-    found = []   # (point, psi * order, order, lam * order * scale, label)
+    grid = sfan.grid
+    found = []   # (point, psi * G, lam * G, label), G = grid * scale
     for cone, tau, cells in walk:
         idx = cone.ray_indices
         bvecs = [sfan.b_vectors[i] for i in idx]
@@ -408,8 +418,11 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
                                       [0] * sfan.rank)]   # sum lift_i b_i
         for e, m in cells:
             u, _, nums, order = e
+            step = grid // order   # u's coordinates, over order, on grid
             base = list(map(operator.add, u, offset))
-            lam_u = sum(map(operator.mul, nums, (lam_int[i] for i in tau)))
+            psi_u = sum(nums) * step
+            lam_u = step * sum(map(operator.mul, nums,
+                                   (lam_int[i] for i in tau)))
             for extra in _bounded_tuples(len(idx), m):
                 shifts = tuple(map(operator.add, extra, lift))
                 point = base[:]
@@ -419,16 +432,11 @@ def enumerate_support_points(sfan: StackyFan, bound, lam_values=None):
                             point[j] += s * bk[j]
                 point = tuple(point)
                 found.append((
-                    point, sum(nums) + order * sum(shifts), order,
-                    lam_u + order * sum(map(operator.mul, shifts, lam_cone)),
+                    point, (psi_u + grid * sum(shifts)) * scale,
+                    lam_u + grid * sum(map(operator.mul, shifts, lam_cone)),
                     FractionalDecomposition(point, e, tuple(zip(idx, shifts)))))
-    # psi times a common denominator orders the points as psi does, with
-    # integer comparisons
-    den = math.lcm(*{order for _, _, order, _, _ in found})
-    found.sort(key=lambda item: (item[1] * (den // item[2]), item[0]))
-    return [(p, Fraction(ps, order), None if lam_values is None
-             else Fraction(lv, order * scale), label)
-            for p, ps, order, lv, label in found]
+    found.sort(key=operator.itemgetter(1, 0))
+    return found
 
 
 def _bounded_tuples(k: int, total_max: int):

@@ -18,6 +18,13 @@ from stackyfan.arcspace import StackDivisor
 DATA = Path(__file__).parent / "data"
 
 
+def support_grid(sfan, values=None):
+    """The G of enumerate_support_points(sfan, bound, values): sfan.grid
+    times the common denominator of the values on the b_i."""
+    return sfan.grid * math.lcm(*(Fraction(x).denominator
+                                  for x in values or ()))
+
+
 def mk_sfan(rank, rays, weights, cones, support):
     fan = Fan.from_maximal(rank, rays, cones, support)
     return StackyFan(fan, weights)

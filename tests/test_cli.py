@@ -2,7 +2,7 @@
 golden-output comparison for every subcommand.
 
 Regenerate the golden files after an intentional output change with
-    python3 tests/test_cli.py --regen
+    PYTHONPATH=src python3 tests/test_cli.py --regen
 and review the diff before committing.
 """
 
@@ -549,6 +549,20 @@ def test_rank14_orthant_answers_within_three_seconds(tmp_path, command):
     argv = [command[0], str(_orthant_document(tmp_path, 14)), *command[1:]]
     code, out = _run_within(argv, 3.0)
     assert code in (0, 1) and out, out
+
+
+@pytest.mark.parametrize("command", [
+    ["orbit-poset", "--bound"],
+    ["gamma", "--divisor", "zero", "--check-direct"]])
+def test_label_walk_limit_document(command):
+    # P2 has 1 + 3m(m + 1)/2 lattice points up to psi m: 29,611 at 140,
+    # the largest bound under stacky.LABEL_WALK_BUDGET, and 30,034 at 141
+    fan = str(DATA / "fan_p2.json")
+    code, out = _run_within([command[0], fan, *command[1:], "140"], 3.0)
+    assert code == 0 and out
+    assert run_command([command[0], fan, *command[1:], "141"]) == (
+        1, "error: the support points up to 141 may walk 30034 lattice "
+           "points, over the limit of 30000\n")
 
 
 def test_poset_and_direct_check_over_budget_exit_1_at_once():

@@ -24,7 +24,7 @@ from conftest import (mk_sfan, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_rank1, random_stellar_chain,
-                      series_of, weighted_projective,
+                      series_of, support_grid, weighted_projective,
                       weighted_projective_stacks)
 from stackyfan import core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
@@ -47,7 +47,7 @@ from stackyfan.refine import is_stacky_refinement, stellar_subdivide
 from stackyfan.stacky import (PiecewiseQLinear, StackyFan,
                               _scan_parallelepiped, box_all, box_elements,
                               enumerate_support_points, fractional_decompose,
-                              locate, psi, zero_functional)
+                              eval_pl, locate, psi, zero_functional)
 
 MAKERS = (random_complete_rank2, random_convex_rank2, random_complete_rank3,
           random_convex_rank3)
@@ -1125,10 +1125,11 @@ def test_support_points_come_in_psi_then_point_order(seed):
     for sfan in list(named_fans().values()) + random_fans(seed, 2):
         lam = random_admissible_lambda(rng, sfan).values_on_b
         for values in (None, lam):
+            grid = support_grid(sfan, values)
             for bound in (Fraction(5, 2), 3):
                 points = enumerate_support_points(sfan, bound, values)
-                assert points == sorted(points,
-                                        key=lambda item: (item[1], item[0]))
+                assert points == sorted(points, key=lambda item: (
+                    Fraction(item[1], grid), item[0]))
 
 
 
@@ -1152,8 +1153,13 @@ def test_support_point_labels_are_the_located_labels(seed):
             points = enumerate_support_points(sfan, bound, values)
             filed = {(e.cone.ray_indices, e.point): e
                      for records in sfan.box_scans.values() for e in records}
-            for point, _, _, label in points:
+            grid = support_grid(sfan, values)
+            functional = PiecewiseQLinear(sfan, lam)
+            for point, ps, lv, label in points:
                 assert label == orbit_label(sfan, point), point
+                assert Fraction(ps, grid) == psi(sfan, point), point
+                assert Fraction(lv, grid) == (
+                    eval_pl(functional, point) if values else 0), point
                 box = label.box_part
                 assert filed[box.cone.ray_indices, box.point] is box
                 checked += 1
@@ -1437,7 +1443,9 @@ def level_sum_reference(sfan, values, cutoff, mu):
     slack = 1 if mu else 1 + min([0, *values])
     top = math.floor((Fraction(cutoff) + 1) / slack) + 1
     raw = {Fraction(0): 1}
-    for _, psi_v, f_v, _ in enumerate_support_points(sfan, top, values):
+    grid = support_grid(sfan, values)
+    for _, ps, lv, _ in enumerate_support_points(sfan, top, values):
+        psi_v, f_v = Fraction(ps, grid), Fraction(lv, grid)
         base = f_v if mu else psi_v - math.ceil(psi_v) + f_v
         for m in range(max(1, math.ceil(psi_v)), top + 1):
             raw[base + m] = raw.get(base + m, 0) + 1
@@ -1504,7 +1512,7 @@ def test_closure_leq_matches_cone_definition(seed):
     # integer; the reference decides every pair where it is
     held = 0
     for sfan, bound in closure_cases(seed):
-        labels = [(orbit_label(sfan, p), ps)
+        labels = [(orbit_label(sfan, p), Fraction(ps, sfan.grid))
                   for p, ps, _, _ in enumerate_support_points(sfan, bound)]
         for v, psi_v in labels:
             for w, psi_w in labels:
@@ -1525,8 +1533,10 @@ def gamma_direct_reference(sfan, e, bound):
     slack = 1 - max(Fraction(0), max(e.coefficients))
     total = FracPoly.zero()
     qm1 = FracPoly({0: -1, 1: 1}) ** d
-    for point, psi_w, lam_w, _ in enumerate_support_points(
+    grid = support_grid(sfan, lam.values_on_b)
+    for point, ps, lv, _ in enumerate_support_points(
             sfan, math.floor(bound / slack) + 1, lam.values_on_b):
+        psi_w, lam_w = Fraction(ps, grid), Fraction(lv, grid)
         if psi_w + lam_w > bound:
             continue
         direct = qm1 * FracPoly.t_power(-psi_w - lam_w)

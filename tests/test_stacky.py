@@ -9,7 +9,7 @@ import pytest
 from conftest import (fan_a1, fan_p1, fan_p2, fan_p12, fan_p112, mk_sfan,
                       named_fans, random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
-                      random_stellar_chain)
+                      random_stellar_chain, support_grid)
 from stackyfan import deltainv, stacky
 from stackyfan.core import Cone
 from stackyfan.errors import (BudgetExceeded, InvariantViolation,
@@ -436,6 +436,30 @@ def test_enumerator_over_budget_raises_before_building(monkeypatch):
         enumerate_support_points(fan_p2(), 400)
 
 
+def test_the_walk_builds_no_fraction_per_point(monkeypatch):
+    # psi and lambda are read as integers on one grid; the walk made one
+    # Fraction per point for psi and one more for lambda
+    made = []
+    plain = stacky.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(stacky, "Fraction", counting)
+    for f in (fan_p2(), fan_p12()):
+        quarters = tuple(Fraction(i + 1, 4) for i in range(len(f.fan.rays)))
+        f.box_table   # scanned once, before the counted walks
+        for values in (None, quarters):
+            counts = []
+            for bound in (2, 8):
+                made.clear()
+                points = enumerate_support_points(f, bound, values)
+                counts.append(len(made))
+            assert len(points) > 20
+            assert counts[0] == counts[1], (values, counts)
+
+
 def test_element_order():
     assert box_all(fan_p12())[0].order == 1
     e = box_elements(cone12(), Cone((0, 1)))[0]
@@ -505,13 +529,14 @@ def test_enumerate_support_points_matches_brute_count():
         for m in range(4):
             pts = enumerate_support_points(f, m)
             assert len(pts) == count_lattice_points(f, m)
-            assert all(ps <= m for _, ps, _, _ in pts)
-            psis = [ps for _, ps, _, _ in pts]
+            assert all(Fraction(ps, f.grid) <= m for _, ps, _, _ in pts)
+            psis = [Fraction(ps, f.grid) for _, ps, _, _ in pts]
             assert psis == sorted(psis)
 
 
 def test_enumerate_support_points_lambda_values():
     f = fan_p1()
     lam = (Fraction(1), Fraction(0))
+    grid = support_grid(f, lam)
     for p, ps, lv, _ in enumerate_support_points(f, 3, lam):
-        assert lv == (p[0] if p[0] >= 0 else 0)
+        assert Fraction(lv, grid) == (p[0] if p[0] >= 0 else 0)
