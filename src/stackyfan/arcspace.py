@@ -79,15 +79,18 @@ def contact_order(e: StackDivisor, w: FractionalDecomposition) -> Fraction:
 
 
 def shift_function(sfan: StackyFan, w: FractionalDecomposition) -> Fraction:
-    """dim sigma({w}) - psi({w}); equal to psi(iota({w})).  The two are
-    compared on their numerators over the box element's order."""
+    """dim sigma({w}) - psi({w}); equal to psi(iota({w})).  The formula is
+    compared with the involution's numerators over the box element's order,
+    and with psi of the involution's point, located afresh."""
     box = w.box_part
     value = box.cone.dim * box.order - sum(box.nums)
-    alt = sum(iota(sfan, box).nums)
-    if value != alt:
+    image = iota(sfan, box)
+    alt = sum(image.nums)
+    _, nums, den = sfan.solvers.locate(image.point)
+    if value != alt or value * den != sum(nums) * box.order:
         raise InvariantViolation(
             f"shift-function formulas disagree at {list(w.w)}: "
-            f"{value}/{box.order} != {alt}/{box.order}")
+            f"{value}/{box.order}, {alt}/{box.order} and {sum(nums)}/{den}")
     return Fraction(value, box.order)
 
 

@@ -41,10 +41,6 @@ def content(v: Sequence[int]) -> int:
     return g
 
 
-def is_primitive(v: Sequence[int]) -> bool:
-    return content(v) == 1
-
-
 def primitive_part(v: Sequence[int]) -> Vec:
     """The primitive integer vector on the ray through v (v nonzero)."""
     g = content(v)
@@ -146,14 +142,6 @@ def determinant(vectors: Sequence[Vec]) -> int:
         raise ValueError("need d vectors of length d")
     pivots, _, delta, sign = _eliminate(vectors, d)
     return sign * delta if len(pivots) == d else 0
-
-
-def independent_rows(columns: Sequence[Vec], dim: int) -> Optional[tuple]:
-    """The first k of the dim coordinates (lexicographically) on which the
-    k integer columns have a non-zero minor; None when the columns are
-    linearly dependent."""
-    pivots = _eliminate(columns, dim)[0]
-    return pivots if len(pivots) == len(columns) else None
 
 
 class ConeSolver:
@@ -388,11 +376,10 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     linearly independent rays the coordinates of a point are unique, so it
     lies outside the common face iff its coordinates over a (equally, over
     b) put weight on a non-shared ray: the test is symmetric in a and b.
+    When a is a face of b that sum is empty and the system infeasible.
     """
     common = set(a.ray_indices) & set(b.ray_indices)
     extra = [i for i in a.ray_indices if i not in common]
-    if not extra:
-        return False
     ka, kb = a.dim, b.dim
     n = ka + kb
     eqs = []
@@ -405,7 +392,7 @@ def _cones_overlap_improperly(fan: Fan, a: Cone, b: Cone) -> bool:
     return _nonnegative_solution(eqs, n)
 
 
-def _complete_fan_certified(fan: Fan, maximal, sides: dict) -> Optional[bool]:
+def _complete_fan_certified(fan: Fan, maximal) -> Optional[bool]:
     """A certificate, linear in the cones, that the maximal cones of a fan
     declared complete meet only in common faces, so that no pair overlaps
     improperly.  The cones must have passed the ray and face-closure
@@ -439,13 +426,14 @@ def _complete_fan_certified(fan: Fan, maximal, sides: dict) -> Optional[bool]:
     rays are independent; for k = d it gives the cone's determinant,
     sign * delta, and delta * S^{-1} p in its last column.  Moving ray j
     last multiplies the determinant by (-1)^(d-1-j), which gives the side
-    of the apex j of each facet, filed in `sides` for every fan, and p
-    lies in the closed cone exactly when S^{-1} p >= 0, that is, when every
-    entry of the last column times delta is >= 0.
+    of the apex j of each facet, and p lies in the closed cone exactly when
+    S^{-1} p >= 0, that is, when every entry of the last column times delta
+    is >= 0.
     """
     d = fan.rank
     usable = {i for i, r in enumerate(fan.rays) if len(r) == d}
     inside = False
+    sides = {}   # each (d-1)-cone's apex sides
     for n, c in enumerate(maximal):
         idx = c.ray_indices
         if not usable.issuperset(idx):
@@ -478,7 +466,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
             rep.add(f"ray {i} has wrong length")
         elif is_zero_vec(r):
             rep.add(f"ray {i} is zero")
-        elif not is_primitive(r):
+        elif content(r) != 1:
             rep.add(f"ray {i} not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         rep.add("duplicate rays")
@@ -489,8 +477,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
     # every cone is a face of a maximal one, and a face of a cone whose
     # rays exist, have the right length and are independent is such a cone
     # too: when the maximal cones pass, every cone does
-    sides = {}
-    certified = _complete_fan_certified(fan, maximal, sides)
+    certified = _complete_fan_certified(fan, maximal)
     if certified is None:
         for c in fan.sorted_cones:
             if any(i < 0 or i >= len(fan.rays) for i in c.ray_indices):
@@ -498,7 +485,7 @@ def validate_fan(fan: Fan) -> ValidationReport:
                 continue
             vecs = fan.ray_vectors(c)
             if (all(len(v) == fan.rank for v in vecs)
-                    and independent_rows(vecs, fan.rank) is None):
+                    and len(_eliminate(vecs, fan.rank)[0]) < len(vecs)):
                 rep.add(f"cone {list(c.ray_indices)} rays not linearly "
                         "independent")
     indices = {c.ray_indices for c in fan.cones}
@@ -523,8 +510,8 @@ def validate_fan(fan: Fan) -> ValidationReport:
             rep.add(f"cones {list(a.ray_indices)} and {list(b.ray_indices)} "
                     "intersect outside their common face")
     # each codimension-one cone with the number of top-dimensional cones
-    # holding it
-    facets = [(f, len(sides.get(f, ())))
+    # holding it, its cofaces
+    facets = [(f, len(fan.facet_indices.get(f, ())))
               for f in sorted(f for f in indices if len(f) == fan.rank - 1)]
     if fan.support_kind == "complete":
         if not any(c.dim == fan.rank for c in maximal):

@@ -27,8 +27,8 @@ BOX_SCAN_BUDGET = 10 ** 5
 
 # the most points one enumerate_support_points walk may build, counted
 # from its cells before any is; on P2 bound 140, the largest under it,
-# `orbit-poset` takes 0.5-0.6 s and `gamma --check-direct`, which locates
-# each point it keeps once, 0.65-0.85 s (2 vCPU shared, Python 3.11.7)
+# `orbit-poset` takes 0.45-0.65 s and `gamma --check-direct`, which locates
+# two points per point kept, 0.7-0.95 s (2 vCPU shared, Python 3.11.7)
 LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 
@@ -74,8 +74,8 @@ class StackyFan:
     def box_scans(self) -> dict:
         """{support: [BoxElement]}: BOX(tau) of every face tau of the
         maximal cones scanned so far, by the index tuple of tau, sorted by
-        point.  Filed by _scan_box_groups, one scan per maximal cone at
-        most, and read through box_elements."""
+        point.  Filed and read by box_elements, one scan per maximal cone
+        at most."""
         return {}
 
     @cached_property
@@ -218,59 +218,46 @@ def _admit_box_groups(sfan: StackyFan, sigmas) -> None:
           "the box groups have", "elements in all,")
 
 
-def _scan_box_groups(sfan: StackyFan, sigmas) -> None:
-    """File into sfan.box_scans BOX of every face of the given maximal cones,
-    as BoxElements, with one parallelepiped scan of each cone not scanned
-    before.  The fan is simplicial, so BOX(tau) is the part of the
-    parallelepiped of any maximal sigma containing tau whose non-zero q_i
-    lie on the rays of tau; a face already filed from another cone is not
-    filed again.  Each element n goes to the face of its non-zero n_i,
-    looked up by its zero pattern, reduced by one gcd; the face's Cone is
-    built once per scan.  Over BOX_SCAN_BUDGET elements in the given
-    groups, a BudgetExceeded is raised before any scan."""
-    _admit_box_groups(sfan, sigmas)
-    table = sfan.box_scans
-    for sigma in sigmas:
-        idx = sigma.ray_indices
-        if idx in table:
-            continue
-        den = sfan.solvers[sigma].denominator
-        # the cone and list of each face not filed, by the zero pattern of n
-        new, files = {}, {}
-        for pattern in itertools.product((False, True), repeat=len(idx)):
-            face = tuple(itertools.compress(idx, pattern))
-            if face not in table:
-                new[face] = []
-                files[pattern] = Cone._sorted(face), new[face]
-        for point, n in _scan_parallelepiped(sfan, sigma):
-            found = files.get(tuple(map(bool, n)))
-            if found is not None:
-                g = math.gcd(den, *n)
-                cone, records = found
-                records.append(BoxElement(
-                    point, cone, tuple([x // g for x in n if x]), den // g))
-        table.update(new)
-
-
 def box_elements(sfan: StackyFan, tau: Cone) -> list:
-    """All of BOX(tau) for a cone tau of the fan, sorted lexicographically
-    by point coordinates: the list of BoxElements filed in sfan.box_scans,
-    shared by every read and not to be changed.  It is filed by the scan of
-    a maximal cone that holds tau: one scanned before, or else tau itself
-    if it is maximal, or the first maximal cone of the fan that holds it,
-    whose group order is admitted and which is scanned now.  A cone outside
-    the fan raises a ValueError before any scan."""
-    found = sfan.box_scans.get(tau.ray_indices)
-    if found is None:
-        fan = sfan.fan
-        if tau not in fan.cones:
-            raise ValueError(f"cone {list(tau.ray_indices)} is not a cone "
-                             "of the fan")
-        holder = tau if tau.ray_indices not in fan.facet_indices else next(
-            s for s in fan.maximal_cones if tau.is_face_of(s))
-        _scan_box_groups(sfan, [holder])
-        found = sfan.box_scans[tau.ray_indices]
-    return found
+    """All of BOX(tau) for a cone tau of the fan, sorted by point: the list
+    of BoxElements filed in sfan.box_scans, shared by every read and not
+    to be changed.  A face not filed is filed by one parallelepiped scan,
+    admitted against BOX_SCAN_BUDGET, of tau itself if it is maximal, or
+    else of the first maximal cone sigma that holds it.  The fan is
+    simplicial, so BOX of each face of sigma is the part of the scan whose
+    non-zero n_i lie on its rays: each element n goes to the face of its
+    non-zero n_i by its zero pattern, reduced by one gcd, and every face no
+    other cone filed is filed now, so no cone is scanned twice.  A cone
+    outside the fan raises a ValueError before any scan."""
+    table = sfan.box_scans
+    found = table.get(tau.ray_indices)
+    if found is not None:
+        return found
+    fan = sfan.fan
+    if tau not in fan.cones:
+        raise ValueError(f"cone {list(tau.ray_indices)} is not a cone "
+                         "of the fan")
+    sigma = tau if tau.ray_indices not in fan.facet_indices else next(
+        s for s in fan.maximal_cones if tau.is_face_of(s))
+    _admit_box_groups(sfan, [sigma])
+    idx = sigma.ray_indices
+    den = sfan.solvers[sigma].denominator
+    # the cone and list of each face not filed, by the zero pattern of n
+    new, files = {}, {}
+    for pattern in itertools.product((False, True), repeat=len(idx)):
+        face = tuple(itertools.compress(idx, pattern))
+        if face not in table:
+            new[face] = []
+            files[pattern] = Cone._sorted(face), new[face]
+    for point, n in _scan_parallelepiped(sfan, sigma):
+        slot = files.get(tuple(map(bool, n)))
+        if slot is not None:
+            g = math.gcd(den, *n)
+            cone, records = slot
+            records.append(BoxElement(
+                point, cone, tuple([x // g for x in n if x]), den // g))
+    table.update(new)
+    return table[tau.ray_indices]
 
 
 def box_reads(sfan: StackyFan, cones) -> list:

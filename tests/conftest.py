@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from stackyfan import arcspace
+from stackyfan import arcspace, stacky
 from stackyfan.core import Fan, validate_fan
 from stackyfan.deltainv import ehrhart_counts
 from stackyfan.errors import InvariantViolation
@@ -23,6 +23,13 @@ def support_grid(sfan, values=None):
     times the common denominator of the values on the b_i."""
     return sfan.grid * math.lcm(*(Fraction(x).denominator
                                   for x in values or ()))
+
+
+def moved_iota(sfan, e):
+    """The box involution with its numerators kept and its point moved by
+    b_0: a broken involution that only a located psi can tell apart."""
+    image = stacky.iota(sfan, e)
+    return image._replace(point=tuple(map(sum, zip(image.point, sfan.b(0)))))
 
 
 def mk_sfan(rank, rays, weights, cones, support):

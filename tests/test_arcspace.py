@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (closure_order, fan_a1, fan_p1, fan_p2, fan_p12,
-                      fan_p112, mk_sfan, named_fans, random_complete_rank2,
-                      random_complete_rank3, random_convex_rank2,
-                      random_convex_rank3, random_klt_divisor,
-                      transitive_reduction)
+                      fan_p112, mk_sfan, moved_iota, named_fans,
+                      random_complete_rank2, random_complete_rank3,
+                      random_convex_rank2, random_convex_rank3,
+                      random_klt_divisor, transitive_reduction)
 from stackyfan.arcspace import (StackDivisor, canonical_divisor, closure_leq,
                                 contact_order, divisor_to_pl,
                                 gamma_truncated_direct, orbit_label,
@@ -188,6 +188,17 @@ def test_shift_function_disagreement_raises(monkeypatch):
         shift_function(f, orbit_label(f, (-1,)))
 
 
+@pytest.mark.parametrize("w", [(-1,), (0,), (3,)])
+def test_shift_function_located_route_catches_a_moved_involution(
+        monkeypatch, w):
+    # the moved involution keeps iota's numerators, so only psi of its
+    # point, located afresh, disagrees; the formulas alone gave 1/2, 0, 0
+    f = fan_p12()
+    monkeypatch.setattr(arcspace, "iota", moved_iota)
+    with pytest.raises(InvariantViolation, match="shift-function"):
+        shift_function(f, orbit_label(f, w))
+
+
 def _fake_closure(holds):
     def closure(sfan, v, w):
         return holds(psi(sfan, v.w), psi(sfan, w.w))
@@ -281,7 +292,8 @@ def test_orbit_measure_is_q_minus_1_power_shifted_by_measure_exponent():
 
 def test_labels_are_read_from_the_enumerator_not_located(monkeypatch):
     # the poset locates no point; the direct sum locates each point it keeps
-    # once, in measure_exponent's own route to psi
+    # once, in measure_exponent's own route to psi, and the point of its
+    # label's involution once, in shift_function's second route
     located = []
     plain = core.ConeSolvers.locate
 
@@ -299,11 +311,14 @@ def test_labels_are_read_from_the_enumerator_not_located(monkeypatch):
         e = random_klt_divisor(rng, f)
         lam = divisor_to_pl(e).values_on_b
         grid = f.grid * e.scale
-        kept = [p for p, ps, lv, _ in enumerate_support_points(f, 6, lam)
+        kept = [(p, label) for p, ps, lv, label
+                in enumerate_support_points(f, 6, lam)
                 if Fraction(ps + lv, grid) <= 2]
         assert located == []
         gamma_truncated_direct(f, e, 2)
-        assert sorted(located) == sorted(kept)
+        assert sorted(located) == sorted(
+            [p for p, _ in kept]
+            + [stacky.iota(f, label.box_part).point for _, label in kept])
 
 
 def test_poset_and_direct_sum_over_budget_raise_before_enumerating(

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import weighted_projective_stacks
-from stackyfan import qseries, refine, stacky
+from stackyfan import arcspace, qseries, refine, stacky
 from stackyfan.cli import (MAX_FACES, FanDocument, document_of,
                            parse_fan_document, rational, render_document,
                            run_command)
@@ -810,6 +810,21 @@ def test_refine_check_gap_is_not_a_refinement(tmp_path, options):
     assert (code, out) == (1, "refinement: no\n")
 
 
+@pytest.mark.parametrize("options", [[], ["--lambda", "zero"]])
+def test_refine_check_fine_ray_outside_the_coarse_support(tmp_path, options):
+    # the fine ray (-1,0) lies in no coarse cone, so locating it fails
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(_minimal(rank=2, rays=[[1, 0], [0, 1]], weights=[1, 1],
+                               cones=[[0, 1]], support="convex"))
+    fine = tmp_path / "fine.json"
+    fine.write_text(_minimal(rank=2, rays=[[1, 0], [0, 1], [-1, 0]],
+                             weights=[1, 1, 1], cones=[[0, 1], [1, 2]],
+                             support="general"))
+    code, out = run_command(["refine-check", str(coarse), "--fine", str(fine),
+                             *options])
+    assert (code, out) == (1, "refinement: no\n")
+
+
 def test_refine_check_unknown_lambda_is_a_usage_error_first():
     # the functional is resolved before the predicate runs, so an unknown
     # name exits 2 on a pair that is not a refinement too
@@ -845,6 +860,37 @@ def test_betti_on_large_grid_fan(tmp_path):
     code, out = run_command(["betti", str(doc)])
     assert code == 0, out
     assert out.startswith("q^0: 1\n") and out.endswith("q^2: 1\n")
+
+
+def test_gamma_direct_check_failure_exits_1(monkeypatch):
+    # a direct sum off by one in its lowest coefficient fails the check
+    direct = arcspace.gamma_truncated_direct
+
+    def off_by_one(sfan, e, bound):
+        series = direct(sfan, e, bound)
+        series.coeffs[min(series.coeffs)] += 1
+        return series
+
+    monkeypatch.setattr(arcspace, "gamma_truncated_direct", off_by_one)
+    code, out = run_command(["gamma", str(DATA / "fan_p12.json"),
+                             "--divisor", "zero", "--check-direct", "2"])
+    assert (code, out) == (
+        1, "1 + q^{1/2} + q\ndirect check (bound 2): FAILED\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["ehrhart", "--max-m", "3"], "f(0) = 1\nf(1) = 1\nf(2) = 1\nf(3) = 1\n"),
+    (["weighted-delta", "--lambda", "zero", "--series-cutoff", "3"],
+     "1 - 2t + t^2\nseries: 1 - 2t + t^2 + O(t^3)\n")],
+    ids=["ehrhart", "weighted-delta"])
+def test_fan_of_the_zero_cone_alone(tmp_path, argv, expected):
+    # the oracle scan has no maximal cone with a ray to walk: the origin
+    # is the one point
+    doc = tmp_path / "origin.json"
+    doc.write_text(_minimal(rank=2, rays=[], weights=[], cones=[[]],
+                            support="general"))
+    code, out = run_command([argv[0], str(doc), *argv[1:]])
+    assert (code, out) == (0, expected)
 
 
 def test_validate_reports_violations():

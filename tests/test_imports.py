@@ -58,8 +58,8 @@ def test_oracles_name_no_checked_enumerator():
     # only through box_elements, so every scan is inside its traced span
     path = PACKAGE / "deltainv.py"
     banned = {"enumerate_support_points", "_scan_parallelepiped",
-              "_scan_box_groups", "box_table", "box_scans", "ConeSolver",
-              "solvers", "solve_rational_system"}
+              "box_table", "box_scans", "ConeSolver", "solvers",
+              "solve_rational_system"}
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         name = _name(node)
         assert name not in banned, f"deltainv.py:{node.lineno} names {name}"
@@ -84,7 +84,7 @@ def test_only_box_elements_starts_a_box_scan():
     readers = [f"{path.name} {getattr(node, 'name', node.lineno)}"
                for path in SOURCES
                for node in ast.parse(path.read_text(encoding="utf-8")).body
-               if _reads(node)["_scan_box_groups"]]
+               if _reads(node)["_scan_parallelepiped"]]
     assert readers == ["stacky.py box_elements"]
 
 

@@ -32,8 +32,7 @@ from stackyfan.arcspace import (StackDivisor, closure_leq, contact_order,
                                 orbit_label, orbit_measure, orbit_poset,
                                 shift_function, zero_divisor)
 from stackyfan.core import (Cone, Fan, ZERO_CONE, _cones_overlap_improperly,
-                            _nonnegative_solution, determinant,
-                            independent_rows,
+                            _eliminate, _nonnegative_solution, determinant,
                             minimal_containing_cone, solve_rational_system,
                             validate_fan)
 from stackyfan.cyclotomic import (_div_binomial, _fold, lowest_terms,
@@ -703,7 +702,7 @@ def ray_mutants(fan):
 def test_complete_fan_certificate_agrees_with_pairwise_reference():
     valid = complete_fans(31)
     for fan in valid:
-        assert core._complete_fan_certified(fan, fan.maximal_cones, {})
+        assert core._complete_fan_certified(fan, fan.maximal_cones)
         assert validate_fan(fan).violations == validate_reference(fan) == []
     mutants = [m for fan in valid for m in ray_mutants(fan)]
     mutants += [cycle_fan(PENTAGRAM), cycle_fan(PENTAGRAM_THROUGH_A_RAY),
@@ -719,13 +718,13 @@ def test_complete_fan_certificate_agrees_with_pairwise_reference():
         overlap = any(_cones_overlap_improperly(fan, a, b)
                       for a, b in itertools.combinations(maximal, 2))
         overlapping += overlap
-        certified = core._complete_fan_certified(fan, maximal, {})
+        certified = core._complete_fan_certified(fan, maximal)
         assert not (certified and overlap)
         assert certified or expected != []
     assert overlapping > len(mutants) // 2
     for fan, overlaps in ((cycle_fan(PENTAGRAM), 5),
                           (double_cover_rank3(), 20)):
-        assert not core._complete_fan_certified(fan, fan.maximal_cones, {})
+        assert not core._complete_fan_certified(fan, fan.maximal_cones)
         violations = validate_fan(fan).violations
         assert len(violations) == overlaps
         assert all("intersect outside their common face" in v
@@ -905,7 +904,9 @@ def test_independent_rows_match_minor_search(seed):
                                         zip(columns[0], columns[-2]))
                 expected = independent_rows_reference(columns, dim)
                 dependent += expected is None
-                assert independent_rows(columns, dim) == expected, columns
+                pivots = _eliminate(columns, dim)[0]
+                assert (pivots if len(pivots) == k else None) == expected, \
+                    columns
     assert dependent > 40
 
 
@@ -1111,11 +1112,11 @@ def test_solvers_and_the_certificate_eliminate_once(monkeypatch):
             for i in solver.others)
     for fan in valid:
         calls.clear()
-        assert core._complete_fan_certified(fan, fan.maximal_cones, {})
+        assert core._complete_fan_certified(fan, fan.maximal_cones)
         assert len(calls) == len(fan.maximal_cones)
     calls.clear()
     assert not core._complete_fan_certified(through_a_ray,
-                                            through_a_ray.maximal_cones, {})
+                                            through_a_ray.maximal_cones)
     assert len(calls) <= len(through_a_ray.maximal_cones)
 
 

@@ -108,6 +108,19 @@ def test_box_elements_rejects_a_cone_outside_the_fan(monkeypatch):
     assert f.box_scans == {}
 
 
+def test_each_face_is_filed_once():
+    # a scan files only the faces no earlier scan filed, so the list a read
+    # returns is the one every later read returns, whatever is scanned
+    # in between
+    rng = random.Random(38)
+    for f in [*named_fans().values(), random_complete_rank2(rng),
+              random_complete_rank3(rng), random_convex_rank3(rng)]:
+        first = {tau: box_elements(f, tau) for tau in f.fan.sorted_cones}
+        assert len(f.box_scans) == len(first)
+        for tau, found in first.items():
+            assert box_elements(f, tau) is found, tau
+
+
 def _unshared_lists(a, b):
     """The cones of each of two unit-weight fans whose b-vectors the other
     fan has on no cone, as weighted_delta_equal finds them at lambda = 0."""
