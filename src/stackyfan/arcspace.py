@@ -181,13 +181,15 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     q^{shift(w) + contact_order(w)}; the two must agree.  Multiplying by a
     power of q is a bijection, so this is checked on the exponents,
     measure_exponent(w) + shift(w) + contact_order(w) == -psi(w) -
-    lambda(w).  The enumerator gives psi and lambda as integers on one grid
-    of step 1/G, G = sfan.grid times the common denominator of the beta_i,
-    and the measure route's exact sum times G must equal -(psi + lambda) *
-    G, so a value off the grid raises InvariantViolation.  The direct terms
-    are summed as a count per level (psi + lambda) * G, and multiplied by
-    (q-1)^d once at the end: in x = q^{-1}, (q-1)^d q^{-L} = x^{L-d} (1-x)^d,
-    so on the grid x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
+    lambda(w).  The shift reads the box element {w} alone, so shift_function
+    and its located route run once per distinct box element.  The
+    enumerator gives psi and lambda as integers on one grid of step 1/G, G =
+    sfan.grid times the common denominator of the beta_i, and the measure
+    route's exact sum times G must equal -(psi + lambda) * G, so a value off
+    the grid raises InvariantViolation.  The direct terms are summed as a
+    count per level (psi + lambda) * G, and multiplied by (q-1)^d once at
+    the end: in x = q^{-1}, (q-1)^d q^{-L} = x^{L-d} (1-x)^d, so on the grid
+    x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
     below d - bound.  The enumerator refuses a walk over
@@ -207,12 +209,16 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     # an integer level exceeds bound * grid exactly when it exceeds its floor
     top = bound.numerator * grid // bound.denominator
     counts = {}   # (psi(w) + lambda(w) - d) * grid -> number of labels
+    shifts = {}   # box element's point -> its shift, checked once
     for point, psi_w, lam_w, label in stacky.enumerate_support_points(
             sfan, bound / slack, lam.values_on_b):
         level = psi_w + lam_w
         if level > top:
             continue
-        if (measure_exponent(sfan, label) + shift_function(sfan, label)
+        box = label.box_part.point
+        if box not in shifts:
+            shifts[box] = shift_function(sfan, label)
+        if (measure_exponent(sfan, label) + shifts[box]
                 + contact_order(e, label)) * grid != -level:
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")

@@ -7,8 +7,9 @@ The three oracles, ehrhart_counts, weighted_delta_series and
 delta_mu_series, read the lattice points of |Sigma| from one enumerator of
 their own, _oracle_points.  It uses nothing of the box-group enumerator in
 `stacky` or of the per-cone solvers in `core`: the closed formula is built
-on those, and the oracles check it.  The Ehrhart delta-polynomial,
-ehrhart_delta, is read from the closed formula, not from an oracle."""
+on those, and the oracles check it.  The weighted delta-vector, the Ehrhart
+delta-polynomial and the h-vector are read from the closed formula's one
+assembly, _assemble, not from an oracle."""
 
 from __future__ import annotations
 
@@ -20,13 +21,13 @@ from collections import Counter
 from fractions import Fraction
 
 from . import arcspace
-from .core import Cone, Fan
+from .core import Cone, Fan, ZERO_CONE
 from .errors import (InvariantViolation, LambdaNotKLT, NegativeMu,
                      NotComplete, NotKLT, admit)
 from .qseries import (FracPoly, FracRational, TruncatedSeries,
                       over_binomials, substitute_reciprocal, times_one_minus_t)
 from .stacky import (PiecewiseQLinear, StackyFan, box_elements, box_reads,
-                     walk_star, zero_functional)
+                     walk_star)
 
 
 # the most lattice points one _oracle_points scan may walk: its levels and
@@ -163,18 +164,16 @@ def _invert(vectors):
 def ehrhart_delta(sfan: StackyFan) -> FracRational:
     """The Ehrhart delta-polynomial: the weighted delta-vector at lambda = 0
     with each term c t^e moved to t^ceil(e).  A point v = u + sum s_i b_i
-    has ceil(psi(v)) = ceil(age(u)) + sum s_i, so this places it at the
-    level where the counts f(m) of ehrhart_counts record it."""
-    d = sfan.rank
-    closed = weighted_delta_closed(sfan, zero_functional(sfan))
-    n, shift, a = closed.n, closed.shift, closed.a
-    if not closed.is_polynomial() or shift + max(a, default=0) > d * n:
+    has ceil(psi(v)) = ceil(age(u)) + sum s_i, so each box element goes in
+    at ceil(age), on n = 1: the level where ehrhart_counts records v."""
+    d, cones = sfan.rank, sfan.fan.sorted_cones
+    _, num, binom = _assemble(sfan.fan, 1, [1] * len(sfan.b_vectors), {
+        tau: [-(-sum(e.nums) // e.order) for e in box_elements(sfan, tau)]
+        for tau in box_reads(sfan, cones)}, cones)
+    if binom or max(num, default=0) > d:
         raise InvariantViolation(
-            f"the delta-vector at lambda = 0 is not a polynomial of degree "
-            f"at most {d}")
-    bucketed = bucket_series(
-        TruncatedSeries(n, {e + shift: c for e, c in a.items()}, d))
-    return FracRational(bucketed.coeffs, {0: 1}, grid=1)
+            f"the delta-polynomial is not a polynomial of degree at most {d}")
+    return FracRational(num, {0: 1}, grid=1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +251,21 @@ def h_tau_lambda(sfan: StackyFan, tau: Cone, lam: PiecewiseQLinear) -> FracRatio
 
 
 def weighted_delta_closed(sfan: StackyFan, lam: PiecewiseQLinear) -> FracRational:
-    """The weighted delta-vector as an exact rational function in canonical
-    form: sum over cones of h_tau^lambda times the box contributions, over
-    the cones' least common denominator (_weighted_delta_parts), reduced
-    over its known binomials.  Agrees with the naive sum of h_tau_lambda *
-    box factors (tested)."""
+    """The weighted delta-vector in canonical form: _weighted_delta_parts
+    reduced over its known binomials.  Agrees with the naive sum of
+    h_tau_lambda * box factors (tested)."""
     n, total, binom = _weighted_delta_parts(sfan, lam)
     return over_binomials(n, total, Counter(binom))
 
 
 def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
                           cones=None):
-    """(n, numerator, binom) with delta = numerator(s) / prod_{c in binom}
-    (1 - s^c), s = t^{1/n}, not reduced: n is the lcm of the denominators
-    of the lambda(b_i) and of the box exponents, binom the least multiset
-    holding each cone's c_i = n (lambda(b_i) + 1), less the 1 - s^n that
-    (1 - t)^d = (1 - s^n)^d cancels (so empty at lambda = 0), and numerator
-    a sparse {int exponent: int} dict without zeros.
-
-    Given a list of cones, closed upwards in the fan, the parts are those
-    of (1 - t)^d times the sum of those cones' terms alone; by default
-    every cone of the fan is summed.  Their faces tau are read in one
-    stacky.box_reads plan, and each tau with a box is paired with the given
-    cones of its star, walked in the whole fan (stacky.walk_star).
-
-    With lambda(b_i) = l_i / L over a common denominator, the box element
-    q_i = nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i)
-    / (L order), so every exponent is an integer quotient."""
+    """The weighted delta-vector's (n, numerator, binom) from _assemble over
+    the given cones, by default every cone of the fan, on n the lcm of the
+    denominators of the lambda(b_i) and of the box exponents.  With
+    lambda(b_i) = l_i / L over a common denominator, the box element q_i =
+    nums_i / order has exponent age + lambda = sum_i nums_i (L + l_i) / (L
+    order), so every exponent is an integer quotient."""
     _check_admissible(lam)
     lams = lam.values_on_b
     scale = math.lcm(*(x.denominator for x in lams))
@@ -291,14 +278,31 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
                        scale * e.order) for e in box_elements(sfan, tau)]
     n = math.lcm(scale, *(den // math.gcd(a, den)
                           for pairs in boxes.values() for a, den in pairs))
-    binom = [c * (n // scale) for c in plus]   # ray i gives 1 - s^binom[i]
+    return _assemble(sfan.fan, n, [c * (n // scale) for c in plus],
+                     {tau: [a * n // den for a, den in pairs]
+                      for tau, pairs in boxes.items()}, cones)
+
+
+def _assemble(fan: Fan, n: int, binom: list, boxes: dict, cones) -> tuple:
+    """(n, numerator, binom), not reduced, with numerator(s) / prod_{c in
+    binom} (1 - s^c), s = t^{1/n}, equal to (1 - t)^d times the sum over the
+    given cones sigma, closed upwards in the fan, and their faces tau of
+    s^e s^{sum binom_i off tau} / prod_{i in sigma} (1 - s^binom_i), e over
+    the integer exponents boxes[tau]: ray i gives 1 - s^binom[i].  The
+    weighted delta-vector puts each box element at age + lambda, the Ehrhart
+    delta-polynomial at ceil(age) on n = 1, the h-vector the zero alone.
+
+    Each tau with a box is paired with the given cones of its star, walked
+    in the whole fan (stacky.walk_star).  Cones with one multiset of
+    binomials are summed first, then put over the least multiset holding
+    every cone's, less the 1 - s^n that (1 - t)^d = (1 - s^n)^d cancels;
+    numerator is a sparse {int exponent: int} dict without zeros."""
     groups = {}   # a cone's sorted binomials -> the sum of its cones' parts
     parts = {s.ray_indices: groups.setdefault(tuple(sorted(
         binom[i] for i in s.ray_indices)), {}) for s in cones}
-    for tau, pairs in boxes.items():
-        exps = [a * n // den for a, den in pairs]
+    for tau, exps in boxes.items():
         # each given sigma on tau: exps shifted by binom of its rays off tau
-        for layer in walk_star(sfan.fan, tau, sfan.rank) if exps else ():
+        for layer in walk_star(fan, tau, fan.rank) if exps else ():
             for sigma, rays in layer:
                 part = parts.get(sigma.ray_indices)
                 if part is not None:
@@ -312,16 +316,15 @@ def _weighted_delta_parts(sfan: StackyFan, lam: PiecewiseQLinear,
             part = _times_binomial(part, c)
         for e, v in part.items():
             total[e] = total.get(e, 0) + v
-    cancelled = min(sfan.rank, common[n])
+    cancelled = min(fan.rank, common[n])
     common[n] -= cancelled
-    for _ in range(sfan.rank - cancelled):
+    for _ in range(fan.rank - cancelled):
         total = _times_binomial(total, n)
     return n, {e: v for e, v in total.items() if v}, sorted(common.elements())
 
 
 def _times_binomial(p: dict, c: int) -> dict:
-    """p * (1 - s^c) for a sparse {exponent: int} polynomial, without
-    zeros."""
+    """p * (1 - s^c) for a sparse {exponent: int} polynomial, no zeros."""
     out = dict(p)
     for e, v in p.items():
         out[e + c] = out.get(e + c, 0) - v
@@ -407,18 +410,15 @@ def bucket_series(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def h_vector(fan: Fan) -> FracPoly:
-    """h(t) = sum over cones of t^dim (1-t)^codim."""
-    total = FracPoly.zero()
-    for tau in fan.sorted_cones:
-        total = total + (FracPoly.t_power(tau.dim)
-                         * (FracPoly({0: 1, 1: -1}) ** (fan.rank - tau.dim)))
-    return total
+    """h(t) = sum over cones of t^dim (1-t)^codim: the zero box element
+    alone, assembled on n = 1."""
+    return FracPoly(_assemble(fan, 1, [1] * len(fan.rays), {ZERO_CONE: [0]},
+                              fan.sorted_cones)[1])
 
 
 def hodge_polynomial_toric(fan: Fan) -> FracPoly:
     """E(q) = q^r h(1/q), as a polynomial in q."""
-    h = h_vector(fan)
-    return FracPoly({Fraction(fan.rank) - e: c for e, c in h.terms.items()})
+    return FracPoly({fan.rank - e: c for e, c in h_vector(fan).terms.items()})
 
 
 def gamma(sfan: StackyFan, e: "arcspace.StackDivisor") -> FracRational:

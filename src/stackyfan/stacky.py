@@ -27,8 +27,9 @@ BOX_SCAN_BUDGET = 10 ** 5
 
 # the most points one enumerate_support_points walk may build, counted
 # from its cells before any is; on P2 bound 140, the largest under it,
-# `orbit-poset` takes 0.45-0.65 s and `gamma --check-direct`, which locates
-# two points per point kept, 0.7-0.95 s (2 vCPU shared, Python 3.11.7)
+# `orbit-poset` takes 0.45-0.8 s and `gamma --check-direct`, which locates
+# each point kept and one involution point per box element, 0.55-0.95 s
+# (2 vCPU shared, Python 3.11.7)
 LABEL_WALK_BUDGET = 3 * 10 ** 4
 
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +206,17 @@ def ehrhart_delta_reference(sfan):
         j: sum((-1) ** k * math.comb(d + 1, k) * counts[j - k]
                for k in range(j + 1))
         for j in range(d + 1)}))
+
+
+def h_vector_reference(fan):
+    """The h-vector from the face counts alone: h(t) = sum_k f_k t^k
+    (1 - t)^(d - k), f_k the number of k-dimensional cones, so h_j =
+    sum_k (-1)^(j - k) C(d - k, j - k) f_k."""
+    d = fan.rank
+    f = Counter(tau.dim for tau in fan.sorted_cones)
+    return FracPoly({j: sum((-1) ** (j - k) * math.comb(d - k, j - k) * f[k]
+                            for k in range(j + 1))
+                     for j in range(d + 1)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 from conftest import (_angle_cmp, closure_order, ehrhart_delta_reference,
                       fan_a1,
                       fan_p1, fan_p2, fan_p12, fan_p112, fan_p12323,
-                      named_fans, random_admissible_lambda,
+                      h_vector_reference, named_fans, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3,
                       random_klt_divisor, random_stellar_chain, sector_betti,
@@ -328,7 +328,9 @@ def test_criterion_11_mckay_rank2():
     # junior (age-1) box points, which in a unit-weight Gorenstein 2-cone
     # are the lattice points inside the segment between its rays, found
     # here without the box enumerator; every cone of Y is unimodular, and
-    # E(Y) reads only its face counts
+    # E(Y) = q^2 h(1/q) is read from its face counts alone, by
+    # h_vector_reference, as well as from the assembly, by
+    # hodge_polynomial_toric
     rng = random.Random(16)
     gorenstein = resolved = 0
     for _ in range(400):
@@ -348,7 +350,9 @@ def test_criterion_11_mckay_rank2():
         assert validate_fan(y).ok
         assert all(determinant_abs([y.rays[i] for i in c.ray_indices]) == 1
                    for c in y.maximal_cones)
-        assert orbifold_betti(x) == hodge_polynomial_toric(y).terms, rays
+        e_y = {2 - e: c for e, c in h_vector_reference(y).terms.items()}
+        assert orbifold_betti(x) == hodge_polynomial_toric(y).terms == e_y, \
+            rays
         gorenstein += 1
         resolved += n > len(x.fan.rays)
     # 26 Gorenstein fans, 20 of them not smooth

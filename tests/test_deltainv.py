@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (ehrhart_delta_reference, fan_a1, fan_p1, fan_p2,
-                      fan_p12, fan_p112, fan_p12323, mk_sfan, named_fans,
-                      product, random_admissible_lambda,
+                      fan_p12, fan_p112, fan_p12323, h_vector_reference,
+                      mk_sfan, named_fans, product, random_admissible_lambda,
                       random_complete_rank2, random_complete_rank3,
                       random_convex_rank2, random_convex_rank3, random_rank1,
                       series_of)
@@ -163,15 +163,12 @@ def test_ehrhart_delta_fixtures():
     assert ehrhart_delta(fan_p112()) == R({0: 1, 1: 2, 2: 1})
 
 
-@pytest.mark.parametrize("closed", [
-    R({0: 1}, {0: 1, 1: -1}),
-    R({0: 1, Fraction(5, 2): 1})])
+@pytest.mark.parametrize("closed", [(1, {0: 1}, [1]), (1, {0: 1, 3: 1}, [])])
 def test_ehrhart_delta_rejects_what_the_bucketing_would_cut_off(
         monkeypatch, closed):
-    # fan_p112 has rank 2: a pole or a term above t^2 would be lost in
-    # the expansion up to t^2
-    monkeypatch.setattr(deltainv, "weighted_delta_closed",
-                        lambda sfan, lam: closed)
+    # fan_p112 has rank 2: an assembly with a binomial left (a pole) or a
+    # term above t^2 is no delta-polynomial
+    monkeypatch.setattr(deltainv, "_assemble", lambda *args: closed)
     with pytest.raises(InvariantViolation, match="degree at most 2"):
         ehrhart_delta(fan_p112())
 
@@ -288,7 +285,12 @@ def test_closed_zero_lambda_matches_ehrhart_after_bucketing():
     rng = random.Random(44)
     makers = [random_rank1, random_convex_rank2, random_complete_rank3,
               random_convex_rank3]
-    for f in [m(rng) for m in makers * 3]:
+    # and two fans whose maximal cones are not all full-dimensional; on
+    # the second none is, so (1 - t)^d is not all cancelled
+    lower = [mk_sfan(2, [(1, 0), (0, 1), (-2, -3)], (1, 1, 1),
+                     [(0, 1), (2,)], "general"),
+             mk_sfan(2, [(1, 0), (-1, -2)], (2, 1), [(0,), (1,)], "general")]
+    for f in [m(rng) for m in makers * 3] + lower:
         assert ehrhart_delta(f) == ehrhart_delta_reference(f), \
             (f.fan.rays, f.weights)
 
@@ -485,9 +487,18 @@ def test_hodge_polynomial_fixtures():
 
 
 def test_smooth_fan_delta_equals_h_vector():
-    for f in (fan_p1(), fan_p2()):
+    # h_vector is assembled like the closed form; the reference reads only
+    # the face counts.  The last two fans have maximal cones that are not
+    # full-dimensional, on the last none is
+    for f in (fan_p1(), fan_p2(),
+              mk_sfan(2, [(1, 0), (0, 1), (-2, -3)], (1, 1, 1),
+                      [(0, 1), (2,)], "general"),
+              mk_sfan(2, [(1, 0), (-1, -2)], (1, 1), [(0,), (1,)],
+                      "general")):
+        h = h_vector_reference(f.fan)
+        assert h_vector(f.fan) == h, f.fan.rays
         assert weighted_delta_closed(f, zero_functional(f)) == \
-            FracRational(h_vector(f.fan))
+            FracRational(h), f.fan.rays
 
 
 def test_gamma_fixtures():

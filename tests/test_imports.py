@@ -113,12 +113,31 @@ def test_point_location_goes_through_cone_solvers_locate(module):
 @pytest.mark.parametrize("module, function", [("deltainv.py", "ehrhart_delta"),
                                               ("cli.py", "_cmd_delta")])
 def test_delta_is_read_from_the_closed_form(module, function):
-    # the delta-polynomial is the bucketed closed form at lambda = 0; the
-    # lattice-point scan stays with the oracles that check it
-    banned = {"ehrhart_counts", "count_lattice_points", "_oracle_points"}
+    # the delta-polynomial is assembled with each box element at ceil(age),
+    # not a canonical closed form bucketed afterwards; the lattice-point
+    # scan stays with the oracles that check it
+    banned = {"ehrhart_counts", "count_lattice_points", "_oracle_points",
+              "weighted_delta_closed", "over_binomials", "bucket_series"}
     for node in ast.walk(_function(module, function)):
         name = _name(node)
         assert name not in banned, f"{module}:{node.lineno} names {name}"
+
+
+def test_h_vector_multiplies_no_polynomials(monkeypatch):
+    # the h-vector is the zero box element alone through the closed form's
+    # assembly, on integer dicts: no FracPoly product is taken
+    from conftest import named_fans
+    from stackyfan import deltainv, qseries
+    calls, mul = [], qseries.FracPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(qseries.FracPoly, "__mul__", counting)
+    for f in named_fans().values():
+        deltainv.h_vector(f.fan)
+    assert calls == []
 
 
 SERIES_FUNCTIONS = [

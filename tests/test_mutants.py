@@ -18,11 +18,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (fan_p2, fan_p12, moved_iota, named_fans,
-                      random_admissible_lambda, random_complete_rank2)
-from stackyfan import arcspace, deltainv, stacky
+import test_core
+from conftest import (ehrhart_delta_reference, fan_p2, fan_p12, moved_iota,
+                      named_fans, random_admissible_lambda,
+                      random_complete_rank2)
+from stackyfan import arcspace, core, deltainv, stacky
 from stackyfan.arcspace import gamma_truncated_direct, zero_divisor
-from stackyfan.deltainv import (count_lattice_points, gamma,
+from stackyfan.deltainv import (count_lattice_points, ehrhart_delta, gamma,
                                 weighted_delta_closed, weighted_delta_series)
 from stackyfan.errors import StackyFanError
 from stackyfan.qseries import (expand_laurent, expand_series, series_equal,
@@ -62,6 +64,22 @@ def involution_point_moved(iota):
     return moved_iota
 
 
+def one_face_raised_by_one(assemble):
+    """The assembly reads the exponents of the first non-zero face with a
+    box one higher."""
+    def mutant(fan, n, binom, boxes, cones):
+        tau = next((t for t, exps in boxes.items() if t.dim and exps), None)
+        return assemble(fan, n, binom, {
+            t: [e + 1 for e in exps] if t == tau else exps
+            for t, exps in boxes.items()}, cones)
+    return mutant
+
+
+def always_disjoint(overlaps):
+    """The overlap test finds every pair of maximal cones disjoint."""
+    return lambda fan, a, b: False
+
+
 # ---------------------------------------------------------------------------
 # Killers: each raises on a failed check and returns None on a pass
 
@@ -86,6 +104,13 @@ def closed_form_matches_series_on_random_fans():
         assert series_equal(weighted_delta_series(f, lam, 4),
                             expand_series(weighted_delta_closed(f, lam), 4)), \
             (f.fan.rays, f.weights, lam.values_on_b)
+
+
+def delta_matches_counts_on_named_fans():
+    """Criterion 7 on the five named fans: the delta-polynomial, assembled
+    at ceil(age), against the oracle's lattice-point counts."""
+    for f in named_fans().values():
+        assert ehrhart_delta(f) == ehrhart_delta_reference(f), f.fan.rays
 
 
 def walk_matches_brute_count():
@@ -115,6 +140,10 @@ MUTANTS = [
      closed_form_matches_series_on_random_fans),
     ("involution-point-moved", arcspace, "iota", involution_point_moved,
      direct_sum_matches_closed_form),
+    ("assembly-face-raised-by-one", deltainv, "_assemble",
+     one_face_raised_by_one, delta_matches_counts_on_named_fans),
+    ("overlap-always-disjoint", core, "_cones_overlap_improperly",
+     always_disjoint, test_core.test_validate_overlapping_cones),
 ]
 
 
