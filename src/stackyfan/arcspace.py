@@ -184,12 +184,14 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
     lambda(w).  The shift reads the box element {w} alone, so shift_function
     and its located route run once per distinct box element.  The
     enumerator gives psi and lambda as integers on one grid of step 1/G, G =
-    sfan.grid times the common denominator of the beta_i, and the measure
-    route's exact sum times G must equal -(psi + lambda) * G, so a value off
-    the grid raises InvariantViolation.  The direct terms are summed as a
-    count per level (psi + lambda) * G, and multiplied by (q-1)^d once at
-    the end: in x = q^{-1}, (q-1)^d q^{-L} = x^{L-d} (1-x)^d, so on the grid
-    x^{1/G} it is the oracles' (1 - x)^d shifted by -dG.
+    sfan.grid times the common denominator of the beta_i.  The measure
+    route's three exact values are compared on integers: each times D, the
+    product of their denominators, summed and times G, must equal -(psi +
+    lambda) * G * D, so a value off the grid raises InvariantViolation.  The
+    direct terms are summed as a count per level (psi + lambda) * G, and
+    multiplied by (q-1)^d once at the end: in x = q^{-1}, (q-1)^d q^{-L} =
+    x^{L-d} (1-x)^d, so on the grid x^{1/G} it is the oracles' (1 - x)^d
+    shifted by -dG.
     Returned as a series in q^{-1} (negative q-exponents ascending) with
     cutoff bound - d, so that all omitted terms have q-exponent strictly
     below d - bound.  The enumerator refuses a walk over
@@ -218,8 +220,11 @@ def gamma_truncated_direct(sfan: StackyFan, e: StackDivisor, bound) -> Truncated
         box = label.box_part.point
         if box not in shifts:
             shifts[box] = shift_function(sfan, label)
-        if (measure_exponent(sfan, label) + shifts[box]
-                + contact_order(e, label)) * grid != -level:
+        m, h, c = (measure_exponent(sfan, label), shifts[box],
+                   contact_order(e, label))
+        dm, dh, dc = m.denominator, h.denominator, c.denominator
+        if ((m.numerator * dh + h.numerator * dm) * dc
+                + c.numerator * dm * dh) * grid != -level * dm * dh * dc:
             raise InvariantViolation(
                 f"orbit-measure route disagrees at {list(point)}")
         counts[level - d * grid] = counts.get(level - d * grid, 0) + 1

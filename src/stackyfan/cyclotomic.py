@@ -9,12 +9,15 @@ by folding the numerator modulo s^k - 1, and divides at once by the product
 of those that divide, multiplying and dividing by binomials, each an
 O(length) pass.  The folds run down the divisor lattice: the numerator is
 folded in full only modulo s^d - 1 for the binomial exponents d of the
-denominator, and each divisor k from the fold of a multiple.  So a round
-costs one full-length fold per top d, plus one division of the numerator,
-which gets shorter each round.  A pass over residue classes mod c runs as c
-slices, or as length/c blocks when c^2 >= length, so it makes at most
-sqrt(length) Python steps.  Any other denominator (only arbitrary input
-such as 1 + 2s) is reduced by an integer primitive remainder sequence.
+denominator, and each divisor k from the fold of a multiple.  A fold that
+is 0 modulo s^m - 1 means 1 - s^m divides the numerator, so it settles
+every Phi_k with k | m at once: they are neither folded nor tested.  So a
+round costs one full-length fold per top d, plus one division of the
+numerator, which gets shorter each round.  A pass over residue classes mod
+c runs as c slices, or as length/c blocks when c^2 >= length, so it makes
+at most sqrt(length) Python steps.  Any other denominator (only arbitrary
+input such as 1 + 2s) is reduced by an integer primitive remainder
+sequence.
 """
 
 from __future__ import annotations
@@ -104,9 +107,12 @@ def _divide_gcd(a, exps):
     A round tests each live k: Phi_k divided a in every round so far, and
     b holds it more often than it was divided out.  Each is folded, in
     descending order, from the fold of its least multiple m already made
-    (exact, as s^k - 1 divides s^m - 1) or of a top.  The round divides by
-    Phi_k = +-prod_{d | k} (1 - s^d)^{mu(k/d)} for each k that passed,
-    over the squarefree quotients k/d alone."""
+    (exact, as s^k - 1 divides s^m - 1) or of a top.  A fold that is 0
+    passes with no test, and settles every later k of the round that
+    divides its exponent, unfolded: 1 - s^m divides a, and so does each
+    Phi_k with k | m.  Descending order meets the largest such m first.
+    The round divides by Phi_k = +-prod_{d | k} (1 - s^d)^{mu(k/d)} for
+    each k that passed, over the squarefree quotients k/d alone."""
     factors = {}              # n -> {prime: exponent}, for this call only
     tops = sorted(d for d, e in exps.items() if e > 0)
     need, net = {}, {}        # k -> times Phi_k is in b and not yet out
@@ -115,24 +121,28 @@ def _divide_gcd(a, exps):
             need[k] = need.get(k, 0) + e
     while True:
         folds, step = {}, {}  # m -> a mod s^m - 1; this round's exponents
+        zeros = []            # m with a mod s^m - 1 = 0: 1 - s^m divides a
         for k in sorted((k for k, m in need.items() if m > 0), reverse=True):
-            m = min((n for n in folds if n % k == 0), default=None)
-            if m is None:
-                m = next(d for d in tops if d % k == 0)
-                folds[m] = _fold(a, m)
-            if m != k:
-                folds[k] = _fold(folds[m], k)
-            if _phi_divides(folds[k], k, factors):
-                need[k] -= 1
-                # mu(k/d) is (-1)^|S| at d = k / prod S, S a set of the
-                # primes of k, and 0 at every other divisor d
-                primes = list(_factor(k, factors))
-                for r in range(len(primes) + 1):
-                    for chosen in itertools.combinations(primes, r):
-                        d = k // math.prod(chosen)
-                        step[d] = step.get(d, 0) + (-1) ** r
-            else:             # then Phi_k divides no quotient of a either
-                need[k] = 0
+            if all(n % k for n in zeros):
+                m = min((n for n in folds if n % k == 0), default=None)
+                if m is None:
+                    m = next(d for d in tops if d % k == 0)
+                    folds[m] = _fold(a, m)
+                if m != k:
+                    folds[k] = _fold(folds[m], k)
+                if not any(folds[k]):
+                    zeros.append(k)
+                elif not _phi_divides(folds[k], k, factors):
+                    need[k] = 0   # then Phi_k divides no quotient of a
+                    continue
+            need[k] -= 1
+            # mu(k/d) is (-1)^|S| at d = k / prod S, S a set of the primes
+            # of k, and 0 at every other divisor d
+            primes = list(_factor(k, factors))
+            for r in range(len(primes) + 1):
+                for chosen in itertools.combinations(primes, r):
+                    d = k // math.prod(chosen)
+                    step[d] = step.get(d, 0) + (-1) ** r
         if not step:
             return a, {d: e for d, e in net.items() if e}
         a = _apply(a, step)

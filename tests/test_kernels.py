@@ -1334,6 +1334,70 @@ def test_reduction_over_known_binomials_matches_lowest_terms(seed):
     assert shortened >= 20
 
 
+def counted_reduction(monkeypatch, a, exps):
+    """reduce_binomials(a, 1, exps), with the k of each _fold and each
+    _phi_divides call it made, in order."""
+    folds, tests = [], []
+    fold, phi_divides = cyclotomic._fold, cyclotomic._phi_divides
+
+    def counting_fold(f, k):
+        folds.append(k)
+        return fold(f, k)
+
+    def counting_phi_divides(f, k, factors):
+        tests.append(k)
+        return phi_divides(f, k, factors)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting_fold)
+    monkeypatch.setattr(cyclotomic, "_phi_divides", counting_phi_divides)
+    return reduce_binomials(list(a), 1, exps), folds, tests
+
+
+def test_a_zero_fold_settles_every_divisor_untested(monkeypatch):
+    # (1 - s^12) divides a, so a mod s^12 - 1 is 0: Phi_12 passes with no
+    # test, and Phi_6, Phi_4, Phi_3, Phi_2 and Phi_1 with no fold and no
+    # test of their own (six folds from the top and six tests before)
+    a = poly_mul([3, 1], binomial(12))
+    got, folds, tests = counted_reduction(monkeypatch, a, {12: 1})
+    assert got == ([3, 1], [1])
+    assert folds == [12] and tests == []
+
+
+def times_binomials(p, *ds):
+    """p (1 - s^d) for each d of ds."""
+    return functools.reduce(poly_mul, map(binomial, ds), p)
+
+
+# (a, exps, the reduced numerator and denominator, the k of each
+# _phi_divides call), with every expected pair derived by hand
+ZERO_FOLD_CASES = {
+    # zero folds at 18 and at 12 overlap in 6, 3, 2 and 1; the round after
+    # finds a zero fold at 6, where a is (3 + s)(1 - s^6)
+    "overlapping": (times_binomials([3, 1], 12, 18), {12: 1, 18: 1, 5: 1},
+                    [3, 1], binomial(5), [5, 1]),
+    # a zero fold at 6, which divides the top 12 and is no top itself
+    "below-a-top": (times_binomials([3, 1], 6), {12: 1},
+                    [3, 1], [1, 0, 0, 0, 0, 0, 1], [12, 4]),
+    # (1 - s^10)^3 in a against a need of 2: two rounds of zero folds, and
+    # the third copy stays in the numerator
+    "more-than-needed": (times_binomials([3, 1], 10, 10, 10), {10: 2},
+                         times_binomials([3, 1], 10), [1], []),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_FOLD_CASES)
+def test_zero_folds_reduce_exactly(monkeypatch, case):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    a, exps, num, den, expected_tests = ZERO_FOLD_CASES[case]
+    b = times_binomials([1], *Counter(exps).elements())
+    got, _, tests = counted_reduction(monkeypatch, a, exps)
+    assert got == (num, den) and tests == expected_tests
+    assert poly_mul(num, b) == poly_mul(a, den)
+    g = sympy.gcd(_sympy_poly(sympy, s, num), _sympy_poly(sympy, s, den))
+    assert g.degree() == 0
+
+
 def test_closed_form_never_seeks_its_denominator_factors(monkeypatch):
     # the closed form knows its binomials: the greedy peel of a dense
     # denominator (_cyclotomic_exponents) must not run, and the value is

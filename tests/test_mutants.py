@@ -22,7 +22,8 @@ import test_core
 from conftest import (ehrhart_delta_reference, fan_p2, fan_p12, moved_iota,
                       named_fans, random_admissible_lambda,
                       random_complete_rank2)
-from stackyfan import arcspace, core, deltainv, stacky
+from test_kernels import poly_mul, random_binomial_quotients, times_binomials
+from stackyfan import arcspace, core, cyclotomic, deltainv, stacky
 from stackyfan.arcspace import gamma_truncated_direct, zero_divisor
 from stackyfan.deltainv import (count_lattice_points, ehrhart_delta, gamma,
                                 weighted_delta_closed, weighted_delta_series)
@@ -80,6 +81,20 @@ def always_disjoint(overlaps):
     return lambda fan, a, b: False
 
 
+def phi_always_divides(phi_divides):
+    """The cyclotomic test passes every fold: every Phi_k divides."""
+    return lambda f, k, factors: True
+
+
+def fold_read_at_one(fold):
+    """A fold whose residues sum to 0 reads as 0: a shortcut that judges a
+    fold by its value at s = 1 alone."""
+    def mutant(a, k):
+        f = fold(a, k)
+        return [0] * k if not sum(f) else f
+    return mutant
+
+
 # ---------------------------------------------------------------------------
 # Killers: each raises on a failed check and returns None on a pass
 
@@ -119,6 +134,15 @@ def walk_matches_brute_count():
     assert len(enumerate_support_points(f, 4)) == count_lattice_points(f, 4)
 
 
+def reductions_keep_the_product_identity():
+    """Twelve seeded reductions over known binomials: num * b == a * den,
+    with b multiplied out, so the check reduces nothing itself."""
+    for a, c, exps in random_binomial_quotients(13, 12):
+        b = times_binomials([c], *exps.elements())
+        num, den = cyclotomic.reduce_binomials(list(a), c, exps)
+        assert poly_mul(num, b) == poly_mul(a, den), (a, c, exps)
+
+
 def direct_sum_matches_closed_form():
     """Criterion 5 on P(1,2) at bound 3: the direct sum, with its
     orbit-measure route checked term by term, against the closed form."""
@@ -144,6 +168,10 @@ MUTANTS = [
      one_face_raised_by_one, delta_matches_counts_on_named_fans),
     ("overlap-always-disjoint", core, "_cones_overlap_improperly",
      always_disjoint, test_core.test_validate_overlapping_cones),
+    ("phi-always-divides", cyclotomic, "_phi_divides", phi_always_divides,
+     reductions_keep_the_product_identity),
+    ("fold-read-at-one", cyclotomic, "_fold", fold_read_at_one,
+     reductions_keep_the_product_identity),
 ]
 
 
